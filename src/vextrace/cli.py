@@ -3,9 +3,16 @@
 Subcommands: norm, constants, solve, conditions, expand.  JSON goes to
 stdout (or --out), a short human summary to stderr.  Reports embed the
 tool version and a hash of the config (or of the flag set).  Runs are
-deterministic for a fixed config and --seed; --threads is accepted for
-interface compatibility but cannot change results, since all reductions
-use a fixed topology regardless of thread count.
+deterministic for a fixed config and --seed: nothing is threaded, and all
+reductions use a fixed summation order rather than the build- and
+CPU-dependent one of ``np.sum``.  --threads is accepted for interface
+compatibility and changes nothing.
+
+Exit codes: 0 success (every verdict satisfied); 1 an input mistake (bad
+config or flag, a malformed [domain], a local check off the critical set, a
+global check with a zero set, an expansion coefficient outside its
+hypothesis), reported in one line on stderr; 2 a violated verdict; 3 an
+indeterminate verdict or an expansion fit too unstable to give a slope.
 """
 
 from __future__ import annotations
@@ -18,7 +25,10 @@ import sys
 import numpy as np
 
 from . import __version__
-from .config import ConfigError, ProblemConfig, hash_of_args
+from .conditions import GammaNotEmpty, NotCritical
+from .config import ConfigError, ProblemConfig, hash_of_args, parse_init
+from .geometry import CornerError, GeometryError
+from .halfspace import FitUnstable, HypothesisViolation
 from .luxemburg import WeightedSamples, luxemburg_norm, modular
 
 EXIT_OK = 0
@@ -83,7 +93,6 @@ def cmd_norm(args):
 
 def cmd_constants(args):
     from .halfspace import (
-        HypothesisViolation,
         expansion_coefficients,
         sharp_constant_formula,
         sharp_constant_quadrature,
@@ -153,7 +162,7 @@ def cmd_solve(args):
     problem = cfg.build_problem()
     opts = cfg.solver_options()
     if args.init:
-        opts["init"] = args.init
+        opts["init"] = parse_init(args.init)
     if args.max_iter:
         opts["max_iter"] = args.max_iter
     if args.tol:
@@ -374,8 +383,7 @@ def build_parser():
     ap.add_argument("--seed", type=int, default=0, help="seed for random initializations")
     ap.add_argument(
         "--threads", type=int, default=1,
-        help="accepted for compatibility; reductions use a fixed topology, "
-        "so results never depend on it",
+        help="accepted for compatibility; nothing is threaded, so it changes nothing",
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
@@ -414,12 +422,15 @@ def run(argv=None):
     }
     try:
         return handlers[args.command](args)
-    except ConfigError as err:
+    except (ConfigError, FileNotFoundError) as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG
-    except FileNotFoundError as err:
-        print(f"config error: {err}", file=sys.stderr)
+    except (GeometryError, CornerError, NotCritical, GammaNotEmpty, HypothesisViolation) as err:
+        print(f"input error: {type(err).__name__}: {err}", file=sys.stderr)
         return EXIT_CONFIG
+    except FitUnstable as err:
+        print(f"indeterminate: {err}", file=sys.stderr)
+        return EXIT_INDETERMINATE
 
 
 def main():

@@ -14,10 +14,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .exponents import RegularityMissing, local_extremum_check, trace_critical
-from .geometry import fermi_chart
+from .exponents import RegularityMissing, critical_gap, local_extremum_check
+from .geometry import distance_to_segments, fermi_chart
 from .halfspace import sharp_constant_quadrature
-from .solver import local_constant_schedule
+from .solver import local_constant_schedule, sampled_exponent_bounds
 
 __all__ = [
     "ConditionVerdict",
@@ -118,20 +118,9 @@ def _dist_to_set(points, K, domain):
     """
     points = np.atleast_2d(points)
     if len(K) and isinstance(K[0], (int, np.integer)):
-        from .geometry import distance_to_ring
-
-        arc_set = {int(i) for i in K}
-        mask = np.array([int(a) in arc_set for a in domain.edge_arc])
-        edges = domain.boundary_edges[mask]
-        d = np.full(len(points), np.inf)
-        for i, j in edges:
-            a = domain.vertices[i]
-            b = domain.vertices[j]
-            ab = b - a
-            t = np.clip((points - a) @ ab / float(ab @ ab), 0.0, 1.0)
-            proj = a + t[:, None] * ab
-            d = np.minimum(d, np.linalg.norm(points - proj, axis=1))
-        return d
+        edges = domain.boundary_edges[np.isin(domain.edge_arc, K)]
+        v = domain.vertices
+        return distance_to_segments(points, v[edges[:, 0]], v[edges[:, 1]])
     K_pts = np.atleast_2d(np.asarray(K, float))
     diff = points[:, None, :] - K_pts[None, :, :]
     return np.min(np.sqrt(np.sum(diff * diff, axis=2)), axis=1)
@@ -150,8 +139,7 @@ def compactness_rate_check(domain, p, r, K, s, C, r0, phi):
     if not (0.0 < r0 < math.exp(-1.0)):
         raise ValueError("need r0 in (0, 1/e)")
     bpts, bw, _, _ = domain.boundary_quadrature()
-    crit = trace_critical(p, np.concatenate([bpts, domain.vertices]))
-    gap = np.asarray(crit.trace(bpts), float) - np.asarray(r(bpts), float)
+    gap = critical_gap(p, r, bpts, np.concatenate([bpts, domain.vertices]))
     dist = _dist_to_set(bpts, K, domain)
 
     far = dist >= r0
@@ -211,15 +199,6 @@ def compactness_rate_check(domain, p, r, K, s, C, r0, phi):
     )
 
 
-def _exponent_bounds(domain, p, r):
-    pts, _, _, _ = domain.interior_quadrature()
-    bpts, _, _, _ = domain.boundary_quadrature()
-    sample = np.concatenate([pts, domain.vertices])
-    pv = np.asarray(p(sample), float)
-    rv = np.asarray(r(np.concatenate([bpts, domain.vertices[domain.boundary_nodes()]])), float)
-    return (float(np.min(pv)), float(np.max(pv))), (float(np.min(rv)), float(np.max(rv)))
-
-
 def global_lhs_closed_form(volume, boundary_area, p_bounds, r_bounds):
     """max(|O|^(1/p+), |O|^(1/p-)) / min(|dO|^(1/r+), |dO|^(1/r-))."""
     p_lo, p_hi = p_bounds
@@ -243,10 +222,10 @@ def global_condition(domain, p, r, t_bar):
     estimate t_bar (an Estimate with error bar).
     """
     if np.any(domain.gamma_edges):
-        raise GammaNotEmpty("the constant test function must be admissible")
+        raise GammaNotEmpty("the global condition needs an empty zero set (gamma)")
     vol = domain.volume()
     per = domain.boundary_length()
-    p_bounds, r_bounds = _exponent_bounds(domain, p, r)
+    p_bounds, r_bounds = sampled_exponent_bounds(domain, p, r)
     lhs = global_lhs_closed_form(vol, per, p_bounds, r_bounds)
     if lhs < t_bar.low:
         sat = True
@@ -282,8 +261,7 @@ def local_condition(domain, p, r, x0, crit_tol=1e-8, radius=None, extremum_tol=1
             raise RegularityMissing(f"{name} must be declared C2")
     x0 = np.asarray(x0, float)
     bpts, _, _, _ = domain.boundary_quadrature()
-    crit = trace_critical(p, np.concatenate([bpts, domain.vertices]))
-    gap0 = float(crit.trace.eval_at(x0) - r.eval_at(x0))
+    gap0 = float(critical_gap(p, r, x0, np.concatenate([bpts, domain.vertices]))[0])
     if abs(gap0) > crit_tol:
         raise NotCritical(f"trace-exponent gap at x0 is {gap0}")
 
@@ -303,7 +281,7 @@ def local_condition(domain, p, r, x0, crit_tol=1e-8, radius=None, extremum_tol=1
     chart = fermi_chart(domain, x0)
     dtp = float(p.gradient(x0[None, :])[0] @ chart.nu)
     H = chart.H
-    p_bounds, r_bounds = _exponent_bounds(domain, p, r)
+    p_bounds, r_bounds = sampled_exponent_bounds(domain, p, r)
     gates_ok = p_min_ok and r_max_ok and p_bounds[1] < r_bounds[0]
     rhs = max(dtp, H)
     branch = None

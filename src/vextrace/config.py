@@ -26,7 +26,6 @@ loop order; ``gamma`` lists piece indices carrying the zero condition.
 from __future__ import annotations
 
 import hashlib
-import math
 from dataclasses import dataclass, field
 
 from .exponents import ExponentField
@@ -37,9 +36,8 @@ class ConfigError(ValueError):
     """Invalid configuration; the message names the offending field."""
 
 
-def parse_config_text(text):
-    """Parse into {section: {key: [values...]}} preserving repeat order."""
-    sections = {}
+def _config_lines(text):
+    """(section, key, value) per setting in file order; a header gives key None."""
     current = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -47,15 +45,41 @@ def parse_config_text(text):
             continue
         if line.startswith("[") and line.endswith("]"):
             current = line[1:-1].strip()
-            sections.setdefault(current, {})
+            yield current, None, None
             continue
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {raw!r}")
         if current is None:
             raise ConfigError(f"line {lineno}: key outside any [section]")
         key, value = line.split("=", 1)
-        sections[current].setdefault(key.strip(), []).append(value.strip())
+        yield current, key.strip(), value.strip()
+
+
+def parse_config_text(text):
+    """Parse into {section: {key: [values...]}} preserving repeat order."""
+    sections = {}
+    for section, key, value in _config_lines(text):
+        entries = sections.setdefault(section, {})
+        if key is not None:
+            entries.setdefault(key, []).append(value)
     return sections
+
+
+def parse_init(text):
+    """Solver start from its text form: constant | random | multistart |
+    'bubble x y lam' (the latter as ('bubble', (x, y), lam))."""
+    parts = text.split()
+    if parts[:1] == ["bubble"]:
+        try:
+            x, y, lam = map(float, parts[1:])
+        except ValueError:
+            raise ConfigError(f"init {text!r}: bubble needs 'bubble x y lam'")
+        return ("bubble", (x, y), lam)
+    if text not in ("constant", "random", "multistart"):
+        raise ConfigError(
+            f"init {text!r}: expected constant, random, multistart or 'bubble x y lam'"
+        )
+    return text
 
 
 @dataclass
@@ -123,17 +147,13 @@ class ProblemConfig:
     # -- builders --------------------------------------------------------------
 
     def build_loop(self):
-        pieces = []
-        order = []
-        for raw in self.text.splitlines():
-            line = raw.split("#", 1)[0].strip()
-            if not line or "=" not in line:
-                continue
-            key = line.split("=", 1)[0].strip()
-            if key in ("segment", "arc"):
-                order.append((key, line.split("=", 1)[1].strip()))
+        order = [
+            (key, spec) for section, key, spec in _config_lines(self.text)
+            if section == "domain" and key in ("segment", "arc")
+        ]
         if not order:
             raise ConfigError("missing [domain] segment/arc entries")
+        pieces = []
         for kind, spec in order:
             try:
                 nums = [float(x) for x in spec.split()]
@@ -179,16 +199,8 @@ class ProblemConfig:
             raise ConfigError(f"problem assembly: {err}")
 
     def solver_options(self):
-        init = self.get_str("solver", "init", default="constant")
-        if init.startswith("bubble"):
-            parts = init.split()
-            if len(parts) != 4:
-                raise ConfigError("[solver] init bubble needs: bubble x y lam")
-            init = ("bubble", (float(parts[1]), float(parts[2])), float(parts[3]))
-        elif init not in ("constant", "random", "multistart"):
-            raise ConfigError(f"[solver] init: unknown {init!r}")
         return {
-            "init": init,
+            "init": parse_init(self.get_str("solver", "init", default="constant")),
             "max_iter": self.get_int("solver", "max_iter", default=200),
             "tol": self.get_float("solver", "tol", default=1e-6),
             "radii": self.get_floats("solver", "radii", default=()),
@@ -198,9 +210,3 @@ class ProblemConfig:
 
 def hash_of_args(args_repr):
     return hashlib.sha256(args_repr.encode()).hexdigest()
-
-
-def isfinite_or_error(name, value):
-    if not math.isfinite(value):
-        raise ConfigError(f"{name} must be finite")
-    return value

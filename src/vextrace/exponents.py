@@ -23,8 +23,8 @@ __all__ = [
     "SupercriticalError",
     "ExponentBoundsError",
     "parse_exponent",
-    "constant_exponent",
     "trace_critical",
+    "critical_gap",
     "critical_set",
     "local_extremum_check",
     "log_holder_probe",
@@ -358,10 +358,6 @@ def parse_exponent(text, n):
     return _Parser(text, n).parse()
 
 
-def constant_exponent(value):
-    return Const(float(value))
-
-
 # ---------------------------------------------------------------------------
 # Exponent fields
 
@@ -497,6 +493,16 @@ def trace_critical(p, points=None):
     )
 
 
+def critical_gap(p, r, points, sample=None):
+    """Trace-exponent gap p_*(x) - r(x) at points; <= 0 marks critical points.
+
+    sup p < N is enforced on sample as in ``trace_critical``.
+    """
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    crit = trace_critical(p, sample)
+    return np.asarray(crit.trace(pts), float) - np.asarray(r(pts), float)
+
+
 def critical_set(p, r, boundary_points, tol):
     """Boundary points where the trace exponent gap p_* - r is <= tol.
 
@@ -506,8 +512,7 @@ def critical_set(p, r, boundary_points, tol):
     if tol <= 0:
         raise ValueError("tol must be positive")
     pts = np.atleast_2d(np.asarray(boundary_points, dtype=float))
-    crit = trace_critical(p, pts)
-    gap = crit.trace(pts) - r(pts)
+    gap = critical_gap(p, r, pts, pts)
     margin = float(np.min(gap)) if len(gap) else math.inf
     selected = [pts[i].copy() for i in range(pts.shape[0]) if gap[i] <= tol]
     return selected, margin

@@ -218,10 +218,9 @@ def points_in_polygon(points, ring):
     return inside
 
 
-def distance_to_ring(points, ring):
+def distance_to_segments(points, a, b):
+    """Distance from each point to the nearest of the segments a[k] b[k]."""
     pts = np.atleast_2d(points)
-    a = ring
-    b = np.roll(ring, -1, axis=0)
     ab = b - a
     denom = np.einsum("ij,ij->i", ab, ab)
     d2 = np.full(len(pts), np.inf)
@@ -231,6 +230,23 @@ def distance_to_ring(points, ring):
         proj = a[i] + t[:, None] * ab[i]
         d2 = np.minimum(d2, np.einsum("ij,ij->i", pts - proj, pts - proj))
     return np.sqrt(d2)
+
+
+def edge_table(triangles):
+    """Undirected edges of a triangulation and the triangles on each.
+
+    Returns (edges, tri_edges, counts): edges (m, 2) holds each edge once
+    as (low, high) in lexicographic order, tri_edges (nt, 3) the edge ids of
+    the sides (0,1), (1,2), (2,0) of each triangle, and counts (m,) the
+    number of triangles on each edge (1 on the mesh boundary).
+    """
+    t = np.asarray(triangles, dtype=np.int64)
+    n = int(t.max()) + 1
+    sides = np.sort(t[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
+    keys, inverse, counts = np.unique(
+        sides[:, 0] * n + sides[:, 1], return_inverse=True, return_counts=True
+    )
+    return np.stack([keys // n, keys % n], axis=1), inverse.reshape(-1, 3), counts
 
 
 # ---------------------------------------------------------------------------
@@ -371,48 +387,35 @@ class PlanarDomain:
         """
         v = self.vertices
         t = self.triangles
-        edge_mid = {}
-        new_pts = [v]
-        next_id = len(v)
+        nv = len(v)
+        edges, tri_edges, _ = edge_table(t)
+        m = len(edges)
+        # the midpoint of edge e is fine vertex nv + e
+        fine_v = np.concatenate([v, 0.5 * (v[edges[:, 0]] + v[edges[:, 1]])], axis=0)
+        a, b, c = (nv + tri_edges).T
+        i, j, k = t.T
+        fine_tris = np.stack(
+            [np.stack(x, axis=1) for x in ((i, a, c), (a, j, b), (c, b, k), (a, b, c))],
+            axis=1,
+        ).reshape(-1, 3)
 
-        def midpoint(i, j):
-            nonlocal next_id
-            key = (min(i, j), max(i, j))
-            if key not in edge_mid:
-                edge_mid[key] = next_id
-                new_pts.append(0.5 * (v[key[0]] + v[key[1]])[None, :])
-                next_id += 1
-            return edge_mid[key]
+        be = self.boundary_edges
+        lo, hi = np.minimum(be[:, 0], be[:, 1]), np.maximum(be[:, 0], be[:, 1])
+        mid = nv + np.searchsorted(edges[:, 0] * nv + edges[:, 1], lo * nv + hi)
+        fine_edges = np.stack([be[:, 0], mid, mid, be[:, 1]], axis=1).reshape(-1, 2)
 
-        fine_tris = []
-        for (i, j, k) in t:
-            a, b, c = midpoint(i, j), midpoint(j, k), midpoint(k, i)
-            fine_tris.extend([(i, a, c), (a, j, b), (c, b, k), (a, b, c)])
-        fine_v = np.concatenate(new_pts, axis=0)
-
-        fine_edges, fine_arc, fine_gamma = [], [], []
-        for idx, (i, j) in enumerate(self.boundary_edges):
-            m = midpoint(i, j)
-            fine_edges.extend([(i, m), (m, j)])
-            fine_arc.extend([self.edge_arc[idx]] * 2)
-            fine_gamma.extend([self.gamma_edges[idx]] * 2)
-
-        rows, cols, vals = [], [], []
-        for i in range(len(v)):
-            rows.append(i), cols.append(i), vals.append(1.0)
-        for (i, j), m in edge_mid.items():
-            rows.extend([m, m])
-            cols.extend([i, j])
-            vals.extend([0.5, 0.5])
+        rows = np.concatenate([np.arange(nv), nv + np.arange(m), nv + np.arange(m)])
+        cols = np.concatenate([np.arange(nv), edges[:, 0], edges[:, 1]])
+        vals = np.concatenate([np.ones(nv), np.full(2 * m, 0.5)])
         from scipy.sparse import csr_matrix
 
         prol = csr_matrix((vals, (rows, cols)), shape=(len(fine_v), len(v)))
         dom = PlanarDomain(
             fine_v,
-            np.asarray(fine_tris, dtype=int),
-            np.asarray(fine_edges, dtype=int),
-            np.asarray(fine_arc, dtype=int),
-            np.asarray(fine_gamma, dtype=bool),
+            fine_tris,
+            fine_edges,
+            np.repeat(self.edge_arc, 2),
+            np.repeat(self.gamma_edges, 2),
             loop=self.loop,
             target_h=self.target_h / 2.0,
         )
@@ -440,38 +443,26 @@ class PlanarDomain:
         sub_v = self.vertices[used]
 
         # boundary of the submesh = edges with exactly one adjacent triangle
-        edges = {}
-        for tri in sub_tris:
-            for i, j in ((0, 1), (1, 2), (2, 0)):
-                key = (min(tri[i], tri[j]), max(tri[i], tri[j]))
-                edges[key] = edges.get(key, 0) + 1
-        sub_boundary = {k for k, cnt in edges.items() if cnt == 1}
+        edges, _, counts = edge_table(sub_tris)
+        nsub = len(used)
+        bkeys = edges[counts == 1] @ np.array([nsub, 1])
 
         # keep inherited boundary edges in their global order and orientation
         # (a cap covering the whole mesh reproduces the domain bit for bit),
         # then the artificial cut edges in sorted order
-        b_edges, b_arc, b_gamma = [], [], []
-        inherited = set()
-        for idx, (gi, gj) in enumerate(map(tuple, self.boundary_edges)):
-            if remap[gi] < 0 or remap[gj] < 0:
-                continue
-            i, j = remap[gi], remap[gj]
-            key = (min(i, j), max(i, j))
-            if key in sub_boundary:
-                b_edges.append((i, j))
-                b_arc.append(self.edge_arc[idx])
-                b_gamma.append(bool(self.gamma_edges[idx]))
-                inherited.add(key)
-        for (i, j) in sorted(sub_boundary - inherited):
-            b_edges.append((i, j))
-            b_arc.append(-1)  # artificial cut
-            b_gamma.append(True)
+        be = remap[self.boundary_edges]
+        keys = np.min(be, axis=1) * nsub + np.max(be, axis=1)
+        inherited = np.all(be >= 0, axis=1) & np.isin(keys, bkeys)
+        cut = bkeys[~np.isin(bkeys, keys[inherited])]
+        b_edges = np.concatenate([be[inherited], np.stack([cut // nsub, cut % nsub], axis=1)])
+        b_arc = np.concatenate([self.edge_arc[inherited], np.full(len(cut), -1)])  # -1: cut
+        b_gamma = np.concatenate([self.gamma_edges[inherited], np.ones(len(cut), dtype=bool)])
         dom = PlanarDomain(
             sub_v,
             sub_tris,
-            np.asarray(b_edges, dtype=int),
-            np.asarray(b_arc, dtype=int),
-            np.asarray(b_gamma, dtype=bool),
+            b_edges,
+            b_arc,
+            b_gamma,
             loop=self.loop,
             target_h=self.target_h,
         )
@@ -560,7 +551,8 @@ def _mesh_once(loop, spacing, gamma_arcs, target_h):
     interior = np.concatenate(pts, axis=0) if pts else np.zeros((0, 2))
     if len(interior):
         inside = points_in_polygon(interior, ring)
-        far = distance_to_ring(interior, ring) >= 0.55 * spacing
+        dist = distance_to_segments(interior, ring, np.roll(ring, -1, axis=0))
+        far = dist >= 0.55 * spacing
         interior = interior[inside & far]
 
     allpts = np.concatenate([ring, interior], axis=0)
@@ -581,22 +573,12 @@ def _mesh_once(loop, spacing, gamma_arcs, target_h):
 
     # boundary recovery: edges adjacent to exactly one triangle must be the
     # consecutive ring pairs
-    counts = {}
-    for t in cells:
-        for i, j in ((0, 1), (1, 2), (2, 0)):
-            key = (min(t[i], t[j]), max(t[i], t[j]))
-            counts[key] = counts.get(key, 0) + 1
-    mesh_boundary = {k for k, c in counts.items() if c == 1}
-    expected, e_arc = [], []
-    for i in range(n_ring):
-        j = (i + 1) % n_ring
-        expected.append((min(i, j), max(i, j)))
-        e_arc.append(arc_ids[i])
-    if mesh_boundary != set(expected):
+    edges = np.stack([np.arange(n_ring), (np.arange(n_ring) + 1) % n_ring], axis=1)
+    table, _, counts = edge_table(cells)
+    if not np.array_equal(table[counts == 1], np.unique(np.sort(edges, axis=1), axis=0)):
         raise GeometryError("boundary recovery failed; refine or simplify the loop")
 
-    edges = np.array([(i, (i + 1) % n_ring) for i in range(n_ring)], dtype=int)
-    e_arc = np.asarray(e_arc)
+    e_arc = np.asarray(arc_ids)
     gamma = np.array([int(a_) in gamma_arcs for a_ in e_arc], dtype=bool)
     return PlanarDomain(
         allpts, cells, edges, e_arc, gamma, loop=loop, target_h=target_h
@@ -696,10 +678,6 @@ class FermiChart:
         out[..., 1, 0] = dp * (1.0 - t * kappa)
         out[..., 1, 1] = 1.0 / w
         return out
-
-    def frame_to_world(self, vec):
-        """Convert frame vectors (components along tau, nu) to world vectors."""
-        return vec[..., 0:1] * self.tau + vec[..., 1:2] * self.nu
 
     def world_to_frame(self, vec):
         return np.stack([vec @ self.tau, vec @ self.nu], axis=-1)

@@ -7,7 +7,8 @@ Sobolev kind); the Luxemburg norm is the unique lambda > 0 with
 modular(u/lambda) = 1, found by bracketed bisection with a Newton polish.
 
 All reductions go through ``fixed_order_sum`` (compensated, fixed lane
-topology) so results are bit-reproducible across runs and thread counts.
+topology), so a sum does not depend on the summation order that ``np.sum``
+picks for a given numpy build and CPU; nothing here is threaded.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ def fixed_order_sum(values):
 
     Each lane runs a Kahan accumulation over a deterministic index slice;
     the 64 lane totals are combined exactly with math.fsum.  The topology
-    depends only on the input length, never on thread count.
+    depends only on the input length, not on the numpy build or the CPU.
     """
     a = np.ascontiguousarray(values, dtype=float).ravel()
     n = a.size
@@ -107,10 +108,6 @@ class WeightedSamples:
         if g is not None:
             g.setflags(write=False)
         object.__setattr__(self, "gradient_values", g)
-
-    @property
-    def total_weight(self):
-        return fixed_order_sum(self.weights)
 
     def scaled(self, c):
         g = None if self.gradient_values is None else c * self.gradient_values
@@ -206,6 +203,25 @@ def _modular_value(av, w, exps, gmag, lam=1.0):
     return fixed_order_sum(terms)
 
 
+def _derivative_terms(av, w, exps, gmag, lam):
+    """Per-atom terms w p (a/lam)^(p-1) and their weight D = sum w p (a/lam)^p.
+
+    The atoms are the values and, for the sobolev kind, the gradient
+    magnitudes; d modular(u/lam) / d lam = -D / lam.  Returns (dv, dg, D)
+    with dg None when gmag is None.
+    """
+
+    def terms(a):
+        x = a / lam
+        return w * exps * x ** (exps - 1.0), w * exps * x**exps
+
+    dv, sv = terms(av)
+    if gmag is None:
+        return dv, None, fixed_order_sum(sv)
+    dg, sg = terms(gmag)
+    return dv, dg, fixed_order_sum(np.concatenate([sv, sg]))
+
+
 def modular(samples, p, kind="lebesgue"):
     """Modular sum_i w_i |u_i|^{p_i} (+ gradient part for the sobolev kind)."""
     av, w, exps, gmag = _modular_terms(samples, p, kind)
@@ -259,15 +275,9 @@ def _norm_from_arrays(av, w, exps, gmag):
         else:
             hi = mid
     lam = 0.5 * (lo + hi)
-    # one Newton polish: d(modular)/d(lambda) = -(1/lambda) sum p_i w_i (.)^{p_i}
-    t = w * (av / lam) ** exps
-    dt = exps * t
-    if g is not None:
-        tg = w * (g / lam) ** exps
-        t = np.concatenate([t, tg])
-        dt = np.concatenate([dt, exps * tg])
-    f = fixed_order_sum(t) - 1.0
-    df = -fixed_order_sum(dt) / lam
+    # one Newton polish on modular(u/lambda) - 1
+    f = _modular_value(av, w, exps, g, lam) - 1.0
+    df = -_derivative_terms(av, w, exps, g, lam)[2] / lam
     if df != 0.0:
         step = f / df
         if abs(step) < 0.5 * lam:

@@ -17,10 +17,10 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import sparse
 
-from .exponents import trace_critical
-from .geometry import fermi_chart
+from .exponents import critical_gap
+from .geometry import GeometryError, fermi_chart
 from .halfspace import sharp_constant_quadrature
-from .luxemburg import _norm_from_arrays, fixed_order_sum
+from .luxemburg import _derivative_terms, _norm_from_arrays, fixed_order_sum
 
 __all__ = [
     "DiscreteTraceProblem",
@@ -36,6 +36,7 @@ __all__ = [
     "monotonicity_check",
     "local_constant_schedule",
     "bubble_init",
+    "sampled_exponent_bounds",
 ]
 
 
@@ -49,6 +50,16 @@ class DegenerateExponent(ValueError):
 
 class MeshNotNested(ValueError):
     """Local problem is not a restriction of the global mesh."""
+
+
+def sampled_exponent_bounds(domain, p, r):
+    """(inf, sup) of p over the interior quadrature points and vertices, and
+    of r over the boundary quadrature points and boundary vertices."""
+    pts = domain.interior_quadrature()[0]
+    bpts = domain.boundary_quadrature()[0]
+    pv = np.asarray(p(np.concatenate([pts, domain.vertices])), float)
+    rv = np.asarray(r(np.concatenate([bpts, domain.vertices[domain.boundary_nodes()]])), float)
+    return (float(np.min(pv)), float(np.max(pv))), (float(np.min(rv)), float(np.max(rv)))
 
 
 class DiscreteTraceProblem:
@@ -75,13 +86,9 @@ class DiscreteTraceProblem:
         self.bquad_points = bpts
         self.bquad_weights = bw
 
-        sample = np.concatenate([pts, domain.vertices])
         self.p_exps = np.asarray(p_field(pts), float)
         self.r_exps = np.asarray(r_field(bpts), float)
-        p_all = np.asarray(p_field(sample), float)
-        self.p_bounds = (float(np.min(p_all)), float(np.max(p_all)))
-        r_all = np.asarray(r_field(np.concatenate([bpts, domain.vertices[domain.boundary_nodes()]])), float)
-        self.r_bounds = (float(np.min(r_all)), float(np.max(r_all)))
+        self.p_bounds, self.r_bounds = sampled_exponent_bounds(domain, p_field, r_field)
 
         if self.p_bounds[0] < 1.05:
             raise DegenerateExponent(
@@ -93,8 +100,8 @@ class DiscreteTraceProblem:
         if self.r_bounds[0] < 1.0:
             raise DegenerateExponent(f"inf r = {self.r_bounds[0]} < 1")
 
-        crit = trace_critical(p_field, sample)
-        gap = np.asarray(crit.trace(bpts), float) - self.r_exps
+        # sup p < 2 is enforced above, so the gap needs no bounds check
+        gap = critical_gap(p_field, r_field, bpts)
         self.subcritical_margin = float(np.min(gap))
         if self.subcritical_margin < -1e-9:
             raise DegenerateExponent(
@@ -156,14 +163,10 @@ class DiscreteTraceProblem:
         lam = _norm_from_arrays(np.abs(vals), self.quad_weights, self.p_exps, gmag)
         if lam == 0.0:
             raise ZeroTrace("zero function has no norm gradient")
-        w, p = self.quad_weights, self.p_exps
-        tv = w * p * (np.abs(vals) / lam) ** (p - 1.0) * np.sign(vals)
-        denom_v = w * p * (np.abs(vals) / lam) ** p
+        dv, dg, D = _derivative_terms(np.abs(vals), self.quad_weights, self.p_exps, gmag, lam)
+        tv = dv * np.sign(vals)
         safe = np.where(gmag > 0, gmag, 1.0)
-        tg = w * p * (gmag / lam) ** (p - 1.0) / safe
-        tg = np.where(gmag > 0, tg, 0.0)
-        denom_g = w * p * (gmag / lam) ** p
-        D = fixed_order_sum(np.concatenate([denom_v, denom_g]))
+        tg = np.where(gmag > 0, dg / safe, 0.0)
         grad = (
             self.S.T @ tv + self.Gx.T @ (tg * gx) + self.Gy.T @ (tg * gy)
         ) / D
@@ -172,10 +175,8 @@ class DiscreteTraceProblem:
     def boundary_norm_gradient(self, a):
         bv = self.boundary_values(a)
         lam = self.boundary_norm(a)
-        w, r = self.bquad_weights, self.r_exps
-        tv = w * r * (np.abs(bv) / lam) ** (r - 1.0) * np.sign(bv)
-        D = fixed_order_sum(w * r * (np.abs(bv) / lam) ** r)
-        return lam, (self.Sb.T @ tv) / D
+        dv, _, D = _derivative_terms(np.abs(bv), self.bquad_weights, self.r_exps, None, lam)
+        return lam, (self.Sb.T @ (dv * np.sign(bv))) / D
 
 
 def rayleigh_quotient(a, problem):
@@ -505,11 +506,23 @@ def monotonicity_check(problem, x0, radius, max_iter=200, tol=1e-6, seed=0):
 
 
 def local_constant_schedule(problem, x0, radii, max_iter=200, tol=1e-6, seed=0):
-    """Local constants on a shrinking radius schedule (largest first)."""
+    """Local constants on a shrinking radius schedule (largest first).
+
+    The schedule stops at the first cap without a free boundary node: the
+    constant start vanishes on its whole boundary, and smaller caps are
+    no better.  Raises ZeroTrace when not even the largest cap is usable.
+    """
     out = []
     for r in sorted(radii, reverse=True):
-        sub, _ = problem.domain.submesh(np.asarray(x0, float), r)
+        try:
+            sub, _ = problem.domain.submesh(np.asarray(x0, float), r)
+        except GeometryError:  # empty cap, or a cap cut off from the boundary
+            break
+        if not len(np.setdiff1d(sub.boundary_nodes(), sub.gamma_nodes())):
+            break
         local = DiscreteTraceProblem(sub, problem.p_field, problem.r_field)
         rep = minimize(local, init="constant", max_iter=max_iter, tol=tol, seed=seed)
         out.append((float(r), rep.t_estimate))
+    if not out:
+        raise ZeroTrace(f"no cap of radius {max(radii)} or less has a free boundary node")
     return out

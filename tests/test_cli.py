@@ -5,6 +5,8 @@ import sys
 
 import pytest
 
+from vextrace.config import ProblemConfig
+
 REPO = __file__.rsplit("/tests/", 1)[0]
 
 
@@ -117,6 +119,65 @@ def test_config_error_names_field(tmp_path):
     res = run_cli("--config", str(bad), "solve")
     assert res.returncode == 1
     assert "[domain] h" in res.stderr
+
+
+def test_solve_bubble_init_flag():
+    res = run_cli("--config", "configs/disk_subcritical.cfg", "solve",
+                  "--init", "bubble 1 0 0.2", "--max-iter", "3")
+    assert res.returncode == 0, res.stderr
+    assert json.loads(res.stdout)["init"] == "bubble(1,0;0.2)"
+
+
+def test_solve_unknown_init_flag_is_config_error():
+    res = run_cli("--config", "configs/disk_subcritical.cfg", "solve", "--init", "foo")
+    assert res.returncode == 1
+    assert res.stderr.startswith("config error: ")
+    assert len(res.stderr.strip().splitlines()) == 1
+
+
+def _edited(name, *edits):
+    text = open(f"{REPO}/configs/{name}").read()
+    for old, new in edits:
+        assert old in text
+        text = text.replace(old, new)
+    return text
+
+
+@pytest.mark.parametrize(
+    "text, command, code, message",
+    [
+        (_edited("disk_critical.cfg", ("r_expr = 3", "r_expr = 2.5"),
+                 ("checks = global local existence", "checks = local")),
+         "conditions", 1, "NotCritical"),
+        (_edited("square_gamma.cfg") + "\n[conditions]\nchecks = global\n",
+         "conditions", 1, "GammaNotEmpty"),
+        (_edited("expand_disk.cfg", ("H = 1.0", "H = 1.0\ndtp0 = -0.1")),
+         "expand", 1, "dtp0 = 0"),
+        (_edited("disk_subcritical.cfg", ("6.283185307179586", "3.0")),
+         "solve", 1, "GeometryError"),
+        (_edited("expand_disk.cfg", ("0.08 0.056 0.04 0.028 0.02 0.014 0.01 0.007 0.005 0.0035",
+                                     "0.08 0.04")),
+         "expand", 3, "indeterminate"),
+    ],
+    ids=["not-critical", "gamma-not-empty", "hypothesis", "geometry", "fit-unstable"],
+)
+def test_domain_errors_are_one_line_with_exit_code(tmp_path, text, command, code, message):
+    cfg = tmp_path / "case.cfg"
+    cfg.write_text(text)
+    res = run_cli("--config", str(cfg), command)
+    assert res.returncode == code, res.stderr
+    assert "Traceback" not in res.stderr
+    assert len(res.stderr.strip().splitlines()) == 1
+    assert message in res.stderr
+
+
+def test_build_loop_reads_only_the_domain_section():
+    text = _edited("square_gamma.cfg") + "\n[notes]\nsegment = 0 0 2 2\n"
+    loop = ProblemConfig.from_text(text).build_loop()
+    assert [(a.start, a.end) for a in loop.arcs] == [
+        ((0.0, 0.0), (1.0, 0.0)), ((1.0, 0.0), (1.0, 1.0)),
+        ((1.0, 1.0), (0.0, 1.0)), ((0.0, 1.0), (0.0, 0.0)),
+    ]
 
 
 def test_missing_config_is_config_error():

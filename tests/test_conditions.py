@@ -22,7 +22,7 @@ from vextrace.conditions import (
 from vextrace.exponents import ExponentField
 from vextrace.geometry import BoundaryLoop, CircularArc, mesh_domain, polygon_loop, unit_disk_loop
 from vextrace.halfspace import sharp_constant_quadrature
-from vextrace.solver import DiscreteTraceProblem
+from vextrace.solver import DiscreteTraceProblem, ZeroTrace, local_constant_schedule
 
 P15 = ExponentField.from_text("1.5", 2)
 R2 = ExponentField.from_text("2", 2)
@@ -294,6 +294,27 @@ def test_localized_constant_schedule_fallback():
     )
     assert method == "schedule"
     assert est.value > 0 and est.error >= 0
+
+
+def test_localized_constant_schedule_stops_at_cap_without_free_boundary():
+    # at h = 0.12 the finest default cap around this critical point has four
+    # vertices, all on cut edges, so the constant start has no trace there
+    p_expr = "1.5 + 0.1*x1"
+    p = ExponentField.from_text(p_expr, 2)
+    r = ExponentField.from_text(f"({p_expr})/(2 - ({p_expr}))", 2)
+    prob = DiscreteTraceProblem(mesh_domain(unit_disk_loop(), 0.12), p, r)
+    pts = prob.critical_points
+    x0 = pts[np.argmin(np.linalg.norm(pts - (-0.523, -0.852), axis=1))]
+    base = 0.4 * math.sqrt(prob.domain.volume())
+    radii = (base / 2.0, base / 4.0, base / 8.0)
+    sched = local_constant_schedule(prob, x0, radii, max_iter=10)
+    assert [rad for rad, _ in sched] == [base / 2.0, base / 4.0]
+    est, method = localized_constant_estimate(prob, x0, max_iter=10)
+    assert method == "schedule"
+    assert est.value == sched[-1][1]
+    assert est.error == abs(sched[1][1] - sched[0][1])
+    with pytest.raises(ZeroTrace, match="free boundary node"):
+        local_constant_schedule(prob, x0, radii[2:], max_iter=10)
 
 
 def test_smallest_localized_constant():

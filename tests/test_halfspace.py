@@ -9,6 +9,7 @@ from vextrace.halfspace import (
     DivergentIntegral,
     DomainError,
     ExtremalProfile,
+    FitUnstable,
     HypothesisViolation,
     boundary_power_integral,
     decay_rate,
@@ -430,3 +431,10 @@ def test_expansion_fit_defect_shrinks(disk_coeffs):
     )
     d = fit.defects
     assert d[-1] < d[0]
+
+
+@pytest.mark.parametrize("epsilons", [(0.08,), (0.08, 0.08, 0.08)])
+def test_expansion_fit_needs_more_epsilons_than_columns(disk_coeffs, epsilons):
+    # one distinct epsilon leaves a single column that fits it exactly
+    with pytest.raises(FitUnstable, match="distinct epsilons"):
+        norm_expansion_check(2, 1.3, disk_coeffs, epsilons, model="disk")
