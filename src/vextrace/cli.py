@@ -11,8 +11,9 @@ compatibility and changes nothing.
 Exit codes: 0 success (every verdict satisfied); 1 an input mistake (bad
 config or flag, a malformed [domain], a local check off the critical set, a
 global check with a zero set, an expansion coefficient outside its
-hypothesis), reported in one line on stderr; 2 a violated verdict; 3 an
-indeterminate verdict or an expansion fit too unstable to give a slope.
+hypothesis, a half-space constant outside 1 < p < N), reported in one line
+on stderr; 2 a violated verdict; 3 an indeterminate verdict or an expansion
+fit too unstable to give a slope.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from . import __version__
 from .conditions import GammaNotEmpty, NotCritical
 from .config import ConfigError, ProblemConfig, hash_of_args, parse_init
 from .geometry import CornerError, GeometryError
-from .halfspace import FitUnstable, HypothesisViolation
+from .halfspace import DomainError, FitUnstable, HypothesisViolation
 from .luxemburg import WeightedSamples, luxemburg_norm, modular
 
 EXIT_OK = 0
@@ -80,7 +81,10 @@ def cmd_norm(args):
     p_text = cfg.get_str("norm", "p_expr", required=True)
     from .exponents import ExponentField
 
-    p = ExponentField.from_text(p_text, n)
+    try:
+        p = ExponentField.from_text(p_text, n)
+    except ValueError as err:
+        raise ConfigError(f"[norm]: {err}")
     samples = WeightedSamples.from_csv(path)
     value = luxemburg_norm(samples, p, kind=kind)
     rho = modular(samples, p, kind=kind).value
@@ -168,7 +172,10 @@ def cmd_solve(args):
     if args.tol:
         opts["tol"] = args.tol
     if args.radii:
-        opts["radii"] = [float(x) for x in args.radii.split(",")]
+        try:
+            opts["radii"] = [float(x) for x in args.radii.split(",")]
+        except ValueError:
+            raise ConfigError(f"--radii: expected comma-separated numbers, got {args.radii!r}")
 
     from .solver import minimize, solve_problem
 
@@ -425,7 +432,8 @@ def run(argv=None):
     except (ConfigError, FileNotFoundError) as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG
-    except (GeometryError, CornerError, NotCritical, GammaNotEmpty, HypothesisViolation) as err:
+    except (GeometryError, CornerError, NotCritical, GammaNotEmpty, HypothesisViolation,
+            DomainError) as err:
         print(f"input error: {type(err).__name__}: {err}", file=sys.stderr)
         return EXIT_CONFIG
     except FitUnstable as err:

@@ -4,7 +4,8 @@ A function u over a region is carried as WeightedSamples: quadrature points,
 positive weights (cell measures), values, and optionally gradient vectors.
 The modular is sum_i w_i |u_i|^{p(x_i)} (plus the gradient term for the
 Sobolev kind); the Luxemburg norm is the unique lambda > 0 with
-modular(u/lambda) = 1, found by bracketed bisection with a Newton polish.
+modular(u/lambda) = 1, found by Brent's method (scipy's brentq) inside the
+norm-modular bracket, with a Newton polish.
 
 All reductions go through ``fixed_order_sum`` (compensated, fixed lane
 topology), so a sum does not depend on the summation order that ``np.sum``
@@ -19,6 +20,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import brentq
 
 __all__ = [
     "WeightedSamples",
@@ -35,7 +37,7 @@ __all__ = [
     "RelationCheck",
 ]
 
-NORM_TOL = 1e-13  # relative bracket width for the lambda root
+NORM_TOL = 1e-13  # brentq rtol for the lambda root
 
 
 class MissingGradient(ValueError):
@@ -53,15 +55,17 @@ class ExponentMismatch(ValueError):
 def fixed_order_sum(values):
     """Compensated sum with a fixed 64-lane topology.
 
-    Each lane runs a Kahan accumulation over a deterministic index slice;
-    the 64 lane totals are combined exactly with math.fsum.  The topology
-    depends only on the input length, not on the numpy build or the CPU.
+    Up to 4096 values, where it is the faster of the two, math.fsum sums
+    them exactly.  Above that, each lane runs a Kahan accumulation over a
+    deterministic index slice, and the 64 lane totals are combined exactly
+    with math.fsum.  The topology depends only on the input length, not on
+    the numpy build or the CPU.
     """
     a = np.ascontiguousarray(values, dtype=float).ravel()
     n = a.size
     if n == 0:
         return 0.0
-    if n <= 256:
+    if n <= 4096:
         return math.fsum(a.tolist())
     rows = 64
     width = (n + rows - 1) // rows
@@ -231,6 +235,11 @@ def modular(samples, p, kind="lebesgue"):
     return ModularValue(val, kind)
 
 
+def _excess(lam, av, w, exps, gmag):
+    """modular(u/lam) - 1, the function whose root is the Luxemburg norm."""
+    return _modular_value(av, w, exps, gmag, lam) - 1.0
+
+
 def _norm_from_arrays(av, w, exps, gmag):
     """Luxemburg norm from raw arrays; the shared root-finding core."""
     peak = float(np.max(av)) if av.size else 0.0
@@ -255,28 +264,13 @@ def _norm_from_arrays(av, w, exps, gmag):
     ends = sorted((rho ** (1.0 / p_hi), rho ** (1.0 / p_lo)))
     lo = ends[0] * (1.0 - 1e-12)
     hi = ends[1] * (1.0 + 1e-12)
-    f_lo = _modular_value(av, w, exps, g, lo) - 1.0
-    f_hi = _modular_value(av, w, exps, g, hi) - 1.0
-    # the modular is strictly decreasing in lambda: f_lo >= 0 >= f_hi
-    k = 0
-    while f_lo < 0.0 and k < 60:
-        lo *= 0.5
-        f_lo = _modular_value(av, w, exps, g, lo) - 1.0
-        k += 1
-    k = 0
-    while f_hi > 0.0 and k < 60:
-        hi *= 2.0
-        f_hi = _modular_value(av, w, exps, g, hi) - 1.0
-        k += 1
-    while (hi - lo) > NORM_TOL * hi:
-        mid = 0.5 * (lo + hi)
-        if _modular_value(av, w, exps, g, mid) >= 1.0:
-            lo = mid
-        else:
-            hi = mid
-    lam = 0.5 * (lo + hi)
+    # the modular is strictly decreasing in lambda, so _excess changes sign
+    # on [lo, hi]; brentq keeps that bracket and raises if it ever does not.
+    # The arrays go in through args=: a closure over them would sit in a
+    # reference cycle inside scipy until the cyclic collector runs.
+    lam = brentq(_excess, lo, hi, args=(av, w, exps, g), xtol=1e-300, rtol=NORM_TOL)
     # one Newton polish on modular(u/lambda) - 1
-    f = _modular_value(av, w, exps, g, lam) - 1.0
+    f = _excess(lam, av, w, exps, g)
     df = -_derivative_terms(av, w, exps, g, lam)[2] / lam
     if df != 0.0:
         step = f / df

@@ -158,8 +158,11 @@ def _edited(name, *edits):
         (_edited("expand_disk.cfg", ("0.08 0.056 0.04 0.028 0.02 0.014 0.01 0.007 0.005 0.0035",
                                      "0.08 0.04")),
          "expand", 3, "indeterminate"),
+        (_edited("golden_norm.cfg", ("p_expr = 2 + 2*x1", "p_expr = 2 +* x1")),
+         "norm", 1, "config error: [norm]"),
     ],
-    ids=["not-critical", "gamma-not-empty", "hypothesis", "geometry", "fit-unstable"],
+    ids=["not-critical", "gamma-not-empty", "hypothesis", "geometry", "fit-unstable",
+         "norm-bad-p-expr"],
 )
 def test_domain_errors_are_one_line_with_exit_code(tmp_path, text, command, code, message):
     cfg = tmp_path / "case.cfg"
@@ -167,6 +170,23 @@ def test_domain_errors_are_one_line_with_exit_code(tmp_path, text, command, code
     res = run_cli("--config", str(cfg), command)
     assert res.returncode == code, res.stderr
     assert "Traceback" not in res.stderr
+    assert len(res.stderr.strip().splitlines()) == 1
+    assert message in res.stderr
+
+
+@pytest.mark.parametrize(
+    "argv, prefix, message",
+    [
+        (["constants", "--N", "2", "--p", "2.5"], "input error: ", "DomainError"),
+        (["--config", "configs/disk_subcritical.cfg", "solve", "--radii", "0.3,abc"],
+         "config error: ", "--radii"),
+    ],
+    ids=["constants-p-above-N", "solve-bad-radii"],
+)
+def test_flag_mistakes_are_one_line(argv, prefix, message):
+    res = run_cli(*argv)
+    assert res.returncode == 1, res.stderr
+    assert res.stderr.startswith(prefix)
     assert len(res.stderr.strip().splitlines()) == 1
     assert message in res.stderr
 
