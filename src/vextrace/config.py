@@ -26,6 +26,7 @@ loop order; ``gamma`` lists piece indices carrying the zero condition.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, field
 
 from .exponents import ExponentField
@@ -63,6 +64,13 @@ def parse_config_text(text):
         if key is not None:
             entries.setdefault(key, []).append(value)
     return sections
+
+
+def _finite(x, section, key):
+    """x itself; nan and +-inf are config errors, since no setting takes them."""
+    if not math.isfinite(x):
+        raise ConfigError(f"[{section}] {key}: not a finite number")
+    return x
 
 
 def parse_init(text):
@@ -122,9 +130,10 @@ class ProblemConfig:
         if v is default:
             return default
         try:
-            return float(v)
+            x = float(v)
         except (TypeError, ValueError):
             raise ConfigError(f"[{section}] {key}: not a number: {v!r}")
+        return _finite(x, section, key)
 
     def get_int(self, section, key, default=None, required=False):
         v = self.get_float(section, key, default, required)
@@ -137,9 +146,10 @@ class ProblemConfig:
         if not v:
             return []
         try:
-            return [float(x) for x in v.split()]
+            xs = [float(x) for x in v.split()]
         except ValueError:
             raise ConfigError(f"[{section}] {key}: expected numbers: {v!r}")
+        return [_finite(x, section, key) for x in xs]
 
     def get_ints(self, section, key, default=()):
         return [int(x) for x in self.get_floats(section, key, default)]

@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+from scipy.spatial.distance import pdist
 
 __all__ = [
     "ExponentExpr",
@@ -557,14 +558,16 @@ def log_holder_probe(field_, points, scales=None):
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     vals = field_(pts)
-    d = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2)
-    dv = np.abs(vals[:, None] - vals[None, :])
+    # each pair once, as condensed distance vectors (empty below two points)
+    d = pdist(pts)
+    dv = pdist(vals[:, None], "cityblock")
     if scales is None:
-        dmax = float(np.max(d)) or 1.0
+        dmax = float(np.max(d, initial=0.0)) or 1.0
         scales = [dmax * 2.0**-k for k in range(1, 9)]
+    distinct = d > 0
     rows = []
     for lam in scales:
-        mask = (d > 0) & (d <= lam)
+        mask = distinct & (d <= lam)
         rho = float(np.max(dv[mask])) if np.any(mask) else 0.0
         rows.append((lam, rho, math.log(1.0 / lam) * rho if lam < 1 else 0.0))
     return rows

@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial import Delaunay
+from scipy.spatial import Delaunay, cKDTree
 
 from .luxemburg import WeightedSamples, fixed_order_sum
 
@@ -204,18 +204,30 @@ def polygon_loop(vertices):
 
 
 def points_in_polygon(points, ring):
+    """Even-odd membership of each point in the closed polygon ring.
+
+    A chord (a0, b0)-(a1, b1) can flip a point's parity only if
+    min(b0, b1) <= y < max(b0, b1), which is exactly (b0 > y) != (b1 > y).
+    With the points sorted by y, those points are one contiguous run per
+    chord, so the work is about one lattice row per chord instead of every
+    point against every chord.
+    """
     pts = np.atleast_2d(points)
     x, y = pts[:, 0], pts[:, 1]
     x0, y0 = ring[:, 0], ring[:, 1]
     x1, y1 = np.roll(x0, -1), np.roll(y0, -1)
-    inside = np.zeros(len(pts), dtype=bool)
-    for a0, b0, a1, b1 in zip(x0, y0, x1, y1):
-        cross = (b0 > y) != (b1 > y)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            xi = a0 + (y - b0) * (a1 - a0) / (b1 - b0)
-        hit = cross & (x < xi)
-        inside ^= hit
-    return inside
+    order = np.argsort(y, kind="stable")
+    y_sorted = y[order]
+    start = np.searchsorted(y_sorted, np.minimum(y0, y1))
+    counts = np.searchsorted(y_sorted, np.maximum(y0, y1)) - start
+    # one (point, chord) pair per point in each chord's run
+    k = np.repeat(np.arange(len(ring)), counts)
+    run_pos = np.arange(len(k)) - np.repeat(np.cumsum(counts) - counts, counts)
+    idx = order[np.repeat(start, counts) + run_pos]
+    a0, b0, a1, b1 = x0[k], y0[k], x1[k], y1[k]
+    xi = a0 + (y[idx] - b0) * (a1 - a0) / (b1 - b0)
+    hit = x[idx] < xi
+    return (np.bincount(idx[hit], minlength=len(pts)) & 1).astype(bool)
 
 
 def distance_to_segments(points, a, b):
@@ -230,6 +242,28 @@ def distance_to_segments(points, a, b):
         proj = a[i] + t[:, None] * ab[i]
         d2 = np.minimum(d2, np.einsum("ij,ij->i", pts - proj, pts - proj))
     return np.sqrt(d2)
+
+
+def far_from_ring(points, ring, dist):
+    """Mask of the points at distance >= dist from every chord of the ring.
+
+    Every point of a chord of length L lies within L/2 of one of its ends,
+    so dist(p, chord) >= dist(p, nearest ring vertex) - L/2.  A point whose
+    nearest ring vertex is at least (dist + L_max/2)(1 + 1e-9) away is far
+    from every chord; the factor keeps rounding in the computed distances
+    from deciding the test.  Only the remaining band near the ring goes
+    through distance_to_segments, so the mask equals the all-chords one.
+    """
+    pts = np.atleast_2d(points)
+    ends = np.roll(ring, -1, axis=0)
+    half = 0.5 * float(np.max(np.hypot(*(ends - ring).T)))
+    bound = (dist + half) * (1.0 + 1e-9)
+    # the search stops at the bound; a point with no vertex inside it gets inf
+    vertex_dist, _ = cKDTree(ring).query(pts, distance_upper_bound=bound)
+    far = vertex_dist >= bound
+    band = np.flatnonzero(~far)
+    far[band] = distance_to_segments(pts[band], ring, ends) >= dist
+    return far
 
 
 def edge_table(triangles):
@@ -533,6 +567,18 @@ def mesh_domain(loop, target_h, gamma_arcs=()):
     raise GeometryError("could not reach the requested mesh size")
 
 
+def hex_lattice(lo, hi, spacing):
+    """Hexagonal lattice points of the given spacing in the box [lo, hi]."""
+    dy = spacing * math.sqrt(3.0) / 2.0
+    ys = np.arange(lo[1] + 0.5 * dy, hi[1], dy)
+    pts = []
+    for row, y in enumerate(ys):
+        off = 0.5 * spacing if row % 2 else 0.0
+        xs = np.arange(lo[0] + 0.4 * spacing + off, hi[0], spacing)
+        pts.append(np.stack([xs, np.full_like(xs, y)], axis=1))
+    return np.concatenate(pts, axis=0) if pts else np.zeros((0, 2))
+
+
 def _mesh_once(loop, spacing, gamma_arcs, target_h):
     ring, arc_ids = loop.polyline(spacing)
     n_ring = len(ring)
@@ -541,19 +587,10 @@ def _mesh_once(loop, spacing, gamma_arcs, target_h):
 
     lo = ring.min(axis=0)
     hi = ring.max(axis=0)
-    dy = spacing * math.sqrt(3.0) / 2.0
-    ys = np.arange(lo[1] + 0.5 * dy, hi[1], dy)
-    pts = []
-    for row, y in enumerate(ys):
-        off = 0.5 * spacing if row % 2 else 0.0
-        xs = np.arange(lo[0] + 0.4 * spacing + off, hi[0], spacing)
-        pts.append(np.stack([xs, np.full_like(xs, y)], axis=1))
-    interior = np.concatenate(pts, axis=0) if pts else np.zeros((0, 2))
+    interior = hex_lattice(lo, hi, spacing)
     if len(interior):
-        inside = points_in_polygon(interior, ring)
-        dist = distance_to_segments(interior, ring, np.roll(ring, -1, axis=0))
-        far = dist >= 0.55 * spacing
-        interior = interior[inside & far]
+        interior = interior[points_in_polygon(interior, ring)]
+        interior = interior[far_from_ring(interior, ring, 0.55 * spacing)]
 
     allpts = np.concatenate([ring, interior], axis=0)
     tri = Delaunay(allpts)

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from vextrace.config import ProblemConfig
+from vextrace.config import ConfigError, ProblemConfig
 
 REPO = __file__.rsplit("/tests/", 1)[0]
 
@@ -160,9 +160,15 @@ def _edited(name, *edits):
          "expand", 3, "indeterminate"),
         (_edited("golden_norm.cfg", ("p_expr = 2 + 2*x1", "p_expr = 2 +* x1")),
          "norm", 1, "config error: [norm]"),
+        (_edited("disk_subcritical.cfg", ("h = 0.1", "h = nan")),
+         "solve", 1, "config error: [domain] h: not a finite number"),
+        (_edited("disk_subcritical.cfg", ("max_iter = 150", "max_iter = inf")),
+         "solve", 1, "config error: [solver] max_iter: not a finite number"),
+        (_edited("expand_disk.cfg", ("H = 1.0", "H = 1.0\ntruncation_R = inf")),
+         "expand", 1, "config error: [expand] truncation_R: not a finite number"),
     ],
     ids=["not-critical", "gamma-not-empty", "hypothesis", "geometry", "fit-unstable",
-         "norm-bad-p-expr"],
+         "norm-bad-p-expr", "h-nan", "max-iter-inf", "truncation-R-inf"],
 )
 def test_domain_errors_are_one_line_with_exit_code(tmp_path, text, command, code, message):
     cfg = tmp_path / "case.cfg"
@@ -198,6 +204,12 @@ def test_build_loop_reads_only_the_domain_section():
         ((0.0, 0.0), (1.0, 0.0)), ((1.0, 0.0), (1.0, 1.0)),
         ((1.0, 1.0), (0.0, 1.0)), ((0.0, 1.0), (0.0, 0.0)),
     ]
+
+
+def test_number_lists_reject_non_finite_entries():
+    cfg = ProblemConfig.from_text("[solver]\nradii = 0.3 -inf\n")
+    with pytest.raises(ConfigError, match=r"\[solver\] radii: not a finite number"):
+        cfg.get_floats("solver", "radii")
 
 
 def test_missing_config_is_config_error():

@@ -264,6 +264,33 @@ def test_log_holder_probe_runs():
     assert rho <= 0.1 * 2 * lam + 1e-12
 
 
+def _dense_holder_reference(field_, pts):
+    """The probe over the full n x n distance tables."""
+    vals = field_(pts)
+    d = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2)
+    dv = np.abs(vals[:, None] - vals[None, :])
+    dmax = float(np.max(d)) or 1.0
+    rows = []
+    for lam in [dmax * 2.0**-k for k in range(1, 9)]:
+        mask = (d > 0) & (d <= lam)
+        rho = float(np.max(dv[mask])) if np.any(mask) else 0.0
+        rows.append((lam, rho, math.log(1.0 / lam) * rho if lam < 1 else 0.0))
+    return rows
+
+
+@pytest.mark.parametrize("case", ["one-point", "duplicated", "random-500"])
+def test_log_holder_probe_matches_dense_reference(case):
+    f = ExponentField.from_text("1.5 + 0.2*x1^2 - 0.1*x2", 2)
+    rng = np.random.default_rng(7)
+    pts = {
+        "one-point": np.array([[0.3, -0.2]]),
+        # d = 0 pairs must not enter the modulus
+        "duplicated": np.repeat(rng.uniform(-1, 1, size=(20, 2)), 3, axis=0),
+        "random-500": rng.uniform(-1, 1, size=(500, 2)),
+    }[case]
+    assert log_holder_probe(f, pts) == _dense_holder_reference(f, pts)
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     a=st.floats(1.2, 2.8),

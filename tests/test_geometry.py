@@ -10,9 +10,13 @@ from vextrace.geometry import (
     CornerError,
     GeometryError,
     Segment,
+    distance_to_segments,
+    far_from_ring,
     fermi_chart,
+    hex_lattice,
     measures,
     mesh_domain,
+    points_in_polygon,
     polygon_loop,
     pullback,
     pullback_boundary,
@@ -20,6 +24,7 @@ from vextrace.geometry import (
 )
 
 SQUARE = polygon_loop([(0, 0), (1, 0), (1, 1), (0, 1)])
+L_SHAPE = polygon_loop([(0, 0), (2, 0), (2, 1), (1, 1), (1, 2), (0, 2)])
 
 
 @pytest.fixture(scope="module")
@@ -306,3 +311,59 @@ def test_arc_projection():
     seg = Segment((0.0, 0.0), (2.0, 0.0))
     s, d = seg.project((0.5, 0.3))
     assert s == pytest.approx(0.5) and d == pytest.approx(0.3)
+
+
+# -- mesh filters --------------------------------------------------------------
+
+
+def _even_odd_reference(points, ring):
+    """Every point against every chord, one chord at a time."""
+    x, y = points[:, 0], points[:, 1]
+    inside = np.zeros(len(points), dtype=bool)
+    for (a0, b0), (a1, b1) in zip(ring, np.roll(ring, -1, axis=0)):
+        cross = (b0 > y) != (b1 > y)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            xi = a0 + (y - b0) * (a1 - a0) / (b1 - b0)
+        inside ^= cross & (x < xi)
+    return inside
+
+
+COMB = polygon_loop([(0, 0), (3, 0), (3, 2), (2.5, 2), (2.5, 0.5), (2, 0.5), (2, 2),
+                     (1, 2), (1, 1), (0.5, 1.5), (0, 1)])
+
+
+@pytest.mark.parametrize(
+    "loop",
+    [SQUARE, L_SHAPE, COMB, unit_disk_loop(1.3, (0.2, -0.1))],
+    ids=["square", "l-shape", "comb", "disk"],
+)
+def test_points_in_polygon_matches_even_odd_reference(loop):
+    ring, _ = loop.polyline(0.07)
+    rng = np.random.default_rng(3)
+    lo, hi = ring.min(axis=0) - 0.2, ring.max(axis=0) + 0.2
+    levels = np.unique(ring[:, 1])
+    on_levels = np.stack([rng.uniform(lo[0], hi[0], size=4 * len(levels)),
+                          np.repeat(levels, 4)], axis=1)
+    points = np.concatenate([
+        rng.uniform(lo, hi, size=(10_000, 2)),
+        on_levels,
+        ring,
+        0.5 * (ring + np.roll(ring, -1, axis=0)),  # chord midpoints, horizontal ones too
+    ])
+    got = points_in_polygon(points, ring)
+    assert got.dtype == bool
+    assert np.array_equal(got, _even_odd_reference(points, ring))
+    assert 0 < np.count_nonzero(got) < len(points)
+
+
+@pytest.mark.parametrize("loop", [unit_disk_loop(), SQUARE, L_SHAPE],
+                         ids=["disk", "square", "l-shape"])
+@pytest.mark.parametrize("h", [0.1, 0.03])
+def test_far_from_ring_matches_dense_distance(loop, h):
+    # the first two lattice spacings mesh_domain tries
+    for spacing in (0.62 * h, 0.8 * 0.62 * h):
+        ring, _ = loop.polyline(spacing)
+        lattice = hex_lattice(ring.min(axis=0), ring.max(axis=0), spacing)
+        dense = distance_to_segments(lattice, ring, np.roll(ring, -1, axis=0))
+        assert np.array_equal(far_from_ring(lattice, ring, 0.55 * spacing),
+                              dense >= 0.55 * spacing)
