@@ -21,13 +21,14 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 
 import numpy as np
 
 from . import __version__
 from .conditions import GammaNotEmpty, NotCritical
-from .config import ConfigError, ProblemConfig, hash_of_args, parse_init
+from .config import ConfigError, ProblemConfig, check_solver_limit, hash_of_args, parse_init
 from .geometry import CornerError, GeometryError
 from .halfspace import DomainError, FitUnstable, HypothesisViolation
 from .luxemburg import WeightedSamples, luxemburg_norm, modular
@@ -163,19 +164,18 @@ def cmd_constants(args):
 
 def cmd_solve(args):
     cfg = _require_config(args)
-    problem = cfg.build_problem()
     opts = cfg.solver_options()
     if args.init:
         opts["init"] = parse_init(args.init)
-    if args.max_iter:
-        opts["max_iter"] = args.max_iter
-    if args.tol:
-        opts["tol"] = args.tol
+    for key, flag in (("max_iter", "--max-iter"), ("tol", "--tol")):
+        if getattr(args, key) is not None:
+            opts[key] = check_solver_limit(key, getattr(args, key), flag)
     if args.radii:
         try:
             opts["radii"] = [float(x) for x in args.radii.split(",")]
         except ValueError:
             raise ConfigError(f"--radii: expected comma-separated numbers, got {args.radii!r}")
+    problem = cfg.build_problem()
 
     from .solver import minimize, solve_problem
 
@@ -229,9 +229,14 @@ def cmd_solve(args):
         payload["minimizer_csv"] = base + "_minimizer.csv"
         payload["history_csv"] = base + "_history.csv"
     lines = [
-        f"T estimate = {report.t_estimate!r} after {report.iterations} iterations",
-        f"converged={report.converged} line_search_failed={report.line_search_failed}",
+        f"T estimate = {report.t_estimate!r} after {report.iterations} iterations "
+        f"({report.n_evaluations} evaluations), stopped by {report.stop_reason}",
     ]
+    if not report.converged:
+        lines.append(
+            f"warning: the descent did not converge (stop reason {report.stop_reason}); "
+            "T is an upper bound on the discrete constant"
+        )
     if report.concentration:
         lines.append(
             f"concentrated={report.concentration.concentrated} "
@@ -378,6 +383,15 @@ def cmd_expand(args):
 # -- entry ------------------------------------------------------------------------
 
 
+class _Finite(argparse.Action):
+    """Store a float flag; nan and +-inf are config errors, since no flag takes them."""
+
+    def __call__(self, parser, namespace, value, option_string=None):
+        if not math.isfinite(value):
+            raise ConfigError(f"{option_string}: not a finite number")
+        setattr(namespace, self.dest, value)
+
+
 def build_parser():
     ap = argparse.ArgumentParser(
         prog="vextrace",
@@ -398,15 +412,16 @@ def build_parser():
 
     c = sub.add_parser("constants", help="sharp constant by formula and quadrature")
     c.add_argument("--N", type=int)
-    c.add_argument("--p", type=float)
-    c.add_argument("--truncation-R", dest="truncation_R", type=float, default=100.0)
+    c.add_argument("--p", type=float, action=_Finite)
+    c.add_argument("--truncation-R", dest="truncation_R", type=float, action=_Finite,
+                   default=100.0)
     for k in ("f0", "dtf0", "dtp0", "dttp0", "lap_y_p0", "lap_r0", "H", "hbar"):
-        c.add_argument(f"--{k}", type=float, default=1.0 if k == "f0" else 0.0)
+        c.add_argument(f"--{k}", type=float, action=_Finite, default=1.0 if k == "f0" else 0.0)
 
     s = sub.add_parser("solve", help="minimize the trace quotient (config problem)")
     s.add_argument("--init", help="constant | random | multistart | 'bubble x y lam'")
     s.add_argument("--max-iter", dest="max_iter", type=int)
-    s.add_argument("--tol", type=float)
+    s.add_argument("--tol", type=float, action=_Finite)
     s.add_argument("--radii", help="comma-separated diagnostic radii")
 
     sub.add_parser("conditions", help="evaluate existence conditions (config [conditions])")
@@ -415,11 +430,6 @@ def build_parser():
 
 
 def run(argv=None):
-    ap = build_parser()
-    args = ap.parse_args(argv)
-    if args.threads < 1:
-        print("error: --threads must be >= 1", file=sys.stderr)
-        return EXIT_CONFIG
     handlers = {
         "norm": cmd_norm,
         "constants": cmd_constants,
@@ -428,6 +438,11 @@ def run(argv=None):
         "expand": cmd_expand,
     }
     try:
+        # a _Finite flag raises ConfigError out of parse_args
+        args = build_parser().parse_args(argv)
+        if args.threads < 1:
+            print("error: --threads must be >= 1", file=sys.stderr)
+            return EXIT_CONFIG
         return handlers[args.command](args)
     except (ConfigError, FileNotFoundError) as err:
         print(f"config error: {err}", file=sys.stderr)

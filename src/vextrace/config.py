@@ -73,6 +73,21 @@ def _finite(x, section, key):
     return x
 
 
+_SOLVER_LIMITS = {
+    "max_iter": (lambda n: n >= 1, "must be at least 1"),
+    "tol": (lambda x: math.isfinite(x) and x > 0, "must be a finite number > 0"),
+}
+
+
+def check_solver_limit(key, value, name):
+    """value, once it is valid for the solver option key (max_iter >= 1,
+    tol finite and > 0); name is the config key or flag an error names."""
+    ok, rule = _SOLVER_LIMITS[key]
+    if not ok(value):
+        raise ConfigError(f"{name}: {rule}, got {value!r}")
+    return value
+
+
 def parse_init(text):
     """Solver start from its text form: constant | random | multistart |
     'bubble x y lam' (the latter as ('bubble', (x, y), lam))."""
@@ -211,8 +226,12 @@ class ProblemConfig:
     def solver_options(self):
         return {
             "init": parse_init(self.get_str("solver", "init", default="constant")),
-            "max_iter": self.get_int("solver", "max_iter", default=200),
-            "tol": self.get_float("solver", "tol", default=1e-6),
+            "max_iter": check_solver_limit(
+                "max_iter", self.get_int("solver", "max_iter", default=200), "[solver] max_iter"
+            ),
+            "tol": check_solver_limit(
+                "tol", self.get_float("solver", "tol", default=1e-6), "[solver] tol"
+            ),
             "radii": self.get_floats("solver", "radii", default=()),
             "n_random": self.get_int("solver", "n_random", default=3),
         }

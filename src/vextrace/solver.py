@@ -1,12 +1,12 @@
 """Discrete minimization of the trace Rayleigh quotient on P1 meshes.
 
 The quotient is the Sobolev Luxemburg norm over the boundary Luxemburg
-norm.  Minimization follows the normalized-sequence pattern: iterates are
-kept at unit boundary norm, the descent direction comes from the gradient
-of the Sobolev norm (implicit differentiation of the modular equation)
-projected against the constraint, and a backtracking line search accepts
-only quotient decreases, so the recorded quotient history is nonincreasing
-by construction.
+norm; both norm gradients come from implicit differentiation of the
+modular equation.  The quotient is 0-homogeneous, so ``minimize`` hands it
+unconstrained to scipy's L-BFGS-B (Liu & Nocedal 1989) over the free
+nodes, from a start scaled to unit boundary norm.  The minimizer is
+renormalized to unit boundary norm, and the report says why the run
+stopped: tol, max_iter, line_search or zero_trace.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import sparse
+from scipy import optimize, sparse
 
 from .exponents import critical_gap
 from .geometry import GeometryError, fermi_chart
@@ -212,11 +212,16 @@ class SolverReport:
     minimizer: np.ndarray
     iterations: int
     quotient_history: list
-    converged: bool
-    line_search_failed: bool
+    stop_reason: str  # "tol", "max_iter", "line_search" or "zero_trace"
+    n_evaluations: int
     init_label: str
+    starts: tuple = ()  # (init label, T, iterations, stop reason) per start
     concentration: ConcentrationVerdict | None = None
     problem_flags: dict = field(default_factory=dict)
+
+    @property
+    def converged(self):
+        return self.stop_reason == "tol"
 
     def to_dict(self):
         return {
@@ -224,7 +229,10 @@ class SolverReport:
             "iterations": self.iterations,
             "quotient_history": list(self.quotient_history),
             "converged": self.converged,
-            "line_search_failed": self.line_search_failed,
+            "line_search_failed": self.stop_reason == "line_search",
+            "stop_reason": self.stop_reason,
+            "n_evaluations": self.n_evaluations,
+            "starts": [list(s) for s in self.starts],
             "init": self.init_label,
             "concentration": self.concentration.to_dict() if self.concentration else None,
             "problem_flags": self.problem_flags,
@@ -287,11 +295,14 @@ def _initial_vector(problem, init, rng):
 
 
 def minimize(problem, init="constant", max_iter=200, tol=1e-6, seed=0):
-    """Projected descent on the trace quotient from one starting iterate.
+    """L-BFGS-B on the trace quotient over the free nodes from one start.
 
-    Each accepted iterate is renormalized to unit boundary norm; the
-    direction is the constraint-projected Sobolev-norm gradient and the
-    backtracking line search only ever accepts a strict quotient decrease.
+    Each evaluation of q = S/B and (dS - q dB)/B costs one norm-gradient
+    pair.  ``tol`` is L-BFGS-B's ``ftol`` (stop when an iteration lowers q
+    by at most tol * max(q, 1)), ``max_iter`` its ``maxiter``, and at most
+    4 * max_iter evaluations run.  A trial point whose trace vanishes ends
+    the run at the last accepted iterate.  The history (start, then each
+    accepted iterate) is nonincreasing by the sufficient-decrease search.
     """
     rng = np.random.default_rng(seed)
     a, label = _initial_vector(problem, init, rng)
@@ -305,60 +316,46 @@ def minimize(problem, init="constant", max_iter=200, tol=1e-6, seed=0):
             a, label = _initial_vector(problem, "random", rng)
     else:
         raise ZeroTrace("random init has no boundary mass")
+
+    free = problem.free_mask
     a = a / den
+    last = a[free]
+    evaluated, accepted = [], []
 
-    num, dnum = problem.sobolev_norm_gradient(a)
-    q = num
-    history = [q]
-    step = 1.0
-    converged = False
-    ls_failed = False
-    it = 0
-    for it in range(1, max_iter + 1):
-        _, dden = problem.boundary_norm_gradient(a)
-        grad = dnum - q * dden
-        grad[~problem.free_mask] = 0.0
-        gnorm2 = float(grad @ grad)
-        if gnorm2 == 0.0:
-            converged = True
-            break
-        d = -grad
-        t_step = step
-        accepted = False
-        for _ in range(50):
-            cand = a + t_step * d
-            try:
-                q_cand = rayleigh_quotient(cand, problem)
-            except ZeroTrace:
-                t_step *= 0.5
-                continue
-            if q_cand <= q - 1e-4 * t_step * gnorm2:
-                accepted = True
-                break
-            t_step *= 0.5
-        if not accepted:
-            ls_failed = True
-            break
-        a = cand / problem.boundary_norm(cand)
-        step = min(t_step * 4.0, 1e3)
+    def quotient_and_gradient(x):
+        a[free] = x
         num, dnum = problem.sobolev_norm_gradient(a)
-        q_new = num
-        history.append(q_new)
-        rel_drop = (q - q_new) / max(q_new, 1e-300)
-        q = q_new
-        if rel_drop < tol:
-            converged = True
-            break
+        den, dden = problem.boundary_norm_gradient(a)
+        q = num / den
+        evaluated.append(q)
+        return q, ((dnum - q * dden) / den)[free]
 
+    def accept(intermediate_result):
+        accepted.append(float(intermediate_result.fun))
+        last[:] = intermediate_result.x
+
+    try:
+        res = optimize.minimize(
+            quotient_and_gradient, last.copy(), jac=True, method="L-BFGS-B",
+            callback=accept,
+            options={"maxiter": max_iter, "maxfun": 4 * max_iter, "ftol": tol, "gtol": 0.0},
+        )
+        stop_reason = {0: "tol", 1: "max_iter"}.get(res.status, "line_search")
+    except ZeroTrace:
+        stop_reason = "zero_trace"
+
+    a[free] = last
+    a = a / problem.boundary_norm(a)
     t_final = rayleigh_quotient(a, problem)
     return SolverReport(
         t_estimate=t_final,
         minimizer=a,
-        iterations=it,
-        quotient_history=history,
-        converged=converged,
-        line_search_failed=ls_failed,
+        iterations=len(accepted),
+        quotient_history=evaluated[:1] + accepted,
+        stop_reason=stop_reason,
+        n_evaluations=len(evaluated),
         init_label=label,
+        starts=((label, t_final, len(accepted), stop_reason),),
         problem_flags=_problem_flags(problem),
     )
 
@@ -387,22 +384,22 @@ def solve_problem(
     radii=None,
 ):
     """Multi-start driver: constant, random restarts, one bubble per
-    detected critical cluster; returns the best report."""
-    inits = [("constant", "constant")]
-    for k in range(n_random):
-        inits.append(("random", f"random{k}"))
+    detected critical cluster; returns the best report, whose ``starts``
+    lists every start in order."""
+    inits = ["constant"] + ["random"] * n_random
     lam = bubble_scale or 4.0 * problem.mesh_h
     for x0 in _cluster_critical_points(problem):
         gamma_pts = problem.domain.vertices[problem.gamma_nodes]
         if len(gamma_pts) and np.min(np.linalg.norm(gamma_pts - x0, axis=1)) < 8 * lam:
             continue
-        inits.append((("bubble", (float(x0[0]), float(x0[1])), lam), "bubble"))
+        inits.append(("bubble", (float(x0[0]), float(x0[1])), lam))
 
-    best = None
-    for k, (init, _) in enumerate(inits):
-        rep = minimize(problem, init=init, max_iter=max_iter, tol=tol, seed=seed + k)
-        if best is None or rep.t_estimate < best.t_estimate:
-            best = rep
+    reports = [
+        minimize(problem, init=init, max_iter=max_iter, tol=tol, seed=seed + k)
+        for k, init in enumerate(inits)
+    ]
+    best = min(reports, key=lambda rep: rep.t_estimate)
+    best.starts = sum((rep.starts for rep in reports), ())
     if radii is not None:
         best.concentration = concentration_diagnostic(
             best.minimizer, problem, radii

@@ -166,9 +166,16 @@ def _edited(name, *edits):
          "solve", 1, "config error: [solver] max_iter: not a finite number"),
         (_edited("expand_disk.cfg", ("H = 1.0", "H = 1.0\ntruncation_R = inf")),
          "expand", 1, "config error: [expand] truncation_R: not a finite number"),
+        (_edited("disk_subcritical.cfg", ("max_iter = 150", "max_iter = 0")),
+         "solve", 1, "config error: [solver] max_iter: must be at least 1"),
+        (_edited("disk_subcritical.cfg", ("tol = 1e-6", "tol = 0")),
+         "solve", 1, "config error: [solver] tol: must be a finite number > 0"),
+        (_edited("disk_critical.cfg", ("tol = 1e-6", "tol = -1e-6")),
+         "conditions", 1, "config error: [solver] tol: must be a finite number > 0"),
     ],
     ids=["not-critical", "gamma-not-empty", "hypothesis", "geometry", "fit-unstable",
-         "norm-bad-p-expr", "h-nan", "max-iter-inf", "truncation-R-inf"],
+         "norm-bad-p-expr", "h-nan", "max-iter-inf", "truncation-R-inf",
+         "max-iter-zero", "tol-zero", "existence-tol-negative"],
 )
 def test_domain_errors_are_one_line_with_exit_code(tmp_path, text, command, code, message):
     cfg = tmp_path / "case.cfg"
@@ -186,8 +193,20 @@ def test_domain_errors_are_one_line_with_exit_code(tmp_path, text, command, code
         (["constants", "--N", "2", "--p", "2.5"], "input error: ", "DomainError"),
         (["--config", "configs/disk_subcritical.cfg", "solve", "--radii", "0.3,abc"],
          "config error: ", "--radii"),
+        (["constants", "--N", "3", "--p", "2", "--truncation-R", "inf"],
+         "config error: ", "--truncation-R: not a finite number"),
+        (["constants", "--N", "3", "--p", "nan"], "config error: ", "--p: not a finite number"),
+        (["constants", "--N", "3", "--p", "2", "--H=-inf"],
+         "config error: ", "--H: not a finite number"),
+        (["--config", "configs/disk_subcritical.cfg", "solve", "--tol", "nan"],
+         "config error: ", "--tol: not a finite number"),
+        (["--config", "configs/disk_subcritical.cfg", "solve", "--tol", "0"],
+         "config error: ", "--tol: must be a finite number > 0"),
+        (["--config", "configs/disk_subcritical.cfg", "solve", "--max-iter", "0"],
+         "config error: ", "--max-iter: must be at least 1"),
     ],
-    ids=["constants-p-above-N", "solve-bad-radii"],
+    ids=["constants-p-above-N", "solve-bad-radii", "truncation-R-inf", "p-nan", "H-minus-inf",
+         "tol-nan", "tol-zero", "max-iter-zero"],
 )
 def test_flag_mistakes_are_one_line(argv, prefix, message):
     res = run_cli(*argv)

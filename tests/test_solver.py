@@ -101,6 +101,39 @@ def test_minimize_subcritical_disk(disk_prob, disk_solution):
     )
 
 
+def test_minimize_converges_on_the_subcritical_disk(disk_prob):
+    rep = minimize(disk_prob, init="constant", max_iter=150, tol=1e-6)
+    assert rep.converged and rep.stop_reason == "tol"
+    assert rep.iterations < 150
+    assert rep.t_estimate <= 0.8420
+    assert rep.n_evaluations >= rep.iterations + 1
+    assert rep.starts == (("constant", rep.t_estimate, rep.iterations, "tol"),)
+    d = rep.to_dict()
+    assert (d["stop_reason"], d["n_evaluations"]) == ("tol", rep.n_evaluations)
+
+
+def test_zero_trace_in_a_trial_stops_at_the_last_accepted_iterate(monkeypatch):
+    prob = DiscreteTraceProblem(mesh_domain(unit_disk_loop(), 0.2), P15, R2)
+    real = prob.boundary_norm_gradient
+    calls = 0
+
+    def vanishing_on_calls_6_to_8(a):
+        nonlocal calls
+        calls += 1
+        if 6 <= calls <= 8:
+            raise ZeroTrace("forced")
+        return real(a)
+
+    monkeypatch.setattr(prob, "boundary_norm_gradient", vanishing_on_calls_6_to_8)
+    rep = minimize(prob, init="constant", max_iter=50, tol=1e-9)
+    hist = rep.quotient_history
+    assert rep.stop_reason == "zero_trace" and not rep.converged
+    assert 1 <= rep.iterations == len(hist) - 1
+    assert all(math.isfinite(q) for q in hist)
+    assert all(a >= b for a, b in zip(hist, hist[1:]))
+    assert rep.t_estimate == rayleigh_quotient(rep.minimizer, prob)
+
+
 def test_minimize_scale_invariance_of_init(disk_prob):
     rng = np.random.default_rng(3)
     u = 1.0 + 0.2 * rng.standard_normal(disk_prob.domain.n_vertices)
@@ -277,6 +310,10 @@ def test_solve_problem_multistart(disk_prob):
                         radii=[0.3, 1.0])
     single = minimize(disk_prob, init="constant", max_iter=60, tol=1e-6)
     assert rep.t_estimate <= single.t_estimate + 1e-12
+    # every start is recorded, and the report is the best of them
+    assert [s[0] for s in rep.starts] == ["constant", "random"]
+    assert rep.t_estimate == min(s[1] for s in rep.starts)
+    assert all(s[3] in ("tol", "max_iter", "line_search", "zero_trace") for s in rep.starts)
     assert rep.concentration is not None
     assert not rep.concentration.concentrated
 
