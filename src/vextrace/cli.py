@@ -3,17 +3,18 @@
 Subcommands: norm, constants, solve, conditions, expand.  JSON goes to
 stdout (or --out), a short human summary to stderr.  Reports embed the
 tool version and a hash of the config (or of the flag set).  Runs are
-deterministic for a fixed config and --seed: nothing is threaded, and all
-reductions use a fixed summation order rather than the build- and
-CPU-dependent one of ``np.sum``.  --threads is accepted for interface
-compatibility and changes nothing.
+deterministic for a fixed config and --seed: nothing is threaded, and
+modular, measure and quadrature sums are exact (equal to ``math.fsum``), so
+they depend on no summation order, numpy build or CPU.  --threads is
+accepted for interface compatibility and changes nothing.
 
 Exit codes: 0 success (every verdict satisfied); 1 an input mistake (bad
-config or flag, a malformed [domain], a local check off the critical set, a
-global check with a zero set, an expansion coefficient outside its
-hypothesis, a half-space constant outside 1 < p < N), reported in one line
-on stderr; 2 a violated verdict; 3 an indeterminate verdict or an expansion
-fit too unstable to give a slope.
+config or flag, argparse usage errors included, a malformed [domain], a
+local check off the critical set, a global check with a zero set, an
+expansion coefficient outside its hypothesis, a half-space constant outside
+1 < p < N, samples whose modular overflows), reported in one line on stderr;
+2 a violated verdict; 3 an indeterminate verdict or an expansion fit too
+unstable to give a slope.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .conditions import GammaNotEmpty, NotCritical
 from .config import ConfigError, ProblemConfig, check_solver_limit, hash_of_args, parse_init
 from .geometry import CornerError, GeometryError
 from .halfspace import DomainError, FitUnstable, HypothesisViolation
-from .luxemburg import WeightedSamples, luxemburg_norm, modular
+from .luxemburg import NonFiniteModular, WeightedSamples, luxemburg_norm, modular
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -392,8 +393,15 @@ class _Finite(argparse.Action):
         setattr(namespace, self.dest, value)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage mistakes are config errors (exit 1, one line), not argparse's exit 2."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def build_parser():
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="vextrace",
         description="variable-exponent Sobolev trace constants: Luxemburg "
         "norms, sharp half-space constants, trace-quotient minimization, "
@@ -438,7 +446,7 @@ def run(argv=None):
         "expand": cmd_expand,
     }
     try:
-        # a _Finite flag raises ConfigError out of parse_args
+        # usage mistakes and _Finite flags raise ConfigError out of parse_args
         args = build_parser().parse_args(argv)
         if args.threads < 1:
             print("error: --threads must be >= 1", file=sys.stderr)
@@ -448,7 +456,7 @@ def run(argv=None):
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG
     except (GeometryError, CornerError, NotCritical, GammaNotEmpty, HypothesisViolation,
-            DomainError) as err:
+            DomainError, NonFiniteModular) as err:
         print(f"input error: {type(err).__name__}: {err}", file=sys.stderr)
         return EXIT_CONFIG
     except FitUnstable as err:

@@ -17,6 +17,7 @@ import numpy as np
 from .exponents import RegularityMissing, critical_gap, local_extremum_check
 from .geometry import distance_to_segments, fermi_chart
 from .halfspace import sharp_constant_quadrature
+from .luxemburg import fixed_order_sum
 from .solver import local_constant_schedule, sampled_exponent_bounds
 
 __all__ = [
@@ -164,7 +165,7 @@ def compactness_rate_check(domain, p, r, K, s, C, r0, phi):
         margin_on = math.inf
 
     rhos = r0 * 2.0 ** -np.arange(6)
-    contents = np.array([float(np.sum(bw[dist < rho])) for rho in rhos])
+    contents = np.array([fixed_order_sum(bw[dist < rho]) for rho in rhos])
     margin_content = float(np.min(C * rhos**s - contents))
     pos = contents > 0
     if np.sum(pos) >= 2:

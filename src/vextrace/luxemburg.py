@@ -7,9 +7,9 @@ Sobolev kind); the Luxemburg norm is the unique lambda > 0 with
 modular(u/lambda) = 1, found by Brent's method (scipy's brentq) inside the
 norm-modular bracket, with a Newton polish.
 
-All reductions go through ``fixed_order_sum`` (compensated, fixed lane
-topology), so a sum does not depend on the summation order that ``np.sum``
-picks for a given numpy build and CPU; nothing here is threaded.
+Modular, measure and quadrature sums go through ``fixed_order_sum`` and are
+exact (equal to ``math.fsum``), so they depend on no summation order, numpy
+build or CPU.
 """
 
 from __future__ import annotations
@@ -52,34 +52,69 @@ class ExponentMismatch(ValueError):
     """Derived exponent falls outside its admissible range."""
 
 
-def fixed_order_sum(values):
-    """Compensated sum with a fixed 64-lane topology.
+FSUM_MAX = 1024  # up to this many terms math.fsum is the faster route
+SUM_BLOCK = 16384  # terms per extraction block, so a level fits in cache
+_GRID_MAX = 2.0**1022  # a grid 2^e with e > 1022 would overflow its sums
 
-    Up to 4096 values, where it is the faster of the two, math.fsum sums
-    them exactly.  Above that, each lane runs a Kahan accumulation over a
-    deterministic index slice, and the 64 lane totals are combined exactly
-    with math.fsum.  The topology depends only on the input length, not on
-    the numpy build or the CPU.
+
+def fixed_order_sum(values):
+    """Exact sum: returns ``math.fsum(values)``, the correctly rounded total.
+
+    Modular, measure and quadrature sums are exact (equal to ``math.fsum``),
+    so they depend on no summation order, numpy build or CPU.  Up to
+    FSUM_MAX terms math.fsum sums them directly; larger arrays go through
+    ``_level_sums`` (error-free extraction), which gives the same bits
+    faster.  Where math.fsum itself fails (an intermediate overflow, or inf
+    and -inf together) the result is ``np.sum``'s, so inf and nan propagate
+    and callers that check finiteness see them.
     """
     a = np.ascontiguousarray(values, dtype=float).ravel()
-    n = a.size
-    if n == 0:
-        return 0.0
-    if n <= 4096:
+    if a.size > FSUM_MAX:
+        try:
+            return math.fsum(_level_sums(a))
+        except OverflowError:
+            # inf, nan or values near the float limit: fsum of the whole
+            # list, since one block's fsum can overflow where the whole
+            # list's does not
+            pass
+    try:
         return math.fsum(a.tolist())
-    rows = 64
-    width = (n + rows - 1) // rows
-    buf = np.zeros(rows * width)
-    buf[:n] = a
-    buf = buf.reshape(rows, width)
-    s = np.zeros(width)
-    c = np.zeros(width)
-    for row in buf:
-        y = row - c
-        t = s + y
-        c = (t - s) - y
-        s = t
-    return math.fsum(s.tolist())
+    except (OverflowError, ValueError):
+        with np.errstate(over="ignore", invalid="ignore"):
+            return float(np.sum(a))
+
+
+def _level_sums(a):
+    """Floats whose exact sum is the exact sum of ``a``.
+
+    Error-free extraction, the first step of AccSum (Rump, Ogita & Oishi,
+    SIAM J. Sci. Comput. 31(1), 2008) and of reproducible summation (Demmel
+    & Nguyen, IEEE Trans. Comput. 64(7), 2015).  With 2^e > n max|r| and
+    c = 1.5 2^e, q = (r + c) - c is r rounded to a multiple of 2^(e-52) and
+    r - q is exact, and every partial sum of the n values q is a multiple of
+    that unit below 2^(e+1), so ``np.sum(q)`` is exact in any order.  Each
+    level moves the grid down to the residuals until none is left.  Raises
+    OverflowError on a non-finite value or a grid above 2^1022.
+    """
+    sums = []
+    # equal blocks of at most SUM_BLOCK terms, so no block is a short tail
+    n_blocks = -(-a.size // SUM_BLOCK)
+    step = -(-a.size // n_blocks)
+    for start in range(0, a.size, step):
+        r = a[start : start + step]
+        while r.size:
+            top = r.size * float(np.max(np.abs(r)))
+            if not top < _GRID_MAX:
+                raise OverflowError("no extraction grid for these values")
+            if top == 0.0:
+                break
+            c = math.ldexp(1.5, math.frexp(top)[1])
+            q = r + c
+            q -= c
+            sums.append(float(np.sum(q)))
+            np.subtract(r, q, out=q)
+            r = q[q != 0.0]
+    return sums
 
 
 @dataclass(frozen=True)
@@ -229,7 +264,8 @@ def _derivative_terms(av, w, exps, gmag, lam):
 def modular(samples, p, kind="lebesgue"):
     """Modular sum_i w_i |u_i|^{p_i} (+ gradient part for the sobolev kind)."""
     av, w, exps, gmag = _modular_terms(samples, p, kind)
-    val = _modular_value(av, w, exps, gmag)
+    with np.errstate(over="ignore"):  # an overflow is reported just below
+        val = _modular_value(av, w, exps, gmag)
     if not math.isfinite(val):
         raise NonFiniteModular("modular overflow; rescale the samples")
     return ModularValue(val, kind)

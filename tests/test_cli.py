@@ -135,6 +135,10 @@ def test_solve_unknown_init_flag_is_config_error():
     assert len(res.stderr.strip().splitlines()) == 1
 
 
+# golden_pair.csv with both values 1e200: the p = 2 modular overflows to inf
+HUGE_PAIR_CSV = open(f"{REPO}/configs/golden_pair.csv").read().replace(",1.0,1.0\n", ",1.0,1e200\n")
+
+
 def _edited(name, *edits):
     text = open(f"{REPO}/configs/{name}").read()
     for old, new in edits:
@@ -172,14 +176,18 @@ def _edited(name, *edits):
          "solve", 1, "config error: [solver] tol: must be a finite number > 0"),
         (_edited("disk_critical.cfg", ("tol = 1e-6", "tol = -1e-6")),
          "conditions", 1, "config error: [solver] tol: must be a finite number > 0"),
+        (_edited("golden_norm.cfg", ("configs/golden_pair.csv", "{tmp}/huge_pair.csv"),
+                 ("p_expr = 2 + 2*x1", "p_expr = 2")),
+         "norm", 1, "input error: NonFiniteModular"),
     ],
     ids=["not-critical", "gamma-not-empty", "hypothesis", "geometry", "fit-unstable",
          "norm-bad-p-expr", "h-nan", "max-iter-inf", "truncation-R-inf",
-         "max-iter-zero", "tol-zero", "existence-tol-negative"],
+         "max-iter-zero", "tol-zero", "existence-tol-negative", "norm-modular-overflow"],
 )
 def test_domain_errors_are_one_line_with_exit_code(tmp_path, text, command, code, message):
+    (tmp_path / "huge_pair.csv").write_text(HUGE_PAIR_CSV)
     cfg = tmp_path / "case.cfg"
-    cfg.write_text(text)
+    cfg.write_text(text.replace("{tmp}", str(tmp_path)))
     res = run_cli("--config", str(cfg), command)
     assert res.returncode == code, res.stderr
     assert "Traceback" not in res.stderr
@@ -204,9 +212,13 @@ def test_domain_errors_are_one_line_with_exit_code(tmp_path, text, command, code
          "config error: ", "--tol: must be a finite number > 0"),
         (["--config", "configs/disk_subcritical.cfg", "solve", "--max-iter", "0"],
          "config error: ", "--max-iter: must be at least 1"),
+        (["--config", "configs/disk_subcritical.cfg", "solve", "--tol", "-1e-3"],
+         "config error: ", "argument --tol: expected one argument"),
+        (["constants", "--N", "3", "--p", "2", "--H", "-inf"],
+         "config error: ", "argument --H: expected one argument"),
     ],
     ids=["constants-p-above-N", "solve-bad-radii", "truncation-R-inf", "p-nan", "H-minus-inf",
-         "tol-nan", "tol-zero", "max-iter-zero"],
+         "tol-nan", "tol-zero", "max-iter-zero", "tol-negative-exponent", "H-space-minus-inf"],
 )
 def test_flag_mistakes_are_one_line(argv, prefix, message):
     res = run_cli(*argv)

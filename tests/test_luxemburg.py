@@ -56,6 +56,44 @@ def test_fixed_order_sum_compensation():
     assert fixed_order_sum(a) == pytest.approx(1.0 + 2e-12, rel=1e-12)
 
 
+def _exact_sum_cases():
+    rng = np.random.default_rng(6)
+    cases = []
+    # 1024 and 1025 sit on either side of the math.fsum / extraction cut-over
+    for n in (1, 1024, 1025, 4097, 17_500, 70_000):
+        x = rng.standard_normal(n)
+        cases.append(pytest.param(x - x.mean(), id=f"cancelling-{n}"))
+        cases.append(pytest.param(rng.uniform(1.5, 2.0, n), id=f"positive-{n}"))
+        cases.append(pytest.param(rng.lognormal(0.0, 30.0, n), id=f"lognormal30-{n}"))
+    cases.append(pytest.param(np.array([5e-324] * 3000), id="subnormal-3000"))
+    for n in (10, 5000):
+        for bad in (np.inf, -np.inf, np.nan):
+            a = rng.random(n)
+            a[n // 3] = bad
+            cases.append(pytest.param(a, id=f"{bad}-{n}"))
+    return cases
+
+
+@pytest.mark.parametrize("a", _exact_sum_cases())
+def test_fixed_order_sum_is_fsum_in_any_order(a):
+    def same(x, y):
+        return x == y or (math.isnan(x) and math.isnan(y))
+
+    want = math.fsum(a.tolist())
+    assert same(fixed_order_sum(a), want)
+    assert same(fixed_order_sum(np.random.default_rng(7).permutation(a)), want)
+
+
+@pytest.mark.parametrize("n", [2, 2000])
+def test_overflowing_sum_is_infinite_and_modular_raises(n):
+    assert fixed_order_sum(np.full(n, 1e308)) == math.inf
+    assert fixed_order_sum(np.full(n, -1e308)) == -math.inf
+    assert math.isnan(fixed_order_sum(np.r_[np.inf, -np.inf, np.ones(n)]))
+    u, p = atoms(np.full(n, 1e308), np.ones(n), np.ones(n))
+    with pytest.raises(NonFiniteModular):
+        modular(u, p)
+
+
 # -- modular -----------------------------------------------------------------
 
 
