@@ -12,9 +12,9 @@ Exit codes: 0 success (every verdict satisfied); 1 an input mistake (bad
 config or flag, argparse usage errors included, a malformed [domain], a
 local check off the critical set, a global check with a zero set, an
 expansion coefficient outside its hypothesis, a half-space constant outside
-1 < p < N, samples whose modular overflows), reported in one line on stderr;
-2 a violated verdict; 3 an indeterminate verdict or an expansion fit too
-unstable to give a slope.
+1 < p < N, samples whose modular or norm overflows), reported in one line on
+stderr; 2 a violated verdict; 3 an indeterminate verdict or an expansion fit
+too unstable to give a slope.
 """
 
 from __future__ import annotations

@@ -14,6 +14,7 @@ function, jacobian, and signed curvature of the underlying arc.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -230,17 +231,35 @@ def points_in_polygon(points, ring):
     return (np.bincount(idx[hit], minlength=len(pts)) & 1).astype(bool)
 
 
-def distance_to_segments(points, a, b):
-    """Distance from each point to the nearest of the segments a[k] b[k]."""
+def _segment_d2(p, a, b):
+    """Squared distance from p to the segment a b, broadcast over leading axes."""
+    ab, ap = b - a, p - a
+    denom = ab[..., 0] * ab[..., 0] + ab[..., 1] * ab[..., 1]
+    t = (ap[..., 0] * ab[..., 0] + ap[..., 1] * ab[..., 1]) / np.maximum(denom, 1e-300)
+    t = np.clip(t, 0.0, 1.0)
+    dx = p[..., 0] - (a[..., 0] + t * ab[..., 0])
+    dy = p[..., 1] - (a[..., 1] + t * ab[..., 1])
+    return dx * dx + dy * dy
+
+
+def distance_to_segments(points, a, b, pairs=None):
+    """Distance from each point to the nearest of the segments a[k] b[k].
+
+    pairs = (i, k) restricts the search to the (point i, segment k) pairs
+    listed; a point in no pair gets inf.  By default every point is paired
+    with every segment, a block of about 2^16 pairs at a time.  Either way
+    the pairs are measured in one vectorized pass.
+    """
     pts = np.atleast_2d(points)
-    ab = b - a
-    denom = np.einsum("ij,ij->i", ab, ab)
     d2 = np.full(len(pts), np.inf)
-    for i in range(len(a)):
-        ap = pts - a[i]
-        t = np.clip(ap @ ab[i] / max(denom[i], 1e-300), 0.0, 1.0)
-        proj = a[i] + t[:, None] * ab[i]
-        d2 = np.minimum(d2, np.einsum("ij,ij->i", pts - proj, pts - proj))
+    if pairs is None:
+        step = max(1, 2**16 // max(len(a), 1))
+        for s in range(0, len(pts) if len(a) else 0, step):
+            block = _segment_d2(pts[s:s + step, None, :], a[None], b[None])
+            d2[s:s + step] = block.min(axis=1)
+    else:
+        i, k = (np.asarray(x, dtype=np.intp) for x in pairs)
+        np.minimum.at(d2, i, _segment_d2(pts[i], a[k], b[k]))
     return np.sqrt(d2)
 
 
@@ -248,21 +267,30 @@ def far_from_ring(points, ring, dist):
     """Mask of the points at distance >= dist from every chord of the ring.
 
     Every point of a chord of length L lies within L/2 of one of its ends,
-    so dist(p, chord) >= dist(p, nearest ring vertex) - L/2.  A point whose
-    nearest ring vertex is at least (dist + L_max/2)(1 + 1e-9) away is far
-    from every chord; the factor keeps rounding in the computed distances
-    from deciding the test.  Only the remaining band near the ring goes
-    through distance_to_segments, so the mask equals the all-chords one.
+    so a chord closer than dist to a point has an end within dist + L_max/2
+    of it.  Only the chords with an end inside the ball of radius
+    bound = (dist + L_max/2)(1 + 1e-9) about a point are measured, and a
+    point with no ring vertex inside that ball is far from every chord; the
+    factor keeps rounding in the computed distances from deciding the test.
+    So the mask equals the all-chords one, at a cost linear in the number
+    of points near the ring.
     """
     pts = np.atleast_2d(points)
     ends = np.roll(ring, -1, axis=0)
     half = 0.5 * float(np.max(np.hypot(*(ends - ring).T)))
     bound = (dist + half) * (1.0 + 1e-9)
+    tree = cKDTree(ring)
     # the search stops at the bound; a point with no vertex inside it gets inf
-    vertex_dist, _ = cKDTree(ring).query(pts, distance_upper_bound=bound)
+    vertex_dist, _ = tree.query(pts, distance_upper_bound=bound)
     far = vertex_dist >= bound
     band = np.flatnonzero(~far)
-    far[band] = distance_to_segments(pts[band], ring, ends) >= dist
+    near = tree.query_ball_point(pts[band], bound)
+    counts = np.fromiter(map(len, near), np.intp, len(band))
+    vertex = np.fromiter(itertools.chain.from_iterable(near), np.intp, int(counts.sum()))
+    owner = np.repeat(band, counts)
+    # vertex k ends chord k - 1 and starts chord k
+    pairs = (np.concatenate([owner, owner]), np.concatenate([vertex, (vertex - 1) % len(ring)]))
+    far[band] = distance_to_segments(pts, ring, ends, pairs)[band] >= dist
     return far
 
 
@@ -540,8 +568,16 @@ def mesh_domain(loop, target_h, gamma_arcs=()):
     """Triangulate the loop with max edge length <= target_h.
 
     gamma_arcs lists arc indices whose boundary edges are gamma-marked.
+
+    Up to four lattice spacings are tried, 0.62 target_h and then 0.8 times
+    the last, and the first mesh with every edge at most target_h is kept.
+    The first try usually fails near the boundary, so it is skipped when
+    _too_coarse proves that it fails: a triangle with an edge longer than
+    target_h whose circumcircle holds no other point of the try's point set
+    is in every Delaunay triangulation of that set, so the full try would
+    keep it.  Skipping only certain failures leaves the mesh unchanged.
     """
-    if target_h <= 0:
+    if not (math.isfinite(target_h) and target_h > 0):
         raise ValueError("target_h must be positive")
     if not isinstance(loop, BoundaryLoop):
         loop = BoundaryLoop(tuple(loop))
@@ -555,7 +591,11 @@ def mesh_domain(loop, target_h, gamma_arcs=()):
         raise GeometryError("gamma must not be the whole boundary")
 
     spacing = 0.62 * target_h
-    for _ in range(4):
+    tries = 4
+    if _too_coarse(loop, spacing, target_h):
+        spacing *= 0.8
+        tries -= 1
+    for _ in range(tries):
         try:
             dom = _mesh_once(loop, spacing, gamma_arcs, target_h)
         except GeometryError:
@@ -579,19 +619,61 @@ def hex_lattice(lo, hi, spacing):
     return np.concatenate(pts, axis=0) if pts else np.zeros((0, 2))
 
 
-def _mesh_once(loop, spacing, gamma_arcs, target_h):
+def _mesh_points(loop, spacing):
+    """Boundary ring, its arc ids and the lattice points kept inside it."""
     ring, arc_ids = loop.polyline(spacing)
-    n_ring = len(ring)
-    if n_ring < 3:
+    if len(ring) < 3:
         raise GeometryError("boundary too coarse")
-
-    lo = ring.min(axis=0)
-    hi = ring.max(axis=0)
-    interior = hex_lattice(lo, hi, spacing)
+    interior = hex_lattice(ring.min(axis=0), ring.max(axis=0), spacing)
     if len(interior):
         interior = interior[points_in_polygon(interior, ring)]
         interior = interior[far_from_ring(interior, ring, 0.55 * spacing)]
+    return ring, arc_ids, interior
 
+
+def _too_coarse(loop, spacing, target_h):
+    """True only if _mesh_once at this spacing certainly fails for target_h.
+
+    The ring and the interior points within 2.5 spacings of a ring vertex
+    are triangulated on their own.  A triangle there with an edge longer
+    than target_h, its centroid inside the ring, a clearly nonzero area and
+    no other point of the whole set within 1 + 1e-9 times its circumradius
+    of its circumcentre has a strictly empty circumcircle, so it is in every
+    Delaunay triangulation of the whole set.  _mesh_once keeps it, and then
+    fails boundary recovery or exceeds target_h.  False means nothing.
+    """
+    try:
+        ring, _, interior = _mesh_points(loop, spacing)
+    except GeometryError:
+        return False
+    allpts = np.concatenate([ring, interior], axis=0)
+    near = cKDTree(ring).query(interior, distance_upper_bound=2.5 * spacing)[0] < np.inf
+    pts = np.concatenate([ring, interior[near]], axis=0)
+    p0, p1, p2 = (pts[c] for c in Delaunay(pts).simplices.T)
+    a, b = p1 - p0, p2 - p0
+    sq_a, sq_b = np.einsum("ij,ij->i", a, a), np.einsum("ij,ij->i", b, b)
+    longest = np.sqrt(np.maximum(np.maximum(sq_a, sq_b), np.einsum("ij,ij->i", b - a, b - a)))
+    area2 = a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]
+    scale = float(np.max(ring.max(axis=0) - ring.min(axis=0)))
+    cand = (
+        (longest > target_h * (1.0 + 1e-12))
+        & (np.abs(area2) > np.maximum(1e-3 * longest**2, 1e-12 * scale**2))
+    )
+    cand[cand] = points_in_polygon((p0[cand] + p1[cand] + p2[cand]) / 3.0, ring)
+    if not np.any(cand):
+        return False
+    a, b, sq_a, sq_b, area2 = a[cand], b[cand], sq_a[cand], sq_b[cand], area2[cand]
+    # circumcentre relative to p0
+    u = np.stack([b[:, 1] * sq_a - a[:, 1] * sq_b, a[:, 0] * sq_b - b[:, 0] * sq_a], axis=1)
+    u /= (2.0 * area2)[:, None]
+    radius = np.hypot(u[:, 0], u[:, 1]) * (1.0 + 1e-9)
+    inside = cKDTree(allpts).query_ball_point(p0[cand] + u, radius, return_length=True)
+    return bool(np.any(inside == 3))
+
+
+def _mesh_once(loop, spacing, gamma_arcs, target_h):
+    ring, arc_ids, interior = _mesh_points(loop, spacing)
+    n_ring = len(ring)
     allpts = np.concatenate([ring, interior], axis=0)
     tri = Delaunay(allpts)
     cells = tri.simplices
@@ -601,7 +683,7 @@ def _mesh_once(loop, spacing, gamma_arcs, target_h):
     a = allpts[cells[keep, 1]] - v
     b = allpts[cells[keep, 2]] - v
     area2 = a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]
-    scale = float(np.max(hi - lo))
+    scale = float(np.max(ring.max(axis=0) - ring.min(axis=0)))
     nondeg = np.abs(area2) > 1e-12 * scale**2
     cells = cells[keep][nondeg]
     # orient all triangles counterclockwise

@@ -45,7 +45,7 @@ class MissingGradient(ValueError):
 
 
 class NonFiniteModular(FloatingPointError):
-    """Modular evaluation overflowed even after rescaling."""
+    """Modular or norm beyond the float range, even after rescaling."""
 
 
 class ExponentMismatch(ValueError):
@@ -312,7 +312,10 @@ def _norm_from_arrays(av, w, exps, gmag):
         step = f / df
         if abs(step) < 0.5 * lam:
             lam -= step
-    return lam * peak
+    norm = lam * peak
+    if not math.isfinite(norm):
+        raise NonFiniteModular("norm beyond the float range")
+    return norm
 
 
 def luxemburg_norm(samples, p, kind="lebesgue"):

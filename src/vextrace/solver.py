@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import optimize, sparse
+from scipy.spatial import cKDTree
 
 from .exponents import critical_gap
 from .geometry import GeometryError, fermi_chart
@@ -426,9 +427,8 @@ def concentration_diagnostic(a, problem, radii, threshold=0.9):
 
     bpts = problem.bquad_points
     r_atom = 10.0 * problem.mesh_h
-    d2 = np.sum((bpts[:, None, :] - bpts[None, :, :]) ** 2, axis=2)
-    ball = d2 <= r_atom**2
-    ball_mass = ball @ masses
+    balls = cKDTree(bpts).query_ball_point(bpts, r_atom)
+    ball_mass = np.array([fixed_order_sum(masses[b]) for b in balls])
     order = np.argsort(-ball_mass)
     atom_idx = int(order[0])
     atom = bpts[atom_idx]

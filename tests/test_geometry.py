@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+from vextrace import geometry
 from vextrace.geometry import (
+    BoundaryLoop,
     ChartRangeError,
     CircularArc,
     CornerError,
@@ -113,6 +115,12 @@ def test_self_intersecting_rejected():
 def test_gamma_whole_boundary_rejected():
     with pytest.raises(GeometryError):
         mesh_domain(SQUARE, 0.5, gamma_arcs=(0, 1, 2, 3))
+
+
+@pytest.mark.parametrize("h", [0.0, -0.1, math.nan, math.inf, -math.inf])
+def test_mesh_size_must_be_positive_and_finite(h):
+    with pytest.raises(ValueError, match="target_h must be positive"):
+        mesh_domain(SQUARE, h)
 
 
 def test_gamma_marking_and_closure():
@@ -356,8 +364,12 @@ def test_points_in_polygon_matches_even_odd_reference(loop):
     assert 0 < np.count_nonzero(got) < len(points)
 
 
-@pytest.mark.parametrize("loop", [unit_disk_loop(), SQUARE, L_SHAPE],
-                         ids=["disk", "square", "l-shape"])
+# the gamma square of the mesh-fine benchmark: offset and slightly enlarged
+OFFSET_SQUARE = polygon_loop([(0.03, -0.07), (1.037, -0.07), (1.037, 0.937), (0.03, 0.937)])
+
+
+@pytest.mark.parametrize("loop", [unit_disk_loop(), SQUARE, L_SHAPE, COMB, OFFSET_SQUARE],
+                         ids=["disk", "square", "l-shape", "comb", "gamma-square"])
 @pytest.mark.parametrize("h", [0.1, 0.03])
 def test_far_from_ring_matches_dense_distance(loop, h):
     # the first two lattice spacings mesh_domain tries
@@ -367,3 +379,92 @@ def test_far_from_ring_matches_dense_distance(loop, h):
         dense = distance_to_segments(lattice, ring, np.roll(ring, -1, axis=0))
         assert np.array_equal(far_from_ring(lattice, ring, 0.55 * spacing),
                               dense >= 0.55 * spacing)
+
+
+def test_distance_to_segments_pairs_take_the_nearest_listed_segment():
+    ring, _ = COMB.polyline(0.3)
+    ends = np.roll(ring, -1, axis=0)
+    pts = np.random.default_rng(5).uniform(-0.5, 3.5, size=(200, 2))
+    one_by_one = np.stack([distance_to_segments(pts, ring[k:k + 1], ends[k:k + 1])
+                           for k in range(len(ring))], axis=1)
+    assert np.array_equal(distance_to_segments(pts, ring, ends), one_by_one.min(axis=1))
+    i = np.repeat(np.arange(100), 3)
+    k = np.tile([0, 5, 9], 100)
+    got = distance_to_segments(pts, ring, ends, (i, k))
+    assert np.array_equal(got[:100], one_by_one[:100, [0, 5, 9]].min(axis=1))
+    assert np.all(np.isinf(got[100:]))
+
+
+# -- the coarse-first-try certificate ----------------------------------------------
+
+HALF_DISK = BoundaryLoop((Segment((-1.0, 0.0), (1.0, 0.0)),
+                          CircularArc((0.0, 0.0), 1.0, 0.0, math.pi)))
+CERTIFICATE_DOMAINS = {
+    "disk": (unit_disk_loop(), (), 1.0),
+    "square-gamma": (SQUARE, (3,), 1.0),
+    "l-shape": (L_SHAPE, (), 1.0),
+    "half-disk": (HALF_DISK, (0,), 1.0),
+    "comb": (COMB, (), 1.0),
+    "small-disk": (unit_disk_loop(radius=0.05), (), 0.05),
+}
+
+
+def _fails(loop, spacing, gamma, h):
+    try:
+        return geometry._mesh_once(loop, spacing, gamma, h).mesh_size() > h
+    except GeometryError:
+        return True
+
+
+@pytest.mark.parametrize("name", list(CERTIFICATE_DOMAINS))
+def test_too_coarse_only_when_the_full_try_fails(name):
+    loop, gamma, scale = CERTIFICATE_DOMAINS[name]
+    certified = 0
+    for h in (0.3, 0.2, 0.1, 0.05, 0.03, 0.02):
+        h *= scale
+        for spacing in (0.62 * h, 0.8 * 0.62 * h):
+            if geometry._too_coarse(loop, spacing, h):
+                certified += 1
+                assert _fails(loop, spacing, set(gamma), h), (h, spacing)
+    assert certified > 0
+
+
+def _mesh_domain_reference(loop, h, gamma):
+    """mesh_domain as it was before the certificate: every try in full."""
+    spacing = 0.62 * h
+    for _ in range(4):
+        try:
+            dom = geometry._mesh_once(loop, spacing, set(gamma), h)
+        except GeometryError:
+            spacing *= 0.8
+            continue
+        if dom.mesh_size() <= h:
+            return dom
+        spacing *= 0.8
+    raise GeometryError("could not reach the requested mesh size")
+
+
+@pytest.mark.parametrize("name", list(CERTIFICATE_DOMAINS))
+def test_mesh_domain_equals_the_all_full_tries_loop(name):
+    loop, gamma, scale = CERTIFICATE_DOMAINS[name]
+    for h in (0.5, 0.3, 0.1, 0.04):
+        h *= scale
+        got = mesh_domain(loop, h, gamma_arcs=gamma)
+        want = _mesh_domain_reference(loop, h, gamma)
+        for key in ("vertices", "triangles", "boundary_edges", "edge_arc", "gamma_edges"):
+            a, b = getattr(got, key), getattr(want, key)
+            assert a.dtype == b.dtype and np.array_equal(a, b), (h, key)
+
+
+@pytest.mark.parametrize(
+    "loop, h, gamma",
+    [(unit_disk_loop(), 0.03, ()), (SQUARE, 0.025, (3,)), (HALF_DISK, 0.03, (0,))],
+    ids=["disk", "square-gamma", "half-disk"],
+)
+def test_fine_benchmark_meshes_take_one_full_try(monkeypatch, loop, h, gamma):
+    calls = []
+    once = geometry._mesh_once
+    monkeypatch.setattr(geometry, "_mesh_once", lambda *a: calls.append(a[1]) or once(*a))
+    dom = mesh_domain(loop, h, gamma_arcs=gamma)
+    assert dom.mesh_size() <= h
+    assert calls == [0.8 * 0.62 * h]

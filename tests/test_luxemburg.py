@@ -163,6 +163,15 @@ def test_norm_non_finite_rejected():
         luxemburg_norm(u, p)
 
 
+def test_norm_beyond_float_range_raises():
+    # two unit-weight atoms of 1e308 with p = 1 have norm 2e308
+    u, p = atoms([1e308, 1e308], [1.0, 1.0], [1.0, 1.0])
+    with pytest.raises(NonFiniteModular):
+        luxemburg_norm(u, p)
+    with pytest.raises(NonFiniteModular):
+        modular(u, p)
+
+
 def test_norm_with_field_exponent():
     field = ExponentField.from_text("2 + 2*x1", 5)
     pts = np.zeros((2, 5))

@@ -286,6 +286,25 @@ def test_concentration_profile_monotone_and_bounded(disk_prob, disk_solution):
         assert -1e-12 <= f <= 1.0 + 1e-12
 
 
+def test_concentration_ball_masses_are_exact_dense_ball_sums(disk_prob):
+    # a lopsided iterate, so the balls of radius 10h hold different masses
+    x = disk_prob.domain.vertices
+    u = np.exp(2.0 * x[:, 0] + x[:, 1])
+    v = concentration_diagnostic(u, disk_prob, radii=[0.5])
+    a = u / disk_prob.boundary_norm(u)
+    masses = disk_prob.bquad_weights * np.abs(disk_prob.boundary_values(a)) ** disk_prob.r_exps
+    total = math.fsum(masses.tolist())
+    bpts = disk_prob.bquad_points
+    d2 = np.sum((bpts[:, None, :] - bpts[None, :, :]) ** 2, axis=2)
+    dense = d2 <= (10.0 * disk_prob.mesh_h) ** 2
+    ball_mass = [math.fsum(masses[row].tolist()) for row in dense]
+    assert len(v.atom_candidates) == 3
+    for loc, frac in v.atom_candidates:
+        idx = int(np.flatnonzero(np.all(bpts == np.asarray(loc), axis=1))[0])
+        assert frac == ball_mass[idx] / total
+    assert v.atom_candidates[0][1] == max(ball_mass) / total
+
+
 def test_forced_concentration_bubble_descent():
     # large critical disk: spread-out competitors have enormous quotients,
     # so descent from a boundary bubble stays concentrated
