@@ -9,12 +9,14 @@ they depend on no summation order, numpy build or CPU.  --threads is
 accepted for interface compatibility and changes nothing.
 
 Exit codes: 0 success (every verdict satisfied); 1 an input mistake (bad
-config or flag, argparse usage errors included, a malformed [domain], a
-local check off the critical set, a global check with a zero set, an
-expansion coefficient outside its hypothesis, a half-space constant outside
-1 < p < N, samples whose modular or norm overflows), reported in one line on
-stderr; 2 a violated verdict; 3 an indeterminate verdict or an expansion fit
-too unstable to give a slope.
+config or flag, argparse usage errors included, a fraction in an integer
+key, [exponents] n other than 2, a compactness s, r0 or K set out of range,
+a malformed [domain], a local check off the critical set, a global check
+with a zero set, an expansion coefficient outside its hypothesis, a
+half-space constant outside 1 < p < N, an expand N, model or eps the model
+domains cannot take, samples whose modular or norm overflows), reported in
+one line on stderr; 2 a violated verdict; 3 an indeterminate verdict or an
+expansion fit too unstable to give a slope.
 """
 
 from __future__ import annotations
@@ -268,11 +270,9 @@ def cmd_conditions(args):
     t_bar = None
     if any(c in ("global", "existence") for c in checks):
         if len(problem.critical_points):
-            est, prov = smallest_localized_constant(problem)
-            t_bar = est
-        else:
+            t_bar, _ = smallest_localized_constant(problem)
+        else:  # compact regime: no critical points
             t_bar = Estimate(float("inf"), 0.0)
-            prov = {"method": "compact-regime (no critical points)"}
 
     for check in checks:
         if check == "global":
@@ -296,20 +296,27 @@ def cmd_conditions(args):
             k_pts = cfg.get_floats("conditions", "K_points")
             k_arcs = cfg.get_ints("conditions", "K_arcs")
             if k_pts:
+                if len(k_pts) % 2:
+                    raise ConfigError(
+                        f"[conditions] K_points: expected x y pairs, got {len(k_pts)} numbers"
+                    )
                 K = np.asarray(k_pts, float).reshape(-1, 2)
             elif k_arcs:
                 K = k_arcs
             else:
                 raise ConfigError("[conditions] K_points or K_arcs required")
-            verdicts.append(
-                compactness_rate_check(
-                    domain, p, r, K,
-                    s=cfg.get_float("conditions", "s", default=1.0),
-                    C=cfg.get_float("conditions", "C", default=8.0),
-                    r0=cfg.get_float("conditions", "r0", default=0.3),
-                    phi=LogPower(cfg.get_int("conditions", "phi_n", default=1)),
+            try:
+                verdicts.append(
+                    compactness_rate_check(
+                        domain, p, r, K,
+                        s=cfg.get_float("conditions", "s", default=1.0),
+                        C=cfg.get_float("conditions", "C", default=8.0),
+                        r0=cfg.get_float("conditions", "r0", default=0.3),
+                        phi=LogPower(cfg.get_int("conditions", "phi_n", default=1)),
+                    )
                 )
-            )
+            except ValueError as err:  # s, r0 or a K arc index out of range
+                raise ConfigError(f"[conditions] {err}")
         else:
             raise ConfigError(f"[conditions] unknown check {check!r}")
 

@@ -15,10 +15,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exponents import RegularityMissing, critical_gap, local_extremum_check
-from .geometry import distance_to_segments, fermi_chart
+from .geometry import GeometryError, distance_to_segments, fermi_chart
 from .halfspace import sharp_constant_quadrature
 from .luxemburg import fixed_order_sum
-from .solver import local_constant_schedule, sampled_exponent_bounds
+from .solver import CRIT_TOL, local_constant_schedule, sampled_exponent_bounds
 
 __all__ = [
     "ConditionVerdict",
@@ -36,6 +36,8 @@ __all__ = [
     "localized_constant_estimate",
     "smallest_localized_constant",
 ]
+
+MAX_SAMPLED = 16  # most critical points smallest_localized_constant visits
 
 
 class GammaNotEmpty(ValueError):
@@ -115,10 +117,14 @@ def _dist_to_set(points, K, domain):
 
     Arc-index sets are measured against the meshed (chordal) trace of those
     arcs, so boundary quadrature points lying on them register distance 0,
-    consistently with the discrete boundary measure.
+    consistently with the discrete boundary measure.  An arc index outside
+    the domain's loop raises GeometryError.
     """
     points = np.atleast_2d(points)
     if len(K) and isinstance(K[0], (int, np.integer)):
+        for i in K:
+            if i < 0 or i >= len(domain.loop.arcs):
+                raise GeometryError(f"K arc index {i} out of range")
         edges = domain.boundary_edges[np.isin(domain.edge_arc, K)]
         v = domain.vertices
         return distance_to_segments(points, v[edges[:, 0]], v[edges[:, 1]])
@@ -250,12 +256,13 @@ def global_condition(domain, p, r, t_bar):
     )
 
 
-def local_condition(domain, p, r, x0, crit_tol=1e-8, radius=None, extremum_tol=1e-10):
+def local_condition(domain, p, r, x0):
     """Pointwise sufficient condition at a critical boundary point.
 
-    Gates, in order: x0 critical, p locally minimal, r locally maximal;
-    then the disjunction (inward normal derivative of p positive) or
-    (boundary curvature positive); the fired branch is recorded.
+    Gates, in order: x0 critical, p locally minimal, r locally maximal
+    (both sampled within 10 mesh sizes of x0); then the disjunction (inward
+    normal derivative of p positive) or (boundary curvature positive); the
+    fired branch is recorded.
     """
     for name, f in (("p", p), ("r", r)):
         if f.declared_regularity != "C2":
@@ -263,21 +270,17 @@ def local_condition(domain, p, r, x0, crit_tol=1e-8, radius=None, extremum_tol=1
     x0 = np.asarray(x0, float)
     bpts, _, _, _ = domain.boundary_quadrature()
     gap0 = float(critical_gap(p, r, x0, np.concatenate([bpts, domain.vertices]))[0])
-    if abs(gap0) > crit_tol:
+    if abs(gap0) > CRIT_TOL:
         raise NotCritical(f"trace-exponent gap at x0 is {gap0}")
 
-    if radius is None:
-        radius = 10.0 * domain.mesh_size()
+    radius = 10.0 * domain.mesh_size()
     ipts, _, _, _ = domain.interior_quadrature()
     near_i = ipts[np.linalg.norm(ipts - x0, axis=1) <= radius]
     near_b = bpts[np.linalg.norm(bpts - x0, axis=1) <= radius]
     p_min_ok, p_wit = local_extremum_check(
-        p, x0, radius, "min", tol=extremum_tol,
-        points=np.concatenate([near_i, near_b]),
+        p, x0, radius, "min", points=np.concatenate([near_i, near_b])
     )
-    r_max_ok, r_wit = local_extremum_check(
-        r, x0, radius, "max", tol=extremum_tol, points=near_b
-    )
+    r_max_ok, r_wit = local_extremum_check(r, x0, radius, "max", points=near_b)
 
     chart = fermi_chart(domain, x0)
     dtp = float(p.gradient(x0[None, :])[0] @ chart.nu)
@@ -334,8 +337,7 @@ def existence_verdict(t_estimate, t_bar_estimate):
     )
 
 
-def localized_constant_estimate(problem, x0, radii=None, extremum_tol=1e-10,
-                                max_iter=120, seed=0):
+def localized_constant_estimate(problem, x0, radii=None, max_iter=120):
     """Localized-constant surrogate at a critical boundary point.
 
     When the base point is a local minimum of p and a local maximum of r,
@@ -352,12 +354,10 @@ def localized_constant_estimate(problem, x0, radii=None, extremum_tol=1e-10,
     ipts = problem.quad_points
     near_i = ipts[np.linalg.norm(ipts - x0, axis=1) <= 10 * problem.mesh_h]
     p_min_ok, _ = local_extremum_check(
-        p, x0, 10 * problem.mesh_h, "min", tol=extremum_tol,
+        p, x0, 10 * problem.mesh_h, "min",
         points=np.concatenate([near_i, near_b]) if len(near_i) else near_b,
     )
-    r_max_ok, _ = local_extremum_check(
-        r, x0, 10 * problem.mesh_h, "max", tol=extremum_tol, points=near_b
-    )
+    r_max_ok, _ = local_extremum_check(r, x0, 10 * problem.mesh_h, "max", points=near_b)
     if p_min_ok and r_max_ok:
         p0 = float(p.eval_at(x0))
         val, tail = sharp_constant_quadrature(2, p0)
@@ -365,27 +365,26 @@ def localized_constant_estimate(problem, x0, radii=None, extremum_tol=1e-10,
     if radii is None:
         base = 0.4 * math.sqrt(domain.volume())
         radii = [base / 2.0, base / 4.0, base / 8.0]
-    sched = local_constant_schedule(problem, x0, radii, max_iter=max_iter, seed=seed)
+    sched = local_constant_schedule(problem, x0, radii, max_iter=max_iter)
     vals = [t for _, t in sched]
     err = abs(vals[-1] - vals[-2]) if len(vals) >= 2 else 0.1 * vals[-1]
     return Estimate(vals[-1], err), "schedule"
 
 
-def smallest_localized_constant(problem, max_points=16, **kwargs):
+def smallest_localized_constant(problem):
     """Infimum of the localized constants over sampled critical points.
 
-    The infimum is taken over the boundary quadrature points in the
-    critical set only (a sampled check, flagged as such in the result).
+    The infimum is taken over at most MAX_SAMPLED evenly strided boundary
+    quadrature points in the critical set (a sampled check, flagged as such
+    in the result).
     """
     pts = problem.critical_points
     if len(pts) == 0:
         raise NotCritical("no critical boundary quadrature points")
-    if len(pts) > max_points:
-        stride = len(pts) // max_points
-        pts = pts[::stride]
+    pts = pts[::math.ceil(len(pts) / MAX_SAMPLED)]
     best = None
     for x in pts:
-        est, method = localized_constant_estimate(problem, x, **kwargs)
+        est, method = localized_constant_estimate(problem, x)
         if best is None or est.value < best[0].value:
             best = (est, method, (float(x[0]), float(x[1])))
     est, method, loc = best

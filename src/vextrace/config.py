@@ -73,6 +73,13 @@ def _finite(x, section, key):
     return x
 
 
+def _integral(x, section, key):
+    """int(x) for a whole number x; a fraction is a config error, not truncated."""
+    if not x.is_integer():
+        raise ConfigError(f"[{section}] {key}: not an integer: {x!r}")
+    return int(x)
+
+
 _SOLVER_LIMITS = {
     "max_iter": (lambda n: n >= 1, "must be at least 1"),
     "tol": (lambda x: math.isfinite(x) and x > 0, "must be a finite number > 0"),
@@ -150,9 +157,9 @@ class ProblemConfig:
             raise ConfigError(f"[{section}] {key}: not a number: {v!r}")
         return _finite(x, section, key)
 
-    def get_int(self, section, key, default=None, required=False):
-        v = self.get_float(section, key, default, required)
-        return v if v is default else int(v)
+    def get_int(self, section, key, default=None):
+        v = self.get_float(section, key, default)
+        return v if v is default else _integral(v, section, key)
 
     def get_floats(self, section, key, default=()):
         v = self._get(section, key)
@@ -167,7 +174,7 @@ class ProblemConfig:
         return [_finite(x, section, key) for x in xs]
 
     def get_ints(self, section, key, default=()):
-        return [int(x) for x in self.get_floats(section, key, default)]
+        return [_integral(x, section, key) for x in self.get_floats(section, key, default)]
 
     # -- builders --------------------------------------------------------------
 
@@ -213,11 +220,15 @@ class ProblemConfig:
         return p, r
 
     def build_problem(self):
-        from .solver import DiscreteTraceProblem
+        from .solver import CRIT_TOL, DiscreteTraceProblem
 
         domain = self.build_domain()
         p, r = self.build_exponents()
-        crit_tol = self.get_float("solver", "crit_tol", default=1e-8)
+        if p.ambient_dimension != 2:
+            raise ConfigError(
+                f"[exponents] n: meshes are planar, so n must be 2, got {p.ambient_dimension}"
+            )
+        crit_tol = self.get_float("solver", "crit_tol", default=CRIT_TOL)
         try:
             return DiscreteTraceProblem(domain, p, r, crit_tol=crit_tol)
         except ValueError as err:

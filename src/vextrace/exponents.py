@@ -387,11 +387,9 @@ class ExponentField:
         return cls(parse_exponent(text, n), n, regularity)
 
     @classmethod
-    def validated(cls, expr, n, points, regularity="C2"):
-        """Construct and immediately enforce 1 < inf <= sup < N on points."""
-        f = cls(expr, n, regularity)
-        f = f.with_bounds(points)
-        return f
+    def validated(cls, expr, n, points):
+        """Construct a C2 field and enforce 1 < inf <= sup < N on points."""
+        return cls(expr, n).with_bounds(points)
 
     def __call__(self, points):
         return self.expr.eval(points)
@@ -399,7 +397,7 @@ class ExponentField:
     def eval_at(self, point):
         return self.expr.eval_at(point)
 
-    def bounds(self, points=None, refine_rounds=2):
+    def bounds(self, points=None):
         """(inf, sup) over the sample; local grid refinement tightens extrema."""
         if points is None:
             if self._bounds is None:
@@ -410,11 +408,12 @@ class ExponentField:
         if not np.all(np.isfinite(vals)):
             raise ExponentBoundsError("exponent is not finite on the sample")
         lo, hi = float(np.min(vals)), float(np.max(vals))
-        # refine between each extremal sample and its neighbors; the segments
-        # stay inside the sampled region, and continuity makes the grid
-        # extrema converge to the essential ones
+        # refine at four interior points of the segments from each extremal
+        # sample to its eight nearest neighbors; the segments stay inside the
+        # sampled region, and continuity makes the grid extrema converge to
+        # the essential ones
         if pts.shape[0] > 1:
-            fracs = np.linspace(0.0, 1.0, 2 + 2 * refine_rounds)[1:-1]
+            fracs = np.linspace(0.0, 1.0, 6)[1:-1]
             for anchor in (pts[np.argmin(vals)], pts[np.argmax(vals)]):
                 d = np.linalg.norm(pts - anchor, axis=1)
                 near = pts[np.argsort(d)[1:9]]
@@ -519,10 +518,12 @@ def critical_set(p, r, boundary_points, tol):
     return selected, margin
 
 
-def local_extremum_check(field_, x0, neighborhood_radius, kind, tol=1e-10, points=None):
+def local_extremum_check(field_, x0, neighborhood_radius, kind, points=None):
     """Check x0 is a local min/max of the field on a deterministic sample grid.
 
-    Returns (ok, witness): witness is a violating point when ok is False.
+    A sample value below (min) or above (max) the value at x0 by more than
+    1e-10 breaks the check.  Returns (ok, witness): witness is a violating
+    point when ok is False.
     Callers with domain knowledge pass their own sample ``points``; the
     default is a box grid around x0.
     """
@@ -540,18 +541,19 @@ def local_extremum_check(field_, x0, neighborhood_radius, kind, tol=1e-10, point
     vals = field_(pts)
     v0 = field_.eval_at(x0)
     if kind == "min":
-        bad = vals < v0 - tol
+        bad = vals < v0 - 1e-10
     else:
-        bad = vals > v0 + tol
+        bad = vals > v0 + 1e-10
     if not np.any(bad):
         return True, None
     idx = int(np.argmin(vals)) if kind == "min" else int(np.argmax(vals))
     return False, pts[idx].copy()
 
 
-def log_holder_probe(field_, points, scales=None):
+def log_holder_probe(field_, points):
     """Estimate the modulus of continuity on dyadic scales.
 
+    The scales are dmax 2^-k for k = 1..8, with dmax the sample diameter.
     Returns rows (scale, rho_hat, ln(1/scale)*rho_hat).  The continuity
     condition wants the product to tend to 0 as the scale shrinks; judging
     that from point samples is left to the caller.
@@ -561,12 +563,10 @@ def log_holder_probe(field_, points, scales=None):
     # each pair once, as condensed distance vectors (empty below two points)
     d = pdist(pts)
     dv = pdist(vals[:, None], "cityblock")
-    if scales is None:
-        dmax = float(np.max(d, initial=0.0)) or 1.0
-        scales = [dmax * 2.0**-k for k in range(1, 9)]
+    dmax = float(np.max(d, initial=0.0)) or 1.0
     distinct = d > 0
     rows = []
-    for lam in scales:
+    for lam in (dmax * 2.0**-k for k in range(1, 9)):
         mask = distinct & (d <= lam)
         rho = float(np.max(dv[mask])) if np.any(mask) else 0.0
         rows.append((lam, rho, math.log(1.0 / lam) * rho if lam < 1 else 0.0))

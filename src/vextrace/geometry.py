@@ -181,9 +181,10 @@ class BoundaryLoop:
             arc_ids.extend([idx] * n)
         return np.concatenate(pts, axis=0), np.asarray(arc_ids)
 
-    def signed_area(self, spacing=None):
-        spacing = spacing or min(a.length for a in self.arcs) / 8.0
-        ring, _ = self.polyline(spacing)
+    def signed_area(self):
+        """Shoelace area of the ring at spacing an eighth of the shortest arc,
+        positive for a counterclockwise loop."""
+        ring, _ = self.polyline(min(a.length for a in self.arcs) / 8.0)
         x, y = ring[:, 0], ring[:, 1]
         return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
 
@@ -571,11 +572,12 @@ def mesh_domain(loop, target_h, gamma_arcs=()):
 
     Up to four lattice spacings are tried, 0.62 target_h and then 0.8 times
     the last, and the first mesh with every edge at most target_h is kept.
-    The first try usually fails near the boundary, so it is skipped when
-    _too_coarse proves that it fails: a triangle with an edge longer than
-    target_h whose circumcircle holds no other point of the try's point set
-    is in every Delaunay triangulation of that set, so the full try would
-    keep it.  Skipping only certain failures leaves the mesh unchanged.
+    Each spacing's ring and filtered lattice are built once.  The first try
+    usually fails near the boundary, so its full triangulation is skipped
+    when _too_coarse proves that it fails: a triangle with an edge longer
+    than target_h whose circumcircle holds no other point of the try's point
+    set is in every Delaunay triangulation of that set, so the full try
+    would keep it.  Skipping only certain failures leaves the mesh unchanged.
     """
     if not (math.isfinite(target_h) and target_h > 0):
         raise ValueError("target_h must be positive")
@@ -591,18 +593,16 @@ def mesh_domain(loop, target_h, gamma_arcs=()):
         raise GeometryError("gamma must not be the whole boundary")
 
     spacing = 0.62 * target_h
-    tries = 4
-    if _too_coarse(loop, spacing, target_h):
-        spacing *= 0.8
-        tries -= 1
-    for _ in range(tries):
+    for k in range(4):
         try:
-            dom = _mesh_once(loop, spacing, gamma_arcs, target_h)
+            ring, arc_ids, interior = _mesh_points(loop, spacing)
+            # later spacings usually pass, so only the first is certified
+            if k or not _too_coarse(ring, interior, spacing, target_h):
+                dom = _mesh_once(loop, ring, arc_ids, interior, gamma_arcs, target_h)
+                if dom.mesh_size() <= target_h:
+                    return dom
         except GeometryError:
-            spacing *= 0.8
-            continue
-        if dom.mesh_size() <= target_h:
-            return dom
+            pass
         spacing *= 0.8
     raise GeometryError("could not reach the requested mesh size")
 
@@ -631,21 +631,18 @@ def _mesh_points(loop, spacing):
     return ring, arc_ids, interior
 
 
-def _too_coarse(loop, spacing, target_h):
-    """True only if _mesh_once at this spacing certainly fails for target_h.
+def _too_coarse(ring, interior, spacing, target_h):
+    """True only if _mesh_once on these points certainly fails for target_h.
 
-    The ring and the interior points within 2.5 spacings of a ring vertex
-    are triangulated on their own.  A triangle there with an edge longer
-    than target_h, its centroid inside the ring, a clearly nonzero area and
-    no other point of the whole set within 1 + 1e-9 times its circumradius
-    of its circumcentre has a strictly empty circumcircle, so it is in every
-    Delaunay triangulation of the whole set.  _mesh_once keeps it, and then
-    fails boundary recovery or exceeds target_h.  False means nothing.
+    ring and interior are _mesh_points at this spacing.  The ring and the
+    interior points within 2.5 spacings of a ring vertex are triangulated
+    on their own.  A triangle there with an edge longer than target_h, its
+    centroid inside the ring, a clearly nonzero area and no other point of
+    the whole set within 1 + 1e-9 times its circumradius of its circumcentre
+    has a strictly empty circumcircle, so it is in every Delaunay
+    triangulation of the whole set.  _mesh_once keeps it, and then fails
+    boundary recovery or exceeds target_h.  False means nothing.
     """
-    try:
-        ring, _, interior = _mesh_points(loop, spacing)
-    except GeometryError:
-        return False
     allpts = np.concatenate([ring, interior], axis=0)
     near = cKDTree(ring).query(interior, distance_upper_bound=2.5 * spacing)[0] < np.inf
     pts = np.concatenate([ring, interior[near]], axis=0)
@@ -671,8 +668,9 @@ def _too_coarse(loop, spacing, target_h):
     return bool(np.any(inside == 3))
 
 
-def _mesh_once(loop, spacing, gamma_arcs, target_h):
-    ring, arc_ids, interior = _mesh_points(loop, spacing)
+def _mesh_once(loop, ring, arc_ids, interior, gamma_arcs, target_h):
+    """Delaunay mesh of _mesh_points' ring and interior points, filtered to
+    the ring; raises GeometryError when boundary recovery fails."""
     n_ring = len(ring)
     allpts = np.concatenate([ring, interior], axis=0)
     tri = Delaunay(allpts)
@@ -798,15 +796,12 @@ class FermiChart:
         out[..., 1, 1] = 1.0 / w
         return out
 
-    def world_to_frame(self, vec):
-        return np.stack([vec @ self.tau, vec @ self.nu], axis=-1)
-
     def boundary_jacobian(self, y):
         dp = self.dpsi(y)
         return np.sqrt(1.0 + dp * dp)
 
 
-def fermi_chart(domain, x0, junction_tol=1e-9):
+def fermi_chart(domain, x0):
     """Chart at a boundary point x0 lying in the interior of one arc."""
     loop = domain.loop
     if loop is None:
@@ -825,9 +820,7 @@ def fermi_chart(domain, x0, junction_tol=1e-9):
         and isinstance(arc, CircularArc)
         and arc.is_full_circle
     )
-    at_junction = (
-        s < junction_tol * arc.length or s > (1.0 - junction_tol) * arc.length
-    )
+    at_junction = s < 1e-9 * arc.length or s > (1.0 - 1e-9) * arc.length
     if at_junction and not periodic:
         raise CornerError("chart base point sits at a junction of boundary arcs")
 
@@ -872,12 +865,12 @@ def _half_disk_reference(n_r=24, n_t=24):
     return y, t, w
 
 
-def pullback(u, chart, eps, n_r=24, n_t=24, grad=None):
+def pullback(u, chart, eps, n_r=24, n_t=24):
     """Samples of the rescaled pullback on the reference upper half-disk.
 
-    u (and optionally grad) are callables on world points.  Weights carry
-    the chart jacobian, so sum w |value|^p equals eps^{-N} times the
-    integral of |u|^p over the chart image of the eps half-ball.
+    u is a callable on world points.  Weights carry the chart jacobian, so
+    sum w |value|^p equals eps^{-N} times the integral of |u|^p over the
+    chart image of the eps half-ball.  The samples carry no gradients.
     """
     if eps > chart.validity_radius:
         raise ChartRangeError(
@@ -887,23 +880,18 @@ def pullback(u, chart, eps, n_r=24, n_t=24, grad=None):
     world = chart.map(eps * y, eps * t)
     vals = np.asarray(u(world), float)
     weights = w * chart.jacobian(eps * y, eps * t)
-    gv = None
-    if grad is not None:
-        g_world = np.asarray(grad(world), float)  # (n, 2)
-        g_frame = chart.world_to_frame(g_world)
-        dphi = chart.dmap_frame(eps * y, eps * t)
-        gv = eps * np.einsum("nij,ni->nj", dphi, g_frame)
     pts = np.stack([y, t], axis=1)
-    return WeightedSamples(pts, weights, vals, gv)
+    return WeightedSamples(pts, weights, vals)
 
 
-def pullback_boundary(u, chart, eps, n=64):
-    """Boundary samples of the rescaled pullback on the segment [-1, 1]."""
+def pullback_boundary(u, chart, eps):
+    """Boundary samples of the rescaled pullback on the segment [-1, 1]
+    (64-point Gauss-Legendre)."""
     if eps > chart.validity_radius:
         raise ChartRangeError(
             f"eps = {eps} exceeds chart validity {chart.validity_radius}"
         )
-    xg, wg = np.polynomial.legendre.leggauss(n)
+    xg, wg = np.polynomial.legendre.leggauss(64)
     world = chart.map(eps * xg, np.zeros_like(xg))
     vals = np.asarray(u(world), float)
     weights = wg * chart.boundary_jacobian(eps * xg)

@@ -51,7 +51,7 @@ __all__ = [
 
 
 class DomainError(ValueError):
-    """Arguments outside 1 < p < N."""
+    """Arguments outside the range a routine accepts, such as 1 < p < N."""
 
 
 class DivergentIntegral(ValueError):
@@ -64,6 +64,11 @@ class HypothesisViolation(ValueError):
 
 class FitUnstable(RuntimeError):
     """Expansion fit residual or conditioning beyond threshold."""
+
+
+N_PANELS = 14  # geometrically graded panels per axis of the quadrature box
+N_GAUSS = 12  # Gauss-Legendre nodes per panel
+REL_FLOOR = 1e-9  # least relative error bar a quadrature quotient reports
 
 
 # ---------------------------------------------------------------------------
@@ -188,7 +193,7 @@ def _check_term_convergence(a, b, c):
         )
 
 
-def half_space_power_integral(terms, truncation_R, n_panels=14, n_gauss=12):
+def half_space_power_integral(terms, truncation_R):
     """Integral over {s>=1, rho>=0} of sum_k coef*rho^a*s^b*(s^2+rho^2)^(-c/2).
 
     Quadrature over the box [1, 1+R] x [0, R] with geometric grading, plus
@@ -198,8 +203,8 @@ def half_space_power_integral(terms, truncation_R, n_panels=14, n_gauss=12):
     R = float(truncation_R)
     for coef, a, b, c in terms:
         _check_term_convergence(a, b, c)
-    s_nodes, s_w = _gl_panels(1.0 + _graded_breaks(R, n_panels), n_gauss)
-    r_nodes, r_w = _gl_panels(_graded_breaks(R, n_panels), n_gauss)
+    s_nodes, s_w = _gl_panels(1.0 + _graded_breaks(R, N_PANELS), N_GAUSS)
+    r_nodes, r_w = _gl_panels(_graded_breaks(R, N_PANELS), N_GAUSS)
     S = s_nodes[:, None]
     P = r_nodes[None, :]
     W = s_w[:, None] * r_w[None, :]
@@ -208,7 +213,7 @@ def half_space_power_integral(terms, truncation_R, n_panels=14, n_gauss=12):
     tail_mag = 0.0
     for coef, a, b, c in terms:
         box = fixed_order_sum(W * P**a * S**b * r2 ** (-c / 2.0))
-        tail = _tail_far_s(a, b, c, R) + _tail_far_rho(a, b, c, R, n_gauss)
+        tail = _tail_far_s(a, b, c, R) + _tail_far_rho(a, b, c, R)
         total += coef * (box + tail)
         tail_mag += abs(coef) * abs(tail)
     return total, tail_mag
@@ -230,19 +235,19 @@ def _rho_tail_single(a, c, s, R):
     return 0.5 * s ** (a + 1.0 - c) * partial
 
 
-def _tail_far_rho(a, b, c, R, n_gauss):
+def _tail_far_rho(a, b, c, R):
     """Integral over {1 <= s <= 1 + R, rho > R} by 1-D panels in s."""
-    s_nodes, s_w = _gl_panels(1.0 + _graded_breaks(R, 10), n_gauss)
+    s_nodes, s_w = _gl_panels(1.0 + _graded_breaks(R, 10), N_GAUSS)
     vals = s_nodes**b * _rho_tail_single(a, c, s_nodes, R)
     return fixed_order_sum(s_w * vals)
 
 
-def boundary_power_integral(a, c, truncation_R, n_panels=14, n_gauss=12):
+def boundary_power_integral(a, c, truncation_R):
     """Integral over rho in (0, inf) of rho^a (1 + rho^2)^(-c/2) with tail."""
     if c - a - 1.0 <= 0.0:
         raise DivergentIntegral(f"non-integrable boundary tail rho^{a} r^-{c}")
     R = float(truncation_R)
-    nodes, w = _gl_panels(_graded_breaks(R, n_panels), n_gauss)
+    nodes, w = _gl_panels(_graded_breaks(R, N_PANELS), N_GAUSS)
     box = fixed_order_sum(w * nodes**a * (1.0 + nodes * nodes) ** (-c / 2.0))
     tail = float(_rho_tail_single(a, c, 1.0, R))
     return box + tail, abs(tail)
@@ -319,12 +324,13 @@ def sharp_constant_formula(n, p):
     )
 
 
-def sharp_constant_quadrature(n, p, truncation_R=100.0, tol=1e-9):
+def sharp_constant_quadrature(n, p, truncation_R=100.0):
     """Rayleigh quotient |grad V|_p / |V(.,0)|_{p_*} of the extremal.
 
     Returns (K_inv_estimate, tail_bound).  The tail bound dominates the
     truncation error: the appended corrections are analytic and the
-    reported bound is their full magnitude propagated through the quotient.
+    reported bound is their full magnitude propagated through the quotient,
+    never less than REL_FLOOR times the estimate.
     """
     _check_range(n, p)
     alpha = decay_rate(n, p)
@@ -337,11 +343,10 @@ def sharp_constant_quadrature(n, p, truncation_R=100.0, tol=1e-9):
     bnd_val, bnd_tail = extremal_boundary_integral(n, p, truncation_R)
     estimate = grad_val ** (1.0 / p) / bnd_val ** (1.0 / p_star)
     rel = grad_tail / grad_val / p + bnd_tail / bnd_val / p_star
-    tail_bound = max(estimate * rel, tol * estimate, 1e-12 * estimate)
-    return estimate, tail_bound
+    return estimate, max(estimate * rel, REL_FLOOR * estimate)
 
 
-def extremal_quotient(profile, truncation_R=100.0, tol=1e-9):
+def extremal_quotient(profile, truncation_R=100.0):
     """Rayleigh quotient of a dilated/translated profile.
 
     Translation leaves both integrals unchanged; dilation rescales them by
@@ -357,7 +362,7 @@ def extremal_quotient(profile, truncation_R=100.0, tol=1e-9):
     bnd_scaled = lam ** (-(n - 1.0) / (p - 1.0)) * bnd_val
     estimate = grad_scaled ** (1.0 / p) / bnd_scaled ** (1.0 / p_star)
     rel = grad_tail / grad_val / p + bnd_tail / bnd_val / p_star
-    return estimate, max(estimate * rel, tol * estimate)
+    return estimate, max(estimate * rel, REL_FLOOR * estimate)
 
 
 # ---------------------------------------------------------------------------
@@ -555,11 +560,11 @@ class ExpansionFit:
     defects: tuple
 
 
-def _column_distinct(a, b, tol=1e-6):
+def _column_distinct(a, b):
     """Reject only near-exact collinearity (degenerate exponent collisions)."""
     ra = a / np.linalg.norm(a)
     rb = b / np.linalg.norm(b)
-    return abs(float(ra @ rb)) < 1.0 - tol
+    return abs(float(ra @ rb)) < 1.0 - 1e-6
 
 
 def _model_chart(model, H):
@@ -567,7 +572,7 @@ def _model_chart(model, H):
 
     if model == "disk":
         if H <= 0:
-            raise ValueError("disk model needs H > 0")
+            raise DomainError("disk model needs H > 0")
         radius = 1.0 / H
         dom = mesh_domain(unit_disk_loop(radius=radius), radius / 2.0)
         return fermi_chart(dom, (radius, 0.0))
@@ -575,11 +580,14 @@ def _model_chart(model, H):
         loop = polygon_loop([(-2, 0), (2, 0), (2, 4), (-2, 4)])
         dom = mesh_domain(loop, 1.0)
         return fermi_chart(dom, (0.0, 0.0))
-    raise ValueError("model must be 'disk' or 'flat'")
+    raise DomainError(f"model must be 'disk' or 'flat', got {model!r}")
 
 
-def _model_quadrature(delta, eps, n_theta=24, n_rad=10):
-    """Polar grid on the upper half-plane support {radius <= 2 delta}."""
+def _model_quadrature(delta, eps):
+    """Polar grid on the upper half-plane support {radius <= 2 delta}.
+
+    Radial panel breaks double from eps/8 up to 2 delta, so eps must be > 0.
+    """
     breaks = [0.0]
     r = eps / 8.0
     while r < 2.0 * delta:
@@ -587,8 +595,8 @@ def _model_quadrature(delta, eps, n_theta=24, n_rad=10):
         r *= 2.0
     breaks.append(2.0 * delta)
     breaks = np.unique(np.asarray(breaks))
-    r_nodes, r_w = _gl_panels(breaks, n_rad)
-    t_nodes, t_w = _gl_panels(np.linspace(0.0, math.pi, 5), n_theta)
+    r_nodes, r_w = _gl_panels(breaks, 10)
+    t_nodes, t_w = _gl_panels(np.linspace(0.0, math.pi, 5), 24)
     RR, TT = np.meshgrid(r_nodes, t_nodes, indexing="ij")
     WW = np.outer(r_w, t_w) * RR
     y = (RR * np.cos(TT)).ravel()
@@ -596,15 +604,7 @@ def _model_quadrature(delta, eps, n_theta=24, n_rad=10):
     return y, t, WW.ravel()
 
 
-def norm_expansion_check(
-    n,
-    p,
-    coeffs,
-    epsilons,
-    model="disk",
-    delta=None,
-    residual_threshold=0.2,
-):
+def norm_expansion_check(n, p, coeffs, epsilons, model="disk"):
     """Measure cutoff-extremal norms on a model domain and fit the slopes.
 
     The model reconstructs the exponent and weight fields from the inputs
@@ -612,10 +612,17 @@ def norm_expansion_check(
     measured slopes are directly comparable with the predicted ratios
     d1/(p d0) (case of positive normal derivative of p, regressor
     eps*ln(eps)) or d2/(p d0) (flat-in-t exponent with curved boundary,
-    regressor eps), plus a1/(p_* a0) for the boundary norm.
+    regressor eps), plus a1/(p_* a0) for the boundary norm.  The profile is
+    cut off between delta and 2 delta, with delta a quarter of the chart
+    validity radius; a fit whose relative residual exceeds 0.2 raises
+    FitUnstable, and N != 2, an unknown model or an eps <= 0 raise
+    DomainError.
     """
     if n != 2:
-        raise ValueError("the model-domain check is planar (N = 2)")
+        raise DomainError(f"the model-domain check is planar (N = 2), got N = {n}")
+    epsilons = tuple(sorted((float(e) for e in epsilons), reverse=True))
+    if not all(e > 0 for e in epsilons):
+        raise DomainError(f"epsilons must be > 0, got {min(epsilons)!r}")
     from .luxemburg import _norm_from_arrays
 
     inp = coeffs.inputs
@@ -628,11 +635,7 @@ def norm_expansion_check(
     alpha = decay_rate(n, p)
     p_star = trace_exponent(n, p)
     chart = _model_chart(model, H)
-    if delta is None:
-        delta = 0.25 * chart.validity_radius
-    epsilons = tuple(sorted((float(e) for e in epsilons), reverse=True))
-    if 2.0 * delta > chart.validity_radius:
-        raise ValueError("cutoff support exceeds chart validity")
+    delta = 0.25 * chart.validity_radius
 
     case = "normal_derivative" if dtp0 > 0 else "curvature"
     d0 = coeffs.d0
@@ -723,7 +726,7 @@ def norm_expansion_check(
     resid = float(np.linalg.norm(X @ sol - ys) / max(np.linalg.norm(ys), 1e-300))
     if rank < X.shape[1] or (sv[0] / max(sv[-1], 1e-300)) > 1e12:
         raise FitUnstable("ill-conditioned expansion fit")
-    if resid > residual_threshold:
+    if resid > 0.2:
         raise FitUnstable(f"expansion fit residual {resid:.3g} beyond threshold")
 
     yb2 = np.asarray(bnd_norms) / a0 ** (1.0 / p_star) - 1.0

@@ -38,6 +38,7 @@ __all__ = [
 ]
 
 NORM_TOL = 1e-13  # brentq rtol for the lambda root
+RELATION_TOL = 1e-11  # slack verify_norm_modular_relations forgives
 
 
 class MissingGradient(ValueError):
@@ -374,29 +375,30 @@ class RelationCheck:
     slack: float
 
 
-def verify_norm_modular_relations(samples, p, kind="lebesgue", tol=1e-11):
-    """Evaluate the norm-modular relations; returns a list of RelationCheck.
+def verify_norm_modular_relations(samples, p):
+    """Evaluate the Lebesgue norm-modular relations; returns RelationChecks.
 
     Covered: the unit-ball characterization modular(u/|u|)=1, the three-way
     sign agreement of |u|-1 and modular-1, and the two-sided power bounds
     |u|^{p-} <= modular <= |u|^{p+} (norm > 1) and the reversed pair
     (norm < 1).  Slack is how far inside the inequality the data sits;
-    negative slack beyond -tol fails.
+    negative slack beyond -RELATION_TOL fails.
     """
-    av, w, exps, gmag = _modular_terms(samples, p, kind)
-    rho = _modular_value(av, w, exps, gmag)
-    lam = _norm_from_arrays(av, w, exps, gmag)
+    av, w, exps, _ = _modular_terms(samples, p, "lebesgue")
+    rho = _modular_value(av, w, exps, None)
+    lam = _norm_from_arrays(av, w, exps, None)
     checks = []
 
     if lam > 0.0:
-        unit = _modular_value(av, w, exps, gmag, lam)
-        slack = tol * 10 - abs(unit - 1.0)
-        checks.append(RelationCheck("unit_ball_modular", True, slack >= -tol, slack))
+        unit = _modular_value(av, w, exps, None, lam)
+        slack = RELATION_TOL * 10 - abs(unit - 1.0)
+        checks.append(RelationCheck("unit_ball_modular", True, slack >= -RELATION_TOL, slack))
     else:
         checks.append(RelationCheck("unit_ball_modular", False, True, 0.0))
 
-    if abs(rho - 1.0) <= tol or abs(lam - 1.0) <= tol:
-        agree = abs(rho - 1.0) <= math.sqrt(tol) and abs(lam - 1.0) <= math.sqrt(tol)
+    if abs(rho - 1.0) <= RELATION_TOL or abs(lam - 1.0) <= RELATION_TOL:
+        near = math.sqrt(RELATION_TOL)
+        agree = abs(rho - 1.0) <= near and abs(lam - 1.0) <= near
         checks.append(RelationCheck("sign_agreement", True, agree, 0.0))
     else:
         agree = (rho > 1.0) == (lam > 1.0)
@@ -406,20 +408,20 @@ def verify_norm_modular_relations(samples, p, kind="lebesgue", tol=1e-11):
 
     p_lo = float(np.min(exps))
     p_hi = float(np.max(exps))
-    if lam > 1.0 + tol:
+    if lam > 1.0 + RELATION_TOL:
         lo_s = rho - lam**p_lo
         hi_s = lam**p_hi - rho
-        checks.append(RelationCheck("norm_gt1_lower", True, lo_s >= -tol, lo_s))
-        checks.append(RelationCheck("norm_gt1_upper", True, hi_s >= -tol, hi_s))
+        checks.append(RelationCheck("norm_gt1_lower", True, lo_s >= -RELATION_TOL, lo_s))
+        checks.append(RelationCheck("norm_gt1_upper", True, hi_s >= -RELATION_TOL, hi_s))
         checks.append(RelationCheck("norm_lt1_lower", False, True, 0.0))
         checks.append(RelationCheck("norm_lt1_upper", False, True, 0.0))
-    elif 0.0 < lam < 1.0 - tol:
+    elif 0.0 < lam < 1.0 - RELATION_TOL:
         lo_s = rho - lam**p_hi
         hi_s = lam**p_lo - rho
         checks.append(RelationCheck("norm_gt1_lower", False, True, 0.0))
         checks.append(RelationCheck("norm_gt1_upper", False, True, 0.0))
-        checks.append(RelationCheck("norm_lt1_lower", True, lo_s >= -tol, lo_s))
-        checks.append(RelationCheck("norm_lt1_upper", True, hi_s >= -tol, hi_s))
+        checks.append(RelationCheck("norm_lt1_lower", True, lo_s >= -RELATION_TOL, lo_s))
+        checks.append(RelationCheck("norm_lt1_upper", True, hi_s >= -RELATION_TOL, hi_s))
     else:
         for name in ("norm_gt1_lower", "norm_gt1_upper", "norm_lt1_lower", "norm_lt1_upper"):
             checks.append(RelationCheck(name, False, True, 0.0))

@@ -40,6 +40,8 @@ __all__ = [
     "sampled_exponent_bounds",
 ]
 
+CRIT_TOL = 1e-8  # a boundary point with p_* - r at most this is critical
+
 
 class ZeroTrace(ValueError):
     """Boundary norm of the iterate underflowed to zero."""
@@ -75,7 +77,7 @@ class DiscreteTraceProblem:
         the critical trace exponent.
     """
 
-    def __init__(self, domain, p_field, r_field, crit_tol=1e-8):
+    def __init__(self, domain, p_field, r_field, crit_tol=CRIT_TOL):
         self.domain = domain
         self.p_field = p_field
         self.r_field = r_field
@@ -361,34 +363,30 @@ def minimize(problem, init="constant", max_iter=200, tol=1e-6, seed=0):
     )
 
 
-def _cluster_critical_points(problem, max_bubbles=3):
-    pts = problem.critical_points
-    if len(pts) == 0:
-        return []
+def _cluster_critical_points(problem):
+    """Up to three critical quadrature points more than 10h apart, each
+    moved to the nearest point of the exact boundary: the quadrature points
+    lie on the chords, off a curved arc, where fermi_chart has no chart."""
     sep = 10.0 * problem.mesh_h
     chosen = []
-    for x in pts:
+    for x in problem.critical_points:
         if all(np.linalg.norm(x - c) > sep for c in chosen):
             chosen.append(x)
-        if len(chosen) >= max_bubbles:
+        if len(chosen) >= 3:
             break
-    return chosen
+    return [
+        min((arc.point(arc.project(x)[0]) for arc in problem.domain.loop.arcs),
+            key=lambda b: np.linalg.norm(b - x))
+        for x in chosen
+    ]
 
 
-def solve_problem(
-    problem,
-    n_random=3,
-    bubble_scale=None,
-    max_iter=200,
-    tol=1e-6,
-    seed=0,
-    radii=None,
-):
-    """Multi-start driver: constant, random restarts, one bubble per
-    detected critical cluster; returns the best report, whose ``starts``
-    lists every start in order."""
+def solve_problem(problem, n_random=3, max_iter=200, tol=1e-6, seed=0, radii=None):
+    """Multi-start driver: constant, random restarts, one bubble of scale 4h
+    per detected critical cluster; returns the best report, whose
+    ``starts`` lists every start in order."""
     inits = ["constant"] + ["random"] * n_random
-    lam = bubble_scale or 4.0 * problem.mesh_h
+    lam = 4.0 * problem.mesh_h
     for x0 in _cluster_critical_points(problem):
         gamma_pts = problem.domain.vertices[problem.gamma_nodes]
         if len(gamma_pts) and np.min(np.linalg.norm(gamma_pts - x0, axis=1)) < 8 * lam:
@@ -408,14 +406,14 @@ def solve_problem(
     return best
 
 
-def concentration_diagnostic(a, problem, radii, threshold=0.9):
+def concentration_diagnostic(a, problem, radii):
     """Locate the dominant boundary mass atom and profile its spread.
 
     The iterate is renormalized to unit boundary norm, so the boundary
-    modular masses sum to one; the verdict compares the mass fraction
-    within radius 10h of the atom against the threshold and evaluates the
-    discrete analogue of the atom inequality with the half-space constant
-    as the localized-constant surrogate.
+    modular masses sum to one; the verdict is whether the mass fraction
+    within radius 10h of the atom exceeds 0.9.  The discrete analogue of
+    the atom inequality is evaluated with the half-space constant as the
+    localized-constant surrogate.
     """
     a = np.asarray(a, float) / problem.boundary_norm(a)
     radii = sorted(float(r) for r in radii)
@@ -451,7 +449,7 @@ def concentration_diagnostic(a, problem, radii, threshold=0.9):
         (r, float(fixed_order_sum(gmasses[di <= r]) / gtotal)) for r in radii
     )
     frac_close = float(fixed_order_sum(masses[db <= r_atom]) / total)
-    concentrated = frac_close > threshold
+    concentrated = frac_close > 0.9
 
     p_atom = float(problem.p_field.eval_at(atom))
     r_atom_exp = float(problem.r_field.eval_at(atom))
@@ -475,7 +473,7 @@ def concentration_diagnostic(a, problem, radii, threshold=0.9):
     )
 
 
-def monotonicity_check(problem, x0, radius, max_iter=200, tol=1e-6, seed=0):
+def monotonicity_check(problem, x0, radius, max_iter=200, tol=1e-6):
     """Solve on the full domain and on the ball-restricted subdomain.
 
     The subdomain's artificial boundary is gamma-marked, so its minimizer
@@ -491,20 +489,21 @@ def monotonicity_check(problem, x0, radius, max_iter=200, tol=1e-6, seed=0):
         if np.min(d) <= radius:
             raise MeshNotNested("cap overlaps the prescribed zero set")
     local = DiscreteTraceProblem(sub, problem.p_field, problem.r_field)
-    rep_local = minimize(local, init="constant", max_iter=max_iter, tol=tol, seed=seed)
+    rep_local = minimize(local, init="constant", max_iter=max_iter, tol=tol)
 
     extension = np.zeros(problem.domain.n_vertices)
     extension[node_map] = rep_local.minimizer
     extension[~problem.free_mask] = 0.0
     q_ext = rayleigh_quotient(extension, problem)
-    rep_const = minimize(problem, init="constant", max_iter=max_iter, tol=tol, seed=seed)
+    rep_const = minimize(problem, init="constant", max_iter=max_iter, tol=tol)
     t_full = min(q_ext, rep_const.t_estimate)
     return t_full, rep_local.t_estimate
 
 
-def local_constant_schedule(problem, x0, radii, max_iter=200, tol=1e-6, seed=0):
+def local_constant_schedule(problem, x0, radii, max_iter=200):
     """Local constants on a shrinking radius schedule (largest first).
 
+    Each cap is solved from the constant start at minimize's default tol.
     The schedule stops at the first cap without a free boundary node: the
     constant start vanishes on its whole boundary, and smaller caps are
     no better.  Raises ZeroTrace when not even the largest cap is usable.
@@ -518,7 +517,7 @@ def local_constant_schedule(problem, x0, radii, max_iter=200, tol=1e-6, seed=0):
         if not len(np.setdiff1d(sub.boundary_nodes(), sub.gamma_nodes())):
             break
         local = DiscreteTraceProblem(sub, problem.p_field, problem.r_field)
-        rep = minimize(local, init="constant", max_iter=max_iter, tol=tol, seed=seed)
+        rep = minimize(local, init="constant", max_iter=max_iter)
         out.append((float(r), rep.t_estimate))
     if not out:
         raise ZeroTrace(f"no cap of radius {max(radii)} or less has a free boundary node")

@@ -11,9 +11,10 @@ REPO = __file__.rsplit("/tests/", 1)[0]
 
 
 def run_cli(*argv, cwd=REPO):
+    # a hang fails its test instead of stalling the suite
     return subprocess.run(
         [sys.executable, "-m", "vextrace.cli", *argv],
-        capture_output=True, text=True, cwd=cwd,
+        capture_output=True, text=True, cwd=cwd, timeout=120,
     )
 
 
@@ -139,6 +140,10 @@ def test_solve_unknown_init_flag_is_config_error():
 HUGE_PAIR_CSV = open(f"{REPO}/configs/golden_pair.csv").read().replace(",1.0,1.0\n", ",1.0,1e200\n")
 
 
+EXPAND_EPS = "0.08 0.056 0.04 0.028 0.02 0.014 0.01 0.007 0.005 0.0035"
+CHECKS = "checks = global local existence"
+
+
 def _edited(name, *edits):
     text = open(f"{REPO}/configs/{name}").read()
     for old, new in edits:
@@ -159,8 +164,7 @@ def _edited(name, *edits):
          "expand", 1, "dtp0 = 0"),
         (_edited("disk_subcritical.cfg", ("6.283185307179586", "3.0")),
          "solve", 1, "GeometryError"),
-        (_edited("expand_disk.cfg", ("0.08 0.056 0.04 0.028 0.02 0.014 0.01 0.007 0.005 0.0035",
-                                     "0.08 0.04")),
+        (_edited("expand_disk.cfg", (EXPAND_EPS, "0.08 0.04")),
          "expand", 3, "indeterminate"),
         (_edited("golden_norm.cfg", ("p_expr = 2 + 2*x1", "p_expr = 2 +* x1")),
          "norm", 1, "config error: [norm]"),
@@ -179,10 +183,38 @@ def _edited(name, *edits):
         (_edited("golden_norm.cfg", ("configs/golden_pair.csv", "{tmp}/huge_pair.csv"),
                  ("p_expr = 2 + 2*x1", "p_expr = 2")),
          "norm", 1, "input error: NonFiniteModular"),
+        (_edited("expand_disk.cfg", (EXPAND_EPS, "0.08 0.04 0.02 0.01 0")),
+         "expand", 1, "input error: DomainError: epsilons must be > 0"),
+        (_edited("expand_disk.cfg", ("model = disk", "model = sphere")),
+         "expand", 1, "input error: DomainError: model must be 'disk' or 'flat'"),
+        (_edited("expand_disk.cfg", ("N = 2", "N = 3")),
+         "expand", 1, "input error: DomainError: the model-domain check is planar"),
+        (_edited("expand_disk.cfg", ("H = 1.0", "H = -1.0")),
+         "expand", 1, "input error: DomainError: disk model needs H > 0"),
+        (_edited("disk_critical.cfg", (CHECKS, "checks = compactness\nK_arcs = 0\nr0 = 0.5")),
+         "conditions", 1, "config error: [conditions] need r0 in (0, 1/e)"),
+        (_edited("disk_critical.cfg", (CHECKS, "checks = compactness\nK_arcs = 0\ns = 2")),
+         "conditions", 1, "config error: [conditions] need 0 < s <= N-1"),
+        (_edited("disk_critical.cfg", (CHECKS, "checks = compactness\nK_points = 1 0 0")),
+         "conditions", 1, "config error: [conditions] K_points: expected x y pairs"),
+        (_edited("disk_critical.cfg", (CHECKS, "checks = compactness\nK_arcs = 5")),
+         "conditions", 1, "config error: [conditions] K arc index 5 out of range"),
+        (_edited("disk_subcritical.cfg", ("max_iter = 150", "max_iter = 20.7")),
+         "solve", 1, "config error: [solver] max_iter: not an integer: 20.7"),
+        (_edited("disk_subcritical.cfg", ("n = 2", "n = 2.5")),
+         "solve", 1, "config error: [exponents] n: not an integer: 2.5"),
+        (_edited("disk_subcritical.cfg", ("gamma =", "gamma = 0.5")),
+         "solve", 1, "config error: [domain] gamma: not an integer: 0.5"),
+        (_edited("disk_subcritical.cfg", ("n = 2", "n = 3"), ("h = 0.1", "h = 0.2")),
+         "solve", 1, "config error: [exponents] n: meshes are planar, so n must be 2"),
     ],
     ids=["not-critical", "gamma-not-empty", "hypothesis", "geometry", "fit-unstable",
          "norm-bad-p-expr", "h-nan", "max-iter-inf", "truncation-R-inf",
-         "max-iter-zero", "tol-zero", "existence-tol-negative", "norm-modular-overflow"],
+         "max-iter-zero", "tol-zero", "existence-tol-negative", "norm-modular-overflow",
+         "expand-eps-zero", "expand-model-sphere", "expand-N-3", "expand-disk-H-negative",
+         "compactness-r0", "compactness-s", "compactness-K-points-odd",
+         "compactness-K-arc-range", "max-iter-fraction", "n-fraction", "gamma-fraction",
+         "n-not-planar"],
 )
 def test_domain_errors_are_one_line_with_exit_code(tmp_path, text, command, code, message):
     (tmp_path / "huge_pair.csv").write_text(HUGE_PAIR_CSV)
@@ -256,6 +288,24 @@ def test_reproducibility_same_seed_and_threads():
                 "--threads", "4", "solve")
     assert a.returncode == 0 and b.returncode == 0
     assert a.stdout == b.stdout
+
+
+@pytest.mark.parametrize(
+    "script, first_line",
+    [
+        (["constants_table.py"], "N p formula K^-1 quad (1/K^-1)^p rel gap"),
+        (["disk_study.py", "--h", "0.2", "--max-iter", "20"],
+         "p = 1.5, r = 3.0 (critical), K^-1 = 1.259921"),
+        (["expansion_study.py"], "flat case=curvature fitted=-0.0024 predicted=+0.0000 "
+                                 "residual=1.16e-02"),
+    ],
+    ids=["constants-table", "disk-study", "expansion-study"],
+)
+def test_scripts_run(script, first_line):
+    res = subprocess.run([sys.executable, f"scripts/{script[0]}", *script[1:]],
+                         capture_output=True, text=True, cwd=REPO, timeout=120)
+    assert res.returncode == 0, res.stderr
+    assert " ".join(res.stdout.splitlines()[0].split()) == first_line
 
 
 def test_help_lists_subcommands():

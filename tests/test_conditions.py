@@ -323,6 +323,10 @@ def test_smallest_localized_constant():
     est, prov = smallest_localized_constant(prob)
     assert est.value == pytest.approx(2.0 ** (1.0 / 3.0), rel=1e-6)
     assert prov["sampled_check"] is True
+    # a ceiling stride through the 170 critical points visits 16 of them;
+    # a floor stride of 170 // 16 = 10 visited 17
+    assert len(prob.critical_points) == 170
+    assert prov["n_sampled"] == 16
 
 
 def test_smallest_localized_constant_needs_critical_points():

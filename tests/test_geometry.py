@@ -409,9 +409,14 @@ CERTIFICATE_DOMAINS = {
 }
 
 
+def _mesh_once(loop, spacing, gamma, h):
+    ring, arc_ids, interior = geometry._mesh_points(loop, spacing)
+    return geometry._mesh_once(loop, ring, arc_ids, interior, gamma, h)
+
+
 def _fails(loop, spacing, gamma, h):
     try:
-        return geometry._mesh_once(loop, spacing, gamma, h).mesh_size() > h
+        return _mesh_once(loop, spacing, gamma, h).mesh_size() > h
     except GeometryError:
         return True
 
@@ -423,7 +428,8 @@ def test_too_coarse_only_when_the_full_try_fails(name):
     for h in (0.3, 0.2, 0.1, 0.05, 0.03, 0.02):
         h *= scale
         for spacing in (0.62 * h, 0.8 * 0.62 * h):
-            if geometry._too_coarse(loop, spacing, h):
+            ring, _, interior = geometry._mesh_points(loop, spacing)
+            if geometry._too_coarse(ring, interior, spacing, h):
                 certified += 1
                 assert _fails(loop, spacing, set(gamma), h), (h, spacing)
     assert certified > 0
@@ -434,7 +440,7 @@ def _mesh_domain_reference(loop, h, gamma):
     spacing = 0.62 * h
     for _ in range(4):
         try:
-            dom = geometry._mesh_once(loop, spacing, set(gamma), h)
+            dom = _mesh_once(loop, spacing, set(gamma), h)
         except GeometryError:
             spacing *= 0.8
             continue
@@ -456,15 +462,31 @@ def test_mesh_domain_equals_the_all_full_tries_loop(name):
             assert a.dtype == b.dtype and np.array_equal(a, b), (h, key)
 
 
+def _record_tries(monkeypatch):
+    """Spacings whose points are built, and those triangulated in full."""
+    built, calls = [], []
+    points, once = geometry._mesh_points, geometry._mesh_once
+    monkeypatch.setattr(geometry, "_mesh_points", lambda loop, s: built.append(s) or points(loop, s))
+    monkeypatch.setattr(geometry, "_mesh_once", lambda *a: calls.append(built[-1]) or once(*a))
+    return built, calls
+
+
 @pytest.mark.parametrize(
     "loop, h, gamma",
     [(unit_disk_loop(), 0.03, ()), (SQUARE, 0.025, (3,)), (HALF_DISK, 0.03, (0,))],
     ids=["disk", "square-gamma", "half-disk"],
 )
 def test_fine_benchmark_meshes_take_one_full_try(monkeypatch, loop, h, gamma):
-    calls = []
-    once = geometry._mesh_once
-    monkeypatch.setattr(geometry, "_mesh_once", lambda *a: calls.append(a[1]) or once(*a))
+    built, calls = _record_tries(monkeypatch)
     dom = mesh_domain(loop, h, gamma_arcs=gamma)
     assert dom.mesh_size() <= h
     assert calls == [0.8 * 0.62 * h]
+    assert built == [0.62 * h, 0.8 * 0.62 * h]
+
+
+def test_uncertified_first_try_builds_its_points_once(monkeypatch):
+    # the first try passes on the coarse square, so the certificate does not fire
+    built, calls = _record_tries(monkeypatch)
+    dom = mesh_domain(SQUARE, 0.2)
+    assert dom.mesh_size() <= 0.2
+    assert built == calls == [0.62 * 0.2]

@@ -337,6 +337,17 @@ def test_solve_problem_multistart(disk_prob):
     assert not rep.concentration.concentrated
 
 
+def test_solve_problem_bubble_starts_on_critical_disk():
+    # every boundary quadrature point is critical; the bubble centres are
+    # those points moved onto the circle, more than 10h apart
+    prob = DiscreteTraceProblem(mesh_domain(unit_disk_loop(), 0.2), P15, R3)
+    rep = solve_problem(prob, n_random=1, max_iter=30)
+    labels = [s[0] for s in rep.starts]
+    assert labels[:2] == ["constant", "random"]
+    assert len(labels) > 2 and all(lab.startswith("bubble(") for lab in labels[2:])
+    assert all(rep.t_estimate <= s[1] for s in rep.starts)
+
+
 def test_solve_problem_deterministic(disk_prob):
     r1 = solve_problem(disk_prob, n_random=2, max_iter=40, tol=1e-6, seed=7)
     r2 = solve_problem(disk_prob, n_random=2, max_iter=40, tol=1e-6, seed=7)
