@@ -10,7 +10,10 @@ accepted for interface compatibility and changes nothing.
 
 Exit codes: 0 success (every verdict satisfied); 1 an input mistake (bad
 config or flag, argparse usage errors included, a fraction in an integer
-key, [exponents] n other than 2, a compactness s, r0 or K set out of range,
+key, [exponents] n other than 2, a bubble init with a non-finite number or
+lam <= 0, a [norm] kind other than lebesgue or sobolev, sobolev samples
+without gradient columns, a samples_csv that is not a samples CSV, a
+compactness s, r0 or K set out of range,
 a malformed [domain], a local check off the critical set, a global check
 with a zero set, an expansion coefficient outside its hypothesis, a
 half-space constant outside 1 < p < N, an expand N, model or eps the model
@@ -89,9 +92,15 @@ def cmd_norm(args):
         p = ExponentField.from_text(p_text, n)
     except ValueError as err:
         raise ConfigError(f"[norm]: {err}")
-    samples = WeightedSamples.from_csv(path)
-    value = luxemburg_norm(samples, p, kind=kind)
-    rho = modular(samples, p, kind=kind).value
+    try:
+        samples = WeightedSamples.from_csv(path)
+    except ValueError as err:
+        raise ConfigError(f"[norm] samples_csv {path}: {err}")
+    try:
+        value = luxemburg_norm(samples, p, kind=kind)
+        rho = modular(samples, p, kind=kind).value
+    except ValueError as err:  # an unknown kind, or sobolev without gradient columns
+        raise ConfigError(f"[norm] {err}")
     payload = _base_payload("norm", cfg.config_hash)
     payload.update({"norm": value, "modular": rho, "kind": kind,
                     "n_samples": int(samples.values.size)})

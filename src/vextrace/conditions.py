@@ -14,7 +14,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .exponents import RegularityMissing, critical_gap, local_extremum_check
+from .exponents import (
+    RegularityMissing,
+    SupercriticalError,
+    critical_gap,
+    local_extremum_check,
+)
 from .geometry import GeometryError, distance_to_segments, fermi_chart
 from .halfspace import sharp_constant_quadrature
 from .luxemburg import fixed_order_sum
@@ -133,20 +138,42 @@ def _dist_to_set(points, K, domain):
     return np.min(np.sqrt(np.sum(diff * diff, axis=2)), axis=1)
 
 
+def _subcritical_bounds(domain, p, r):
+    """``sampled_exponent_bounds``, once they show sup p < N on the domain."""
+    p_bounds, r_bounds = sampled_exponent_bounds(domain, p, r)
+    n = p.ambient_dimension
+    if p_bounds[1] >= n:
+        raise SupercriticalError(f"sup p = {p_bounds[1]} >= N = {n}")
+    return p_bounds, r_bounds
+
+
+def _extremum_gates(p, r, x0, radius, ipts, bpts):
+    """Is x0 a local minimum of p over the interior and boundary quadrature
+    points within radius, and a local maximum of r over the boundary ones?
+    Returns (p_min_ok, p_witness, r_max_ok, r_witness)."""
+    near_i = ipts[np.linalg.norm(ipts - x0, axis=1) <= radius]
+    near_b = bpts[np.linalg.norm(bpts - x0, axis=1) <= radius]
+    p_min = local_extremum_check(p, x0, radius, "min", points=np.concatenate([near_i, near_b]))
+    r_max = local_extremum_check(r, x0, radius, "max", points=near_b)
+    return (*p_min, *r_max)
+
+
 def compactness_rate_check(domain, p, r, K, s, C, r0, phi):
     """Compact-regime criterion: subcritical away from K, controlled
     approach rate near K, and a Minkowski-content bound on K itself.
 
     K is a finite point set (array of points) or a list of boundary arc
     indices.  The verdict is satisfied only if all three parts hold on the
-    boundary quadrature sample.
+    boundary quadrature sample.  Raises SupercriticalError unless sup p < N
+    on the domain sample.
     """
     if not (0.0 < s <= domain.vertices.shape[1] - 1):
         raise ValueError("need 0 < s <= N-1")
     if not (0.0 < r0 < math.exp(-1.0)):
         raise ValueError("need r0 in (0, 1/e)")
+    _subcritical_bounds(domain, p, r)
     bpts, bw, _, _ = domain.boundary_quadrature()
-    gap = critical_gap(p, r, bpts, np.concatenate([bpts, domain.vertices]))
+    gap = critical_gap(p, r, bpts)
     dist = _dist_to_set(bpts, K, domain)
 
     far = dist >= r0
@@ -262,30 +289,26 @@ def local_condition(domain, p, r, x0):
     Gates, in order: x0 critical, p locally minimal, r locally maximal
     (both sampled within 10 mesh sizes of x0); then the disjunction (inward
     normal derivative of p positive) or (boundary curvature positive); the
-    fired branch is recorded.
+    fired branch is recorded.  Raises SupercriticalError unless sup p < N on
+    the domain sample.
     """
     for name, f in (("p", p), ("r", r)):
         if f.declared_regularity != "C2":
             raise RegularityMissing(f"{name} must be declared C2")
     x0 = np.asarray(x0, float)
-    bpts, _, _, _ = domain.boundary_quadrature()
-    gap0 = float(critical_gap(p, r, x0, np.concatenate([bpts, domain.vertices]))[0])
+    p_bounds, r_bounds = _subcritical_bounds(domain, p, r)
+    gap0 = float(critical_gap(p, r, x0)[0])
     if abs(gap0) > CRIT_TOL:
         raise NotCritical(f"trace-exponent gap at x0 is {gap0}")
 
-    radius = 10.0 * domain.mesh_size()
-    ipts, _, _, _ = domain.interior_quadrature()
-    near_i = ipts[np.linalg.norm(ipts - x0, axis=1) <= radius]
-    near_b = bpts[np.linalg.norm(bpts - x0, axis=1) <= radius]
-    p_min_ok, p_wit = local_extremum_check(
-        p, x0, radius, "min", points=np.concatenate([near_i, near_b])
+    p_min_ok, p_wit, r_max_ok, r_wit = _extremum_gates(
+        p, r, x0, 10.0 * domain.mesh_size(),
+        domain.interior_quadrature()[0], domain.boundary_quadrature()[0],
     )
-    r_max_ok, r_wit = local_extremum_check(r, x0, radius, "max", points=near_b)
 
     chart = fermi_chart(domain, x0)
     dtp = float(p.gradient(x0[None, :])[0] @ chart.nu)
     H = chart.H
-    p_bounds, r_bounds = sampled_exponent_bounds(domain, p, r)
     gates_ok = p_min_ok and r_max_ok and p_bounds[1] < r_bounds[0]
     rhs = max(dtp, H)
     branch = None
@@ -349,15 +372,9 @@ def localized_constant_estimate(problem, x0, radii=None, max_iter=120):
     domain = problem.domain
     p, r = problem.p_field, problem.r_field
     x0 = np.asarray(x0, float)
-    bpts = problem.bquad_points
-    near_b = bpts[np.linalg.norm(bpts - x0, axis=1) <= 10 * problem.mesh_h]
-    ipts = problem.quad_points
-    near_i = ipts[np.linalg.norm(ipts - x0, axis=1) <= 10 * problem.mesh_h]
-    p_min_ok, _ = local_extremum_check(
-        p, x0, 10 * problem.mesh_h, "min",
-        points=np.concatenate([near_i, near_b]) if len(near_i) else near_b,
+    p_min_ok, _, r_max_ok, _ = _extremum_gates(
+        p, r, x0, 10 * problem.mesh_h, problem.quad_points, problem.bquad_points
     )
-    r_max_ok, _ = local_extremum_check(r, x0, 10 * problem.mesh_h, "max", points=near_b)
     if p_min_ok and r_max_ok:
         p0 = float(p.eval_at(x0))
         val, tail = sharp_constant_quadrature(2, p0)

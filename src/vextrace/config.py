@@ -104,6 +104,8 @@ def parse_init(text):
             x, y, lam = map(float, parts[1:])
         except ValueError:
             raise ConfigError(f"init {text!r}: bubble needs 'bubble x y lam'")
+        if not (all(map(math.isfinite, (x, y, lam))) and lam > 0):
+            raise ConfigError(f"init {text!r}: bubble needs finite x, y and lam > 0")
         return ("bubble", (x, y), lam)
     if text not in ("constant", "random", "multistart"):
         raise ConfigError(

@@ -1,16 +1,21 @@
 """Variable exponent fields p on the domain and r on the boundary.
 
 Exponents are given as closed-form expressions over the coordinates
-``x1..xN`` (a small AST: constants, coordinates, + - * /, powers with a
-constant exponent, and exp/log/sqrt).  The AST supports vectorized
-evaluation over point arrays and exact symbolic differentiation, which the
-local-condition checks use for normal derivatives and boundary Laplacians.
+``x1..xN`` in Python expression syntax, with ``^`` for powers: decimal
+numbers, coordinates, + - * /, parentheses, powers with a constant
+exponent (``x1^2``, ``x1^-0.5``), and exp/log/sqrt of one argument.  The
+standard library's ``ast`` reads the text; a whitelist walk turns it into a
+small AST that supports vectorized evaluation over point arrays and exact
+symbolic differentiation, which the local-condition checks use for normal
+derivatives and boundary Laplacians.
 """
 
 from __future__ import annotations
 
+import ast
 import math
-from dataclasses import dataclass, field, replace
+import re
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial.distance import pdist
@@ -22,7 +27,6 @@ __all__ = [
     "ExponentSyntaxError",
     "DimensionError",
     "SupercriticalError",
-    "ExponentBoundsError",
     "parse_exponent",
     "trace_critical",
     "critical_gap",
@@ -46,10 +50,6 @@ class DimensionError(ValueError):
 
 class SupercriticalError(ValueError):
     """p exceeds the ambient dimension somewhere, so p_* is undefined."""
-
-
-class ExponentBoundsError(ValueError):
-    """Sampled exponent bounds violate 1 < p- <= p+ < N."""
 
 
 # ---------------------------------------------------------------------------
@@ -201,162 +201,83 @@ class Func(ExponentExpr):
 
 
 # ---------------------------------------------------------------------------
-# Parser: infix grammar, '^' binds tightest, constant exponents only.
+# Parser: Python expression syntax read by ``ast``, '^' for constant powers.
 
 _FUNCS = ("exp", "log", "sqrt")
-
-
-class _Parser:
-    def __init__(self, text, n):
-        self.text = text
-        self.n = n
-        self.pos = 0
-
-    def error(self, message):
-        raise ExponentSyntaxError(message, self.pos)
-
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self):
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def take(self, char):
-        if self.peek() == char:
-            self.pos += 1
-            return True
-        return False
-
-    def parse(self):
-        expr = self.expr()
-        self.skip_ws()
-        if self.pos != len(self.text):
-            self.error(f"unexpected {self.text[self.pos]!r}")
-        return expr
-
-    def expr(self):
-        node = self.term()
-        while True:
-            c = self.peek()
-            if c and c in "+-":
-                self.pos += 1
-                node = BinOp(c, node, self.term())
-            else:
-                return node
-
-    def term(self):
-        node = self.unary()
-        while True:
-            c = self.peek()
-            if c and c in "*/":
-                self.pos += 1
-                node = BinOp(c, node, self.unary())
-            else:
-                return node
-
-    def unary(self):
-        if self.take("-"):
-            return Neg(self.unary())
-        self.take("+")
-        return self.power()
-
-    def power(self):
-        base = self.atom()
-        if self.peek() == "^":
-            self.pos += 1
-            expo = self.const_exponent()
-            return Pow(base, expo)
-        return base
-
-    def const_exponent(self):
-        # powers carry literal numeric exponents, optionally signed
-        self.skip_ws()
-        sign = 1.0
-        if self.take("-"):
-            sign = -1.0
-        self.skip_ws()
-        start = self.pos
-        value = self.number(required=True)
-        if value is None:
-            self.pos = start
-            self.error("power exponent must be a numeric constant")
-        return sign * value
-
-    def atom(self):
-        self.skip_ws()
-        if self.take("("):
-            node = self.expr()
-            if not self.take(")"):
-                self.error("expected ')'")
-            return node
-        c = self.peek()
-        if c.isdigit() or c == ".":
-            return Const(self.number(required=True))
-        if c.isalpha():
-            return self.name()
-        self.error("expected a number, coordinate, function, or '('")
-
-    def number(self, required=False):
-        self.skip_ws()
-        start = self.pos
-        seen_digit = False
-        while self.pos < len(self.text) and (
-            self.text[self.pos].isdigit() or self.text[self.pos] == "."
-        ):
-            seen_digit = seen_digit or self.text[self.pos].isdigit()
-            self.pos += 1
-        if self.pos < len(self.text) and self.text[self.pos] in "eE":
-            mark = self.pos
-            self.pos += 1
-            if self.pos < len(self.text) and self.text[self.pos] in "+-":
-                self.pos += 1
-            if self.pos < len(self.text) and self.text[self.pos].isdigit():
-                while self.pos < len(self.text) and self.text[self.pos].isdigit():
-                    self.pos += 1
-            else:
-                self.pos = mark
-        if not seen_digit:
-            if required:
-                self.error("expected a number")
-            self.pos = start
-            return None
-        try:
-            return float(self.text[start : self.pos])
-        except ValueError:
-            self.error(f"bad number {self.text[start:self.pos]!r}")
-
-    def name(self):
-        start = self.pos
-        while self.pos < len(self.text) and (
-            self.text[self.pos].isalnum() or self.text[self.pos] == "_"
-        ):
-            self.pos += 1
-        word = self.text[start : self.pos]
-        if word in _FUNCS:
-            if not self.take("("):
-                self.error(f"expected '(' after {word}")
-            arg = self.expr()
-            if not self.take(")"):
-                self.error("expected ')'")
-            return Func(word, arg)
-        if word.startswith("x") and word[1:].isdigit():
-            idx = int(word[1:])
-            if idx < 1 or idx > self.n:
-                raise DimensionError(
-                    f"coordinate {word} out of range for dimension {self.n}"
-                )
-            return Var(idx - 1)
-        self.pos = start
-        self.error(f"unknown name {word!r}")
+_OPS = {ast.Add: "+", ast.Sub: "-", ast.Mult: "*", ast.Div: "/"}
+# a typed '**', or a character no exponent expression uses
+_STRAY = re.compile(r"\*\*|[^0-9A-Za-z_\s.+\-*/^(),]")
+# decimal literals only: no 1_0, 0x10, 1j or True
+_NUMBER = re.compile(r"\d*\.?\d*(?:[eE][+-]?\d+)?")
 
 
 def parse_exponent(text, n):
-    """Parse an exponent expression over coordinates x1..xn into an AST."""
+    """Parse an exponent expression over coordinates x1..xn into an AST.
+
+    Errors carry the position in text of the offending character.
+    """
     if not isinstance(text, str) or not text.strip():
         raise ExponentSyntaxError("empty expression", 0)
-    return _Parser(text, n).parse()
+    stray = _STRAY.search(text)
+    if stray:
+        raise ExponentSyntaxError(f"unexpected {stray.group()!r}", stray.start())
+    source = re.sub(r"\s", " ", text).replace("^", "**")
+    lead = len(source) - len(source.lstrip())
+    source = source[lead:]
+    # at[j] is the index in text of source[j]; each '^' spans two of them
+    at = [i for i, c in enumerate(text) for _ in range(1 + (c == "^"))][lead:]
+    at.append(len(text))
+    try:
+        tree = ast.parse(source, mode="eval")
+    except SyntaxError as err:  # offset 0: the text ended too early
+        raise ExponentSyntaxError(err.msg, at[err.offset - 1] if err.offset else len(text))
+
+    def fail(message, node):
+        raise ExponentSyntaxError(message, at[node.col_offset])
+
+    def number(node):
+        literal = source[node.col_offset : node.end_col_offset]
+        if not _NUMBER.fullmatch(literal):
+            fail(f"bad number {literal!r}", node)
+        return float(literal)
+
+    def build(node):
+        if isinstance(node, ast.Constant):
+            return Const(number(node))
+        if isinstance(node, ast.Name):
+            index = re.fullmatch(r"x(\d+)", node.id)
+            if index is None:
+                fail(f"expected '(' after {node.id}" if node.id in _FUNCS
+                     else f"unknown name {node.id!r}", node)
+            if not 1 <= int(index[1]) <= n:
+                raise DimensionError(f"coordinate {node.id} out of range for dimension {n}")
+            return Var(int(index[1]) - 1)
+        if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+            return Neg(build(node.operand))
+        # one leading '+', as in '+x1' or '-+x1', but not '++x1' or '+-x1'
+        if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.UAdd):
+            if isinstance(node.operand, ast.UnaryOp):
+                fail("unexpected sign", node.operand)
+            return build(node.operand)
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow):
+            base, expo, sign = build(node.left), node.right, 1.0
+            if isinstance(expo, ast.UnaryOp) and isinstance(expo.op, ast.USub):
+                expo, sign = expo.operand, -1.0
+            if not isinstance(expo, ast.Constant):
+                fail("power exponent must be a numeric constant", expo)
+            return Pow(base, sign * number(expo))
+        if isinstance(node, ast.BinOp) and type(node.op) in _OPS:
+            return BinOp(_OPS[type(node.op)], build(node.left), build(node.right))
+        if isinstance(node, ast.Call):
+            name = getattr(node.func, "id", None)
+            if name not in _FUNCS:
+                fail("unknown function", node.func)
+            if len(node.args) != 1 or node.keywords:
+                fail(f"{name} takes one argument", node)
+            return Func(name, build(node.args[0]))
+        fail("unsupported expression", node)
+
+    return build(tree.body)
 
 
 # ---------------------------------------------------------------------------
@@ -365,16 +286,11 @@ def parse_exponent(text, n):
 
 @dataclass(frozen=True)
 class ExponentField:
-    """An exponent expression with ambient dimension and declared regularity.
-
-    Bounds over a concrete point sample are cached after the first
-    ``bounds(...)`` call; meshes pass their quadrature points plus vertices.
-    """
+    """An exponent expression with ambient dimension and declared regularity."""
 
     expr: ExponentExpr
     ambient_dimension: int
     declared_regularity: str = "C2"  # one of C0, C1, C2
-    _bounds: tuple | None = field(default=None, compare=False)
 
     def __post_init__(self):
         if self.ambient_dimension < 2:
@@ -386,54 +302,11 @@ class ExponentField:
     def from_text(cls, text, n, regularity="C2"):
         return cls(parse_exponent(text, n), n, regularity)
 
-    @classmethod
-    def validated(cls, expr, n, points):
-        """Construct a C2 field and enforce 1 < inf <= sup < N on points."""
-        return cls(expr, n).with_bounds(points)
-
     def __call__(self, points):
         return self.expr.eval(points)
 
     def eval_at(self, point):
         return self.expr.eval_at(point)
-
-    def bounds(self, points=None):
-        """(inf, sup) over the sample; local grid refinement tightens extrema."""
-        if points is None:
-            if self._bounds is None:
-                raise ValueError("no cached bounds; pass sample points")
-            return self._bounds
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        vals = self.expr.eval(pts)
-        if not np.all(np.isfinite(vals)):
-            raise ExponentBoundsError("exponent is not finite on the sample")
-        lo, hi = float(np.min(vals)), float(np.max(vals))
-        # refine at four interior points of the segments from each extremal
-        # sample to its eight nearest neighbors; the segments stay inside the
-        # sampled region, and continuity makes the grid extrema converge to
-        # the essential ones
-        if pts.shape[0] > 1:
-            fracs = np.linspace(0.0, 1.0, 6)[1:-1]
-            for anchor in (pts[np.argmin(vals)], pts[np.argmax(vals)]):
-                d = np.linalg.norm(pts - anchor, axis=1)
-                near = pts[np.argsort(d)[1:9]]
-                seg = anchor[None, None, :] + fracs[:, None, None] * (
-                    near[None, :, :] - anchor[None, None, :]
-                )
-                lv = self.expr.eval(seg.reshape(-1, pts.shape[1]))
-                lo = min(lo, float(np.min(lv)))
-                hi = max(hi, float(np.max(lv)))
-        return lo, hi
-
-    def with_bounds(self, points):
-        lo, hi = self.bounds(points)
-        if not (1.0 < lo <= hi):
-            raise ExponentBoundsError(f"need 1 < inf <= sup, got [{lo}, {hi}]")
-        if hi >= self.ambient_dimension:
-            raise ExponentBoundsError(
-                f"sup {hi} >= ambient dimension {self.ambient_dimension}"
-            )
-        return replace(self, _bounds=(lo, hi))
 
     def gradient(self, points):
         """Exact gradient at points, shape (n, N)."""
@@ -473,17 +346,9 @@ class CriticalExponents:
     trace: ExponentField
 
 
-def trace_critical(p, points=None):
-    """Critical exponent fields derived from p; requires sup p < N."""
+def trace_critical(p):
+    """Critical exponent fields derived from p; they hold where p < N."""
     n = p.ambient_dimension
-    if points is not None:
-        _, hi = p.bounds(points)
-    elif p._bounds is not None:
-        _, hi = p._bounds
-    else:
-        hi = None
-    if hi is not None and hi >= n:
-        raise SupercriticalError(f"sup p = {hi} >= N = {n}")
     denom = BinOp("-", Const(float(n)), p.expr)
     sob = BinOp("/", BinOp("*", Const(float(n)), p.expr), denom)
     tra = BinOp("/", BinOp("*", Const(float(n - 1)), p.expr), denom)
@@ -493,14 +358,17 @@ def trace_critical(p, points=None):
     )
 
 
-def critical_gap(p, r, points, sample=None):
+def critical_gap(p, r, points):
     """Trace-exponent gap p_*(x) - r(x) at points; <= 0 marks critical points.
 
-    sup p < N is enforced on sample as in ``trace_critical``.
+    Raises SupercriticalError if p >= N at any of the points.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    crit = trace_critical(p, sample)
-    return np.asarray(crit.trace(pts), float) - np.asarray(r(pts), float)
+    n = p.ambient_dimension
+    hi = float(np.max(p(pts), initial=-math.inf))
+    if hi >= n:
+        raise SupercriticalError(f"sup p = {hi} >= N = {n}")
+    return np.asarray(trace_critical(p).trace(pts), float) - np.asarray(r(pts), float)
 
 
 def critical_set(p, r, boundary_points, tol):
@@ -512,7 +380,7 @@ def critical_set(p, r, boundary_points, tol):
     if tol <= 0:
         raise ValueError("tol must be positive")
     pts = np.atleast_2d(np.asarray(boundary_points, dtype=float))
-    gap = critical_gap(p, r, pts, pts)
+    gap = critical_gap(p, r, pts)
     margin = float(np.min(gap)) if len(gap) else math.inf
     selected = [pts[i].copy() for i in range(pts.shape[0]) if gap[i] <= tol]
     return selected, margin

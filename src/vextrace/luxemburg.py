@@ -191,13 +191,18 @@ class WeightedSamples:
 
     @classmethod
     def _from_reader(cls, reader):
-        header = next(reader)
+        header = next(reader, None)
+        if header is None:
+            raise ValueError("empty file; expected a header row")
         n_dim = sum(1 for h in header if h.startswith("x"))
         has_grad = any(h.startswith("g") for h in header)
+        width = n_dim + 2 + (n_dim if has_grad else 0)
         pts, ws, vs, gs = [], [], [], []
         for row in reader:
             if not row:
                 continue
+            if len(row) < width:
+                raise ValueError(f"a row of {len(row)} columns, expected {width}")
             row = [float(x) for x in row]
             pts.append(row[:n_dim])
             ws.append(row[n_dim])

@@ -207,6 +207,16 @@ def _edited(name, *edits):
          "solve", 1, "config error: [domain] gamma: not an integer: 0.5"),
         (_edited("disk_subcritical.cfg", ("n = 2", "n = 3"), ("h = 0.1", "h = 0.2")),
          "solve", 1, "config error: [exponents] n: meshes are planar, so n must be 2"),
+        (_edited("golden_norm.cfg", ("kind = lebesgue", "kind = foo")),
+         "norm", 1, "config error: [norm] kind must be 'lebesgue' or 'sobolev'"),
+        (_edited("golden_norm.cfg", ("kind = lebesgue", "kind = sobolev")),
+         "norm", 1, "config error: [norm] sobolev modular needs gradient samples"),
+        (_edited("golden_norm.cfg", ("configs/golden_pair.csv", "configs/golden_norm.cfg")),
+         "norm", 1, "config error: [norm] samples_csv configs/golden_norm.cfg: "),
+        (_edited("disk_subcritical.cfg", ("init = constant", "init = bubble 1 0 -0.2")),
+         "solve", 1, "config error: init 'bubble 1 0 -0.2': bubble needs finite x, y and lam > 0"),
+        (_edited("disk_subcritical.cfg", ("init = constant", "init = bubble 1 0 nan")),
+         "solve", 1, "config error: init 'bubble 1 0 nan': bubble needs finite x, y and lam > 0"),
     ],
     ids=["not-critical", "gamma-not-empty", "hypothesis", "geometry", "fit-unstable",
          "norm-bad-p-expr", "h-nan", "max-iter-inf", "truncation-R-inf",
@@ -214,7 +224,8 @@ def _edited(name, *edits):
          "expand-eps-zero", "expand-model-sphere", "expand-N-3", "expand-disk-H-negative",
          "compactness-r0", "compactness-s", "compactness-K-points-odd",
          "compactness-K-arc-range", "max-iter-fraction", "n-fraction", "gamma-fraction",
-         "n-not-planar"],
+         "n-not-planar", "norm-kind-unknown", "norm-sobolev-without-gradients",
+         "norm-not-a-samples-csv", "init-bubble-lam-negative", "init-bubble-nan"],
 )
 def test_domain_errors_are_one_line_with_exit_code(tmp_path, text, command, code, message):
     (tmp_path / "huge_pair.csv").write_text(HUGE_PAIR_CSV)
@@ -248,9 +259,14 @@ def test_domain_errors_are_one_line_with_exit_code(tmp_path, text, command, code
          "config error: ", "argument --tol: expected one argument"),
         (["constants", "--N", "3", "--p", "2", "--H", "-inf"],
          "config error: ", "argument --H: expected one argument"),
+        (["--config", "configs/disk_subcritical.cfg", "solve", "--init", "bubble 1 0 -0.2"],
+         "config error: ", "bubble needs finite x, y and lam > 0"),
+        (["--config", "configs/disk_subcritical.cfg", "solve", "--init", "bubble 1 0 nan"],
+         "config error: ", "bubble needs finite x, y and lam > 0"),
     ],
     ids=["constants-p-above-N", "solve-bad-radii", "truncation-R-inf", "p-nan", "H-minus-inf",
-         "tol-nan", "tol-zero", "max-iter-zero", "tol-negative-exponent", "H-space-minus-inf"],
+         "tol-nan", "tol-zero", "max-iter-zero", "tol-negative-exponent", "H-space-minus-inf",
+         "init-bubble-lam-negative", "init-bubble-nan"],
 )
 def test_flag_mistakes_are_one_line(argv, prefix, message):
     res = run_cli(*argv)

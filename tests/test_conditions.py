@@ -19,7 +19,7 @@ from vextrace.conditions import (
     localized_constant_estimate,
     smallest_localized_constant,
 )
-from vextrace.exponents import ExponentField
+from vextrace.exponents import ExponentField, SupercriticalError
 from vextrace.geometry import BoundaryLoop, CircularArc, mesh_domain, polygon_loop, unit_disk_loop
 from vextrace.halfspace import sharp_constant_quadrature
 from vextrace.solver import DiscreteTraceProblem, ZeroTrace, local_constant_schedule
@@ -131,6 +131,17 @@ def test_compactness_precondition_validation(disk):
     with pytest.raises(ValueError):
         compactness_rate_check(disk, P15, R2, K=[[1, 0]], s=1.0, C=1.0,
                                r0=0.5, phi=LogPower(1))
+
+
+def test_supercritical_p_inside_the_domain_is_refused(disk):
+    # p = 1.5 on the circle but 2.5 >= N at the centre: the boundary points
+    # alone do not show it, the domain sample does
+    p = ExponentField.from_text("2.5 - x1^2 - x2^2", 2)
+    with pytest.raises(SupercriticalError):
+        compactness_rate_check(disk, p, R3, K=np.array([[1.0, 0.0]]), s=1.0, C=4.0,
+                               r0=0.3, phi=LogPower(1))
+    with pytest.raises(SupercriticalError):
+        local_condition(disk, p, R3, (1.0, 0.0))
 
 
 # -- global condition ----------------------------------------------------------

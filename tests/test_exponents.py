@@ -8,7 +8,6 @@ from vextrace.exponents import (
     BinOp,
     Const,
     DimensionError,
-    ExponentBoundsError,
     ExponentField,
     ExponentSyntaxError,
     Func,
@@ -16,6 +15,7 @@ from vextrace.exponents import (
     Pow,
     SupercriticalError,
     Var,
+    critical_gap,
     critical_set,
     local_extremum_check,
     log_holder_probe,
@@ -60,6 +60,24 @@ def test_syntax_error_reports_position():
 def test_nonconstant_power_rejected():
     with pytest.raises(ExponentSyntaxError):
         parse_exponent("x1^x2", 2)
+
+
+@pytest.mark.parametrize(
+    "text", ["x1**2", "1_0", "0x10", "1j", "True", "exp(x1, x2)", "x1^2^3"]
+)
+def test_python_only_forms_rejected(text):
+    with pytest.raises(ExponentSyntaxError):
+        parse_exponent(text, 2)
+
+
+@pytest.mark.parametrize(
+    "text, position",
+    [("x1^2 + * x2", 7), ("2^3 + foo", 6), ("x1^2 + x2^x1", 10), ("1.5 + * x1", 6)],
+)
+def test_error_positions_index_the_text(text, position):
+    with pytest.raises(ExponentSyntaxError) as err:
+        parse_exponent(text, 2)
+    assert err.value.position == position
 
 
 def test_dimension_error():
@@ -152,31 +170,22 @@ def test_trace_critical_constant_cases():
 
 def test_supercritical_error():
     f = ExponentField.from_text("2.5", 2)
+    r = ExponentField.from_text("3", 2)
     with pytest.raises(SupercriticalError):
-        trace_critical(f, points=np.zeros((4, 2)))
+        critical_gap(f, r, np.zeros((4, 2)))
 
 
 def test_critical_identity_machine_precision():
     rng = np.random.default_rng(3)
     f = ExponentField.from_text("1.5 + 0.3*exp(-1*(x1^2 + x2^2))", 2)
     pts = rng.uniform(-1, 1, size=(200, 2))
-    crit = trace_critical(f, pts)
+    crit = trace_critical(f)
     p = f(pts)
     p_star = crit.sobolev(pts)
     p_low = crit.trace(pts)
     assert np.all(p_low < p_star)
     assert np.all(p_low > p)
     np.testing.assert_allclose(p_low * (2 - p), 1 * p, rtol=1e-13)
-
-
-def test_validated_bounds():
-    pts = np.random.default_rng(0).uniform(-1, 1, size=(50, 2))
-    with pytest.raises(ExponentBoundsError):
-        ExponentField.validated(parse_exponent("0.9 + x1^2", 2), 2, pts)
-    with pytest.raises(ExponentBoundsError):
-        ExponentField.validated(parse_exponent("2.5", 2), 2, pts)
-    ok = ExponentField.validated(parse_exponent("1.5", 2), 2, pts)
-    assert ok.bounds() == (1.5, 1.5)
 
 
 # -- critical set ------------------------------------------------------------
@@ -210,7 +219,7 @@ def test_critical_set_with_exact_critical_field():
     # point is critical with margin zero up to floating error
     p = ExponentField.from_text("1.5 + 0.2*exp(-1*(x1^2 + x2^2))", 2)
     pts = _circle_points(np.linspace(0, 2 * np.pi, 33)[:-1])
-    r = trace_critical(p, pts).trace
+    r = trace_critical(p).trace
     sel, margin = critical_set(p, r, pts, tol=1e-9)
     assert len(sel) == len(pts)
     assert abs(margin) <= 1e-12
