@@ -13,6 +13,7 @@ config or flag, argparse usage errors included, a fraction in an integer
 key, [exponents] n other than 2, a bubble init with a non-finite number or
 lam <= 0, a [norm] kind other than lebesgue or sobolev, sobolev samples
 without gradient columns, a samples_csv that is not a samples CSV, a
+config or samples_csv path that is missing, unreadable or a directory, a
 compactness s, r0 or K set out of range,
 a malformed [domain], a local check off the critical set, a global check
 with a zero set, an expansion coefficient outside its hypothesis, a
@@ -468,7 +469,7 @@ def run(argv=None):
             print("error: --threads must be >= 1", file=sys.stderr)
             return EXIT_CONFIG
         return handlers[args.command](args)
-    except (ConfigError, FileNotFoundError) as err:
+    except (ConfigError, OSError) as err:  # a missing, unreadable or directory path too
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG
     except (GeometryError, CornerError, NotCritical, GammaNotEmpty, HypothesisViolation,

@@ -4,8 +4,10 @@ A function u over a region is carried as WeightedSamples: quadrature points,
 positive weights (cell measures), values, and optionally gradient vectors.
 The modular is sum_i w_i |u_i|^{p(x_i)} (plus the gradient term for the
 Sobolev kind); the Luxemburg norm is the unique lambda > 0 with
-modular(u/lambda) = 1, found by Brent's method (scipy's brentq) inside the
-norm-modular bracket, with a Newton polish.
+modular(u/lambda) = 1.  It is found by a safeguarded Newton iteration on the
+log-modular G(s) = log modular(u/e^s), which is convex and decreasing in
+s = log lambda, inside the bracket given by the norm-modular inequalities:
+about 4 modular evaluations per norm, 2 when the exponent is constant.
 
 Modular, measure and quadrature sums go through ``fixed_order_sum`` and are
 exact (equal to ``math.fsum``), so they depend on no summation order, numpy
@@ -20,7 +22,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 __all__ = [
     "WeightedSamples",
@@ -37,7 +38,9 @@ __all__ = [
     "RelationCheck",
 ]
 
-NORM_TOL = 1e-13  # brentq rtol for the lambda root
+STEP_TOL = 1e-15  # the root is taken once a Newton step in log lambda is this small
+MAX_STEPS = 100  # Newton or bisection steps per norm, a guard only: about 4 are taken
+RECENTRE = 0.5  # |log(lambda / centre)| beyond which the terms are recomputed by pow
 RELATION_TOL = 1e-11  # slack verify_norm_modular_relations forgives
 
 
@@ -241,11 +244,27 @@ def _modular_terms(samples, p, kind):
     return av, samples.weights, exps, gmag
 
 
-def _modular_value(av, w, exps, gmag, lam=1.0):
+def _scaled_terms(av, w, exps, gmag, lam):
+    """Per-atom terms w_i (a_i/lam)^p_i of modular(u/lam).
+
+    For the sobolev kind each atom's gradient term w_i (g_i/lam)^p_i is
+    added at the same point, since both share w_i and p_i.
+    """
     terms = w * (av / lam) ** exps
     if gmag is not None:
-        terms = np.concatenate([terms, w * (gmag / lam) ** exps])
-    return fixed_order_sum(terms)
+        terms += w * (gmag / lam) ** exps
+    return terms
+
+
+def _modular_value(terms, exps, delta=0.0):
+    """Modular and its slope weight at lam e^delta, from the terms at lam.
+
+    With t_i = terms_i e^(-p_i delta), returns (m, d): m = sum t_i is the
+    modular and d = sum p_i t_i = -dm/d(log lam); both sums are exact.
+    """
+    if delta:
+        terms = terms * np.exp(-delta * exps)
+    return fixed_order_sum(terms), fixed_order_sum(exps * terms)
 
 
 def _derivative_terms(av, w, exps, gmag, lam):
@@ -258,7 +277,8 @@ def _derivative_terms(av, w, exps, gmag, lam):
 
     def terms(a):
         x = a / lam
-        return w * exps * x ** (exps - 1.0), w * exps * x**exps
+        wpx = w * exps * x ** (exps - 1.0)
+        return wpx, x * wpx
 
     dv, sv = terms(av)
     if gmag is None:
@@ -271,19 +291,23 @@ def modular(samples, p, kind="lebesgue"):
     """Modular sum_i w_i |u_i|^{p_i} (+ gradient part for the sobolev kind)."""
     av, w, exps, gmag = _modular_terms(samples, p, kind)
     with np.errstate(over="ignore"):  # an overflow is reported just below
-        val = _modular_value(av, w, exps, gmag)
+        val = _modular_value(_scaled_terms(av, w, exps, gmag, 1.0), exps)[0]
     if not math.isfinite(val):
         raise NonFiniteModular("modular overflow; rescale the samples")
     return ModularValue(val, kind)
 
 
-def _excess(lam, av, w, exps, gmag):
-    """modular(u/lam) - 1, the function whose root is the Luxemburg norm."""
-    return _modular_value(av, w, exps, gmag, lam) - 1.0
-
-
 def _norm_from_arrays(av, w, exps, gmag):
-    """Luxemburg norm from raw arrays; the shared root-finding core."""
+    """Luxemburg norm from raw arrays; the shared root-finding core.
+
+    Newton on G(s) = log m(e^s), m(lam) = modular(u/lam) at unit scale.  G
+    is convex and decreasing with slope -d/m in [-p+, -p-], so Newton never
+    stalls, and from s = 0 its first step, log(rho) m/d, is the closed form
+    rho^(1/p) when p is constant.  The iterate is lam = centre e^delta: the
+    terms at the centre cost one pow pass, every other evaluation one exp
+    pass, and the centre moves (a new pow pass) once |delta| > RECENTRE, so
+    no evaluation carries the rounding of a large |s|.
+    """
     peak = float(np.max(av)) if av.size else 0.0
     if gmag is not None:
         peak = max(peak, float(np.max(gmag)))
@@ -294,31 +318,39 @@ def _norm_from_arrays(av, w, exps, gmag):
     # pre-scale by the peak so powers cannot overflow, undo by homogeneity
     av = av / peak
     g = None if gmag is None else gmag / peak
-    rho = _modular_value(av, w, exps, g)
-    if not math.isfinite(rho):
+    centre, delta = 1.0, 0.0
+    terms = _scaled_terms(av, w, exps, g, centre)
+    m, d = _modular_value(terms, exps)
+    if not math.isfinite(m):
         raise NonFiniteModular("modular overflow at unit scale")
-    if rho == 0.0:
+    if m == 0.0:
         return 0.0
-    p_lo = float(np.min(exps))
-    p_hi = float(np.max(exps))
-    # bracket from the norm-modular inequalities:
-    # rho >= 1: lambda in [rho^(1/p+), rho^(1/p-)], reversed for rho <= 1
-    ends = sorted((rho ** (1.0 / p_hi), rho ** (1.0 / p_lo)))
-    lo = ends[0] * (1.0 - 1e-12)
-    hi = ends[1] * (1.0 + 1e-12)
-    # the modular is strictly decreasing in lambda, so _excess changes sign
-    # on [lo, hi]; brentq keeps that bracket and raises if it ever does not.
-    # The arrays go in through args=: a closure over them would sit in a
-    # reference cycle inside scipy until the cyclic collector runs.
-    lam = brentq(_excess, lo, hi, args=(av, w, exps, g), xtol=1e-300, rtol=NORM_TOL)
-    # one Newton polish on modular(u/lambda) - 1
-    f = _excess(lam, av, w, exps, g)
-    df = -_derivative_terms(av, w, exps, g, lam)[2] / lam
-    if df != 0.0:
-        step = f / df
-        if abs(step) < 0.5 * lam:
-            lam -= step
-    norm = lam * peak
+    # bracket from the norm-modular inequalities, log lambda between
+    # log(rho)/p+ and log(rho)/p-, kept relative to the centre
+    log_rho = math.log(m)
+    ends = sorted((log_rho / float(np.max(exps)), log_rho / float(np.min(exps))))
+    lo, hi = ends[0] - 1e-12, ends[1] + 1e-12
+    with np.errstate(over="ignore"):  # m = inf only bisects toward larger lambda
+        for _ in range(MAX_STEPS):
+            # m is decreasing in lambda: m > 1 puts the root above delta
+            if m > 1.0:
+                lo = max(lo, delta)
+            else:
+                hi = min(hi, delta)
+            step = math.log(m) * m / d if 0.0 < m < math.inf else math.nan
+            if not lo <= delta + step <= hi:  # also when step is nan
+                step = 0.5 * (lo + hi) - delta
+            delta += step
+            if abs(step) <= STEP_TOL:
+                break
+            if abs(delta) > RECENTRE:
+                moved = centre * math.exp(delta)
+                shift = math.log(moved / centre)
+                centre, delta = moved, 0.0
+                lo, hi = lo - shift, hi - shift
+                terms = _scaled_terms(av, w, exps, g, centre)
+            m, d = _modular_value(terms, exps, delta)
+    norm = (centre + centre * math.expm1(delta)) * peak
     if not math.isfinite(norm):
         raise NonFiniteModular("norm beyond the float range")
     return norm
@@ -390,12 +422,12 @@ def verify_norm_modular_relations(samples, p):
     negative slack beyond -RELATION_TOL fails.
     """
     av, w, exps, _ = _modular_terms(samples, p, "lebesgue")
-    rho = _modular_value(av, w, exps, None)
+    rho = _modular_value(_scaled_terms(av, w, exps, None, 1.0), exps)[0]
     lam = _norm_from_arrays(av, w, exps, None)
     checks = []
 
     if lam > 0.0:
-        unit = _modular_value(av, w, exps, None, lam)
+        unit = _modular_value(_scaled_terms(av, w, exps, None, lam), exps)[0]
         slack = RELATION_TOL * 10 - abs(unit - 1.0)
         checks.append(RelationCheck("unit_ball_modular", True, slack >= -RELATION_TOL, slack))
     else:

@@ -213,6 +213,9 @@ def _edited(name, *edits):
          "norm", 1, "config error: [norm] sobolev modular needs gradient samples"),
         (_edited("golden_norm.cfg", ("configs/golden_pair.csv", "configs/golden_norm.cfg")),
          "norm", 1, "config error: [norm] samples_csv configs/golden_norm.cfg: "),
+        (_edited("golden_norm.cfg", ("configs/golden_pair.csv", "{tmp}")),
+         "norm", 1, "config error: [Errno 21] Is a directory"),
+        (None, "norm", 1, "config error: [Errno 21] Is a directory"),
         (_edited("disk_subcritical.cfg", ("init = constant", "init = bubble 1 0 -0.2")),
          "solve", 1, "config error: init 'bubble 1 0 -0.2': bubble needs finite x, y and lam > 0"),
         (_edited("disk_subcritical.cfg", ("init = constant", "init = bubble 1 0 nan")),
@@ -225,12 +228,16 @@ def _edited(name, *edits):
          "compactness-r0", "compactness-s", "compactness-K-points-odd",
          "compactness-K-arc-range", "max-iter-fraction", "n-fraction", "gamma-fraction",
          "n-not-planar", "norm-kind-unknown", "norm-sobolev-without-gradients",
-         "norm-not-a-samples-csv", "init-bubble-lam-negative", "init-bubble-nan"],
+         "norm-not-a-samples-csv", "norm-samples-csv-directory", "config-directory",
+         "init-bubble-lam-negative", "init-bubble-nan"],
 )
 def test_domain_errors_are_one_line_with_exit_code(tmp_path, text, command, code, message):
     (tmp_path / "huge_pair.csv").write_text(HUGE_PAIR_CSV)
     cfg = tmp_path / "case.cfg"
-    cfg.write_text(text.replace("{tmp}", str(tmp_path)))
+    if text is None:  # the config path names a directory
+        cfg.mkdir()
+    else:
+        cfg.write_text(text.replace("{tmp}", str(tmp_path)))
     res = run_cli("--config", str(cfg), command)
     assert res.returncode == code, res.stderr
     assert "Traceback" not in res.stderr

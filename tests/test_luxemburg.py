@@ -3,6 +3,7 @@ import io
 import math
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -205,14 +206,76 @@ def test_norm_wide_bracket_matches_oracle_in_few_evaluations(monkeypatch, u, p):
     monkeypatch.setattr(lux, "_modular_value", counting)
     lam = luxemburg_norm(u, p)
     assert lam == pytest.approx(brentq_norm_oracle(u, p), rel=1e-13)
-    # brentq needs about 10; a bisection fallback or an unsafeguarded Newton
-    # from the bracket end needs several times more
-    assert len(calls) <= 25
+    # Newton on the log-modular takes 3 to 5; Newton on modular - 1 makes
+    # linear progress on tiny weights, and bisection needs several times more
+    assert len(calls) <= 8
+
+
+def _count_calls(monkeypatch, owner, name, counts):
+    inner = getattr(owner, name)
+
+    def counting(*args):
+        counts[name] = counts.get(name, 0) + 1
+        return inner(*args)
+
+    monkeypatch.setattr(owner, name, counting)
+
+
+def test_constant_exponent_norm_is_the_closed_form_in_two_evaluations(monkeypatch):
+    rng = np.random.default_rng(9)
+    n, p = 300, 2.7
+    av, gmag = rng.uniform(0.0, 3.0, n), rng.uniform(0.0, 5.0, n)
+    w = rng.uniform(1e-4, 1e-2, n)
+    counts = {}
+    _count_calls(monkeypatch, lux, "_modular_value", counts)
+    lam = lux._norm_from_arrays(av, w, np.full(n, p), gmag)
+    # the first Newton step from the unit scale is the closed form, and the
+    # second evaluation only confirms it
+    assert counts["_modular_value"] == 2
+    with mpmath.workdps(50):
+        total = mpmath.fsum(mpmath.mpf(wi) * (mpmath.mpf(ai) ** mpmath.mpf(p)
+                                              + mpmath.mpf(gi) ** mpmath.mpf(p))
+                            for wi, ai, gi in zip(w, av, gmag))
+        closed = float(total ** (1 / mpmath.mpf(p)))
+    assert lam == pytest.approx(closed, rel=1e-15)
+
+
+def test_variable_exponent_descent_takes_few_evaluations_per_norm(monkeypatch):
+    from vextrace import solver
+    from vextrace.config import ProblemConfig
+
+    text = ("[domain]\narc = 0.0 0.0 1.0 0.0 6.283185307179586\nh = 0.1\ngamma =\n"
+            "[exponents]\nn = 2\np_expr = 1.5 + 0.100473*x2\nr_expr = 2 + 0.236037*x1\n")
+    problem = ProblemConfig.from_text(text).build_problem()
+    counts = {}
+    _count_calls(monkeypatch, lux, "_modular_value", counts)
+    _count_calls(monkeypatch, solver, "_norm_from_arrays", counts)
+    solver.minimize(problem, init="constant", max_iter=150, tol=1e-6)
+    # about 4 here; a bracketing root-finder needs about 10
+    assert counts["_modular_value"] <= 5 * counts["_norm_from_arrays"]
+
+
+def test_norm_on_extreme_weights_matches_a_50_digit_root():
+    rng = np.random.default_rng(12)
+    with mpmath.workdps(50):
+        for _ in range(100):
+            av = rng.uniform(0.01, 1.0, 5)
+            w = 10.0 ** rng.uniform(-300.0, 300.0, 5)
+            exps = rng.uniform(1.05, 10.0, 5)
+            lam = lux._norm_from_arrays(av, w, exps, None)
+            atoms_mp = [tuple(map(mpmath.mpf, t)) for t in zip(w, av, exps)]
+
+            def log_modular(s):
+                return mpmath.log(mpmath.fsum(wi * (ai * mpmath.exp(-s)) ** pi
+                                              for wi, ai, pi in atoms_mp))
+
+            root = mpmath.exp(mpmath.findroot(log_modular, mpmath.log(lam)))
+            assert abs(lam / root - 1) <= 1e-15, (av, w, exps)
 
 
 def test_norm_leaves_no_garbage_behind():
-    # a closure handed to brentq sits in a reference cycle that only the
-    # cyclic collector frees, about 0.3 MB per norm at this size
+    # arrays caught in a reference cycle (a closure handed to a root-finder)
+    # wait for the cyclic collector, about 0.3 MB per norm at this size
     rng = np.random.default_rng(5)
     n = 20000
     av, gmag = rng.uniform(0.0, 1.0, n), rng.uniform(0.0, 2.0, n)
