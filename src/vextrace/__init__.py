@@ -11,9 +11,7 @@ quotient minimization and concentration diagnostics), conditions
 __version__ = "0.1.0"
 
 from .exponents import (  # noqa: F401
-    CriticalExponents,
     ExponentField,
-    critical_set,
     local_extremum_check,
     parse_exponent,
     trace_critical,
@@ -32,16 +30,13 @@ from .geometry import (  # noqa: F401
     PlanarDomain,
     Segment,
     fermi_chart,
-    measures,
     mesh_domain,
     polygon_loop,
-    pullback,
     unit_disk_loop,
 )
 from .halfspace import (  # noqa: F401
     ExpansionCoefficients,
     ExtremalProfile,
-    evaluate_extremal,
     expansion_coefficients,
     norm_expansion_check,
     sharp_constant_formula,

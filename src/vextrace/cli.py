@@ -14,13 +14,15 @@ key, [exponents] n other than 2, a bubble init with a non-finite number or
 lam <= 0, a [norm] kind other than lebesgue or sobolev, sobolev samples
 without gradient columns, a samples_csv that is not a samples CSV, a
 config or samples_csv path that is missing, unreadable or a directory, a
-compactness s, r0 or K set out of range,
+compactness s, r0 or K set out of range, a solve radius ([solver] radii
+or --radii) that is not finite and > 0,
 a malformed [domain], a local check off the critical set, a global check
 with a zero set, an expansion coefficient outside its hypothesis, a
-half-space constant outside 1 < p < N, an expand N, model or eps the model
-domains cannot take, samples whose modular or norm overflows), reported in
-one line on stderr; 2 a violated verdict; 3 an indeterminate verdict or an
-expansion fit too unstable to give a slope.
+half-space constant outside 1 < p < N, a truncation_R ([halfspace],
+[expand] or --truncation-R) that is not > 0, an expand N, model or eps the
+model domains cannot take, samples whose modular or norm overflows),
+reported in one line on stderr; 2 a violated verdict; 3 an indeterminate
+verdict or an expansion fit too unstable to give a slope.
 """
 
 from __future__ import annotations
@@ -185,9 +187,10 @@ def cmd_solve(args):
             opts[key] = check_solver_limit(key, getattr(args, key), flag)
     if args.radii:
         try:
-            opts["radii"] = [float(x) for x in args.radii.split(",")]
+            radii = [float(x) for x in args.radii.split(",")]
         except ValueError:
             raise ConfigError(f"--radii: expected comma-separated numbers, got {args.radii!r}")
+        opts["radii"] = check_solver_limit("radii", radii, "--radii")
     problem = cfg.build_problem()
 
     from .solver import minimize, solve_problem

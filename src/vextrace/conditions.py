@@ -14,12 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .exponents import (
-    RegularityMissing,
-    SupercriticalError,
-    critical_gap,
-    local_extremum_check,
-)
+from .exponents import SupercriticalError, critical_gap, local_extremum_check
 from .geometry import GeometryError, distance_to_segments, fermi_chart
 from .halfspace import sharp_constant_quadrature
 from .luxemburg import fixed_order_sum
@@ -30,7 +25,6 @@ __all__ = [
     "Estimate",
     "GammaNotEmpty",
     "NotCritical",
-    "RegularityMissing",
     "LogPower",
     "compactness_rate_check",
     "global_condition",
@@ -153,8 +147,8 @@ def _extremum_gates(p, r, x0, radius, ipts, bpts):
     Returns (p_min_ok, p_witness, r_max_ok, r_witness)."""
     near_i = ipts[np.linalg.norm(ipts - x0, axis=1) <= radius]
     near_b = bpts[np.linalg.norm(bpts - x0, axis=1) <= radius]
-    p_min = local_extremum_check(p, x0, radius, "min", points=np.concatenate([near_i, near_b]))
-    r_max = local_extremum_check(r, x0, radius, "max", points=near_b)
+    p_min = local_extremum_check(p, x0, "min", np.concatenate([near_i, near_b]))
+    r_max = local_extremum_check(r, x0, "max", near_b)
     return (*p_min, *r_max)
 
 
@@ -292,9 +286,6 @@ def local_condition(domain, p, r, x0):
     fired branch is recorded.  Raises SupercriticalError unless sup p < N on
     the domain sample.
     """
-    for name, f in (("p", p), ("r", r)):
-        if f.declared_regularity != "C2":
-            raise RegularityMissing(f"{name} must be declared C2")
     x0 = np.asarray(x0, float)
     p_bounds, r_bounds = _subcritical_bounds(domain, p, r)
     gap0 = float(critical_gap(p, r, x0)[0])

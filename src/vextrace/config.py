@@ -83,12 +83,15 @@ def _integral(x, section, key):
 _SOLVER_LIMITS = {
     "max_iter": (lambda n: n >= 1, "must be at least 1"),
     "tol": (lambda x: math.isfinite(x) and x > 0, "must be a finite number > 0"),
+    "radii": (lambda rs: all(math.isfinite(x) and x > 0 for x in rs),
+              "must be finite numbers > 0"),
 }
 
 
 def check_solver_limit(key, value, name):
     """value, once it is valid for the solver option key (max_iter >= 1,
-    tol finite and > 0); name is the config key or flag an error names."""
+    tol finite and > 0, each of the radii finite and > 0); name is the
+    config key or flag an error names."""
     ok, rule = _SOLVER_LIMITS[key]
     if not ok(value):
         raise ConfigError(f"{name}: {rule}, got {value!r}")
@@ -222,7 +225,7 @@ class ProblemConfig:
         return p, r
 
     def build_problem(self):
-        from .solver import CRIT_TOL, DiscreteTraceProblem
+        from .solver import DiscreteTraceProblem
 
         domain = self.build_domain()
         p, r = self.build_exponents()
@@ -230,9 +233,8 @@ class ProblemConfig:
             raise ConfigError(
                 f"[exponents] n: meshes are planar, so n must be 2, got {p.ambient_dimension}"
             )
-        crit_tol = self.get_float("solver", "crit_tol", default=CRIT_TOL)
         try:
-            return DiscreteTraceProblem(domain, p, r, crit_tol=crit_tol)
+            return DiscreteTraceProblem(domain, p, r)
         except ValueError as err:
             raise ConfigError(f"problem assembly: {err}")
 
@@ -245,7 +247,9 @@ class ProblemConfig:
             "tol": check_solver_limit(
                 "tol", self.get_float("solver", "tol", default=1e-6), "[solver] tol"
             ),
-            "radii": self.get_floats("solver", "radii", default=()),
+            "radii": check_solver_limit(
+                "radii", self.get_floats("solver", "radii", default=()), "[solver] radii"
+            ),
             "n_random": self.get_int("solver", "n_random", default=3),
         }
 

@@ -6,8 +6,8 @@ numbers, coordinates, + - * /, parentheses, powers with a constant
 exponent (``x1^2``, ``x1^-0.5``), and exp/log/sqrt of one argument.  The
 standard library's ``ast`` reads the text; a whitelist walk turns it into a
 small AST that supports vectorized evaluation over point arrays and exact
-symbolic differentiation, which the local-condition checks use for normal
-derivatives and boundary Laplacians.
+symbolic differentiation, which the local-condition check uses for the
+normal derivative of p.
 """
 
 from __future__ import annotations
@@ -23,14 +23,12 @@ from scipy.spatial.distance import pdist
 __all__ = [
     "ExponentExpr",
     "ExponentField",
-    "CriticalExponents",
     "ExponentSyntaxError",
     "DimensionError",
     "SupercriticalError",
     "parse_exponent",
     "trace_critical",
     "critical_gap",
-    "critical_set",
     "local_extremum_check",
     "log_holder_probe",
 ]
@@ -286,21 +284,18 @@ def parse_exponent(text, n):
 
 @dataclass(frozen=True)
 class ExponentField:
-    """An exponent expression with ambient dimension and declared regularity."""
+    """An exponent expression with its ambient dimension."""
 
     expr: ExponentExpr
     ambient_dimension: int
-    declared_regularity: str = "C2"  # one of C0, C1, C2
 
     def __post_init__(self):
         if self.ambient_dimension < 2:
             raise ValueError("ambient dimension must be >= 2")
-        if self.declared_regularity not in ("C0", "C1", "C2"):
-            raise ValueError("regularity must be C0, C1 or C2")
 
     @classmethod
-    def from_text(cls, text, n, regularity="C2"):
-        return cls(parse_exponent(text, n), n, regularity)
+    def from_text(cls, text, n):
+        return cls(parse_exponent(text, n), n)
 
     def __call__(self, points):
         return self.expr.eval(points)
@@ -310,52 +305,16 @@ class ExponentField:
 
     def gradient(self, points):
         """Exact gradient at points, shape (n, N)."""
-        self._require_regularity("C1")
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         cols = [self.expr.diff(i).eval(pts) for i in range(self.ambient_dimension)]
         return np.stack(cols, axis=1)
 
-    def hessian(self, point):
-        """Exact Hessian at a single point, shape (N, N)."""
-        self._require_regularity("C2")
-        n = self.ambient_dimension
-        H = np.empty((n, n))
-        for i in range(n):
-            di = self.expr.diff(i)
-            for j in range(i, n):
-                H[i, j] = H[j, i] = di.diff(j).eval_at(point)
-        return H
-
-    def _require_regularity(self, needed):
-        order = {"C0": 0, "C1": 1, "C2": 2}
-        if order[self.declared_regularity] < order[needed]:
-            raise RegularityMissing(
-                f"field declared {self.declared_regularity}, {needed} required"
-            )
-
-
-class RegularityMissing(ValueError):
-    """Operation requires more smoothness than the field declares."""
-
-
-@dataclass(frozen=True)
-class CriticalExponents:
-    """Critical Sobolev exponent Np/(N-p) and trace exponent (N-1)p/(N-p)."""
-
-    sobolev: ExponentField
-    trace: ExponentField
-
 
 def trace_critical(p):
-    """Critical exponent fields derived from p; they hold where p < N."""
+    """Critical trace exponent field (N-1)p/(N-p); it holds where p < N."""
     n = p.ambient_dimension
     denom = BinOp("-", Const(float(n)), p.expr)
-    sob = BinOp("/", BinOp("*", Const(float(n)), p.expr), denom)
-    tra = BinOp("/", BinOp("*", Const(float(n - 1)), p.expr), denom)
-    reg = p.declared_regularity
-    return CriticalExponents(
-        sobolev=ExponentField(sob, n, reg), trace=ExponentField(tra, n, reg)
-    )
+    return ExponentField(BinOp("/", BinOp("*", Const(float(n - 1)), p.expr), denom), n)
 
 
 def critical_gap(p, r, points):
@@ -368,43 +327,19 @@ def critical_gap(p, r, points):
     hi = float(np.max(p(pts), initial=-math.inf))
     if hi >= n:
         raise SupercriticalError(f"sup p = {hi} >= N = {n}")
-    return np.asarray(trace_critical(p).trace(pts), float) - np.asarray(r(pts), float)
+    return np.asarray(trace_critical(p)(pts), float) - np.asarray(r(pts), float)
 
 
-def critical_set(p, r, boundary_points, tol):
-    """Boundary points where the trace exponent gap p_* - r is <= tol.
-
-    Returns (selected points, margin) where margin = min over all queried
-    points of p_*(x) - r(x); an empty selection means the compact regime.
-    """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    pts = np.atleast_2d(np.asarray(boundary_points, dtype=float))
-    gap = critical_gap(p, r, pts)
-    margin = float(np.min(gap)) if len(gap) else math.inf
-    selected = [pts[i].copy() for i in range(pts.shape[0]) if gap[i] <= tol]
-    return selected, margin
-
-
-def local_extremum_check(field_, x0, neighborhood_radius, kind, points=None):
-    """Check x0 is a local min/max of the field on a deterministic sample grid.
+def local_extremum_check(field_, x0, kind, points):
+    """Check x0 is a local min/max of the field over the sample points.
 
     A sample value below (min) or above (max) the value at x0 by more than
     1e-10 breaks the check.  Returns (ok, witness): witness is a violating
     point when ok is False.
-    Callers with domain knowledge pass their own sample ``points``; the
-    default is a box grid around x0.
     """
-    if neighborhood_radius <= 0:
-        raise ValueError("radius must be positive")
     if kind not in ("min", "max"):
         raise ValueError("kind must be 'min' or 'max'")
     x0 = np.asarray(x0, dtype=float)
-    if points is None:
-        n = x0.size
-        axes = [np.linspace(-neighborhood_radius, neighborhood_radius, 21)] * n
-        grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, n)
-        points = x0[None, :] + grid
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     vals = field_(pts)
     v0 = field_.eval_at(x0)

@@ -8,8 +8,8 @@ chords, and uniform refinement bisects edges without re-snapping so that
 coarse P1 functions stay exactly representable on refined meshes.
 
 A FermiChart at a boundary point provides the boundary-adapted coordinates
-(tangential offset y, inward normal distance t) with the exact graph
-function, jacobian, and signed curvature of the underlying arc.
+(tangential offset y, inward normal distance t) with the exact slopes of
+the boundary graph, jacobians, and signed curvature of the underlying arc.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.spatial import Delaunay, cKDTree
 
-from .luxemburg import WeightedSamples, fixed_order_sum
+from .luxemburg import fixed_order_sum
 
 __all__ = [
     "Segment",
@@ -31,12 +31,8 @@ __all__ = [
     "FermiChart",
     "GeometryError",
     "CornerError",
-    "ChartRangeError",
     "mesh_domain",
-    "measures",
     "fermi_chart",
-    "pullback",
-    "pullback_boundary",
     "unit_disk_loop",
     "polygon_loop",
 ]
@@ -48,10 +44,6 @@ class GeometryError(ValueError):
 
 class CornerError(ValueError):
     """Chart requested at a junction of boundary pieces."""
-
-
-class ChartRangeError(ValueError):
-    """Requested scale exceeds the chart validity radius."""
 
 
 # ---------------------------------------------------------------------------
@@ -89,10 +81,6 @@ class Segment:
         t = float(np.clip((np.asarray(x, float) - a) @ (b - a) / self.length**2, 0.0, 1.0))
         p = a + t * (b - a)
         return t * self.length, float(np.linalg.norm(np.asarray(x, float) - p))
-
-    def scaled(self, c):
-        return Segment(tuple(c * np.asarray(self.start)), tuple(c * np.asarray(self.end)))
-
 
 @dataclass(frozen=True)
 class CircularArc:
@@ -149,11 +137,6 @@ class CircularArc:
         p = self.point(s)
         return float(s), float(np.linalg.norm(np.asarray(x, float) - p))
 
-    def scaled(self, c):
-        return CircularArc(tuple(c * np.asarray(self.center)), c * self.radius,
-                           self.angle_start, self.angle_end)
-
-
 @dataclass(frozen=True)
 class BoundaryLoop:
     """Closed, counterclockwise-oriented chain of arcs."""
@@ -187,10 +170,6 @@ class BoundaryLoop:
         ring, _ = self.polyline(min(a.length for a in self.arcs) / 8.0)
         x, y = ring[:, 0], ring[:, 1]
         return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
-
-    def scaled(self, c):
-        return BoundaryLoop(tuple(a.scaled(c) for a in self.arcs))
-
 
 def unit_disk_loop(radius=1.0, center=(0.0, 0.0)):
     return BoundaryLoop((CircularArc(center, radius, 0.0, 2.0 * math.pi),))
@@ -531,40 +510,6 @@ class PlanarDomain:
         )
         return dom, used
 
-    def scaled(self, c):
-        return PlanarDomain(
-            c * self.vertices,
-            self.triangles,
-            self.boundary_edges,
-            self.edge_arc,
-            self.gamma_edges,
-            loop=self.loop.scaled(c) if self.loop else None,
-            target_h=c * self.target_h,
-        )
-
-    # -- io ----------------------------------------------------------------------
-
-    def export_text(self, path):
-        """ASCII mesh: vertex coordinates, triangle connectivity, marked edges."""
-        with open(path, "w") as fh:
-            fh.write(f"vertices {self.n_vertices}\n")
-            for x, y in self.vertices:
-                fh.write(f"{x!r} {y!r}\n")
-            fh.write(f"triangles {len(self.triangles)}\n")
-            for i, j, k in self.triangles:
-                fh.write(f"{i} {j} {k}\n")
-            fh.write(f"boundary_edges {len(self.boundary_edges)}\n")
-            for idx, (i, j) in enumerate(self.boundary_edges):
-                fh.write(
-                    f"{i} {j} {int(self.edge_arc[idx])} {int(self.gamma_edges[idx])}\n"
-                )
-
-
-def measures(domain):
-    """(area, boundary length) of the meshed polygon."""
-    return domain.volume(), domain.boundary_length()
-
-
 def mesh_domain(loop, target_h, gamma_arcs=()):
     """Triangulate the loop with max edge length <= target_h.
 
@@ -728,18 +673,6 @@ class FermiChart:
     def H(self):
         return self.curvature
 
-    @property
-    def hbar(self):
-        return self.curvature
-
-    def psi(self, y):
-        y = np.asarray(y, float)
-        d = self.center_offset
-        if d == 0.0:
-            return np.zeros_like(y)
-        r = abs(d)
-        return d - math.copysign(1.0, d) * np.sqrt(r * r - y * y)
-
     def dpsi(self, y):
         y = np.asarray(y, float)
         d = self.center_offset
@@ -755,21 +688,6 @@ class FermiChart:
             return np.zeros_like(y)
         r = abs(d)
         return math.copysign(1.0, d) * r * r / np.power(r * r - y * y, 1.5)
-
-    def normal(self, y):
-        """Unit inward normal nu(y) in world coordinates."""
-        dp = self.dpsi(y)
-        w = np.sqrt(1.0 + dp * dp)
-        fy = -dp / w
-        fn = 1.0 / w
-        return fy[..., None] * self.tau + fn[..., None] * self.nu
-
-    def map(self, y, t):
-        """World coordinates of Phi(y, t)."""
-        y = np.asarray(y, float)
-        t = np.asarray(t, float)
-        base = self.x0 + y[..., None] * self.tau + self.psi(y)[..., None] * self.nu
-        return base + t[..., None] * self.normal(y)
 
     def jacobian(self, y, t):
         """det d Phi = sqrt(1 + psi'^2) * (1 - t * kappa(y)); exact."""
@@ -844,56 +762,3 @@ def fermi_chart(domain, x0):
         x0=base, tau=tau, nu=nu, curvature=H, center_offset=d,
         validity_radius=validity,
     )
-
-
-# ---------------------------------------------------------------------------
-# Pullback to the reference half-ball
-
-
-def _half_disk_reference(n_r=24, n_t=24):
-    xr, wr = np.polynomial.legendre.leggauss(n_r)
-    xt, wt = np.polynomial.legendre.leggauss(n_t)
-    rho = 0.5 * (xr + 1.0)
-    wrho = 0.5 * wr
-    theta = 0.5 * math.pi * (xt + 1.0)
-    wth = 0.5 * math.pi * wt
-    R, T = np.meshgrid(rho, theta, indexing="ij")
-    WR, WT = np.meshgrid(wrho, wth, indexing="ij")
-    y = (R * np.cos(T)).ravel()
-    t = (R * np.sin(T)).ravel()
-    w = (R * WR * WT).ravel()
-    return y, t, w
-
-
-def pullback(u, chart, eps, n_r=24, n_t=24):
-    """Samples of the rescaled pullback on the reference upper half-disk.
-
-    u is a callable on world points.  Weights carry the chart jacobian, so
-    sum w |value|^p equals eps^{-N} times the integral of |u|^p over the
-    chart image of the eps half-ball.  The samples carry no gradients.
-    """
-    if eps > chart.validity_radius:
-        raise ChartRangeError(
-            f"eps = {eps} exceeds chart validity {chart.validity_radius}"
-        )
-    y, t, w = _half_disk_reference(n_r, n_t)
-    world = chart.map(eps * y, eps * t)
-    vals = np.asarray(u(world), float)
-    weights = w * chart.jacobian(eps * y, eps * t)
-    pts = np.stack([y, t], axis=1)
-    return WeightedSamples(pts, weights, vals)
-
-
-def pullback_boundary(u, chart, eps):
-    """Boundary samples of the rescaled pullback on the segment [-1, 1]
-    (64-point Gauss-Legendre)."""
-    if eps > chart.validity_radius:
-        raise ChartRangeError(
-            f"eps = {eps} exceeds chart validity {chart.validity_radius}"
-        )
-    xg, wg = np.polynomial.legendre.leggauss(64)
-    world = chart.map(eps * xg, np.zeros_like(xg))
-    vals = np.asarray(u(world), float)
-    weights = wg * chart.boundary_jacobian(eps * xg)
-    pts = np.stack([xg, np.zeros_like(xg)], axis=1)
-    return WeightedSamples(pts, weights, vals)

@@ -34,10 +34,7 @@ __all__ = [
     "ExtremalProfile",
     "ExpansionCoefficients",
     "ExpansionFit",
-    "gamma_lanczos",
-    "log_gamma_lanczos",
     "sphere_area",
-    "evaluate_extremal",
     "sharp_constant_formula",
     "sharp_constant_quadrature",
     "extremal_quotient",
@@ -71,24 +68,11 @@ N_GAUSS = 12  # Gauss-Legendre nodes per panel
 REL_FLOOR = 1e-9  # least relative error bar a quadrature quotient reports
 
 
-# ---------------------------------------------------------------------------
-# Gamma
-
-
-def log_gamma_lanczos(x):
-    """log Gamma for x > 0 (``math.lgamma``; the name is kept for callers)."""
-    if x <= 0:
-        raise DomainError("log gamma needs x > 0")
-    return math.lgamma(x)
-
-
-def gamma_lanczos(x):
-    return math.exp(log_gamma_lanczos(x))
-
-
 def sphere_area(m):
     """Surface measure of the unit sphere S^m in R^(m+1); S^0 has measure 2."""
-    return 2.0 * math.pi ** ((m + 1) / 2.0) / gamma_lanczos((m + 1) / 2.0)
+    # exp(lgamma), not math.gamma: the two differ in the last bits at m = 0,
+    # and every reported constant is built on this value
+    return 2.0 * math.pi ** ((m + 1) / 2.0) / math.exp(math.lgamma((m + 1) / 2.0))
 
 
 # ---------------------------------------------------------------------------
@@ -142,30 +126,13 @@ class ExtremalProfile:
         r2 = (1.0 + t / self.lam) ** 2 + np.sum(dy * dy, axis=-1) / self.lam**2
         return self.lam ** (-self.alpha) * r2 ** (-self.alpha / 2.0)
 
-    def gradient_magnitude(self, y, t):
-        """|grad V| = alpha * r^-(alpha+1), scaled; exact for this profile."""
-        y = np.atleast_2d(np.asarray(y, float))
-        t = np.asarray(t, float)
-        dy = y - np.asarray(self.y0)
-        r2 = (1.0 + t / self.lam) ** 2 + np.sum(dy * dy, axis=-1) / self.lam**2
-        a = self.alpha
-        return a * self.lam ** (-a - 1.0) * r2 ** (-(a + 1.0) / 2.0)
-
-
-def evaluate_extremal(profile, y, t):
-    """Profile value at (y, t) with t >= 0."""
-    if np.any(np.asarray(t) < 0):
-        raise ValueError("t must be nonnegative")
-    out = profile.value(y, t)
-    return float(out[0]) if out.size == 1 else out
-
 
 # ---------------------------------------------------------------------------
 # Power-law quadrature engine on {s >= 1, rho >= 0}
 
 
 def _complete_beta(a, b):
-    return math.exp(log_gamma_lanczos(a) + log_gamma_lanczos(b) - log_gamma_lanczos(a + b))
+    return math.exp(math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b))
 
 
 def _gl_panels(breaks, n):
@@ -193,14 +160,23 @@ def _check_term_convergence(a, b, c):
         )
 
 
+def _box_size(truncation_R):
+    """truncation_R as a float; DomainError unless it is finite and > 0."""
+    R = float(truncation_R)
+    if not (math.isfinite(R) and R > 0):
+        raise DomainError(f"truncation_R must be a finite number > 0, got {R!r}")
+    return R
+
+
 def half_space_power_integral(terms, truncation_R):
     """Integral over {s>=1, rho>=0} of sum_k coef*rho^a*s^b*(s^2+rho^2)^(-c/2).
 
     Quadrature over the box [1, 1+R] x [0, R] with geometric grading, plus
     the two analytic tail strips (complete Beta for s > 1+R, incomplete
-    Beta in rho > R).  Returns (value, tail_magnitude).
+    Beta in rho > R).  Returns (value, tail_magnitude).  R must be finite
+    and > 0.
     """
-    R = float(truncation_R)
+    R = _box_size(truncation_R)
     for coef, a, b, c in terms:
         _check_term_convergence(a, b, c)
     s_nodes, s_w = _gl_panels(1.0 + _graded_breaks(R, N_PANELS), N_GAUSS)
@@ -243,10 +219,11 @@ def _tail_far_rho(a, b, c, R):
 
 
 def boundary_power_integral(a, c, truncation_R):
-    """Integral over rho in (0, inf) of rho^a (1 + rho^2)^(-c/2) with tail."""
+    """Integral over rho in (0, inf) of rho^a (1 + rho^2)^(-c/2) with tail;
+    the box is (0, R], with R finite and > 0."""
+    R = _box_size(truncation_R)
     if c - a - 1.0 <= 0.0:
         raise DivergentIntegral(f"non-integrable boundary tail rho^{a} r^-{c}")
-    R = float(truncation_R)
     nodes, w = _gl_panels(_graded_breaks(R, N_PANELS), N_GAUSS)
     box = fixed_order_sum(w * nodes**a * (1.0 + nodes * nodes) ** (-c / 2.0))
     tail = float(_rho_tail_single(a, c, 1.0, R))
@@ -313,7 +290,7 @@ def sharp_constant_formula(n, p):
     side and the quotient is treated as ground truth for K^-1.
     """
     _check_range(n, p)
-    lg = log_gamma_lanczos
+    lg = math.lgamma
     ratio = (p - 1.0) / (n - 1.0) * (
         lg(p * (n - 1.0) / (2.0 * (p - 1.0))) - lg((n - 1.0) / (2.0 * (p - 1.0)))
     )
@@ -327,23 +304,10 @@ def sharp_constant_formula(n, p):
 def sharp_constant_quadrature(n, p, truncation_R=100.0):
     """Rayleigh quotient |grad V|_p / |V(.,0)|_{p_*} of the extremal.
 
-    Returns (K_inv_estimate, tail_bound).  The tail bound dominates the
-    truncation error: the appended corrections are analytic and the
-    reported bound is their full magnitude propagated through the quotient,
-    never less than REL_FLOOR times the estimate.
+    Returns (K_inv_estimate, tail_bound): extremal_quotient of the standard
+    profile (lam = 1, y0 = 0), whose scale factors are exactly 1.
     """
-    _check_range(n, p)
-    alpha = decay_rate(n, p)
-    p_star = trace_exponent(n, p)
-    if p * (alpha + 1.0) <= n:
-        raise DivergentIntegral("p (alpha + 1) <= N: gradient tail diverges")
-    if p_star * alpha <= n - 1.0:
-        raise DivergentIntegral("p_* alpha <= N - 1: boundary tail diverges")
-    grad_val, grad_tail = extremal_gradient_integral(n, p, truncation_R)
-    bnd_val, bnd_tail = extremal_boundary_integral(n, p, truncation_R)
-    estimate = grad_val ** (1.0 / p) / bnd_val ** (1.0 / p_star)
-    rel = grad_tail / grad_val / p + bnd_tail / bnd_val / p_star
-    return estimate, max(estimate * rel, REL_FLOOR * estimate)
+    return extremal_quotient(ExtremalProfile(n, p), truncation_R)
 
 
 def extremal_quotient(profile, truncation_R=100.0):
@@ -352,6 +316,10 @@ def extremal_quotient(profile, truncation_R=100.0):
     Translation leaves both integrals unchanged; dilation rescales them by
     exact powers of the scale, which is applied here explicitly so that the
     dilation invariance of the quotient is exercised in floating point.
+    Returns (estimate, tail_bound).  The tail bound dominates the
+    truncation error: the appended corrections are analytic and the
+    reported bound is their full magnitude propagated through the quotient,
+    never less than REL_FLOOR times the estimate.
     """
     n, p, lam = profile.N, profile.p, profile.lam
     alpha = profile.alpha
@@ -421,15 +389,13 @@ def expansion_coefficients(
     hbar=0.0,
     truncation_R=100.0,
     enforce_hypotheses=True,
-    strict=False,
 ):
     """All expansion coefficients with per-coefficient hypothesis guards.
 
     A coefficient whose multiplying input is exactly zero is structurally
     zero and bypasses its guard.  With enforce_hypotheses the guards are the
     stated sufficient inequalities; without, any coefficient whose defining
-    integral converges is computed and flagged in hypothesis_met.  With
-    strict, the first skipped coefficient raises HypothesisViolation.
+    integral converges is computed and flagged in hypothesis_met.
     """
     _check_range(n, p)
     p_star = trace_exponent(n, p)
@@ -458,16 +424,12 @@ def expansion_coefficients(
         # dtp0 = 0, which the d2 and d4 formulas assume
         blocking = failed if enforce_hypotheses else [f for f in failed if f == _HYP_DTP]
         if blocking:
-            if strict:
-                raise HypothesisViolation(f"{name} needs {blocking[0]}")
             skipped[name] = blocking[0]
             values[name] = None
             return
         try:
             values[name] = evaluate()
         except DivergentIntegral as err:
-            if strict:
-                raise
             skipped[name] = str(err)
             values[name] = None
 

@@ -17,7 +17,6 @@ build or CPU.
 from __future__ import annotations
 
 import csv
-import io
 import math
 from dataclasses import dataclass
 
@@ -32,7 +31,6 @@ __all__ = [
     "fixed_order_sum",
     "modular",
     "luxemburg_norm",
-    "sum_norm",
     "holder_product_bound",
     "verify_norm_modular_relations",
     "RelationCheck",
@@ -156,41 +154,12 @@ class WeightedSamples:
         g = None if self.gradient_values is None else c * self.gradient_values
         return WeightedSamples(self.points, self.weights, c * self.values, g)
 
-    def to_csv(self, path_or_buf):
-        """Columnar CSV: x1..xN, weight, value[, g1..gN]."""
-        n_dim = self.points.shape[1]
-        header = [f"x{i + 1}" for i in range(n_dim)] + ["weight", "value"]
-        if self.gradient_values is not None:
-            header += [f"g{i + 1}" for i in range(n_dim)]
-        close = False
-        if isinstance(path_or_buf, (str, bytes)):
-            fh = open(path_or_buf, "w", newline="")
-            close = True
-        else:
-            fh = path_or_buf
-        try:
-            w = csv.writer(fh)
-            w.writerow(header)
-            for i in range(self.points.shape[0]):
-                row = [repr(float(x)) for x in self.points[i]]
-                row += [repr(float(self.weights[i])), repr(float(self.values[i]))]
-                if self.gradient_values is not None:
-                    row += [repr(float(x)) for x in self.gradient_values[i]]
-                w.writerow(row)
-        finally:
-            if close:
-                fh.close()
-
     @classmethod
     def from_csv(cls, path_or_buf):
         if isinstance(path_or_buf, (str, bytes)):
             with open(path_or_buf, newline="") as fh:
                 return cls._from_reader(csv.reader(fh))
         return cls._from_reader(csv.reader(path_or_buf))
-
-    @classmethod
-    def from_csv_text(cls, text):
-        return cls._from_reader(csv.reader(io.StringIO(text)))
 
     @classmethod
     def _from_reader(cls, reader):
@@ -362,20 +331,11 @@ def luxemburg_norm(samples, p, kind="lebesgue"):
     return _norm_from_arrays(av, w, exps, gmag)
 
 
-def sum_norm(samples, p):
-    """Equivalent Sobolev norm |u|_p + |grad u|_p (the modular norm is canonical)."""
-    if samples.gradient_values is None:
-        raise MissingGradient("sum norm needs gradient samples")
-    av, w, exps, gmag = _modular_terms(samples, p, "sobolev")
-    return _norm_from_arrays(av, w, exps, None) + _norm_from_arrays(gmag, w, exps, None)
-
-
 def holder_product_bound(f, g, p, q):
     """Both sides of the product inequality in L^{s(x)}, 1/s = 1/p + 1/q.
 
-    Returns (lhs, rhs, s) where s is an ExponentField when p and q are
-    fields (their pointwise harmonic combination), else the array of s
-    values; callers assert lhs <= rhs.  Raises ExponentMismatch when
+    Returns (lhs, rhs, s) with s the array of s values at the sample
+    points; callers assert lhs <= rhs.  Raises ExponentMismatch when
     s(x) < 1 somewhere on the sample.
     """
     if f.points.shape != g.points.shape or not np.allclose(f.points, g.points):
@@ -392,16 +352,7 @@ def holder_product_bound(f, g, p, q):
     const = float(np.max(se / pe)) + float(np.max(se / qe))
     nf = _norm_from_arrays(np.abs(f.values), f.weights, pe, None)
     ng = _norm_from_arrays(np.abs(g.values), g.weights, qe, None)
-    s_out = se
-    if hasattr(p, "expr") and hasattr(q, "expr"):
-        from .exponents import BinOp, Const, ExponentField
-
-        one = Const(1.0)
-        s_expr = BinOp(
-            "/", one, BinOp("+", BinOp("/", one, p.expr), BinOp("/", one, q.expr))
-        )
-        s_out = ExponentField(s_expr, p.ambient_dimension, p.declared_regularity)
-    return lhs, const * nf * ng, s_out
+    return lhs, const * nf * ng, se
 
 
 @dataclass(frozen=True)

@@ -73,11 +73,11 @@ class DiscreteTraceProblem:
         critical-regime existence theory;
       - ``subcritical_margin``: min over boundary quadrature of p_* - r
         (nonpositive means the critical set is engaged);
-      - ``critical_points``: boundary quadrature points within crit_tol of
+      - ``critical_points``: boundary quadrature points within CRIT_TOL of
         the critical trace exponent.
     """
 
-    def __init__(self, domain, p_field, r_field, crit_tol=CRIT_TOL):
+    def __init__(self, domain, p_field, r_field):
         self.domain = domain
         self.p_field = p_field
         self.r_field = r_field
@@ -110,7 +110,7 @@ class DiscreteTraceProblem:
             raise DegenerateExponent(
                 f"r exceeds the critical trace exponent by {-self.subcritical_margin}"
             )
-        self.critical_mask = gap <= crit_tol
+        self.critical_mask = gap <= CRIT_TOL
         self.critical_points = bpts[self.critical_mask]
         self.p_plus_lt_r_minus = self.p_bounds[1] < self.r_bounds[0]
 

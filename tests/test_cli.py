@@ -220,6 +220,12 @@ def _edited(name, *edits):
          "solve", 1, "config error: init 'bubble 1 0 -0.2': bubble needs finite x, y and lam > 0"),
         (_edited("disk_subcritical.cfg", ("init = constant", "init = bubble 1 0 nan")),
          "solve", 1, "config error: init 'bubble 1 0 nan': bubble needs finite x, y and lam > 0"),
+        ("[halfspace]\nN = 2\np = 1.5\ntruncation_R = -3\n",
+         "constants", 1, "input error: DomainError: truncation_R must be a finite number > 0"),
+        (_edited("expand_disk.cfg", ("H = 1.0", "H = 1.0\ntruncation_R = -3")),
+         "expand", 1, "input error: DomainError: truncation_R must be a finite number > 0"),
+        (_edited("disk_subcritical.cfg", ("radii = 0.3 1.0", "radii = -1 0")),
+         "solve", 1, "config error: [solver] radii: must be finite numbers > 0"),
     ],
     ids=["not-critical", "gamma-not-empty", "hypothesis", "geometry", "fit-unstable",
          "norm-bad-p-expr", "h-nan", "max-iter-inf", "truncation-R-inf",
@@ -229,7 +235,8 @@ def _edited(name, *edits):
          "compactness-K-arc-range", "max-iter-fraction", "n-fraction", "gamma-fraction",
          "n-not-planar", "norm-kind-unknown", "norm-sobolev-without-gradients",
          "norm-not-a-samples-csv", "norm-samples-csv-directory", "config-directory",
-         "init-bubble-lam-negative", "init-bubble-nan"],
+         "init-bubble-lam-negative", "init-bubble-nan", "halfspace-truncation-R-negative",
+         "expand-truncation-R-negative", "radii-not-positive"],
 )
 def test_domain_errors_are_one_line_with_exit_code(tmp_path, text, command, code, message):
     (tmp_path / "huge_pair.csv").write_text(HUGE_PAIR_CSV)
@@ -270,10 +277,17 @@ def test_domain_errors_are_one_line_with_exit_code(tmp_path, text, command, code
          "config error: ", "bubble needs finite x, y and lam > 0"),
         (["--config", "configs/disk_subcritical.cfg", "solve", "--init", "bubble 1 0 nan"],
          "config error: ", "bubble needs finite x, y and lam > 0"),
+        (["constants", "--N", "2", "--p", "1.5", "--truncation-R", "-5"],
+         "input error: ", "DomainError: truncation_R must be a finite number > 0"),
+        (["--config", "configs/disk_subcritical.cfg", "solve", "--radii", "nan,inf"],
+         "config error: ", "--radii: must be finite numbers > 0"),
+        (["--config", "configs/disk_subcritical.cfg", "solve", "--radii=-1,0"],
+         "config error: ", "--radii: must be finite numbers > 0"),
     ],
     ids=["constants-p-above-N", "solve-bad-radii", "truncation-R-inf", "p-nan", "H-minus-inf",
          "tol-nan", "tol-zero", "max-iter-zero", "tol-negative-exponent", "H-space-minus-inf",
-         "init-bubble-lam-negative", "init-bubble-nan"],
+         "init-bubble-lam-negative", "init-bubble-nan", "truncation-R-negative", "radii-nan-inf",
+         "radii-not-positive"],
 )
 def test_flag_mistakes_are_one_line(argv, prefix, message):
     res = run_cli(*argv)

@@ -9,7 +9,6 @@ from vextrace.conditions import (
     GammaNotEmpty,
     LogPower,
     NotCritical,
-    RegularityMissing,
     compactness_rate_check,
     disk_global_lhs,
     existence_verdict,
@@ -54,8 +53,6 @@ def test_compactness_loglog_approach_rate(disk):
     floor = 0.15
 
     class RateField:
-        declared_regularity = "C0"
-
         def __call__(self, pts):
             pts = np.atleast_2d(pts)
             d = np.maximum(np.linalg.norm(pts - x0, axis=1), 1e-300)
@@ -238,12 +235,6 @@ def test_local_condition_normal_derivative_branch():
 def test_local_condition_not_critical(disk):
     with pytest.raises(NotCritical):
         local_condition(disk, P15, R2, (1.0, 0.0))
-
-
-def test_local_condition_regularity_missing(disk):
-    p_c0 = ExponentField.from_text("1.5", 2, regularity="C0")
-    with pytest.raises(RegularityMissing):
-        local_condition(disk, p_c0, R3, (1.0, 0.0))
 
 
 def test_local_condition_extremum_gate():

@@ -16,7 +16,6 @@ from vextrace.exponents import (
     SupercriticalError,
     Var,
     critical_gap,
-    critical_set,
     local_extremum_check,
     log_holder_probe,
     parse_exponent,
@@ -149,8 +148,8 @@ def test_symbolic_derivatives_match_finite_differences():
 
 
 def test_second_derivatives():
-    f = ExponentField.from_text("1.5 + (x1 - 0.5)^2 + 3*x1*x2", 2)
-    H = f.hessian((0.3, 0.4))
+    e = parse_exponent("1.5 + (x1 - 0.5)^2 + 3*x1*x2", 2)
+    H = [[e.diff(i).diff(j).eval_at((0.3, 0.4)) for j in range(2)] for i in range(2)]
     np.testing.assert_allclose(H, [[2.0, 3.0], [3.0, 0.0]], atol=1e-12)
 
 
@@ -160,12 +159,8 @@ def test_second_derivatives():
 def test_trace_critical_constant_cases():
     for n, p, expected in [(2, 1.5, 3.0), (3, 2.0, 4.0), (5, 1.5, 12.0 / 7.0)]:
         f = ExponentField.from_text(repr(p), n)
-        crit = trace_critical(f)
         pts = np.zeros((3, n))
-        np.testing.assert_allclose(crit.trace(pts), expected, rtol=1e-15)
-        np.testing.assert_allclose(
-            crit.sobolev(pts), n * p / (n - p), rtol=1e-15
-        )
+        np.testing.assert_allclose(trace_critical(f)(pts), expected, rtol=1e-15)
 
 
 def test_supercritical_error():
@@ -179,16 +174,13 @@ def test_critical_identity_machine_precision():
     rng = np.random.default_rng(3)
     f = ExponentField.from_text("1.5 + 0.3*exp(-1*(x1^2 + x2^2))", 2)
     pts = rng.uniform(-1, 1, size=(200, 2))
-    crit = trace_critical(f)
     p = f(pts)
-    p_star = crit.sobolev(pts)
-    p_low = crit.trace(pts)
-    assert np.all(p_low < p_star)
+    p_low = trace_critical(f)(pts)
     assert np.all(p_low > p)
     np.testing.assert_allclose(p_low * (2 - p), 1 * p, rtol=1e-13)
 
 
-# -- critical set ------------------------------------------------------------
+# -- critical set: the points where critical_gap is at most a tolerance -------
 
 
 def _circle_points(thetas):
@@ -200,18 +192,18 @@ def test_critical_set_identically_critical():
     p = ExponentField.from_text("1.5", 2)
     r = ExponentField.from_text("3", 2)
     pts = _circle_points(np.linspace(0, 2 * np.pi, 17)[:-1])
-    sel, margin = critical_set(p, r, pts, tol=1e-9)
-    assert len(sel) == len(pts)
-    assert margin == pytest.approx(0.0, abs=1e-12)
+    gap = critical_gap(p, r, pts)
+    assert np.all(gap <= 1e-9)
+    assert float(np.min(gap)) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_critical_set_uniformly_subcritical():
     p = ExponentField.from_text("1.5", 2)
     r = ExponentField.from_text("2", 2)
     pts = _circle_points(np.linspace(0, 2 * np.pi, 17)[:-1])
-    sel, margin = critical_set(p, r, pts, tol=1e-9)
-    assert sel == []
-    assert margin == pytest.approx(1.0)
+    gap = critical_gap(p, r, pts)
+    assert not np.any(gap <= 1e-9)
+    assert float(np.min(gap)) == pytest.approx(1.0)
 
 
 def test_critical_set_with_exact_critical_field():
@@ -219,10 +211,9 @@ def test_critical_set_with_exact_critical_field():
     # point is critical with margin zero up to floating error
     p = ExponentField.from_text("1.5 + 0.2*exp(-1*(x1^2 + x2^2))", 2)
     pts = _circle_points(np.linspace(0, 2 * np.pi, 33)[:-1])
-    r = trace_critical(p).trace
-    sel, margin = critical_set(p, r, pts, tol=1e-9)
-    assert len(sel) == len(pts)
-    assert abs(margin) <= 1e-12
+    gap = critical_gap(p, trace_critical(p), pts)
+    assert np.all(gap <= 1e-9)
+    assert abs(float(np.min(gap))) <= 1e-12
 
 
 def test_critical_set_quadratic_touch():
@@ -232,31 +223,39 @@ def test_critical_set_quadratic_touch():
     r = ExponentField.from_text("3 - ((x1 - 1)^2 + x2^2)", 2)
     offsets = np.array([0.0, 1e-5, 2.9e-5, 3.3e-5, 1e-3, 0.5 * np.pi])
     pts = _circle_points(offsets)
-    sel, margin = critical_set(p, r, pts, tol=1e-9)
+    gap = critical_gap(p, r, pts)
+    sel = pts[gap <= 1e-9]
     assert len(sel) == 3
     for x in sel:
         assert np.linalg.norm(x - np.array([1.0, 0.0])) <= 3.2e-5
-    assert margin == pytest.approx(0.0, abs=1e-15)
+    assert float(np.min(gap)) == pytest.approx(0.0, abs=1e-15)
 
 
 # -- local extrema -----------------------------------------------------------
 
 
+def _box(x0, radius):
+    """21 x 21 grid on the square of half-width radius about x0."""
+    axis = np.linspace(-radius, radius, 21)
+    grid = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
+    return np.asarray(x0) + grid
+
+
 def test_local_extremum_min():
     f = ExponentField.from_text("1.5 + (x1 - 0.2)^2 + (x2 + 0.1)^2", 2)
-    ok, witness = local_extremum_check(f, (0.2, -0.1), 0.3, "min")
+    ok, witness = local_extremum_check(f, (0.2, -0.1), "min", _box((0.2, -0.1), 0.3))
     assert ok and witness is None
 
 
 def test_local_extremum_max():
     f = ExponentField.from_text("3 - ((x1 - 0.2)^2 + x2^2)", 2)
-    ok, _ = local_extremum_check(f, (0.2, 0.0), 0.3, "max")
+    ok, _ = local_extremum_check(f, (0.2, 0.0), "max", _box((0.2, 0.0), 0.3))
     assert ok
 
 
 def test_local_extremum_monotone_fails_with_witness():
     f = ExponentField.from_text("1.5 + x1", 2)
-    ok, witness = local_extremum_check(f, (0.0, 0.0), 0.5, "min")
+    ok, witness = local_extremum_check(f, (0.0, 0.0), "min", _box((0.0, 0.0), 0.5))
     assert not ok
     assert witness is not None and witness[0] < 0
 

@@ -7,7 +7,6 @@ from scipy import integrate
 from vextrace import geometry
 from vextrace.geometry import (
     BoundaryLoop,
-    ChartRangeError,
     CircularArc,
     CornerError,
     GeometryError,
@@ -16,12 +15,9 @@ from vextrace.geometry import (
     far_from_ring,
     fermi_chart,
     hex_lattice,
-    measures,
     mesh_domain,
     points_in_polygon,
     polygon_loop,
-    pullback,
-    pullback_boundary,
     unit_disk_loop,
 )
 
@@ -36,7 +32,7 @@ def disk_005():
 
 def test_square_area_exact():
     dom = mesh_domain(SQUARE, 0.5)
-    vol, per = measures(dom)
+    vol, per = dom.volume(), dom.boundary_length()
     assert vol == pytest.approx(1.0, abs=1e-14)
     assert per == pytest.approx(4.0, abs=1e-14)
 
@@ -47,7 +43,7 @@ def test_square_mesh_size_bound():
 
 
 def test_disk_measures(disk_005):
-    vol, per = measures(disk_005)
+    vol, per = disk_005.volume(), disk_005.boundary_length()
     assert vol == pytest.approx(math.pi, abs=3e-3)
     assert vol < math.pi  # inscribed polygon
     assert per == pytest.approx(2 * math.pi, abs=2e-3)
@@ -57,18 +53,18 @@ def test_disk_measures(disk_005):
 def test_disk_scaled_measures():
     for t in (0.3, 2.0):
         dom = mesh_domain(unit_disk_loop(radius=t), 0.05 * t)
-        vol, per = measures(dom)
+        vol, per = dom.volume(), dom.boundary_length()
         assert vol == pytest.approx(math.pi * t * t, rel=2e-3)
         assert per == pytest.approx(2 * math.pi * t, rel=1e-3)
 
 
 def test_polygon_scaling_law_exact():
     dom = mesh_domain(SQUARE, 0.5)
-    vol, per = measures(dom)
+    vol, per = dom.volume(), dom.boundary_length()
     for t in (0.5, 2.0, 3.0):
-        sv, sp = measures(dom.scaled(t))
-        assert sv == pytest.approx(t * t * vol, rel=1e-14)
-        assert sp == pytest.approx(t * per, rel=1e-14)
+        scaled = mesh_domain(polygon_loop([(0, 0), (t, 0), (t, t), (0, t)]), 0.5 * t)
+        assert scaled.volume() == pytest.approx(t * t * vol, rel=1e-14)
+        assert scaled.boundary_length() == pytest.approx(t * per, rel=1e-14)
 
 
 def test_conformity_boundary_edges(disk_005):
@@ -159,15 +155,6 @@ def test_quadrature_integrates_polynomials(disk_005):
     assert float(bw[bottom] @ bpts[bottom, 0] ** 3) == pytest.approx(0.25, rel=1e-12)
 
 
-def test_export_text(tmp_path, disk_005):
-    path = tmp_path / "mesh.txt"
-    disk_005.export_text(path)
-    text = path.read_text().splitlines()
-    assert text[0] == f"vertices {disk_005.n_vertices}"
-    assert any(line.startswith("triangles") for line in text)
-    assert any(line.startswith("boundary_edges") for line in text)
-
-
 # -- Fermi charts -------------------------------------------------------------
 
 
@@ -176,7 +163,6 @@ def test_chart_unit_disk_curvature():
     for theta in (0.3, 2.0, 4.5):
         chart = fermi_chart(dom, (math.cos(theta), math.sin(theta)))
         assert chart.H == pytest.approx(1.0, rel=1e-12)
-        assert chart.hbar == chart.H
 
 
 def test_chart_radius_two():
@@ -200,15 +186,13 @@ def test_chart_corner_error():
 
 def test_chart_inward_normal_and_unit():
     dom = mesh_domain(unit_disk_loop(), 0.2)
-    chart = fermi_chart(dom, (0.0, -1.0))
-    ys = np.linspace(-0.2, 0.2, 9)
-    nus = chart.normal(ys)
-    np.testing.assert_allclose(np.linalg.norm(nus, axis=1), 1.0, rtol=1e-14)
-    # stepping inward from the boundary decreases |x|
-    on_b = chart.map(ys, np.zeros_like(ys))
-    inner = on_b + 0.05 * nus
-    assert np.all(np.linalg.norm(inner, axis=1) < 1.0)
-    np.testing.assert_allclose(np.linalg.norm(on_b, axis=1), 1.0, rtol=1e-14)
+    for theta in (-0.5 * math.pi, 0.3, 2.0):
+        chart = fermi_chart(dom, (math.cos(theta), math.sin(theta)))
+        assert np.linalg.norm(chart.nu) == pytest.approx(1.0, rel=1e-14)
+        assert abs(float(chart.nu @ chart.tau)) < 1e-14
+        assert np.linalg.norm(chart.x0) == pytest.approx(1.0, rel=1e-14)
+        # stepping inward from the boundary decreases |x|
+        assert np.linalg.norm(chart.x0 + 0.05 * chart.nu) < 1.0
 
 
 def test_chart_jacobian_expansion_ratio():
@@ -229,29 +213,26 @@ def test_chart_jacobian_expansion_ratio():
     assert consts[2] <= 2.0 * consts[1] + 1e-9
 
 
-# -- pullback ------------------------------------------------------------------
+# -- pullback through a chart: the jacobian weights of norm_expansion_check ----
 
 
-def test_pullback_constant():
-    dom = mesh_domain(unit_disk_loop(), 0.2)
-    chart = fermi_chart(dom, (1.0, 0.0))
-    s = pullback(lambda x: np.ones(len(x)), chart, 0.1)
-    np.testing.assert_allclose(s.values, 1.0)
+def _half_disk_reference(n):
+    """Gauss-Legendre polar rule on the upper unit half-disk: y, t, weights."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    rho, theta = 0.5 * (x + 1.0), 0.5 * math.pi * (x + 1.0)
+    R, T = np.meshgrid(rho, theta, indexing="ij")
+    W = np.outer(0.5 * w, 0.5 * math.pi * w) * R
+    return (R * np.cos(T)).ravel(), (R * np.sin(T)).ravel(), W.ravel()
 
 
 def test_pullback_flat_weights_euclidean():
     dom = mesh_domain(SQUARE, 0.4)
     chart = fermi_chart(dom, (0.5, 0.0))
-    s = pullback(lambda x: np.ones(len(x)), chart, 0.1)
-    # identity chart: weights are the plain half-disk cell measures
-    assert float(np.sum(s.weights)) == pytest.approx(math.pi / 2.0, rel=1e-12)
-
-
-def test_pullback_range_error():
-    dom = mesh_domain(unit_disk_loop(), 0.2)
-    chart = fermi_chart(dom, (1.0, 0.0))
-    with pytest.raises(ChartRangeError):
-        pullback(lambda x: np.ones(len(x)), chart, 10.0)
+    y, t, w = _half_disk_reference(24)
+    # identity chart: the weights are the plain half-disk cell measures
+    np.testing.assert_array_equal(chart.jacobian(0.1 * y, 0.1 * t), 1.0)
+    np.testing.assert_array_equal(chart.boundary_jacobian(0.1 * y), 1.0)
+    assert float(np.sum(w)) == pytest.approx(math.pi / 2.0, rel=1e-12)
 
 
 def _euclidean_ball_integral(u_pow, eps, p):
@@ -285,10 +266,15 @@ def test_pullback_norm_ratio_converges():
         x = np.atleast_2d(x)
         return 1.0 + 0.5 * x[:, 0] - 0.25 * x[:, 1]
 
+    y, t, w = _half_disk_reference(40)
     ratios = []
     for eps in (0.2, 0.1, 0.05):
-        s = pullback(u, chart, eps, n_r=40, n_t=40)
-        ref_mod = float(np.sum(s.weights * np.abs(s.values) ** p))
+        # Phi(y, t) on the unit disk at (1, 0): the boundary point
+        # (sqrt(1 - y^2), y) moved inward by t along its normal
+        ys, ts = eps * y, eps * t
+        world = (1.0 - ts)[:, None] * np.stack([np.sqrt(1.0 - ys * ys), ys], axis=1)
+        weights = w * chart.jacobian(ys, ts)
+        ref_mod = float(np.sum(weights * np.abs(u(world)) ** p))
         ref_norm = (eps**2 * ref_mod) ** (1 / p)
         eu_mod = _euclidean_ball_integral(
             lambda x: abs(float(u(x[None, :])[0])) ** p, eps, p
@@ -302,10 +288,10 @@ def test_pullback_boundary_measure():
     dom = mesh_domain(unit_disk_loop(), 0.2)
     chart = fermi_chart(dom, (1.0, 0.0))
     eps = 0.1
-    s = pullback_boundary(lambda x: np.ones(len(x)), chart, eps)
+    xg, wg = np.polynomial.legendre.leggauss(64)
     # the chart boundary patch has arclength 2*eps*arcsin-ish; jacobian-weighted
     # reference measure times eps equals the exact arc length
-    arc_measure = eps * float(np.sum(s.weights))
+    arc_measure = eps * float(np.sum(wg * chart.boundary_jacobian(eps * xg)))
     # exact: integral over y in [-eps, eps] of sqrt(1 + psi'(y)^2)
     exact, _ = integrate.quad(lambda y: 1.0 / math.sqrt(1 - y * y), -eps, eps)
     assert arc_measure == pytest.approx(exact, rel=1e-10)

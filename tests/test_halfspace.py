@@ -13,14 +13,11 @@ from vextrace.halfspace import (
     HypothesisViolation,
     boundary_power_integral,
     decay_rate,
-    evaluate_extremal,
     expansion_coefficients,
     extremal_boundary_integral,
     extremal_gradient_integral,
     extremal_quotient,
-    gamma_lanczos,
     half_space_power_integral,
-    log_gamma_lanczos,
     norm_expansion_check,
     sharp_constant_formula,
     sharp_constant_quadrature,
@@ -72,25 +69,7 @@ def boundary_pstar_oracle(n, p):
     return sphere_area(n - 2) * boundary_integral_oracle(n - 2, alpha * ps)
 
 
-# -- gamma ---------------------------------------------------------------------
-
-
-def test_gamma_anchor_values():
-    assert gamma_lanczos(1.0) == pytest.approx(1.0, rel=1e-13)
-    assert gamma_lanczos(2.0) == pytest.approx(1.0, rel=1e-13)
-    assert gamma_lanczos(0.5) == pytest.approx(math.sqrt(math.pi), rel=1e-13)
-
-
-def test_gamma_against_stdlib_grid():
-    for x in np.concatenate([np.linspace(0.05, 5, 40), np.linspace(5, 150, 30)]):
-        assert log_gamma_lanczos(float(x)) == pytest.approx(
-            math.lgamma(float(x)), rel=1e-12, abs=1e-12
-        )
-
-
-def test_gamma_domain():
-    with pytest.raises(DomainError):
-        gamma_lanczos(-1.0)
+# -- sphere areas ----------------------------------------------------------------
 
 
 def test_sphere_area():
@@ -104,26 +83,9 @@ def test_sphere_area():
 
 def test_extremal_values():
     prof = ExtremalProfile(3, 2.0)
-    assert evaluate_extremal(prof, [0.0, 0.0], 0.0) == pytest.approx(1.0)
-    assert evaluate_extremal(prof, [0.0, 0.0], 1.0) == pytest.approx(0.5)
+    np.testing.assert_allclose(prof.value([[0.0, 0.0], [0.0, 0.0]], [0.0, 1.0]), [1.0, 0.5])
     shifted = ExtremalProfile(3, 2.0, lam=2.0, y0=(0.3, -0.4))
-    assert evaluate_extremal(shifted, [0.3, -0.4], 0.0) == pytest.approx(0.5)
-
-
-def test_extremal_rejects_negative_t():
-    prof = ExtremalProfile(3, 2.0)
-    with pytest.raises(ValueError):
-        evaluate_extremal(prof, [0.0, 0.0], -0.5)
-
-
-def test_gradient_identity():
-    prof = ExtremalProfile(4, 1.8)
-    rng = np.random.default_rng(0)
-    y = rng.standard_normal((50, 3))
-    t = rng.uniform(0, 3, 50)
-    r = np.sqrt((1 + t) ** 2 + np.sum(y * y, axis=1))
-    expected = prof.alpha * r ** (-prof.alpha - 1.0)
-    np.testing.assert_allclose(prof.gradient_magnitude(y, t), expected, rtol=1e-13)
+    np.testing.assert_allclose(shifted.value([0.3, -0.4], 0.0), [0.5])
 
 
 # -- quadrature engine ----------------------------------------------------------
@@ -276,9 +238,6 @@ def test_a1_rejected_at_3_2_with_named_inequality():
     assert co.skipped.get("a1") == "p < (N-1)/2"
     with pytest.raises(HypothesisViolation, match=r"p < \(N-1\)/2"):
         co.require("a1")
-    # strict mode raises on the first guarded coefficient
-    with pytest.raises(HypothesisViolation):
-        expansion_coefficients(3, 2.0, f0=1.0, lap_r0=-1.0, strict=True)
 
 
 def test_c0_rejected_when_p_at_least_sqrt_n():
