@@ -14,7 +14,7 @@ import numpy as np
 
 from vextrace.exponents import ExponentField
 from vextrace.geometry import mesh_domain, unit_disk_loop
-from vextrace.halfspace import sharp_constant_quadrature
+from vextrace.halfspace import sharp_constant_inverse
 from vextrace.solver import DiscreteTraceProblem, minimize, rayleigh_quotient
 
 
@@ -31,7 +31,7 @@ def main():
     r_val = args.r if args.r is not None else args.p / (2.0 - args.p)
     r = ExponentField.from_text(repr(r_val), 2)
     critical = args.r is None
-    k_inv, _ = sharp_constant_quadrature(2, args.p)
+    k_inv = sharp_constant_inverse(2, args.p)
     label = f" (critical), K^-1 = {k_inv:.6f}" if critical else ""
     print(f"p = {args.p}, r = {r_val}{label}")
 

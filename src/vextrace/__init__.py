@@ -40,6 +40,7 @@ from .halfspace import (  # noqa: F401
     expansion_coefficients,
     norm_expansion_check,
     sharp_constant_formula,
+    sharp_constant_inverse,
     sharp_constant_quadrature,
 )
 from .solver import (  # noqa: F401

@@ -1,12 +1,13 @@
 """Command-line entry point.
 
 Subcommands: norm, constants, solve, conditions, expand.  JSON goes to
-stdout (or --out), a short human summary to stderr.  Reports embed the
-tool version and a hash of the config (or of the flag set).  Runs are
-deterministic for a fixed config and --seed: nothing is threaded, and
-modular, measure and quadrature sums are exact (equal to ``math.fsum``), so
-they depend on no summation order, numpy build or CPU.  --threads is
-accepted for interface compatibility and changes nothing.
+stdout (or --out), a short human summary to stderr.  The JSON is strict:
+a non-finite float is written as null, never as NaN or Infinity.  Reports
+embed the tool version and a hash of the config (or of the flag set).
+Runs are deterministic for a fixed config and --seed: nothing is
+threaded, and modular, measure and quadrature sums are exact (equal to
+``math.fsum``), so they depend on no summation order, numpy build or CPU.
+--threads is accepted for interface compatibility and changes nothing.
 
 Exit codes: 0 success (every verdict satisfied); 1 an input mistake (bad
 config or flag, argparse usage errors included, a fraction in an integer
@@ -15,12 +16,13 @@ lam <= 0, a [norm] kind other than lebesgue or sobolev, sobolev samples
 without gradient columns, a samples_csv that is not a samples CSV, a
 config or samples_csv path that is missing, unreadable or a directory, a
 compactness s, r0 or K set out of range, a solve radius ([solver] radii
-or --radii) that is not finite and > 0,
-a malformed [domain], a local check off the critical set, a global check
-with a zero set, an expansion coefficient outside its hypothesis, a
-half-space constant outside 1 < p < N, a truncation_R ([halfspace],
-[expand] or --truncation-R) that is not > 0, an expand N, model or eps the
-model domains cannot take, samples whose modular or norm overflows),
+or --radii) that is not finite and > 0, a domain whose boundary nodes all
+carry the zero condition, a malformed [domain], a local check off the
+critical set, a global check with a zero set, an expansion coefficient
+outside its hypothesis, a half-space constant outside 1 < p < N, a
+truncation_R ([halfspace], [expand] or --truncation-R) that is not > 0, an
+expand N, model or eps the model domains cannot take, samples whose
+modular or norm overflows),
 reported in one line on stderr; 2 a violated verdict; 3 an indeterminate
 verdict or an expansion fit too unstable to give a slope.
 """
@@ -48,8 +50,21 @@ EXIT_VIOLATED = 2
 EXIT_INDETERMINATE = 3
 
 
+def _null_non_finite(obj):
+    """obj with every nan and +-inf float replaced by None (JSON null)."""
+    if isinstance(obj, dict):
+        return {k: _null_non_finite(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_null_non_finite(v) for v in obj]
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return None
+    return obj
+
+
 def _emit(payload, args, summary_lines):
-    text = json.dumps(payload, sort_keys=True, indent=2)
+    # allow_nan=False: strict JSON, so a non-finite float that slips past
+    # _null_non_finite is an error, never NaN or Infinity in the report
+    text = json.dumps(_null_non_finite(payload), sort_keys=True, indent=2, allow_nan=False)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text + "\n")
@@ -157,8 +172,9 @@ def cmd_constants(args):
             },
             "discrepancy_note": (
                 "the Gamma-function formula value equals the p-th power of the "
-                "reciprocal quadrature quotient; the quadrature quotient is "
-                "treated as ground truth for K^-1 and both are reported"
+                "reciprocal quadrature quotient; the closed form "
+                "formula^(-1/p) is K^-1 and the quadrature quotient is its "
+                "independent check; both are reported"
             ),
             "coefficients": {
                 k: getattr(coeffs, k)
@@ -280,12 +296,15 @@ def cmd_conditions(args):
     checks = (cfg.get_str("conditions", "checks", default="global") or "").split()
     verdicts = []
 
-    t_bar = None
+    t_bar = t_bar_report = None
     if any(c in ("global", "existence") for c in checks):
         if len(problem.critical_points):
-            t_bar, _ = smallest_localized_constant(problem)
+            t_bar, prov = smallest_localized_constant(problem)
         else:  # compact regime: no critical points
             t_bar = Estimate(float("inf"), 0.0)
+            prov = {"method": "no_critical_points", "argmin": None, "n_sampled": 0}
+        t_bar_report = {"value": t_bar.value, "error": t_bar.error,
+                        **{k: prov[k] for k in ("method", "argmin", "n_sampled")}}
 
     for check in checks:
         if check == "global":
@@ -334,6 +353,7 @@ def cmd_conditions(args):
             raise ConfigError(f"[conditions] unknown check {check!r}")
 
     payload = _base_payload("conditions", cfg.config_hash, seed=args.seed)
+    payload["t_bar"] = t_bar_report
     payload["verdicts"] = [v.to_dict() for v in verdicts]
     lines = [
         f"{v.name}: {'satisfied' if v.satisfied else 'indeterminate' if v.satisfied is None else 'violated'}"

@@ -16,7 +16,7 @@ import numpy as np
 
 from .exponents import SupercriticalError, critical_gap, local_extremum_check
 from .geometry import GeometryError, distance_to_segments, fermi_chart
-from .halfspace import sharp_constant_quadrature
+from .halfspace import K_INV_REL, sharp_constant_inverse
 from .luxemburg import fixed_order_sum
 from .solver import CRIT_TOL, local_constant_schedule, sampled_exponent_bounds
 
@@ -355,10 +355,11 @@ def localized_constant_estimate(problem, x0, radii=None, max_iter=120):
     """Localized-constant surrogate at a critical boundary point.
 
     When the base point is a local minimum of p and a local maximum of r,
-    the localized constant equals the half-space constant at p(x0) and the
-    quadrature value is used.  Otherwise falls back to the supremum of
-    local solves on a shrinking radius schedule, with the last increment as
-    the error bar.
+    the localized constant equals the half-space constant K(2, p(x0))^-1,
+    taken in closed form with the relative bar K_INV_REL (method
+    "halfspace").  Otherwise falls back to the supremum of local solves on
+    a shrinking radius schedule, with the last increment as the error bar
+    (method "schedule").
     """
     domain = problem.domain
     p, r = problem.p_field, problem.r_field
@@ -367,9 +368,8 @@ def localized_constant_estimate(problem, x0, radii=None, max_iter=120):
         p, r, x0, 10 * problem.mesh_h, problem.quad_points, problem.bquad_points
     )
     if p_min_ok and r_max_ok:
-        p0 = float(p.eval_at(x0))
-        val, tail = sharp_constant_quadrature(2, p0)
-        return Estimate(val, tail + 1e-6 * val), "halfspace"
+        k_inv = sharp_constant_inverse(2, float(p.eval_at(x0)))
+        return Estimate(k_inv, K_INV_REL * k_inv), "halfspace"
     if radii is None:
         base = 0.4 * math.sqrt(domain.volume())
         radii = [base / 2.0, base / 4.0, base / 8.0]

@@ -20,7 +20,7 @@ from scipy.spatial import cKDTree
 
 from .exponents import critical_gap
 from .geometry import GeometryError, fermi_chart
-from .halfspace import sharp_constant_quadrature
+from .halfspace import sharp_constant_inverse
 from .luxemburg import _derivative_terms, _norm_from_arrays, fixed_order_sum
 
 __all__ = [
@@ -44,7 +44,8 @@ CRIT_TOL = 1e-8  # a boundary point with p_* - r at most this is critical
 
 
 class ZeroTrace(ValueError):
-    """Boundary norm of the iterate underflowed to zero."""
+    """The trace vanishes: the iterate's boundary norm is zero, or no
+    boundary node is free of the zero condition."""
 
 
 class DegenerateExponent(ValueError):
@@ -75,12 +76,23 @@ class DiscreteTraceProblem:
         (nonpositive means the critical set is engaged);
       - ``critical_points``: boundary quadrature points within CRIT_TOL of
         the critical trace exponent.
+
+    Raises ZeroTrace when every boundary node carries the zero condition:
+    then every admissible function has zero trace and the quotient is
+    undefined.
     """
 
     def __init__(self, domain, p_field, r_field):
         self.domain = domain
         self.p_field = p_field
         self.r_field = r_field
+
+        self.gamma_nodes = domain.gamma_nodes()
+        self.free_mask = np.ones(domain.n_vertices, dtype=bool)
+        self.free_mask[self.gamma_nodes] = False
+        if not np.any(self.free_mask[domain.boundary_nodes()]):
+            raise ZeroTrace("no boundary node is free of the zero condition, "
+                            "so every admissible function has zero trace")
 
         pts, w, tri_idx, bary = domain.interior_quadrature()
         bpts, bw, edge_idx, params = domain.boundary_quadrature()
@@ -130,10 +142,6 @@ class DiscreteTraceProblem:
         bcols = edges.ravel()
         bvals = np.stack([1.0 - params, params], axis=1).ravel()
         self.Sb = sparse.csr_matrix((bvals, (browz, bcols)), shape=(nqb, nv))
-
-        self.gamma_nodes = domain.gamma_nodes()
-        self.free_mask = np.ones(nv, dtype=bool)
-        self.free_mask[self.gamma_nodes] = False
         self.mesh_h = domain.mesh_size()
 
     # -- norms and gradients --------------------------------------------------
@@ -303,25 +311,14 @@ def minimize(problem, init="constant", max_iter=200, tol=1e-6, seed=0):
     Each evaluation of q = S/B and (dS - q dB)/B costs one norm-gradient
     pair.  ``tol`` is L-BFGS-B's ``ftol`` (stop when an iteration lowers q
     by at most tol * max(q, 1)), ``max_iter`` its ``maxiter``, and at most
-    4 * max_iter evaluations run.  A trial point whose trace vanishes ends
-    the run at the last accepted iterate.  The history (start, then each
-    accepted iterate) is nonincreasing by the sufficient-decrease search.
+    4 * max_iter evaluations run.  A start whose trace vanishes raises
+    ZeroTrace; a trial point whose trace vanishes ends the run at the last
+    accepted iterate.  The history (start, then each accepted iterate) is
+    nonincreasing by the sufficient-decrease search.
     """
-    rng = np.random.default_rng(seed)
-    a, label = _initial_vector(problem, init, rng)
-    for _ in range(8):
-        try:
-            den = problem.boundary_norm(a)
-            break
-        except ZeroTrace:
-            if not (isinstance(init, str) and init == "random"):
-                raise
-            a, label = _initial_vector(problem, "random", rng)
-    else:
-        raise ZeroTrace("random init has no boundary mass")
-
+    a, label = _initial_vector(problem, init, np.random.default_rng(seed))
     free = problem.free_mask
-    a = a / den
+    a = a / problem.boundary_norm(a)
     last = a[free]
     evaluated, accepted = [], []
 
@@ -412,8 +409,8 @@ def concentration_diagnostic(a, problem, radii):
     The iterate is renormalized to unit boundary norm, so the boundary
     modular masses sum to one; the verdict is whether the mass fraction
     within radius 10h of the atom exceeds 0.9.  The discrete analogue of
-    the atom inequality is evaluated with the half-space constant as the
-    localized-constant surrogate.
+    the atom inequality is evaluated with the closed-form half-space
+    constant K(2, p(atom))^-1 as the localized-constant surrogate.
     """
     a = np.asarray(a, float) / problem.boundary_norm(a)
     radii = sorted(float(r) for r in radii)
@@ -455,7 +452,7 @@ def concentration_diagnostic(a, problem, radii):
     r_atom_exp = float(problem.r_field.eval_at(atom))
     nu = float(fixed_order_sum(masses[db <= r_atom]))
     mu = float(fixed_order_sum(gmasses[di <= r_atom]))
-    tbar, _ = sharp_constant_quadrature(2, p_atom)
+    tbar = sharp_constant_inverse(2, p_atom)
     slack = mu ** (1.0 / p_atom) - tbar * nu ** (1.0 / r_atom_exp)
     return ConcentrationVerdict(
         concentrated=concentrated,
@@ -514,9 +511,10 @@ def local_constant_schedule(problem, x0, radii, max_iter=200):
             sub, _ = problem.domain.submesh(np.asarray(x0, float), r)
         except GeometryError:  # empty cap, or a cap cut off from the boundary
             break
-        if not len(np.setdiff1d(sub.boundary_nodes(), sub.gamma_nodes())):
+        try:
+            local = DiscreteTraceProblem(sub, problem.p_field, problem.r_field)
+        except ZeroTrace:  # no free boundary node
             break
-        local = DiscreteTraceProblem(sub, problem.p_field, problem.r_field)
         rep = minimize(local, init="constant", max_iter=max_iter)
         out.append((float(r), rep.t_estimate))
     if not out:

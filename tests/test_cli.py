@@ -82,6 +82,14 @@ def test_conditions_exit_codes(tmp_path):
     assert by_name["local_conditions"]["satisfied"] is True
     assert by_name["local_conditions"]["provenance"]["branch"] == "curvature"
     assert by_name["existence_strict_gap"]["satisfied"] is True
+    # T_bar is the closed-form K(2, 1.5)^-1 = 2^(1/3), with a bar of a few ulps
+    t_bar = payload["t_bar"]
+    assert t_bar["value"] == 1.2599210498948732 and t_bar["method"] == "halfspace"
+    assert t_bar["error"] <= 1e-13 * t_bar["value"]
+    assert t_bar["n_sampled"] == 16 and len(t_bar["argmin"]) == 2
+    for name in ("global_small_domain", "existence_strict_gap"):
+        assert by_name[name]["rhs"] == t_bar["value"]
+        assert by_name[name]["provenance"]["t_bar_error"] == t_bar["error"]
 
     # scaled-up critical disk: the global lhs grows linearly with the
     # radius past the localized constant, so the check flips: exit 2
@@ -142,6 +150,24 @@ HUGE_PAIR_CSV = open(f"{REPO}/configs/golden_pair.csv").read().replace(",1.0,1.0
 
 EXPAND_EPS = "0.08 0.056 0.04 0.028 0.02 0.014 0.01 0.007 0.005 0.0035"
 CHECKS = "checks = global local existence"
+
+# a unit square whose only piece without the zero condition is one short
+# edge between zero-condition pieces: no boundary node is free
+NO_FREE_BOUNDARY = """[domain]
+segment = 0 0 1 0
+segment = 1 0 1 1
+segment = 1 1 0 1
+segment = 0 1 0 0.05
+segment = 0 0.05 0 0
+h = 0.2
+gamma = 0 1 2 3
+
+[exponents]
+n = 2
+p_expr = 1.5
+r_expr = 2
+"""
+NO_FREE_MESSAGE = "config error: problem assembly: no boundary node is free of the zero condition"
 
 
 def _edited(name, *edits):
@@ -226,6 +252,10 @@ def _edited(name, *edits):
          "expand", 1, "input error: DomainError: truncation_R must be a finite number > 0"),
         (_edited("disk_subcritical.cfg", ("radii = 0.3 1.0", "radii = -1 0")),
          "solve", 1, "config error: [solver] radii: must be finite numbers > 0"),
+        (NO_FREE_BOUNDARY, "solve", 1, NO_FREE_MESSAGE),
+        (NO_FREE_BOUNDARY + "\n[solver]\ninit = random\n", "solve", 1, NO_FREE_MESSAGE),
+        (NO_FREE_BOUNDARY + "\n[conditions]\nchecks = existence\n",
+         "conditions", 1, NO_FREE_MESSAGE),
     ],
     ids=["not-critical", "gamma-not-empty", "hypothesis", "geometry", "fit-unstable",
          "norm-bad-p-expr", "h-nan", "max-iter-inf", "truncation-R-inf",
@@ -236,7 +266,8 @@ def _edited(name, *edits):
          "n-not-planar", "norm-kind-unknown", "norm-sobolev-without-gradients",
          "norm-not-a-samples-csv", "norm-samples-csv-directory", "config-directory",
          "init-bubble-lam-negative", "init-bubble-nan", "halfspace-truncation-R-negative",
-         "expand-truncation-R-negative", "radii-not-positive"],
+         "expand-truncation-R-negative", "radii-not-positive", "no-free-boundary-solve",
+         "no-free-boundary-solve-random", "no-free-boundary-conditions"],
 )
 def test_domain_errors_are_one_line_with_exit_code(tmp_path, text, command, code, message):
     (tmp_path / "huge_pair.csv").write_text(HUGE_PAIR_CSV)
@@ -250,6 +281,76 @@ def test_domain_errors_are_one_line_with_exit_code(tmp_path, text, command, code
     assert "Traceback" not in res.stderr
     assert len(res.stderr.strip().splitlines()) == 1
     assert message in res.stderr
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+# the compact regime: no critical point, so T_bar and the margins are infinite
+COMPACT = _edited("disk_critical.cfg", ("r_expr = 3", "r_expr = 2"),
+                  (CHECKS, "checks = global existence compactness\nK_points = 1 0"))
+# p has a local max along the bottom edge at x0, so the local gates fail
+LOCAL_GATE_FAILS = """[domain]
+segment = 0 0 1 0
+segment = 1 0 1 1
+segment = 1 1 0 1
+segment = 0 1 0 0
+h = 0.1
+gamma =
+
+[exponents]
+n = 2
+p_expr = 1.3 - 0.1*(x1 - 0.5)^2 + 0.2*x2
+r_expr = (1.3 - 0.1*(x1 - 0.5)^2 + 0.2*x2)/(2 - (1.3 - 0.1*(x1 - 0.5)^2 + 0.2*x2))
+
+[conditions]
+checks = local
+x0 = 0.5 0.0
+"""
+
+
+@pytest.mark.parametrize(
+    "text, argv, code",
+    [
+        (None, ["--config", "configs/golden_norm.cfg", "norm"], 0),
+        (None, ["constants", "--N", "2", "--p", "1.5"], 0),
+        (None, ["constants", "--N", "3", "--p", "2"], 0),
+        (None, ["--config", "configs/disk_subcritical.cfg", "solve"], 0),
+        (None, ["--config", "configs/square_gamma.cfg", "solve"], 0),
+        (None, ["--config", "configs/disk_subcritical.cfg", "--seed", "11", "solve",
+                "--init", "multistart"], 0),
+        (None, ["--config", "configs/square_gamma.cfg", "--seed", "11", "solve",
+                "--init", "multistart"], 0),
+        (None, ["--config", "configs/disk_critical.cfg", "conditions"], 0),
+        (None, ["--config", "configs/expand_disk.cfg", "expand"], 0),
+        (COMPACT, ["conditions"], 0),
+        (LOCAL_GATE_FAILS, ["conditions"], 2),
+    ],
+    ids=["norm", "constants-2-1.5", "constants-3-2", "solve-subcritical", "solve-square",
+         "solve-subcritical-multistart", "solve-square-multistart", "conditions", "expand",
+         "conditions-compact", "conditions-local-gates-fail"],
+)
+def test_stdout_is_strict_json(tmp_path, text, argv, code):
+    # NaN and Infinity are not JSON: a non-finite float is written as null
+    if text is not None:
+        cfg = tmp_path / "case.cfg"
+        cfg.write_text(text)
+        argv = ["--config", str(cfg), *argv]
+    res = run_cli(*argv)
+    assert res.returncode == code, res.stderr
+    payload = json.loads(res.stdout, parse_constant=_reject_constant)
+    if text is COMPACT:
+        assert payload["t_bar"] == {"value": None, "error": 0.0, "method": "no_critical_points",
+                                    "argmin": None, "n_sampled": 0}
+        by_name = {v["name"]: v for v in payload["verdicts"]}
+        assert by_name["global_small_domain"]["rhs"] is None
+        assert by_name["existence_strict_gap"]["margin"] is None
+        assert by_name["compactness_rate"]["provenance"]["margin_on_set"] is None
+    if text is LOCAL_GATE_FAILS:
+        (v,) = payload["verdicts"]
+        assert v["satisfied"] is False and v["margin"] is None
+        assert payload["t_bar"] is None
 
 
 @pytest.mark.parametrize(

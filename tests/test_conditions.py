@@ -20,7 +20,7 @@ from vextrace.conditions import (
 )
 from vextrace.exponents import ExponentField, SupercriticalError
 from vextrace.geometry import BoundaryLoop, CircularArc, mesh_domain, polygon_loop, unit_disk_loop
-from vextrace.halfspace import sharp_constant_quadrature
+from vextrace.halfspace import K_INV_REL, sharp_constant_inverse, sharp_constant_quadrature
 from vextrace.solver import DiscreteTraceProblem, ZeroTrace, local_constant_schedule
 
 P15 = ExponentField.from_text("1.5", 2)
@@ -280,7 +280,10 @@ def test_localized_constant_halfspace_route():
     prob = DiscreteTraceProblem(dom, P15, R3)
     est, method = localized_constant_estimate(prob, (1.0, 0.0))
     assert method == "halfspace"
-    assert est.value == pytest.approx(2.0 ** (1.0 / 3.0), rel=1e-6)
+    # the closed form K(2, p(x0))^-1 itself, with its own relative bar
+    assert est.value == sharp_constant_inverse(2, 1.5)
+    assert est.value == pytest.approx(2.0 ** (1.0 / 3.0), rel=1e-15)
+    assert 0 < est.error <= K_INV_REL * est.value
 
 
 def test_localized_constant_schedule_fallback():

@@ -11,6 +11,7 @@ from vextrace.halfspace import (
     ExtremalProfile,
     FitUnstable,
     HypothesisViolation,
+    K_INV_REL,
     boundary_power_integral,
     decay_rate,
     expansion_coefficients,
@@ -20,6 +21,7 @@ from vextrace.halfspace import (
     half_space_power_integral,
     norm_expansion_check,
     sharp_constant_formula,
+    sharp_constant_inverse,
     sharp_constant_quadrature,
     sphere_area,
     trace_exponent,
@@ -73,7 +75,7 @@ def boundary_pstar_oracle(n, p):
 
 
 def test_sphere_area():
-    assert sphere_area(0) == pytest.approx(2.0, rel=1e-14)
+    assert sphere_area(0) == 2.0
     assert sphere_area(1) == pytest.approx(2 * math.pi, rel=1e-14)
     assert sphere_area(2) == pytest.approx(4 * math.pi, rel=1e-13)
 
@@ -180,6 +182,36 @@ def test_formula_reconciles_with_quotient_pth_power(n, p):
     """The printed formula equals quotient^(-p); the reconciliation is exact."""
     est, _ = sharp_constant_quadrature(n, p, truncation_R=120.0)
     assert sharp_constant_formula(n, p) == pytest.approx((1.0 / est) ** p, rel=1e-7)
+
+
+def _exponent_grid(n):
+    """39 exponents evenly spread over the open range 1 < p < N."""
+    return [1.0 + f * (n - 1.0) for f in np.linspace(0.025, 0.975, 39)]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_closed_form_inverse_agrees_with_quadrature(n):
+    for p in _exponent_grid(n):
+        est, _ = sharp_constant_quadrature(n, p)
+        assert sharp_constant_inverse(n, p) == pytest.approx(est, rel=1e-13, abs=0)
+
+
+def _k_inv_50_digits(n, p):
+    """formula(n, p)^(-1/p), the same expression, at 50 digits."""
+    with mpmath.workdps(50):
+        n, p = mpmath.mpf(n), mpmath.mpf(p)
+        ratio = (p - 1) / (n - 1) * (
+            mpmath.loggamma(p * (n - 1) / (2 * (p - 1))) - mpmath.loggamma((n - 1) / (2 * (p - 1)))
+        )
+        k = mpmath.pi ** ((1 - p) / 2) * ((p - 1) / (n - p)) ** (p - 1) * mpmath.exp(ratio)
+        return k ** (-1 / p)
+
+
+def test_closed_form_inverse_within_its_bar_of_50_digits():
+    for n in (2, 3, 4, 5, 7):
+        for p in _exponent_grid(n):
+            ref = _k_inv_50_digits(n, p)
+            assert float(abs(sharp_constant_inverse(n, p) - ref) / ref) <= K_INV_REL, (n, p)
 
 
 def test_quadrature_against_closed_form_many():
