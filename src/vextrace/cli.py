@@ -22,7 +22,8 @@ critical set, a global check with a zero set, an expansion coefficient
 outside its hypothesis, a half-space constant outside 1 < p < N, a
 truncation_R ([halfspace], [expand] or --truncation-R) that is not > 0, an
 expand N, model or eps the model domains cannot take, samples whose
-modular or norm overflows),
+modular or norm overflows, a start whose trace vanishes, a local constant
+with no usable cap),
 reported in one line on stderr; 2 a violated verdict; 3 an indeterminate
 verdict or an expansion fit too unstable to give a slope.
 """
@@ -43,6 +44,7 @@ from .config import ConfigError, ProblemConfig, check_solver_limit, hash_of_args
 from .geometry import CornerError, GeometryError
 from .halfspace import DomainError, FitUnstable, HypothesisViolation
 from .luxemburg import NonFiniteModular, WeightedSamples, luxemburg_norm, modular
+from .solver import ZeroTrace
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -489,14 +491,13 @@ def run(argv=None):
         # usage mistakes and _Finite flags raise ConfigError out of parse_args
         args = build_parser().parse_args(argv)
         if args.threads < 1:
-            print("error: --threads must be >= 1", file=sys.stderr)
-            return EXIT_CONFIG
+            raise ConfigError("--threads must be >= 1")
         return handlers[args.command](args)
     except (ConfigError, OSError) as err:  # a missing, unreadable or directory path too
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG
     except (GeometryError, CornerError, NotCritical, GammaNotEmpty, HypothesisViolation,
-            DomainError, NonFiniteModular) as err:
+            DomainError, NonFiniteModular, ZeroTrace) as err:
         print(f"input error: {type(err).__name__}: {err}", file=sys.stderr)
         return EXIT_CONFIG
     except FitUnstable as err:

@@ -196,6 +196,7 @@ class ProblemConfig:
                 nums = [float(x) for x in spec.split()]
             except ValueError:
                 raise ConfigError(f"[domain] {kind}: bad numbers: {spec!r}")
+            nums = [_finite(x, "domain", kind) for x in nums]
             if kind == "segment":
                 if len(nums) != 4:
                     raise ConfigError(f"[domain] segment needs x0 y0 x1 y1: {spec!r}")

@@ -515,14 +515,8 @@ def mesh_domain(loop, target_h, gamma_arcs=()):
 
     gamma_arcs lists arc indices whose boundary edges are gamma-marked.
 
-    Up to four lattice spacings are tried, 0.62 target_h and then 0.8 times
-    the last, and the first mesh with every edge at most target_h is kept.
-    Each spacing's ring and filtered lattice are built once.  The first try
-    usually fails near the boundary, so its full triangulation is skipped
-    when _too_coarse proves that it fails: a triangle with an edge longer
-    than target_h whose circumcircle holds no other point of the try's point
-    set is in every Delaunay triangulation of that set, so the full try
-    would keep it.  Skipping only certain failures leaves the mesh unchanged.
+    The lattice spacing is 0.496 target_h, then 0.8 times the last, for up
+    to three tries; the first mesh with every edge at most target_h is kept.
     """
     if not (math.isfinite(target_h) and target_h > 0):
         raise ValueError("target_h must be positive")
@@ -537,18 +531,16 @@ def mesh_domain(loop, target_h, gamma_arcs=()):
     if gamma_arcs == set(range(len(loop.arcs))):
         raise GeometryError("gamma must not be the whole boundary")
 
+    # 0.62 * 0.8 rather than 0.496 keeps the spacings' last bits
     spacing = 0.62 * target_h
-    for k in range(4):
-        try:
-            ring, arc_ids, interior = _mesh_points(loop, spacing)
-            # later spacings usually pass, so only the first is certified
-            if k or not _too_coarse(ring, interior, spacing, target_h):
-                dom = _mesh_once(loop, ring, arc_ids, interior, gamma_arcs, target_h)
-                if dom.mesh_size() <= target_h:
-                    return dom
-        except GeometryError:
-            pass
+    for _ in range(3):
         spacing *= 0.8
+        try:
+            dom = _mesh_once(loop, spacing, gamma_arcs, target_h)
+        except GeometryError:
+            continue
+        if dom.mesh_size() <= target_h:
+            return dom
     raise GeometryError("could not reach the requested mesh size")
 
 
@@ -564,59 +556,18 @@ def hex_lattice(lo, hi, spacing):
     return np.concatenate(pts, axis=0) if pts else np.zeros((0, 2))
 
 
-def _mesh_points(loop, spacing):
-    """Boundary ring, its arc ids and the lattice points kept inside it."""
+def _mesh_once(loop, spacing, gamma_arcs, target_h):
+    """Delaunay mesh of the boundary ring and the hexagonal lattice inside
+    it; raises GeometryError when boundary recovery fails."""
     ring, arc_ids = loop.polyline(spacing)
-    if len(ring) < 3:
+    n_ring = len(ring)
+    if n_ring < 3:
         raise GeometryError("boundary too coarse")
     interior = hex_lattice(ring.min(axis=0), ring.max(axis=0), spacing)
     if len(interior):
         interior = interior[points_in_polygon(interior, ring)]
         interior = interior[far_from_ring(interior, ring, 0.55 * spacing)]
-    return ring, arc_ids, interior
 
-
-def _too_coarse(ring, interior, spacing, target_h):
-    """True only if _mesh_once on these points certainly fails for target_h.
-
-    ring and interior are _mesh_points at this spacing.  The ring and the
-    interior points within 2.5 spacings of a ring vertex are triangulated
-    on their own.  A triangle there with an edge longer than target_h, its
-    centroid inside the ring, a clearly nonzero area and no other point of
-    the whole set within 1 + 1e-9 times its circumradius of its circumcentre
-    has a strictly empty circumcircle, so it is in every Delaunay
-    triangulation of the whole set.  _mesh_once keeps it, and then fails
-    boundary recovery or exceeds target_h.  False means nothing.
-    """
-    allpts = np.concatenate([ring, interior], axis=0)
-    near = cKDTree(ring).query(interior, distance_upper_bound=2.5 * spacing)[0] < np.inf
-    pts = np.concatenate([ring, interior[near]], axis=0)
-    p0, p1, p2 = (pts[c] for c in Delaunay(pts).simplices.T)
-    a, b = p1 - p0, p2 - p0
-    sq_a, sq_b = np.einsum("ij,ij->i", a, a), np.einsum("ij,ij->i", b, b)
-    longest = np.sqrt(np.maximum(np.maximum(sq_a, sq_b), np.einsum("ij,ij->i", b - a, b - a)))
-    area2 = a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]
-    scale = float(np.max(ring.max(axis=0) - ring.min(axis=0)))
-    cand = (
-        (longest > target_h * (1.0 + 1e-12))
-        & (np.abs(area2) > np.maximum(1e-3 * longest**2, 1e-12 * scale**2))
-    )
-    cand[cand] = points_in_polygon((p0[cand] + p1[cand] + p2[cand]) / 3.0, ring)
-    if not np.any(cand):
-        return False
-    a, b, sq_a, sq_b, area2 = a[cand], b[cand], sq_a[cand], sq_b[cand], area2[cand]
-    # circumcentre relative to p0
-    u = np.stack([b[:, 1] * sq_a - a[:, 1] * sq_b, a[:, 0] * sq_b - b[:, 0] * sq_a], axis=1)
-    u /= (2.0 * area2)[:, None]
-    radius = np.hypot(u[:, 0], u[:, 1]) * (1.0 + 1e-9)
-    inside = cKDTree(allpts).query_ball_point(p0[cand] + u, radius, return_length=True)
-    return bool(np.any(inside == 3))
-
-
-def _mesh_once(loop, ring, arc_ids, interior, gamma_arcs, target_h):
-    """Delaunay mesh of _mesh_points' ring and interior points, filtered to
-    the ring; raises GeometryError when boundary recovery fails."""
-    n_ring = len(ring)
     allpts = np.concatenate([ring, interior], axis=0)
     tri = Delaunay(allpts)
     cells = tri.simplices

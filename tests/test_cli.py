@@ -256,6 +256,10 @@ def _edited(name, *edits):
         (NO_FREE_BOUNDARY + "\n[solver]\ninit = random\n", "solve", 1, NO_FREE_MESSAGE),
         (NO_FREE_BOUNDARY + "\n[conditions]\nchecks = existence\n",
          "conditions", 1, NO_FREE_MESSAGE),
+        (_edited("disk_subcritical.cfg", ("arc = 0 0 1 0", "arc = 0 0 nan 0")),
+         "solve", 1, "config error: [domain] arc: not a finite number"),
+        (_edited("square_gamma.cfg", ("segment = 1 0 1 1", "segment = 1 0 1 inf")),
+         "solve", 1, "config error: [domain] segment: not a finite number"),
     ],
     ids=["not-critical", "gamma-not-empty", "hypothesis", "geometry", "fit-unstable",
          "norm-bad-p-expr", "h-nan", "max-iter-inf", "truncation-R-inf",
@@ -267,7 +271,8 @@ def _edited(name, *edits):
          "norm-not-a-samples-csv", "norm-samples-csv-directory", "config-directory",
          "init-bubble-lam-negative", "init-bubble-nan", "halfspace-truncation-R-negative",
          "expand-truncation-R-negative", "radii-not-positive", "no-free-boundary-solve",
-         "no-free-boundary-solve-random", "no-free-boundary-conditions"],
+         "no-free-boundary-solve-random", "no-free-boundary-conditions", "domain-arc-nan",
+         "domain-segment-inf"],
 )
 def test_domain_errors_are_one_line_with_exit_code(tmp_path, text, command, code, message):
     (tmp_path / "huge_pair.csv").write_text(HUGE_PAIR_CSV)
@@ -384,11 +389,15 @@ def test_stdout_is_strict_json(tmp_path, text, argv, code):
          "config error: ", "--radii: must be finite numbers > 0"),
         (["--config", "configs/disk_subcritical.cfg", "solve", "--radii=-1,0"],
          "config error: ", "--radii: must be finite numbers > 0"),
+        (["--config", "configs/square_gamma.cfg", "solve", "--init", "bubble 0 0.5 0.01"],
+         "input error: ", "ZeroTrace: iterate vanishes on the boundary quadrature"),
+        (["--threads", "0", "constants", "--N", "2", "--p", "1.5"],
+         "config error: ", "--threads must be >= 1"),
     ],
     ids=["constants-p-above-N", "solve-bad-radii", "truncation-R-inf", "p-nan", "H-minus-inf",
          "tol-nan", "tol-zero", "max-iter-zero", "tol-negative-exponent", "H-space-minus-inf",
          "init-bubble-lam-negative", "init-bubble-nan", "truncation-R-negative", "radii-nan-inf",
-         "radii-not-positive"],
+         "radii-not-positive", "init-bubble-zero-trace", "threads-zero"],
 )
 def test_flag_mistakes_are_one_line(argv, prefix, message):
     res = run_cli(*argv)
@@ -436,11 +445,13 @@ def test_reproducibility_same_seed_and_threads():
          "p = 1.5, r = 3.0 (critical), K^-1 = 1.259921"),
         (["expansion_study.py"], "flat case=curvature fitted=-0.0024 predicted=+0.0000 "
                                  "residual=1.16e-02"),
+        (["shipped_outputs.py", "{tmp}"], "norm: exit 0"),
     ],
-    ids=["constants-table", "disk-study", "expansion-study"],
+    ids=["constants-table", "disk-study", "expansion-study", "shipped-outputs"],
 )
-def test_scripts_run(script, first_line):
-    res = subprocess.run([sys.executable, f"scripts/{script[0]}", *script[1:]],
+def test_scripts_run(tmp_path, script, first_line):
+    args = [a.replace("{tmp}", str(tmp_path)) for a in script[1:]]
+    res = subprocess.run([sys.executable, f"scripts/{script[0]}", *args],
                          capture_output=True, text=True, cwd=REPO, timeout=120)
     assert res.returncode == 0, res.stderr
     assert " ".join(res.stdout.splitlines()[0].split()) == first_line

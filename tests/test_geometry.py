@@ -358,8 +358,7 @@ OFFSET_SQUARE = polygon_loop([(0.03, -0.07), (1.037, -0.07), (1.037, 0.937), (0.
                          ids=["disk", "square", "l-shape", "comb", "gamma-square"])
 @pytest.mark.parametrize("h", [0.1, 0.03])
 def test_far_from_ring_matches_dense_distance(loop, h):
-    # the first two lattice spacings mesh_domain tries
-    for spacing in (0.62 * h, 0.8 * 0.62 * h):
+    for spacing in _tried_spacings(h):
         ring, _ = loop.polyline(spacing)
         lattice = hex_lattice(ring.min(axis=0), ring.max(axis=0), spacing)
         dense = distance_to_segments(lattice, ring, np.roll(ring, -1, axis=0))
@@ -381,11 +380,11 @@ def test_distance_to_segments_pairs_take_the_nearest_listed_segment():
     assert np.all(np.isinf(got[100:]))
 
 
-# -- the coarse-first-try certificate ----------------------------------------------
+# -- the spacing rule --------------------------------------------------------------
 
 HALF_DISK = BoundaryLoop((Segment((-1.0, 0.0), (1.0, 0.0)),
                           CircularArc((0.0, 0.0), 1.0, 0.0, math.pi)))
-CERTIFICATE_DOMAINS = {
+MESH_DOMAINS = {
     "disk": (unit_disk_loop(), (), 1.0),
     "square-gamma": (SQUARE, (3,), 1.0),
     "l-shape": (L_SHAPE, (), 1.0),
@@ -395,51 +394,31 @@ CERTIFICATE_DOMAINS = {
 }
 
 
-def _mesh_once(loop, spacing, gamma, h):
-    ring, arc_ids, interior = geometry._mesh_points(loop, spacing)
-    return geometry._mesh_once(loop, ring, arc_ids, interior, gamma, h)
-
-
-def _fails(loop, spacing, gamma, h):
-    try:
-        return _mesh_once(loop, spacing, gamma, h).mesh_size() > h
-    except GeometryError:
-        return True
-
-
-@pytest.mark.parametrize("name", list(CERTIFICATE_DOMAINS))
-def test_too_coarse_only_when_the_full_try_fails(name):
-    loop, gamma, scale = CERTIFICATE_DOMAINS[name]
-    certified = 0
-    for h in (0.3, 0.2, 0.1, 0.05, 0.03, 0.02):
-        h *= scale
-        for spacing in (0.62 * h, 0.8 * 0.62 * h):
-            ring, _, interior = geometry._mesh_points(loop, spacing)
-            if geometry._too_coarse(ring, interior, spacing, h):
-                certified += 1
-                assert _fails(loop, spacing, set(gamma), h), (h, spacing)
-    assert certified > 0
+def _tried_spacings(h):
+    """The lattice spacings mesh_domain tries, in order: (0.62 h) 0.8^k."""
+    spacing, tried = 0.62 * h, []
+    for _ in range(3):
+        spacing *= 0.8
+        tried.append(spacing)
+    return tried
 
 
 def _mesh_domain_reference(loop, h, gamma):
-    """mesh_domain as it was before the certificate: every try in full."""
-    spacing = 0.62 * h
-    for _ in range(4):
+    """One full try per spacing of _tried_spacings; the first that reaches h."""
+    for spacing in _tried_spacings(h):
         try:
-            dom = _mesh_once(loop, spacing, set(gamma), h)
+            dom = geometry._mesh_once(loop, spacing, set(gamma), h)
         except GeometryError:
-            spacing *= 0.8
             continue
         if dom.mesh_size() <= h:
             return dom
-        spacing *= 0.8
     raise GeometryError("could not reach the requested mesh size")
 
 
-@pytest.mark.parametrize("name", list(CERTIFICATE_DOMAINS))
+@pytest.mark.parametrize("name", list(MESH_DOMAINS))
 def test_mesh_domain_equals_the_all_full_tries_loop(name):
-    loop, gamma, scale = CERTIFICATE_DOMAINS[name]
-    for h in (0.5, 0.3, 0.1, 0.04):
+    loop, gamma, scale = MESH_DOMAINS[name]
+    for h in (0.5, 0.3, 0.24, 0.2, 0.18, 0.15, 0.1, 0.04):
         h *= scale
         got = mesh_domain(loop, h, gamma_arcs=gamma)
         want = _mesh_domain_reference(loop, h, gamma)
@@ -448,31 +427,15 @@ def test_mesh_domain_equals_the_all_full_tries_loop(name):
             assert a.dtype == b.dtype and np.array_equal(a, b), (h, key)
 
 
-def _record_tries(monkeypatch):
-    """Spacings whose points are built, and those triangulated in full."""
-    built, calls = [], []
-    points, once = geometry._mesh_points, geometry._mesh_once
-    monkeypatch.setattr(geometry, "_mesh_points", lambda loop, s: built.append(s) or points(loop, s))
-    monkeypatch.setattr(geometry, "_mesh_once", lambda *a: calls.append(built[-1]) or once(*a))
-    return built, calls
-
-
 @pytest.mark.parametrize(
     "loop, h, gamma",
     [(unit_disk_loop(), 0.03, ()), (SQUARE, 0.025, (3,)), (HALF_DISK, 0.03, (0,))],
     ids=["disk", "square-gamma", "half-disk"],
 )
 def test_fine_benchmark_meshes_take_one_full_try(monkeypatch, loop, h, gamma):
-    built, calls = _record_tries(monkeypatch)
+    tried, once = [], geometry._mesh_once
+    monkeypatch.setattr(geometry, "_mesh_once",
+                        lambda loop, s, *a: tried.append(s) or once(loop, s, *a))
     dom = mesh_domain(loop, h, gamma_arcs=gamma)
     assert dom.mesh_size() <= h
-    assert calls == [0.8 * 0.62 * h]
-    assert built == [0.62 * h, 0.8 * 0.62 * h]
-
-
-def test_uncertified_first_try_builds_its_points_once(monkeypatch):
-    # the first try passes on the coarse square, so the certificate does not fire
-    built, calls = _record_tries(monkeypatch)
-    dom = mesh_domain(SQUARE, 0.2)
-    assert dom.mesh_size() <= 0.2
-    assert built == calls == [0.62 * 0.2]
+    assert tried == [0.62 * h * 0.8]
