@@ -36,6 +36,8 @@ RUNS = {
         ["--config", "configs/square_gamma.cfg", "--seed", "11",
          "solve", "--init", "multistart"],
     "conditions": ["--config", "configs/disk_critical.cfg", "conditions"],
+    "solve-disk_variable": ["--config", "configs/disk_variable.cfg", "solve"],
+    "conditions-disk_variable": ["--config", "configs/disk_variable.cfg", "conditions"],
     "expand": ["--config", "configs/expand_disk.cfg", "expand"],
 }
 

@@ -16,8 +16,9 @@ lam <= 0, a [norm] kind other than lebesgue or sobolev, sobolev samples
 without gradient columns, a samples_csv that is not a samples CSV, a
 config or samples_csv path that is missing, unreadable or a directory, a
 compactness s, r0 or K set out of range, a solve radius ([solver] radii
-or --radii) that is not finite and > 0, a domain whose boundary nodes all
-carry the zero condition, a malformed [domain], a local check off the
+or --radii) that is not finite and > 0, an exponent that is nan or
+infinite at a sample point, a domain whose boundary nodes all carry the
+zero condition, a malformed [domain], a local check off the
 critical set, a global check with a zero set, an expansion coefficient
 outside its hypothesis, a half-space constant outside 1 < p < N, a
 truncation_R ([halfspace], [expand] or --truncation-R) that is not > 0, an

@@ -297,7 +297,7 @@ def local_condition(domain, p, r, x0):
         domain.interior_quadrature()[0], domain.boundary_quadrature()[0],
     )
 
-    chart = fermi_chart(domain, x0)
+    chart = fermi_chart(domain.loop, x0)
     dtp = float(p.gradient(x0[None, :])[0] @ chart.nu)
     H = chart.H
     gates_ok = p_min_ok and r_max_ok and p_bounds[1] < r_bounds[0]

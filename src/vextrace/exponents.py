@@ -4,24 +4,27 @@ Exponents are given as closed-form expressions over the coordinates
 ``x1..xN`` in Python expression syntax, with ``^`` for powers: decimal
 numbers, coordinates, + - * /, parentheses, powers with a constant
 exponent (``x1^2``, ``x1^-0.5``), and exp/log/sqrt of one argument.  The
-standard library's ``ast`` reads the text; a whitelist walk turns it into a
-small AST that supports vectorized evaluation over point arrays and exact
-symbolic differentiation, which the local-condition check uses for the
-normal derivative of p.
+standard library's ``ast`` reads the text, and a whitelist walk turns each
+accepted node into a closure that applies the matching numpy operation to
+the values at an array of points.  The one derivative the program takes,
+the normal derivative of p in the local-condition check, runs the same
+closures on dual numbers (forward-mode differentiation): values carried
+together with their gradients, each operation applying the chain rule.
 """
 
 from __future__ import annotations
 
 import ast
 import math
+import operator
 import re
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 from scipy.spatial.distance import pdist
 
 __all__ = [
-    "ExponentExpr",
     "ExponentField",
     "ExponentSyntaxError",
     "DimensionError",
@@ -51,158 +54,79 @@ class SupercriticalError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# AST
+# Closures and dual numbers
 
 
-class ExponentExpr:
-    """Base class for exponent expression nodes (immutable)."""
-
-    def __call__(self, points):
-        return self.eval(points)
-
-    def eval(self, points):
-        """Evaluate at points of shape (n, N) or a single point; returns (n,)."""
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        return self._eval(pts)
-
-    def eval_at(self, point):
-        return float(self.eval(point)[0])
-
-    def diff(self, index):
-        """Exact derivative with respect to coordinate x_{index+1}."""
-        raise NotImplementedError
-
-    def to_string(self):
-        raise NotImplementedError
-
-    def __repr__(self):
-        return f"{type(self).__name__}({self.to_string()!r})"
+def _full(pts, value):
+    """The constant at each point; a dual with zero gradient at dual points."""
+    values = np.full(pts.shape[0], value)
+    if isinstance(pts, _Dual):
+        return _Dual(values, np.zeros_like(pts.tangent[..., 0]))
+    return values
 
 
-@dataclass(frozen=True)
-class Const(ExponentExpr):
-    value: float
-
-    def _eval(self, pts):
-        return np.full(pts.shape[0], self.value)
-
-    def diff(self, index):
-        return Const(0.0)
-
-    def to_string(self):
-        return repr(self.value)
+def _column(pts, k):
+    if k >= pts.shape[1]:
+        raise DimensionError(f"x{k + 1} evaluated on points of dimension {pts.shape[1]}")
+    return pts[:, k].copy()
 
 
-@dataclass(frozen=True)
-class Var(ExponentExpr):
-    index: int  # 0-based coordinate
+class _Dual(np.lib.mixins.NDArrayOperatorsMixin):
+    """Values (m,) with their gradients (N, m), for forward-mode derivatives.
 
-    def _eval(self, pts):
-        if self.index >= pts.shape[1]:
-            raise DimensionError(
-                f"x{self.index + 1} evaluated on points of dimension {pts.shape[1]}"
-            )
-        return pts[:, self.index].copy()
+    Arithmetic, constant powers and exp/log/sqrt act on both parts.  Each
+    rule does the float operations of its textbook derivative formula in
+    that formula's order, and constants carry a zero gradient, so gradients
+    equal the symbolic derivative evaluated pointwise, bit for bit but for
+    the sign of a nan, which numpy's loops leave open.
+    """
 
-    def diff(self, index):
-        return Const(1.0 if index == self.index else 0.0)
+    def __init__(self, value, tangent):
+        self.value, self.tangent = value, tangent
 
-    def to_string(self):
-        return f"x{self.index + 1}"
+    @property
+    def shape(self):
+        return self.value.shape
 
+    def __getitem__(self, key):
+        return _Dual(self.value[key], self.tangent[(..., *key)])
 
-@dataclass(frozen=True)
-class BinOp(ExponentExpr):
-    op: str  # '+', '-', '*', '/'
-    left: ExponentExpr
-    right: ExponentExpr
+    def copy(self):
+        return _Dual(self.value.copy(), self.tangent.copy())
 
-    def _eval(self, pts):
-        a = self.left._eval(pts)
-        b = self.right._eval(pts)
-        if self.op == "+":
-            return a + b
-        if self.op == "-":
-            return a - b
-        if self.op == "*":
-            return a * b
-        return a / b
-
-    def diff(self, index):
-        da, db = self.left.diff(index), self.right.diff(index)
-        if self.op in "+-":
-            return BinOp(self.op, da, db)
-        if self.op == "*":
-            return BinOp("+", BinOp("*", da, self.right), BinOp("*", self.left, db))
-        # quotient rule
-        num = BinOp("-", BinOp("*", da, self.right), BinOp("*", self.left, db))
-        return BinOp("/", num, BinOp("*", self.right, self.right))
-
-    def to_string(self):
-        return f"({self.left.to_string()} {self.op} {self.right.to_string()})"
-
-
-@dataclass(frozen=True)
-class Neg(ExponentExpr):
-    arg: ExponentExpr
-
-    def _eval(self, pts):
-        return -self.arg._eval(pts)
-
-    def diff(self, index):
-        return Neg(self.arg.diff(index))
-
-    def to_string(self):
-        return f"(-{self.arg.to_string()})"
-
-
-@dataclass(frozen=True)
-class Pow(ExponentExpr):
-    base: ExponentExpr
-    exponent: float  # constant exponent only
-
-    def _eval(self, pts):
-        return self.base._eval(pts) ** self.exponent
-
-    def diff(self, index):
-        db = self.base.diff(index)
-        inner = Pow(self.base, self.exponent - 1.0)
-        return BinOp("*", BinOp("*", Const(self.exponent), inner), db)
-
-    def to_string(self):
-        return f"({self.base.to_string()})^{repr(self.exponent)}"
-
-
-@dataclass(frozen=True)
-class Func(ExponentExpr):
-    name: str  # 'exp', 'log', 'sqrt'
-    arg: ExponentExpr
-
-    def _eval(self, pts):
-        a = self.arg._eval(pts)
-        if self.name == "exp":
-            return np.exp(a)
-        if self.name == "log":
-            return np.log(a)
-        return np.sqrt(a)
-
-    def diff(self, index):
-        da = self.arg.diff(index)
-        if self.name == "exp":
-            return BinOp("*", self, da)
-        if self.name == "log":
-            return BinOp("/", da, self.arg)
-        return BinOp("/", da, BinOp("*", Const(2.0), self))
-
-    def to_string(self):
-        return f"{self.name}({self.arg.to_string()})"
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        a, da = inputs[0].value, inputs[0].tangent
+        if ufunc is np.power:  # the exponent is a float constant
+            e = inputs[1]
+            return _Dual(a ** e, (e * a ** (e - 1.0)) * da)
+        if ufunc is np.negative:
+            return _Dual(-a, -da)
+        if ufunc is np.exp:
+            v = np.exp(a)
+            return _Dual(v, v * da)
+        if ufunc is np.log:
+            return _Dual(np.log(a), da / a)
+        if ufunc is np.sqrt:
+            v = np.sqrt(a)
+            return _Dual(v, da / (2.0 * v))
+        b, db = inputs[1].value, inputs[1].tangent
+        if ufunc is np.add:
+            return _Dual(a + b, da + db)
+        if ufunc is np.subtract:
+            return _Dual(a - b, da - db)
+        if ufunc is np.multiply:
+            return _Dual(a * b, da * b + a * db)
+        if ufunc is np.divide:
+            return _Dual(a / b, (da * b - a * db) / (b * b))
+        return NotImplemented
 
 
 # ---------------------------------------------------------------------------
 # Parser: Python expression syntax read by ``ast``, '^' for constant powers.
 
-_FUNCS = ("exp", "log", "sqrt")
-_OPS = {ast.Add: "+", ast.Sub: "-", ast.Mult: "*", ast.Div: "/"}
+_FUNCS = {"exp": np.exp, "log": np.log, "sqrt": np.sqrt}
+_OPS = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
+        ast.Div: operator.truediv}
 # a typed '**', or a character no exponent expression uses
 _STRAY = re.compile(r"\*\*|[^0-9A-Za-z_\s.+\-*/^(),]")
 # decimal literals only: no 1_0, 0x10, 1j or True
@@ -210,8 +134,9 @@ _NUMBER = re.compile(r"\d*\.?\d*(?:[eE][+-]?\d+)?")
 
 
 def parse_exponent(text, n):
-    """Parse an exponent expression over coordinates x1..xn into an AST.
+    """Parse an exponent expression over coordinates x1..xn.
 
+    Returns a function of points, shape (m, n), to the values, shape (m,).
     Errors carry the position in text of the offending character.
     """
     if not isinstance(text, str) or not text.strip():
@@ -241,7 +166,8 @@ def parse_exponent(text, n):
 
     def build(node):
         if isinstance(node, ast.Constant):
-            return Const(number(node))
+            value = number(node)
+            return lambda pts: _full(pts, value)
         if isinstance(node, ast.Name):
             index = re.fullmatch(r"x(\d+)", node.id)
             if index is None:
@@ -249,9 +175,11 @@ def parse_exponent(text, n):
                      else f"unknown name {node.id!r}", node)
             if not 1 <= int(index[1]) <= n:
                 raise DimensionError(f"coordinate {node.id} out of range for dimension {n}")
-            return Var(int(index[1]) - 1)
+            k = int(index[1]) - 1
+            return lambda pts: _column(pts, k)
         if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
-            return Neg(build(node.operand))
+            arg = build(node.operand)
+            return lambda pts: -arg(pts)
         # one leading '+', as in '+x1' or '-+x1', but not '++x1' or '+-x1'
         if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.UAdd):
             if isinstance(node.operand, ast.UnaryOp):
@@ -263,16 +191,19 @@ def parse_exponent(text, n):
                 expo, sign = expo.operand, -1.0
             if not isinstance(expo, ast.Constant):
                 fail("power exponent must be a numeric constant", expo)
-            return Pow(base, sign * number(expo))
+            e = sign * number(expo)  # a float, as numpy's fast scalar powers expect
+            return lambda pts: base(pts) ** e
         if isinstance(node, ast.BinOp) and type(node.op) in _OPS:
-            return BinOp(_OPS[type(node.op)], build(node.left), build(node.right))
+            op, left, right = _OPS[type(node.op)], build(node.left), build(node.right)
+            return lambda pts: op(left(pts), right(pts))
         if isinstance(node, ast.Call):
             name = getattr(node.func, "id", None)
             if name not in _FUNCS:
                 fail("unknown function", node.func)
             if len(node.args) != 1 or node.keywords:
                 fail(f"{name} takes one argument", node)
-            return Func(name, build(node.args[0]))
+            fn, arg = _FUNCS[name], build(node.args[0])
+            return lambda pts: fn(arg(pts))
         fail("unsupported expression", node)
 
     return build(tree.body)
@@ -284,9 +215,10 @@ def parse_exponent(text, n):
 
 @dataclass(frozen=True)
 class ExponentField:
-    """An exponent expression with its ambient dimension."""
+    """An exponent with its ambient dimension; expr maps points, shape
+    (m, N), to values, shape (m,)."""
 
-    expr: ExponentExpr
+    expr: Callable
     ambient_dimension: int
 
     def __post_init__(self):
@@ -298,23 +230,32 @@ class ExponentField:
         return cls(parse_exponent(text, n), n)
 
     def __call__(self, points):
-        return self.expr.eval(points)
+        # nan and inf values are the caller's to judge, without a warning
+        with np.errstate(all="ignore"):
+            return self.expr(np.atleast_2d(np.asarray(points, dtype=float)))
 
     def eval_at(self, point):
-        return self.expr.eval_at(point)
+        return float(self(point)[0])
 
     def gradient(self, points):
-        """Exact gradient at points, shape (n, N)."""
+        """Gradient at points, shape (m, N), by forward mode: the field runs on
+        duals whose coordinate columns carry the unit vectors as gradients."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        cols = [self.expr.diff(i).eval(pts) for i in range(self.ambient_dimension)]
-        return np.stack(cols, axis=1)
+        seeds = np.eye(self.ambient_dimension, pts.shape[1])[:, None, :]
+        seeds = np.broadcast_to(seeds, (self.ambient_dimension, *pts.shape))
+        with np.errstate(all="ignore"):
+            return self.expr(_Dual(pts, seeds)).tangent.T
 
 
 def trace_critical(p):
     """Critical trace exponent field (N-1)p/(N-p); it holds where p < N."""
     n = p.ambient_dimension
-    denom = BinOp("-", Const(float(n)), p.expr)
-    return ExponentField(BinOp("/", BinOp("*", Const(float(n - 1)), p.expr), denom), n)
+
+    def expr(pts):
+        v = p.expr(pts)
+        return (_full(pts, float(n - 1)) * v) / (_full(pts, float(n)) - v)
+
+    return ExponentField(expr, n)
 
 
 def critical_gap(p, r, points):

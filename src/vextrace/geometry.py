@@ -71,9 +71,6 @@ class Segment:
         t = (b - a) / self.length
         return np.broadcast_to(t, np.shape(s) + (2,)).copy() if np.ndim(s) else t
 
-    def curvature(self):
-        return 0.0
-
     def project(self, x):
         """(arclength, distance) of the closest point to x."""
         a = np.asarray(self.start, float)
@@ -112,10 +109,6 @@ class CircularArc:
         a = self._angle(s)
         sign = 1.0 if self.angle_end > self.angle_start else -1.0
         return sign * np.stack([-np.sin(a), np.cos(a)], axis=-1)
-
-    def curvature(self):
-        # curvature magnitude; the domain-relative sign is set by the loop
-        return 1.0 / self.radius
 
     @property
     def is_full_circle(self):
@@ -304,8 +297,7 @@ class PlanarDomain:
     boundary_edges: np.ndarray  # (ne, 2) int, consecutive along the loop
     edge_arc: np.ndarray  # (ne,) arc index of each boundary edge
     gamma_edges: np.ndarray  # (ne,) bool
-    loop: BoundaryLoop | None = None
-    target_h: float = 0.0
+    loop: BoundaryLoop
     _cache: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self):
@@ -459,7 +451,6 @@ class PlanarDomain:
             np.repeat(self.edge_arc, 2),
             np.repeat(self.gamma_edges, 2),
             loop=self.loop,
-            target_h=self.target_h / 2.0,
         )
         return dom, prol
 
@@ -506,7 +497,6 @@ class PlanarDomain:
             b_arc,
             b_gamma,
             loop=self.loop,
-            target_h=self.target_h,
         )
         return dom, used
 
@@ -536,7 +526,7 @@ def mesh_domain(loop, target_h, gamma_arcs=()):
     for _ in range(3):
         spacing *= 0.8
         try:
-            dom = _mesh_once(loop, spacing, gamma_arcs, target_h)
+            dom = _mesh_once(loop, spacing, gamma_arcs)
         except GeometryError:
             continue
         if dom.mesh_size() <= target_h:
@@ -556,7 +546,7 @@ def hex_lattice(lo, hi, spacing):
     return np.concatenate(pts, axis=0) if pts else np.zeros((0, 2))
 
 
-def _mesh_once(loop, spacing, gamma_arcs, target_h):
+def _mesh_once(loop, spacing, gamma_arcs):
     """Delaunay mesh of the boundary ring and the hexagonal lattice inside
     it; raises GeometryError when boundary recovery fails."""
     ring, arc_ids = loop.polyline(spacing)
@@ -593,9 +583,7 @@ def _mesh_once(loop, spacing, gamma_arcs, target_h):
 
     e_arc = np.asarray(arc_ids)
     gamma = np.array([int(a_) in gamma_arcs for a_ in e_arc], dtype=bool)
-    return PlanarDomain(
-        allpts, cells, edges, e_arc, gamma, loop=loop, target_h=target_h
-    )
+    return PlanarDomain(allpts, cells, edges, e_arc, gamma, loop=loop)
 
 
 # ---------------------------------------------------------------------------
@@ -670,11 +658,8 @@ class FermiChart:
         return np.sqrt(1.0 + dp * dp)
 
 
-def fermi_chart(domain, x0):
-    """Chart at a boundary point x0 lying in the interior of one arc."""
-    loop = domain.loop
-    if loop is None:
-        raise GeometryError("domain has no exact boundary description")
+def fermi_chart(loop, x0):
+    """Chart at a point x0 of the boundary loop, inside one of its arcs."""
     x0 = np.asarray(x0, float)
     best = None
     for arc in loop.arcs:

@@ -542,18 +542,15 @@ def _column_distinct(a, b):
 
 
 def _model_chart(model, H):
-    from .geometry import fermi_chart, mesh_domain, polygon_loop, unit_disk_loop
+    from .geometry import fermi_chart, polygon_loop, unit_disk_loop
 
     if model == "disk":
         if H <= 0:
             raise DomainError("disk model needs H > 0")
         radius = 1.0 / H
-        dom = mesh_domain(unit_disk_loop(radius=radius), radius / 2.0)
-        return fermi_chart(dom, (radius, 0.0))
+        return fermi_chart(unit_disk_loop(radius=radius), (radius, 0.0))
     if model == "flat":
-        loop = polygon_loop([(-2, 0), (2, 0), (2, 4), (-2, 4)])
-        dom = mesh_domain(loop, 1.0)
-        return fermi_chart(dom, (0.0, 0.0))
+        return fermi_chart(polygon_loop([(-2, 0), (2, 0), (2, 4), (-2, 4)]), (0.0, 0.0))
     raise DomainError(f"model must be 'disk' or 'flat', got {model!r}")
 
 

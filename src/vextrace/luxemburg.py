@@ -204,6 +204,9 @@ def _modular_terms(samples, p, kind):
     if kind not in ("lebesgue", "sobolev"):
         raise ValueError("kind must be 'lebesgue' or 'sobolev'")
     exps = _exponents_at(p, samples.points)
+    bad = np.flatnonzero(~np.isfinite(exps))
+    if len(bad):
+        raise ValueError(f"p is {exps[bad[0]]} at {tuple(map(float, samples.points[bad[0]]))}")
     av = np.abs(samples.values)
     gmag = None
     if kind == "sobolev":

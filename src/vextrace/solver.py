@@ -58,12 +58,24 @@ class MeshNotNested(ValueError):
 
 def sampled_exponent_bounds(domain, p, r):
     """(inf, sup) of p over the interior quadrature points and vertices, and
-    of r over the boundary quadrature points and boundary vertices."""
-    pts = domain.interior_quadrature()[0]
-    bpts = domain.boundary_quadrature()[0]
-    pv = np.asarray(p(np.concatenate([pts, domain.vertices])), float)
-    rv = np.asarray(r(np.concatenate([bpts, domain.vertices[domain.boundary_nodes()]])), float)
-    return (float(np.min(pv)), float(np.max(pv))), (float(np.min(rv)), float(np.max(rv)))
+    of r over the boundary quadrature points and boundary vertices.
+
+    Raises DegenerateExponent at the first sample where p or r is not a
+    finite number, since no bound check can judge a nan.
+    """
+    samples = (
+        ("p", p, np.concatenate([domain.interior_quadrature()[0], domain.vertices])),
+        ("r", r, np.concatenate([domain.boundary_quadrature()[0],
+                                 domain.vertices[domain.boundary_nodes()]])),
+    )
+    bounds = []
+    for name, field_, pts in samples:
+        v = np.asarray(field_(pts), float)
+        bad = np.flatnonzero(~np.isfinite(v))
+        if len(bad):
+            raise DegenerateExponent(f"{name} is {v[bad[0]]} at {tuple(map(float, pts[bad[0]]))}")
+        bounds.append((float(np.min(v)), float(np.max(v))))
+    return tuple(bounds)
 
 
 class DiscreteTraceProblem:
@@ -271,7 +283,7 @@ def bubble_init(problem, x0, lam, delta=None):
     """
     from .halfspace import ExtremalProfile, _smoothstep_cutoff
 
-    chart = fermi_chart(problem.domain, x0)
+    chart = fermi_chart(problem.domain.loop, x0)
     p0 = float(problem.p_field.eval_at(chart.x0))
     prof = ExtremalProfile(2, p0, lam=lam)
     rel = problem.domain.vertices - chart.x0

@@ -260,6 +260,18 @@ def _edited(name, *edits):
          "solve", 1, "config error: [domain] arc: not a finite number"),
         (_edited("square_gamma.cfg", ("segment = 1 0 1 1", "segment = 1 0 1 inf")),
          "solve", 1, "config error: [domain] segment: not a finite number"),
+        (_edited("disk_subcritical.cfg", ("p_expr = 1.5", "p_expr = 1.5 + 0.1*sqrt(x1)")),
+         "solve", 1, "config error: problem assembly: p is nan at ("),
+        (_edited("disk_subcritical.cfg", ("p_expr = 1.5", "p_expr = 1.5 + 0.1*sqrt(x1)"))
+         + "\n[conditions]\nchecks = global\n",
+         "conditions", 1, "config error: problem assembly: p is nan at ("),
+        (_edited("disk_subcritical.cfg", ("r_expr = 2", "r_expr = 2 + sqrt(x2)")),
+         "solve", 1, "config error: problem assembly: r is nan at ("),
+        (_edited("golden_norm.cfg", ("p_expr = 2 + 2*x1", "p_expr = 2 + sqrt(x1 - 0.5)")),
+         "norm", 1, "config error: [norm] p is nan at (0.0, 0.0, 0.0, 0.0, 0.0)"),
+        (_edited("disk_subcritical.cfg", ("p_expr = 1.5", "p_expr = 1.5 + 0.01*log(x1 + 1)"),
+                 ("h = 0.1", "h = 0.2")),
+         "solve", 1, "config error: problem assembly: p is -inf at ("),
     ],
     ids=["not-critical", "gamma-not-empty", "hypothesis", "geometry", "fit-unstable",
          "norm-bad-p-expr", "h-nan", "max-iter-inf", "truncation-R-inf",
@@ -272,7 +284,8 @@ def _edited(name, *edits):
          "init-bubble-lam-negative", "init-bubble-nan", "halfspace-truncation-R-negative",
          "expand-truncation-R-negative", "radii-not-positive", "no-free-boundary-solve",
          "no-free-boundary-solve-random", "no-free-boundary-conditions", "domain-arc-nan",
-         "domain-segment-inf"],
+         "domain-segment-inf", "p-nan-solve", "p-nan-conditions", "r-nan-solve", "norm-p-nan",
+         "p-minus-inf-solve"],
 )
 def test_domain_errors_are_one_line_with_exit_code(tmp_path, text, command, code, message):
     (tmp_path / "huge_pair.csv").write_text(HUGE_PAIR_CSV)

@@ -1,20 +1,16 @@
+import hashlib
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from vextrace.exponents import (
-    BinOp,
-    Const,
     DimensionError,
     ExponentField,
     ExponentSyntaxError,
-    Func,
-    Neg,
-    Pow,
     SupercriticalError,
-    Var,
     critical_gap,
     local_extremum_check,
     log_holder_probe,
@@ -24,28 +20,28 @@ from vextrace.exponents import (
 
 
 def test_parse_constant():
-    e = parse_exponent("1.5", 2)
+    e = ExponentField.from_text("1.5", 2)
     assert e.eval_at((0.0, 0.0)) == 1.5
 
 
 def test_parse_affine():
-    e = parse_exponent("1.5 + 0.1*x1", 2)
+    e = ExponentField.from_text("1.5 + 0.1*x1", 2)
     assert e.eval_at((1.0, 0.0)) == pytest.approx(1.6, abs=1e-15)
 
 
 def test_parse_quadratic_vertex():
-    e = parse_exponent("2 - 0.5*(x1^2 + x2^2)", 2)
+    e = ExponentField.from_text("2 - 0.5*(x1^2 + x2^2)", 2)
     assert e.eval_at((0.0, 0.0)) == 2.0
     assert e.eval_at((1.0, 1.0)) == pytest.approx(1.0)
 
 
 def test_power_binds_tightest():
-    e = parse_exponent("2*x1^2", 2)
+    e = ExponentField.from_text("2*x1^2", 2)
     assert e.eval_at((3.0, 0.0)) == pytest.approx(18.0)
 
 
 def test_functions_and_scientific_notation():
-    e = parse_exponent("exp(x1) + log(x2) + sqrt(x1) + 1e-2", 2)
+    e = ExponentField.from_text("exp(x1) + log(x2) + sqrt(x1) + 1e-2", 2)
     v = e.eval_at((1.0, math.e))
     assert v == pytest.approx(math.e + 1.0 + 1.0 + 0.01)
 
@@ -84,6 +80,12 @@ def test_dimension_error():
         parse_exponent("1 + x3", 2)
 
 
+def test_points_with_too_few_columns_raise_dimension_error():
+    f = ExponentField.from_text("1 + x2", 2)
+    with pytest.raises(DimensionError, match="x2 evaluated on points of dimension 1"):
+        f(np.zeros((3, 1)))
+
+
 CORPUS = [
     "1.5",
     "2",
@@ -104,53 +106,109 @@ CORPUS = [
 
 
 def _random_expr(rng, depth=0):
+    """A random expression text over x1 and x2."""
     roll = rng.random()
     if depth >= 4 or roll < 0.3:
         if rng.random() < 0.5:
-            return Const(round(rng.uniform(0.5, 3.0), 3))
-        return Var(rng.integers(0, 2))
+            return repr(round(rng.uniform(0.5, 3.0), 3))
+        return f"x{rng.integers(1, 3)}"
     if roll < 0.6:
-        return BinOp(rng.choice(["+", "-", "*"]), _random_expr(rng, depth + 1),
-                     _random_expr(rng, depth + 1))
+        op = rng.choice(["+", "-", "*"])
+        left = _random_expr(rng, depth + 1)
+        return f"({left} {op} {_random_expr(rng, depth + 1)})"
     if roll < 0.7:
-        return BinOp("/", _random_expr(rng, depth + 1),
-                     BinOp("+", Const(3.0), Pow(Var(rng.integers(0, 2)), 2.0)))
+        return f"({_random_expr(rng, depth + 1)} / (3 + x{rng.integers(1, 3)}^2))"
     if roll < 0.8:
-        return Pow(BinOp("+", Const(2.0), Pow(Var(rng.integers(0, 2)), 2.0)),
-                   round(rng.uniform(-2.0, 2.0), 2))
+        return f"(2 + x{rng.integers(1, 3)}^2)^{round(rng.uniform(-2.0, 2.0), 2)!r}"
     if roll < 0.9:
-        return Func("exp", Neg(Pow(Var(rng.integers(0, 2)), 2.0)))
-    return Func("sqrt", BinOp("+", Const(1.0), Pow(Var(rng.integers(0, 2)), 2.0)))
+        return f"exp(-x{rng.integers(1, 3)}^2)"
+    return f"sqrt(1 + x{rng.integers(1, 3)}^2)"
 
 
-def test_parse_print_round_trip_corpus():
+def _eval_text(text, x1, x2, lib=np):
+    """The text as Python evaluates it, '^' read as '**', with lib's functions."""
+    names = {"x1": x1, "x2": x2, "exp": lib.exp, "log": lib.log, "sqrt": lib.sqrt}
+    return eval(text.replace("^", "**"), {"__builtins__": {}}, names)
+
+
+def test_corpus_matches_numpy_evaluation_of_the_text():
     rng = np.random.default_rng(42)
-    exprs = [parse_exponent(t, 2) for t in CORPUS]
-    exprs += [_random_expr(rng) for _ in range(50 - len(CORPUS))]
+    texts = CORPUS + [_random_expr(rng) for _ in range(50 - len(CORPUS))]
     pts = rng.uniform(-0.9, 0.9, size=(100, 2))
-    for e in exprs:
-        back = parse_exponent(e.to_string(), 2)
-        np.testing.assert_array_equal(e.eval(pts), back.eval(pts))
+    for text in texts:
+        expected = np.broadcast_to(_eval_text(text, pts[:, 0], pts[:, 1]), len(pts))
+        np.testing.assert_array_equal(ExponentField.from_text(text, 2)(pts), expected)
 
 
-def test_symbolic_derivatives_match_finite_differences():
+def test_gradients_match_finite_differences():
     rng = np.random.default_rng(7)
     pts = rng.uniform(0.2, 0.8, size=(20, 2))
     h = 1e-6
     for text in CORPUS:
-        e = parse_exponent(text, 2)
+        e = ExponentField.from_text(text, 2)
+        grad = e.gradient(pts)
+        assert grad.shape == (20, 2)
         for i in range(2):
-            d = e.diff(i).eval(pts)
             shift = np.zeros(2)
             shift[i] = h
-            fd = (e.eval(pts + shift) - e.eval(pts - shift)) / (2 * h)
-            np.testing.assert_allclose(d, fd, rtol=1e-5, atol=1e-7)
+            fd = (e(pts + shift) - e(pts - shift)) / (2 * h)
+            np.testing.assert_allclose(grad[:, i], fd, rtol=1e-5, atol=1e-7)
 
 
-def test_second_derivatives():
-    e = parse_exponent("1.5 + (x1 - 0.5)^2 + 3*x1*x2", 2)
-    H = [[e.diff(i).diff(j).eval_at((0.3, 0.4)) for j in range(2)] for i in range(2)]
-    np.testing.assert_allclose(H, [[2.0, 3.0], [3.0, 0.0]], atol=1e-12)
+@pytest.mark.parametrize(
+    "text",
+    ["x1^3", "x1^101", "x1^-2", "1.5 + 0.1*x1 - 0.05*x2^2", "exp(x1*x2) - x2/(3 + x1^2)",
+     "log(2 + x1) * sqrt(3 + x1*x2)", "(1 + x2^2)^-0.75", "-(-x1)*x2 + 1/x2"],
+)
+def test_gradients_match_a_50_digit_derivative(text):
+    pts = [(-0.5, 0.3), (-0.9, -0.7), (-0.25, 0.8), (0.6, -0.4)]
+    grad = ExponentField.from_text(text, 2).gradient(pts)
+    with mpmath.workdps(50):
+        for (x, y), g in zip(pts, grad):
+            for i, (u, v) in enumerate([(x, y), (y, x)]):
+                def along(t, i=i, v=v):
+                    return _eval_text(text, *((t, v) if i == 0 else (v, t)), lib=mpmath)
+
+                exact = mpmath.diff(along, mpmath.mpf(u))
+                assert abs(g[i] - exact) <= 1e-14 * abs(exact) + 1e-300, (text, x, y, i)
+
+
+DIGEST = "7c09befc4dc451ad9620e94202e797d3d3035606854235b08ef9d3c7f8ee3ea9"
+
+
+def _canonical_bytes(a):
+    # IEEE 754 leaves the sign of a computed nan open, and numpy's loops
+    # set it differently for one point and for many; every nan hashes alike
+    a = np.asarray(a, np.float64)
+    return np.where(np.isnan(a), np.nan, a).tobytes()
+
+
+def test_values_and_gradients_digest():
+    """Pins the float64 bits of values and gradients on a seeded corpus.
+
+    The corpus is CORPUS, texts at the edges of the float range (overflow
+    to inf, division by zero, negative bases, x1^101) and 300 random texts,
+    at 45 points.  The reference digest depends on the bits of numpy's exp,
+    log and power loops, which can differ across numpy builds and CPUs.
+    """
+    edges = [
+        "10^400*x1", "1/0 + x1", "x1^0.5", "(x1 - 1)^-1.5", "x1^101", "x1^3", "log(x1)",
+        "sqrt(x2)", "x1^-1", "exp(1000*x1)", "-1.5", "-2*x2", "x2/x1", "-x1 - -x2",
+        "+x1^2", "x1^0", "x1^-2.5 + x2^1.5", "1e-320*x1*x2",
+    ]
+    rng = np.random.default_rng(14)
+    texts = CORPUS + edges + [_random_expr(rng) for _ in range(300)]
+    pts = np.concatenate([
+        rng.uniform(-0.9, 0.9, size=(40, 2)),
+        [[0.0, 0.0], [-0.0, 1.0], [-1.0, -0.5], [1.0, 2.0], [-0.5, 0.0]],
+    ])
+    digest = hashlib.sha256()
+    with np.errstate(all="ignore"):
+        for text in texts:
+            f = ExponentField.from_text(text, 2)
+            digest.update(_canonical_bytes(f(pts)))
+            digest.update(_canonical_bytes(f.gradient(pts)))
+    assert digest.hexdigest() == DIGEST
 
 
 # -- critical exponents ------------------------------------------------------
@@ -307,7 +365,7 @@ def test_log_holder_probe_matches_dense_reference(case):
     y=st.floats(-0.9, 0.9),
 )
 def test_affine_field_round_trip_property(a, b, x, y):
-    text = f"{a!r} + {b!r}*x1"
-    e = parse_exponent(text, 2)
-    back = parse_exponent(e.to_string(), 2)
-    assert e.eval_at((x, y)) == back.eval_at((x, y))
+    # a and b go into the text and come back as the value and the gradient
+    e = ExponentField.from_text(f"{a!r} + {b!r}*x1", 2)
+    assert e.eval_at((x, y)) == a + b * x
+    assert e.gradient((x, y)).tolist() == [[b, 0.0]]

@@ -159,35 +159,35 @@ def test_quadrature_integrates_polynomials(disk_005):
 
 
 def test_chart_unit_disk_curvature():
-    dom = mesh_domain(unit_disk_loop(), 0.2)
+    loop = unit_disk_loop()
     for theta in (0.3, 2.0, 4.5):
-        chart = fermi_chart(dom, (math.cos(theta), math.sin(theta)))
+        chart = fermi_chart(loop, (math.cos(theta), math.sin(theta)))
         assert chart.H == pytest.approx(1.0, rel=1e-12)
 
 
 def test_chart_radius_two():
-    dom = mesh_domain(unit_disk_loop(radius=2.0), 0.3)
-    chart = fermi_chart(dom, (2.0, 0.0))
+    loop = unit_disk_loop(radius=2.0)
+    chart = fermi_chart(loop, (2.0, 0.0))
     assert chart.H == pytest.approx(0.5, rel=1e-12)
 
 
 def test_chart_flat_edge():
-    dom = mesh_domain(SQUARE, 0.4)
-    chart = fermi_chart(dom, (0.5, 0.0))
+    loop = SQUARE
+    chart = fermi_chart(loop, (0.5, 0.0))
     assert chart.H == 0.0
     np.testing.assert_allclose(chart.nu, [0.0, 1.0], atol=1e-15)
 
 
 def test_chart_corner_error():
-    dom = mesh_domain(SQUARE, 0.4)
+    loop = SQUARE
     with pytest.raises(CornerError):
-        fermi_chart(dom, (1.0, 0.0))
+        fermi_chart(loop, (1.0, 0.0))
 
 
 def test_chart_inward_normal_and_unit():
-    dom = mesh_domain(unit_disk_loop(), 0.2)
+    loop = unit_disk_loop()
     for theta in (-0.5 * math.pi, 0.3, 2.0):
-        chart = fermi_chart(dom, (math.cos(theta), math.sin(theta)))
+        chart = fermi_chart(loop, (math.cos(theta), math.sin(theta)))
         assert np.linalg.norm(chart.nu) == pytest.approx(1.0, rel=1e-14)
         assert abs(float(chart.nu @ chart.tau)) < 1e-14
         assert np.linalg.norm(chart.x0) == pytest.approx(1.0, rel=1e-14)
@@ -196,8 +196,8 @@ def test_chart_inward_normal_and_unit():
 
 
 def test_chart_jacobian_expansion_ratio():
-    dom = mesh_domain(unit_disk_loop(), 0.2)
-    chart = fermi_chart(dom, (1.0, 0.0))
+    loop = unit_disk_loop()
+    chart = fermi_chart(loop, (1.0, 0.0))
     consts = []
     for scale in (0.2, 0.1, 0.05):
         ys = np.linspace(-scale, scale, 7)
@@ -226,8 +226,8 @@ def _half_disk_reference(n):
 
 
 def test_pullback_flat_weights_euclidean():
-    dom = mesh_domain(SQUARE, 0.4)
-    chart = fermi_chart(dom, (0.5, 0.0))
+    loop = SQUARE
+    chart = fermi_chart(loop, (0.5, 0.0))
     y, t, w = _half_disk_reference(24)
     # identity chart: the weights are the plain half-disk cell measures
     np.testing.assert_array_equal(chart.jacobian(0.1 * y, 0.1 * t), 1.0)
@@ -259,8 +259,8 @@ def _euclidean_ball_integral(u_pow, eps, p):
 
 def test_pullback_norm_ratio_converges():
     p = 1.5
-    dom = mesh_domain(unit_disk_loop(), 0.2)
-    chart = fermi_chart(dom, (1.0, 0.0))
+    loop = unit_disk_loop()
+    chart = fermi_chart(loop, (1.0, 0.0))
 
     def u(x):
         x = np.atleast_2d(x)
@@ -285,8 +285,8 @@ def test_pullback_norm_ratio_converges():
 
 
 def test_pullback_boundary_measure():
-    dom = mesh_domain(unit_disk_loop(), 0.2)
-    chart = fermi_chart(dom, (1.0, 0.0))
+    loop = unit_disk_loop()
+    chart = fermi_chart(loop, (1.0, 0.0))
     eps = 0.1
     xg, wg = np.polynomial.legendre.leggauss(64)
     # the chart boundary patch has arclength 2*eps*arcsin-ish; jacobian-weighted
@@ -407,7 +407,7 @@ def _mesh_domain_reference(loop, h, gamma):
     """One full try per spacing of _tried_spacings; the first that reaches h."""
     for spacing in _tried_spacings(h):
         try:
-            dom = geometry._mesh_once(loop, spacing, set(gamma), h)
+            dom = geometry._mesh_once(loop, spacing, set(gamma))
         except GeometryError:
             continue
         if dom.mesh_size() <= h:

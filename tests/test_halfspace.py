@@ -416,6 +416,19 @@ def test_expansion_fit_normal_derivative_branch():
     assert fit.fitted_slope == pytest.approx(fit.predicted_slope, rel=0.2)
 
 
+@pytest.mark.parametrize("model", ["disk", "flat"])
+def test_expansion_fit_builds_no_mesh(monkeypatch, disk_coeffs, model):
+    # the model chart reads only the model's boundary loop
+    from vextrace import geometry
+
+    def no_mesh(*args, **kwargs):
+        raise AssertionError("mesh_domain called")
+
+    monkeypatch.setattr(geometry, "mesh_domain", no_mesh)
+    fit = norm_expansion_check(2, 1.3, disk_coeffs, (0.04, 0.02, 0.01, 0.005), model=model)
+    assert fit.case == "curvature"
+
+
 def test_expansion_fit_defect_shrinks(disk_coeffs):
     fit = norm_expansion_check(
         2, 1.3, disk_coeffs, (0.04, 0.02, 0.01, 0.005), model="disk"

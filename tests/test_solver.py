@@ -17,6 +17,7 @@ from vextrace.solver import (
     minimize,
     monotonicity_check,
     rayleigh_quotient,
+    sampled_exponent_bounds,
     solve_problem,
 )
 
@@ -146,6 +147,17 @@ def test_degenerate_exponent_rejected():
     dom = mesh_domain(unit_disk_loop(), 0.3)
     with pytest.raises(DegenerateExponent):
         DiscreteTraceProblem(dom, ExponentField.from_text("1.02", 2), R2)
+
+
+@pytest.mark.parametrize("p_text, r_text, message", [
+    ("1.5 + 0.1*sqrt(x1)", "2", "p is nan at ("),
+    ("1.5", "2 + sqrt(x2)", "r is nan at ("),
+])
+def test_non_finite_exponent_named_with_a_point(p_text, r_text, message):
+    dom = mesh_domain(unit_disk_loop(), 0.3)
+    p, r = ExponentField.from_text(p_text, 2), ExponentField.from_text(r_text, 2)
+    with pytest.raises(DegenerateExponent, match=message.replace("(", r"\(")):
+        sampled_exponent_bounds(dom, p, r)
 
 
 def test_supercritical_r_rejected():
