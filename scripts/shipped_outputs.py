@@ -39,6 +39,11 @@ RUNS = {
     "solve-disk_variable": ["--config", "configs/disk_variable.cfg", "solve"],
     "conditions-disk_variable": ["--config", "configs/disk_variable.cfg", "conditions"],
     "expand": ["--config", "configs/expand_disk.cfg", "expand"],
+    "constants-halfspace": ["--config", "configs/halfspace.cfg", "constants"],
+    "conditions-disk_compact": ["--config", "configs/disk_compact.cfg", "conditions"],
+    "solve-disk_subcritical-flags":
+        ["--config", "configs/disk_subcritical.cfg", "solve", "--init", "bubble 1 0 0.3",
+         "--max-iter", "40", "--tol", "1e-7", "--radii", "0.2,0.6"],
 }
 
 

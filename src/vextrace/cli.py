@@ -8,24 +8,26 @@ Runs are deterministic for a fixed config and --seed: nothing is
 threaded, and modular, measure and quadrature sums are exact (equal to
 ``math.fsum``), so they depend on no summation order, numpy build or CPU.
 --threads is accepted for interface compatibility and changes nothing.
+Every setting is a key of the config.SETTINGS table; a flag beats the
+config, and the config beats the table default.
 
 Exit codes: 0 success (every verdict satisfied); 1 an input mistake (bad
-config or flag, argparse usage errors included, a fraction in an integer
-key, [exponents] n other than 2, a bubble init with a non-finite number or
+config or flag, argparse usage errors included, a config section or key
+the table does not list, a fraction in an integer key, [exponents] n
+other than 2, a bubble init with a non-finite number or
 lam <= 0, a [norm] kind other than lebesgue or sobolev, sobolev samples
 without gradient columns, a samples_csv that is not a samples CSV, a
 config or samples_csv path that is missing, unreadable or a directory, a
 compactness s, r0 or K set out of range, a solve radius ([solver] radii
 or --radii) that is not finite and > 0, an exponent that is nan or
 infinite at a sample point, a domain whose boundary nodes all carry the
-zero condition, a malformed [domain], a local check off the
-critical set, a global check with a zero set, an expansion coefficient
-outside its hypothesis, a half-space constant outside 1 < p < N, a
-truncation_R ([halfspace], [expand] or --truncation-R) that is not > 0, an
-expand N, model or eps the model domains cannot take, samples whose
-modular or norm overflows, a start whose trace vanishes, a local constant
-with no usable cap),
-reported in one line on stderr; 2 a violated verdict; 3 an indeterminate
+zero condition, a malformed [domain], a local check off the critical set,
+a global check with a zero set, an expansion coefficient outside its
+hypothesis, a half-space constant outside 1 < p < N, a truncation_R
+([halfspace], [expand] or --truncation-R) that is not > 0, an expand N,
+model or eps the model domains cannot take, samples whose modular or norm
+overflows, a start whose trace vanishes, a local constant with no usable
+cap), reported in one line on stderr; 2 a violated verdict; 3 an indeterminate
 verdict or an expansion fit too unstable to give a slope.
 """
 
@@ -41,7 +43,7 @@ import numpy as np
 
 from . import __version__
 from .conditions import GammaNotEmpty, NotCritical
-from .config import ConfigError, ProblemConfig, check_solver_limit, hash_of_args, parse_init
+from .config import EXPANSION_INPUTS, FLAGS, ConfigError, ProblemConfig, hash_of_args
 from .geometry import CornerError, GeometryError
 from .halfspace import DomainError, FitUnstable, HypothesisViolation
 from .luxemburg import NonFiniteModular, WeightedSamples, luxemburg_norm, modular
@@ -103,14 +105,12 @@ def _require_config(args):
 
 def cmd_norm(args):
     cfg = _require_config(args)
-    path = cfg.get_str("norm", "samples_csv", required=True)
-    n = cfg.get_int("norm", "n", default=2)
-    kind = cfg.get_str("norm", "kind", default="lebesgue")
-    p_text = cfg.get_str("norm", "p_expr", required=True)
+    s = cfg.settings("norm")
+    path, kind = s["samples_csv"], s["kind"]
     from .exponents import ExponentField
 
     try:
-        p = ExponentField.from_text(p_text, n)
+        p = ExponentField.from_text(s["p_expr"], s["n"])
     except ValueError as err:
         raise ConfigError(f"[norm]: {err}")
     try:
@@ -136,25 +136,15 @@ def cmd_constants(args):
         sharp_constant_quadrature,
     )
 
-    if args.config:
-        cfg = ProblemConfig.from_path(args.config)
-        sec = lambda k, d: cfg.get_float("halfspace", k, default=d)
-        n = cfg.get_int("halfspace", "N", default=args.N)
-        p = cfg.get_float("halfspace", "p", default=args.p)
-        R = sec("truncation_R", args.truncation_R)
-        inputs = {k: sec(k, getattr(args, k)) for k in
-                  ("f0", "dtf0", "dtp0", "dttp0", "lap_y_p0", "lap_r0", "H", "hbar")}
-        config_hash = cfg.config_hash
-    else:
-        n, p, R = args.N, args.p, args.truncation_R
-        inputs = {k: getattr(args, k) for k in
-                  ("f0", "dtf0", "dtp0", "dttp0", "lap_y_p0", "lap_r0", "H", "hbar")}
-        config_hash = hash_of_args(
-            f"constants N={n} p={p} R={R} " + " ".join(f"{k}={v}" for k, v in sorted(inputs.items()))
-        )
+    cfg = ProblemConfig.from_path(args.config) if args.config else ProblemConfig.from_text("")
+    s = cfg.settings("halfspace", vars(args))
+    n, p, R = s["N"], s["p"], s["truncation_R"]
     if n is None or p is None:
         raise ConfigError("constants needs --N and --p (or a [halfspace] section)")
-    n = int(n)
+    inputs = {k: s[k] for k in EXPANSION_INPUTS}
+    config_hash = cfg.config_hash if args.config else hash_of_args(
+        f"constants N={n} p={p} R={R} " + " ".join(f"{k}={v}" for k, v in sorted(inputs.items()))
+    )
 
     formula = sharp_constant_formula(n, p)
     k_inv, tail = sharp_constant_quadrature(n, p, truncation_R=R)
@@ -198,45 +188,18 @@ def cmd_constants(args):
 
 def cmd_solve(args):
     cfg = _require_config(args)
-    opts = cfg.solver_options()
-    if args.init:
-        opts["init"] = parse_init(args.init)
-    for key, flag in (("max_iter", "--max-iter"), ("tol", "--tol")):
-        if getattr(args, key) is not None:
-            opts[key] = check_solver_limit(key, getattr(args, key), flag)
-    if args.radii:
-        try:
-            radii = [float(x) for x in args.radii.split(",")]
-        except ValueError:
-            raise ConfigError(f"--radii: expected comma-separated numbers, got {args.radii!r}")
-        opts["radii"] = check_solver_limit("radii", radii, "--radii")
+    opts = cfg.settings("solver", vars(args))
     problem = cfg.build_problem()
 
-    from .solver import minimize, solve_problem
+    from .solver import concentration_diagnostic, minimize, solve_problem
 
+    run_opts = dict(max_iter=opts["max_iter"], tol=opts["tol"], seed=args.seed)
     if opts["init"] == "multistart":
-        report = solve_problem(
-            problem,
-            n_random=opts["n_random"],
-            max_iter=opts["max_iter"],
-            tol=opts["tol"],
-            seed=args.seed,
-            radii=opts["radii"] or None,
-        )
+        report = solve_problem(problem, n_random=opts["n_random"], **run_opts)
     else:
-        report = minimize(
-            problem,
-            init=opts["init"],
-            max_iter=opts["max_iter"],
-            tol=opts["tol"],
-            seed=args.seed,
-        )
-        if opts["radii"]:
-            from .solver import concentration_diagnostic
-
-            report.concentration = concentration_diagnostic(
-                report.minimizer, problem, opts["radii"]
-            )
+        report = minimize(problem, init=opts["init"], **run_opts)
+    if opts["radii"]:
+        report.concentration = concentration_diagnostic(report.minimizer, problem, opts["radii"])
 
     payload = _base_payload("solve", cfg.config_hash, seed=args.seed)
     rep = report.to_dict()
@@ -296,11 +259,11 @@ def cmd_conditions(args):
     problem = cfg.build_problem()
     domain = problem.domain
     p, r = problem.p_field, problem.r_field
-    checks = (cfg.get_str("conditions", "checks", default="global") or "").split()
+    cond = cfg.settings("conditions")
     verdicts = []
 
     t_bar = t_bar_report = None
-    if any(c in ("global", "existence") for c in checks):
+    if any(c in ("global", "existence") for c in cond["checks"]):
         if len(problem.critical_points):
             t_bar, prov = smallest_localized_constant(problem)
         else:  # compact regime: no critical points
@@ -309,16 +272,16 @@ def cmd_conditions(args):
         t_bar_report = {"value": t_bar.value, "error": t_bar.error,
                         **{k: prov[k] for k in ("method", "argmin", "n_sampled")}}
 
-    for check in checks:
+    for check in cond["checks"]:
         if check == "global":
             verdicts.append(global_condition(domain, p, r, t_bar))
         elif check == "local":
-            x0 = cfg.get_floats("conditions", "x0")
+            x0 = cond["x0"]
             if len(x0) != 2:
                 raise ConfigError("[conditions] x0 = x y required for the local check")
             verdicts.append(local_condition(domain, p, r, x0))
         elif check == "existence":
-            opts = cfg.solver_options()
+            opts = cfg.settings("solver")
             from .solver import minimize
 
             rep = minimize(problem, init="constant", max_iter=opts["max_iter"],
@@ -328,8 +291,7 @@ def cmd_conditions(args):
                 existence_verdict(Estimate(rep.t_estimate, t_err), t_bar)
             )
         elif check == "compactness":
-            k_pts = cfg.get_floats("conditions", "K_points")
-            k_arcs = cfg.get_ints("conditions", "K_arcs")
+            k_pts, k_arcs = cond["K_points"], cond["K_arcs"]
             if k_pts:
                 if len(k_pts) % 2:
                     raise ConfigError(
@@ -344,10 +306,7 @@ def cmd_conditions(args):
                 verdicts.append(
                     compactness_rate_check(
                         domain, p, r, K,
-                        s=cfg.get_float("conditions", "s", default=1.0),
-                        C=cfg.get_float("conditions", "C", default=8.0),
-                        r0=cfg.get_float("conditions", "r0", default=0.3),
-                        phi=LogPower(cfg.get_int("conditions", "phi_n", default=1)),
+                        s=cond["s"], C=cond["C"], r0=cond["r0"], phi=LogPower(cond["phi_n"]),
                     )
                 )
             except ValueError as err:  # s, r0 or a K arc index out of range
@@ -376,25 +335,16 @@ def cmd_expand(args):
     cfg = _require_config(args)
     from .halfspace import expansion_coefficients, norm_expansion_check
 
-    n = cfg.get_int("expand", "N", default=2)
-    p = cfg.get_float("expand", "p", required=True)
-    model = cfg.get_str("expand", "model", default="disk")
-    epsilons = cfg.get_floats("expand", "epsilons",
-                              default=(0.08, 0.056, 0.04, 0.028, 0.02, 0.014, 0.01))
-    inputs = {
-        k: cfg.get_float("expand", k, default=d)
-        for k, d in (
-            ("f0", 1.0), ("dtf0", 0.0), ("dtp0", 0.0), ("dttp0", 0.0),
-            ("lap_y_p0", 0.0), ("lap_r0", 0.0),
-        )
-    }
-    H = cfg.get_float("expand", "H", default=1.0 if model == "disk" else 0.0)
+    e = cfg.settings("expand")
+    model = e["model"]
+    inputs = {k: e[k] for k in EXPANSION_INPUTS if k in e}
+    if inputs["H"] is None:  # the model's own curvature
+        inputs["H"] = 1.0 if model == "disk" else 0.0
     coeffs = expansion_coefficients(
-        n, p, H=H, hbar=H, enforce_hypotheses=False,
-        truncation_R=cfg.get_float("expand", "truncation_R", default=100.0),
-        **inputs,
+        e["N"], e["p"], hbar=inputs["H"], enforce_hypotheses=False,
+        truncation_R=e["truncation_R"], **inputs,
     )
-    fit = norm_expansion_check(n, p, coeffs, epsilons, model=model)
+    fit = norm_expansion_check(e["N"], e["p"], coeffs, e["epsilons"], model=model)
     payload = _base_payload("expand", cfg.config_hash)
     payload.update(
         {
@@ -427,15 +377,6 @@ def cmd_expand(args):
 # -- entry ------------------------------------------------------------------------
 
 
-class _Finite(argparse.Action):
-    """Store a float flag; nan and +-inf are config errors, since no flag takes them."""
-
-    def __call__(self, parser, namespace, value, option_string=None):
-        if not math.isfinite(value):
-            raise ConfigError(f"{option_string}: not a finite number")
-        setattr(namespace, self.dest, value)
-
-
 class _Parser(argparse.ArgumentParser):
     """Usage mistakes are config errors (exit 1, one line), not argparse's exit 2."""
 
@@ -462,18 +403,12 @@ def build_parser():
     sub.add_parser("norm", help="Luxemburg norm of a samples CSV (config [norm])")
 
     c = sub.add_parser("constants", help="sharp constant by formula and quadrature")
-    c.add_argument("--N", type=int)
-    c.add_argument("--p", type=float, action=_Finite)
-    c.add_argument("--truncation-R", dest="truncation_R", type=float, action=_Finite,
-                   default=100.0)
-    for k in ("f0", "dtf0", "dtp0", "dttp0", "lap_y_p0", "lap_r0", "H", "hbar"):
-        c.add_argument(f"--{k}", type=float, action=_Finite, default=1.0 if k == "f0" else 0.0)
-
     s = sub.add_parser("solve", help="minimize the trace quotient (config problem)")
-    s.add_argument("--init", help="constant | random | multistart | 'bubble x y lam'")
-    s.add_argument("--max-iter", dest="max_iter", type=int)
-    s.add_argument("--tol", type=float, action=_Finite)
-    s.add_argument("--radii", help="comma-separated diagnostic radii")
+    helps = {"init": "constant | random | multistart | 'bubble x y lam'",
+             "radii": "comma-separated diagnostic radii"}
+    for parser, section in ((c, "halfspace"), (s, "solver")):
+        for key, flag in FLAGS[section].items():
+            parser.add_argument(flag, dest=key, help=helps.get(key))
 
     sub.add_parser("conditions", help="evaluate existence conditions (config [conditions])")
     sub.add_parser("expand", help="cutoff-extremal norm expansion fit (config [expand])")
@@ -489,7 +424,7 @@ def run(argv=None):
         "expand": cmd_expand,
     }
     try:
-        # usage mistakes and _Finite flags raise ConfigError out of parse_args
+        # usage mistakes raise ConfigError out of parse_args
         args = build_parser().parse_args(argv)
         if args.threads < 1:
             raise ConfigError("--threads must be >= 1")

@@ -1,7 +1,10 @@
-"""Flat key/value problem configs with section headers.
+"""Flat key/value problem configs, and SETTINGS, the one table of every
+setting a config key or a CLI flag gives.
 
-Format: ``[section]`` headers, ``key = value`` lines, ``#`` comments.
-Repeated keys accumulate in order (used for boundary pieces).  Example::
+Format: ``[section]`` headers, ``key = value`` lines, ``#`` comments.  A
+section or key SETTINGS does not list is a config error.  Repeated keys
+keep the last value, but for the boundary pieces, which accumulate in
+order.  Example::
 
     [domain]
     arc = 0 0 1 0 6.283185307179586
@@ -20,14 +23,16 @@ Repeated keys accumulate in order (used for boundary pieces).  Example::
     radii = 0.3 1.0
 
 Boundary pieces: ``segment = x0 y0 x1 y1`` or ``arc = cx cy R a0 a1`` in
-loop order; ``gamma`` lists piece indices carrying the zero condition.
+loop order; ``gamma`` lists piece indices carrying the zero condition.  A
+flag beats the config, and the config beats the table default.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 from .exponents import ExponentField
 from .geometry import BoundaryLoop, CircularArc, Segment, mesh_domain
@@ -56,46 +61,49 @@ def _config_lines(text):
         yield current, key.strip(), value.strip()
 
 
-def parse_config_text(text):
-    """Parse into {section: {key: [values...]}} preserving repeat order."""
-    sections = {}
-    for section, key, value in _config_lines(text):
-        entries = sections.setdefault(section, {})
-        if key is not None:
-            entries.setdefault(key, []).append(value)
-    return sections
+# -- parse functions: (text, name) -> value, name being "[section] key" or the flag
 
 
-def _finite(x, section, key):
-    """x itself; nan and +-inf are config errors, since no setting takes them."""
+def _text(text, name):
+    return text
+
+
+def _words(text, name):
+    return text.split()
+
+
+def _number(text, name):
+    """A float; nan and +-inf are config errors, since no setting takes them."""
+    try:
+        x = float(text)
+    except ValueError:
+        raise ConfigError(f"{name}: not a number: {text!r}")
     if not math.isfinite(x):
-        raise ConfigError(f"[{section}] {key}: not a finite number")
+        raise ConfigError(f"{name}: not a finite number")
     return x
 
 
-def _integral(x, section, key):
-    """int(x) for a whole number x; a fraction is a config error, not truncated."""
+def _integer(text, name):
+    """A whole number; a fraction is a config error, not truncated."""
+    x = _number(text, name)
     if not x.is_integer():
-        raise ConfigError(f"[{section}] {key}: not an integer: {x!r}")
+        raise ConfigError(f"{name}: not an integer: {x!r}")
     return int(x)
 
 
-_SOLVER_LIMITS = {
-    "max_iter": (lambda n: n >= 1, "must be at least 1"),
-    "tol": (lambda x: math.isfinite(x) and x > 0, "must be a finite number > 0"),
-    "radii": (lambda rs: all(math.isfinite(x) and x > 0 for x in rs),
-              "must be finite numbers > 0"),
-}
+def _numbers(text, name):
+    """Finite numbers separated by whitespace.  A flag list (--radii) is
+    comma-separated, and its key's rule rules on nan and inf."""
+    if not name.startswith("--"):
+        return [_number(x, name) for x in text.split()]
+    try:
+        return [float(x) for x in text.split(",")]
+    except ValueError:
+        raise ConfigError(f"{name}: expected comma-separated numbers, got {text!r}")
 
 
-def check_solver_limit(key, value, name):
-    """value, once it is valid for the solver option key (max_iter >= 1,
-    tol finite and > 0, each of the radii finite and > 0); name is the
-    config key or flag an error names."""
-    ok, rule = _SOLVER_LIMITS[key]
-    if not ok(value):
-        raise ConfigError(f"{name}: {rule}, got {value!r}")
-    return value
+def _integers(text, name):
+    return [_integer(x, name) for x in text.split()]
 
 
 def parse_init(text):
@@ -117,19 +125,114 @@ def parse_init(text):
     return text
 
 
+# -- the table -------------------------------------------------------------------
+
+REQUIRED = object()  # the default of a key that must be given
+
+
+class Setting(NamedTuple):
+    """A key's parse, its default (None: optional without one) and an
+    optional check with the rule its error states."""
+
+    parse: Callable
+    default: object = REQUIRED
+    check: Callable | None = None
+    rule: str = ""
+
+
+# Taylor data of p, r and the weight at the base point (expansion coefficients)
+_INPUTS = {"f0": Setting(_number, 1.0)} | {
+    k: Setting(_number, 0.0)
+    for k in ("dtf0", "dtp0", "dttp0", "lap_y_p0", "lap_r0", "H", "hbar")
+}
+EXPANSION_INPUTS = tuple(_INPUTS)
+
+SETTINGS = {
+    "domain": {
+        # the boundary pieces: build_loop reads every repeat, in loop order
+        "segment": Setting(_text, None),
+        "arc": Setting(_text, None),
+        "h": Setting(_number, REQUIRED, lambda h: h > 0, "must be positive"),
+        "gamma": Setting(_integers, ()),
+    },
+    "exponents": {
+        "n": Setting(_integer, 2),
+        "p_expr": Setting(_text),
+        "r_expr": Setting(_text),
+    },
+    "solver": {
+        "init": Setting(lambda text, name: parse_init(text), "constant"),
+        "max_iter": Setting(_integer, 200, lambda n: n >= 1, "must be at least 1"),
+        "tol": Setting(_number, 1e-6, lambda x: x > 0, "must be a finite number > 0"),
+        "radii": Setting(_numbers, (), lambda rs: all(math.isfinite(x) and x > 0 for x in rs),
+                         "must be finite numbers > 0"),
+        "n_random": Setting(_integer, 3),
+    },
+    "conditions": {
+        "checks": Setting(_words, ("global",)),
+        "x0": Setting(_numbers, ()),
+        "K_points": Setting(_numbers, ()),
+        "K_arcs": Setting(_integers, ()),
+        "s": Setting(_number, 1.0), "C": Setting(_number, 8.0), "r0": Setting(_number, 0.3),
+        "phi_n": Setting(_integer, 1),
+    },
+    "norm": {
+        "samples_csv": Setting(_text),
+        "n": Setting(_integer, 2),
+        "kind": Setting(_text, "lebesgue"),
+        "p_expr": Setting(_text),
+    },
+    "halfspace": {
+        "N": Setting(_integer, None),
+        "p": Setting(_number, None),
+        "truncation_R": Setting(_number, 100.0),
+        **_INPUTS,
+    },
+    "expand": {
+        "N": Setting(_integer, 2),
+        "p": Setting(_number),
+        "model": Setting(_text, "disk"),
+        "epsilons": Setting(_numbers, (0.08, 0.056, 0.04, 0.028, 0.02, 0.014, 0.01)),
+        **{k: s for k, s in _INPUTS.items() if k != "hbar"},  # hbar is H on a model
+        "H": Setting(_number, None),  # None: the model's curvature
+        "truncation_R": Setting(_number, 100.0),
+    },
+}
+
+# the flag spelling of each key a flag can set, per section
+FLAGS = {
+    "halfspace": {"N": "--N", "p": "--p", "truncation_R": "--truncation-R"}
+    | {k: f"--{k}" for k in EXPANSION_INPUTS},
+    "solver": {"init": "--init", "max_iter": "--max-iter", "tol": "--tol", "radii": "--radii"},
+}
+
+
+def parse_config_text(text):
+    """Parse into {section: {key: value}}, the last of repeated keys winning;
+    a section or key that SETTINGS does not list is a config error."""
+    sections = {}
+    for section, key, value in _config_lines(text):
+        if section not in SETTINGS:
+            raise ConfigError(f"unknown section [{section}]")
+        entries = sections.setdefault(section, {})
+        if key is not None:
+            if key not in SETTINGS[section]:
+                raise ConfigError(f"[{section}] unknown key {key!r}")
+            entries[key] = value
+    return sections
+
+
 @dataclass
 class ProblemConfig:
-    """Typed access over the parsed sections, with the raw text hash."""
+    """Settings and builders over the parsed sections, with the raw text hash."""
 
     sections: dict
     text: str = ""
-    path: str | None = None
 
     @classmethod
     def from_path(cls, path):
         with open(path) as fh:
-            text = fh.read()
-        return cls(parse_config_text(text), text=text, path=str(path))
+            return cls.from_text(fh.read())
 
     @classmethod
     def from_text(cls, text):
@@ -139,47 +242,31 @@ class ProblemConfig:
     def config_hash(self):
         return hashlib.sha256(self.text.encode()).hexdigest()
 
-    # -- raw getters ---------------------------------------------------------
+    def settings(self, section, overrides=None):
+        """{key: value} for every key of section, parsed and checked.
 
-    def _get(self, section, key, default=None, required=False):
-        vals = self.sections.get(section, {}).get(key)
-        if not vals:
-            if required:
+        overrides maps a key to its flag's text, None when not given (the
+        vars of the parsed flags): a flag beats the config, and the config
+        beats the table default.
+        """
+        given = self.sections.get(section, {})
+        flags = FLAGS.get(section, {})
+        out = {}
+        for key, setting in SETTINGS[section].items():
+            if key in flags and (overrides or {}).get(key) is not None:
+                name, text = flags[key], overrides[key]
+            elif key in given:
+                name, text = f"[{section}] {key}", given[key]
+            elif setting.default is REQUIRED:
                 raise ConfigError(f"missing [{section}] {key}")
-            return default
-        return vals[-1]
-
-    def get_str(self, section, key, default=None, required=False):
-        return self._get(section, key, default, required)
-
-    def get_float(self, section, key, default=None, required=False):
-        v = self._get(section, key, default, required)
-        if v is default:
-            return default
-        try:
-            x = float(v)
-        except (TypeError, ValueError):
-            raise ConfigError(f"[{section}] {key}: not a number: {v!r}")
-        return _finite(x, section, key)
-
-    def get_int(self, section, key, default=None):
-        v = self.get_float(section, key, default)
-        return v if v is default else _integral(v, section, key)
-
-    def get_floats(self, section, key, default=()):
-        v = self._get(section, key)
-        if v is None:
-            return list(default)
-        if not v:
-            return []
-        try:
-            xs = [float(x) for x in v.split()]
-        except ValueError:
-            raise ConfigError(f"[{section}] {key}: expected numbers: {v!r}")
-        return [_finite(x, section, key) for x in xs]
-
-    def get_ints(self, section, key, default=()):
-        return [_integral(x, section, key) for x in self.get_floats(section, key, default)]
+            else:
+                out[key] = setting.default
+                continue
+            value = setting.parse(text, name)
+            if setting.check is not None and not setting.check(value):
+                raise ConfigError(f"{name}: {setting.rule}, got {value!r}")
+            out[key] = value
+        return out
 
     # -- builders --------------------------------------------------------------
 
@@ -192,11 +279,7 @@ class ProblemConfig:
             raise ConfigError("missing [domain] segment/arc entries")
         pieces = []
         for kind, spec in order:
-            try:
-                nums = [float(x) for x in spec.split()]
-            except ValueError:
-                raise ConfigError(f"[domain] {kind}: bad numbers: {spec!r}")
-            nums = [_finite(x, "domain", kind) for x in nums]
+            nums = _numbers(spec, f"[domain] {kind}")
             if kind == "segment":
                 if len(nums) != 4:
                     raise ConfigError(f"[domain] segment needs x0 y0 x1 y1: {spec!r}")
@@ -208,19 +291,14 @@ class ProblemConfig:
         return BoundaryLoop(tuple(pieces))
 
     def build_domain(self):
-        h = self.get_float("domain", "h", required=True)
-        if h <= 0:
-            raise ConfigError("[domain] h must be positive")
-        gamma = self.get_ints("domain", "gamma", default=())
-        return mesh_domain(self.build_loop(), h, gamma_arcs=gamma)
+        d = self.settings("domain")
+        return mesh_domain(self.build_loop(), d["h"], gamma_arcs=d["gamma"])
 
     def build_exponents(self):
-        n = self.get_int("exponents", "n", default=2)
-        p_text = self.get_str("exponents", "p_expr", required=True)
-        r_text = self.get_str("exponents", "r_expr", required=True)
+        e = self.settings("exponents")
         try:
-            p = ExponentField.from_text(p_text, n)
-            r = ExponentField.from_text(r_text, n)
+            p = ExponentField.from_text(e["p_expr"], e["n"])
+            r = ExponentField.from_text(e["r_expr"], e["n"])
         except ValueError as err:
             raise ConfigError(f"[exponents]: {err}")
         return p, r
@@ -238,21 +316,6 @@ class ProblemConfig:
             return DiscreteTraceProblem(domain, p, r)
         except ValueError as err:
             raise ConfigError(f"problem assembly: {err}")
-
-    def solver_options(self):
-        return {
-            "init": parse_init(self.get_str("solver", "init", default="constant")),
-            "max_iter": check_solver_limit(
-                "max_iter", self.get_int("solver", "max_iter", default=200), "[solver] max_iter"
-            ),
-            "tol": check_solver_limit(
-                "tol", self.get_float("solver", "tol", default=1e-6), "[solver] tol"
-            ),
-            "radii": check_solver_limit(
-                "radii", self.get_floats("solver", "radii", default=()), "[solver] radii"
-            ),
-            "n_random": self.get_int("solver", "n_random", default=3),
-        }
 
 
 def hash_of_args(args_repr):

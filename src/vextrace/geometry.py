@@ -157,6 +157,11 @@ class BoundaryLoop:
             arc_ids.extend([idx] * n)
         return np.concatenate(pts, axis=0), np.asarray(arc_ids)
 
+    def nearest(self, x):
+        """(arc, arclength, distance) of the loop point closest to x; the
+        first arc wins a tie."""
+        return min(((arc, *arc.project(x)) for arc in self.arcs), key=lambda hit: hit[2])
+
     def signed_area(self):
         """Shoelace area of the ring at spacing an eighth of the shortest arc,
         positive for a counterclockwise loop."""
@@ -660,13 +665,7 @@ class FermiChart:
 
 def fermi_chart(loop, x0):
     """Chart at a point x0 of the boundary loop, inside one of its arcs."""
-    x0 = np.asarray(x0, float)
-    best = None
-    for arc in loop.arcs:
-        s, d = arc.project(x0)
-        if best is None or d < best[0]:
-            best = (d, arc, s)
-    dist, arc, s = best
+    arc, s, dist = loop.nearest(np.asarray(x0, float))
     if dist > 1e-6 * max(1.0, arc.length):
         raise GeometryError("x0 does not lie on the boundary")
     periodic = (

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import betainc
 
-from .luxemburg import fixed_order_sum
+from .luxemburg import _norm_from_arrays, fixed_order_sum
 
 __all__ = [
     "DomainError",
@@ -361,9 +361,6 @@ class ExpansionCoefficients:
 
     Coefficients whose validity hypothesis fails are None, with the named
     inequality recorded in ``skipped``; access through require() raises.
-    ``hypothesis_met`` records, for every computed coefficient, whether the
-    stated sufficient hypothesis held (a lenient engine may compute the
-    defining integral anyway when it converges).
     """
 
     N: int
@@ -377,9 +374,7 @@ class ExpansionCoefficients:
     d3: float
     d4: float | None
     skipped: dict = field(default_factory=dict)
-    hypothesis_met: dict = field(default_factory=dict)
     inputs: dict = field(default_factory=dict)
-    tails: dict = field(default_factory=dict)
 
     def require(self, name):
         val = getattr(self, name)
@@ -407,7 +402,7 @@ def expansion_coefficients(
     A coefficient whose multiplying input is exactly zero is structurally
     zero and bypasses its guard.  With enforce_hypotheses the guards are the
     stated sufficient inequalities; without, any coefficient whose defining
-    integral converges is computed and flagged in hypothesis_met.
+    integral converges is computed.
     """
     _check_range(n, p)
     p_star = trace_exponent(n, p)
@@ -416,8 +411,6 @@ def expansion_coefficients(
         lap_y_p0=lap_y_p0, lap_r0=lap_r0, H=H, hbar=hbar,
     )
     skipped = {}
-    hyp_met = {}
-    tails = {}
     values = {}
 
     hyp_a1 = p < (n - 1.0) / 2.0
@@ -428,10 +421,8 @@ def expansion_coefficients(
     def compute(name, factor_zero, hypotheses, evaluate):
         if factor_zero:
             values[name] = 0.0
-            hyp_met[name] = True
             return
         failed = [label for ok, label in hypotheses if not ok]
-        hyp_met[name] = not failed
         # the lenient mode waives the sufficient inequalities, but not
         # dtp0 = 0, which the d2 and d4 formulas assume
         blocking = failed if enforce_hypotheses else [f for f in failed if f == _HYP_DTP]
@@ -450,15 +441,12 @@ def expansion_coefficients(
     def integral(name):
         if name not in ints:
             ints.update(_interior_integrals(n, p, truncation_R, (name,)))
-            tails[name] = ints[name][1]
         return ints[name][0]
 
     # boundary pieces
     omega = sphere_area(n - 2)
     alpha = decay_rate(n, p)
-    b0, b0_tail = boundary_power_integral(n - 2, alpha * p_star, truncation_R)
-    a0 = f0 * omega * b0
-    tails["a0"] = abs(f0) * omega * b0_tail
+    a0 = f0 * omega * boundary_power_integral(n - 2, alpha * p_star, truncation_R)[0]
 
     compute("c0", f0 == 0.0, [(hyp_c0, _HYP_C0)], lambda: f0 * integral("value_p"))
     compute(
@@ -469,7 +457,6 @@ def expansion_coefficients(
         * omega * boundary_power_integral(n, alpha * p_star, truncation_R)[0],
     )
     d0 = f0 * integral("grad")
-    tails["d0"] = abs(f0) * tails.get("grad", 0.0)
     compute(
         "d1",
         f0 * dtp0 == 0.0,
@@ -495,7 +482,7 @@ def expansion_coefficients(
         N=n, p=p,
         c0=values["c0"], a0=a0, a1=values["a1"],
         d0=d0, d1=values["d1"], d2=values["d2"], d3=0.0, d4=values["d4"],
-        skipped=skipped, hypothesis_met=hyp_met, inputs=inputs, tails=tails,
+        skipped=skipped, inputs=inputs,
     )
 
 
@@ -529,7 +516,6 @@ class ExpansionFit:
     predicted_slope: float
     fitted_boundary_slope: float
     predicted_boundary_slope: float
-    fitted_gradient_slope: float
     residual: float
     defects: tuple
 
@@ -594,8 +580,6 @@ def norm_expansion_check(n, p, coeffs, epsilons, model="disk"):
     epsilons = tuple(sorted((float(e) for e in epsilons), reverse=True))
     if not all(e > 0 for e in epsilons):
         raise DomainError(f"epsilons must be > 0, got {min(epsilons)!r}")
-    from .luxemburg import _norm_from_arrays
-
     inp = coeffs.inputs
     f0, dtf0 = inp["f0"], inp["dtf0"]
     dtp0, dttp0 = inp["dtp0"], inp["dttp0"]
@@ -703,10 +687,6 @@ def norm_expansion_check(n, p, coeffs, epsilons, model="disk"):
     yb2 = np.asarray(bnd_norms) / a0 ** (1.0 / p_star) - 1.0
     Xb = np.stack([eps_arr**2 * np.log(eps_arr), eps_arr**2], axis=1)
     solb, *_ = np.linalg.lstsq(Xb, yb2, rcond=None)
-
-    # gradient modular alone (no value-term contribution at all)
-    yg = np.asarray(grad_mods) / d0 - 1.0
-    solg, *_ = np.linalg.lstsq(X, yg, rcond=None)
     return ExpansionFit(
         case=case,
         epsilons=epsilons,
@@ -717,7 +697,6 @@ def norm_expansion_check(n, p, coeffs, epsilons, model="disk"):
         predicted_slope=slope_pred,
         fitted_boundary_slope=float(solb[0]),
         predicted_boundary_slope=bnd_slope_pred,
-        fitted_gradient_slope=float(solg[0]) / p,
         residual=resid,
         defects=tuple(defects),
     )

@@ -155,32 +155,27 @@ class WeightedSamples:
         return WeightedSamples(self.points, self.weights, c * self.values, g)
 
     @classmethod
-    def from_csv(cls, path_or_buf):
-        if isinstance(path_or_buf, (str, bytes)):
-            with open(path_or_buf, newline="") as fh:
-                return cls._from_reader(csv.reader(fh))
-        return cls._from_reader(csv.reader(path_or_buf))
-
-    @classmethod
-    def _from_reader(cls, reader):
-        header = next(reader, None)
-        if header is None:
-            raise ValueError("empty file; expected a header row")
-        n_dim = sum(1 for h in header if h.startswith("x"))
-        has_grad = any(h.startswith("g") for h in header)
-        width = n_dim + 2 + (n_dim if has_grad else 0)
-        pts, ws, vs, gs = [], [], [], []
-        for row in reader:
-            if not row:
-                continue
-            if len(row) < width:
-                raise ValueError(f"a row of {len(row)} columns, expected {width}")
-            row = [float(x) for x in row]
-            pts.append(row[:n_dim])
-            ws.append(row[n_dim])
-            vs.append(row[n_dim + 1])
-            if has_grad:
-                gs.append(row[n_dim + 2 : 2 * n_dim + 2])
+    def from_csv(cls, path):
+        with open(path, newline="") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None:
+                raise ValueError("empty file; expected a header row")
+            n_dim = sum(1 for h in header if h.startswith("x"))
+            has_grad = any(h.startswith("g") for h in header)
+            width = n_dim + 2 + (n_dim if has_grad else 0)
+            pts, ws, vs, gs = [], [], [], []
+            for row in reader:
+                if not row:
+                    continue
+                if len(row) < width:
+                    raise ValueError(f"a row of {len(row)} columns, expected {width}")
+                row = [float(x) for x in row]
+                pts.append(row[:n_dim])
+                ws.append(row[n_dim])
+                vs.append(row[n_dim + 1])
+                if has_grad:
+                    gs.append(row[n_dim + 2 : 2 * n_dim + 2])
         return cls(
             np.array(pts), np.array(ws), np.array(vs),
             np.array(gs) if has_grad else None,

@@ -383,14 +383,10 @@ def _cluster_critical_points(problem):
             chosen.append(x)
         if len(chosen) >= 3:
             break
-    return [
-        min((arc.point(arc.project(x)[0]) for arc in problem.domain.loop.arcs),
-            key=lambda b: np.linalg.norm(b - x))
-        for x in chosen
-    ]
+    return [arc.point(s) for arc, s, _ in map(problem.domain.loop.nearest, chosen)]
 
 
-def solve_problem(problem, n_random=3, max_iter=200, tol=1e-6, seed=0, radii=None):
+def solve_problem(problem, n_random=3, max_iter=200, tol=1e-6, seed=0):
     """Multi-start driver: constant, random restarts, one bubble of scale 4h
     per detected critical cluster; returns the best report, whose
     ``starts`` lists every start in order."""
@@ -408,10 +404,6 @@ def solve_problem(problem, n_random=3, max_iter=200, tol=1e-6, seed=0, radii=Non
     ]
     best = min(reports, key=lambda rep: rep.t_estimate)
     best.starts = sum((rep.starts for rep in reports), ())
-    if radii is not None:
-        best.concentration = concentration_diagnostic(
-            best.minimizer, problem, radii
-        )
     return best
 
 

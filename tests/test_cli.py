@@ -1,11 +1,13 @@
 import json
 import math
+import re
 import subprocess
 import sys
 
 import pytest
 
-from vextrace.config import ConfigError, ProblemConfig
+from vextrace.cli import build_parser
+from vextrace.config import FLAGS, SETTINGS, ConfigError, ProblemConfig
 
 REPO = __file__.rsplit("/tests/", 1)[0]
 
@@ -272,6 +274,14 @@ def _edited(name, *edits):
         (_edited("disk_subcritical.cfg", ("p_expr = 1.5", "p_expr = 1.5 + 0.01*log(x1 + 1)"),
                  ("h = 0.1", "h = 0.2")),
          "solve", 1, "config error: problem assembly: p is -inf at ("),
+        (_edited("disk_critical.cfg", ("[conditions]", "[condition]"), (CHECKS, "checks = local")),
+         "conditions", 1, "config error: unknown section [condition]"),
+        (_edited("disk_subcritical.cfg", ("[solver]", "[solvr]")),
+         "solve", 1, "config error: unknown section [solvr]"),
+        (_edited("disk_subcritical.cfg", ("max_iter = 150", "max_iters = 5")),
+         "solve", 1, "config error: [solver] unknown key 'max_iters'"),
+        (_edited("disk_subcritical.cfg", ("tol = 1e-6", "tol = 1e-6\nsegment = 0 0 2 2")),
+         "solve", 1, "config error: [solver] unknown key 'segment'"),
     ],
     ids=["not-critical", "gamma-not-empty", "hypothesis", "geometry", "fit-unstable",
          "norm-bad-p-expr", "h-nan", "max-iter-inf", "truncation-R-inf",
@@ -285,7 +295,8 @@ def _edited(name, *edits):
          "expand-truncation-R-negative", "radii-not-positive", "no-free-boundary-solve",
          "no-free-boundary-solve-random", "no-free-boundary-conditions", "domain-arc-nan",
          "domain-segment-inf", "p-nan-solve", "p-nan-conditions", "r-nan-solve", "norm-p-nan",
-         "p-minus-inf-solve"],
+         "p-minus-inf-solve", "unknown-section-condition", "unknown-section-solvr",
+         "unknown-key-max-iters", "segment-under-solver"],
 )
 def test_domain_errors_are_one_line_with_exit_code(tmp_path, text, command, code, message):
     (tmp_path / "huge_pair.csv").write_text(HUGE_PAIR_CSV)
@@ -306,8 +317,7 @@ def _reject_constant(name):
 
 
 # the compact regime: no critical point, so T_bar and the margins are infinite
-COMPACT = _edited("disk_critical.cfg", ("r_expr = 3", "r_expr = 2"),
-                  (CHECKS, "checks = global existence compactness\nK_points = 1 0"))
+COMPACT = _edited("disk_compact.cfg")
 # p has a local max along the bottom edge at x0, so the local gates fail
 LOCAL_GATE_FAILS = """[domain]
 segment = 0 0 1 0
@@ -421,7 +431,12 @@ def test_flag_mistakes_are_one_line(argv, prefix, message):
 
 
 def test_build_loop_reads_only_the_domain_section():
-    text = _edited("square_gamma.cfg") + "\n[notes]\nsegment = 0 0 2 2\n"
+    # a piece outside [domain] never reaches the loop: the config is refused
+    text = _edited("square_gamma.cfg")
+    for extra, message in [("[notes]\nsegment = 0 0 2 2", "unknown section [notes]"),
+                           ("[solver]\nsegment = 0 0 2 2", "[solver] unknown key 'segment'")]:
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            ProblemConfig.from_text(f"{text}\n{extra}\n")
     loop = ProblemConfig.from_text(text).build_loop()
     assert [(a.start, a.end) for a in loop.arcs] == [
         ((0.0, 0.0), (1.0, 0.0)), ((1.0, 0.0), (1.0, 1.0)),
@@ -432,7 +447,24 @@ def test_build_loop_reads_only_the_domain_section():
 def test_number_lists_reject_non_finite_entries():
     cfg = ProblemConfig.from_text("[solver]\nradii = 0.3 -inf\n")
     with pytest.raises(ConfigError, match=r"\[solver\] radii: not a finite number"):
-        cfg.get_floats("solver", "radii")
+        cfg.settings("solver")
+
+
+def test_every_flag_names_a_table_key():
+    for command, section in (("constants", "halfspace"), ("solve", "solver")):
+        assert set(FLAGS[section]) <= set(SETTINGS[section])
+        for key, flag in FLAGS[section].items():
+            assert getattr(build_parser().parse_args([command, flag, "1"]), key) == "1"
+    assert set(FLAGS) == {"halfspace", "solver"}
+
+
+def test_flag_beats_config(tmp_path):
+    cfg = tmp_path / "hs.cfg"
+    cfg.write_text("[halfspace]\nN = 2\np = 1.5\n")
+    res = run_cli("--config", str(cfg), "constants", "--p", "1.7")
+    assert res.returncode == 0, res.stderr
+    payload = json.loads(res.stdout)
+    assert payload["p"] == 1.7 and payload["N"] == 2
 
 
 def test_missing_config_is_config_error():

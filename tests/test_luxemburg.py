@@ -1,6 +1,5 @@
 import csv
 import gc
-import io
 import math
 import tracemalloc
 
@@ -457,19 +456,19 @@ def test_holder_exponent_mismatch():
 # -- serialization -----------------------------------------------------------
 
 
-def test_csv_round_trip():
+def test_csv_round_trip(tmp_path):
     rng = np.random.default_rng(5)
     pts = rng.uniform(-1, 1, (7, 2))
     u = WeightedSamples(pts, rng.uniform(0.1, 1, 7), rng.standard_normal(7),
                         rng.standard_normal((7, 2)))
     # the columnar layout the norm subcommand reads: x1..xN, weight, value, g1..gN
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["x1", "x2", "weight", "value", "g1", "g2"])
-    for row in np.column_stack([u.points, u.weights, u.values, u.gradient_values]):
-        writer.writerow([repr(float(x)) for x in row])
-    buf.seek(0)
-    back = WeightedSamples.from_csv(buf)
+    path = tmp_path / "samples.csv"
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["x1", "x2", "weight", "value", "g1", "g2"])
+        for row in np.column_stack([u.points, u.weights, u.values, u.gradient_values]):
+            writer.writerow([repr(float(x)) for x in row])
+    back = WeightedSamples.from_csv(path)
     np.testing.assert_array_equal(back.points, u.points)
     np.testing.assert_array_equal(back.weights, u.weights)
     np.testing.assert_array_equal(back.values, u.values)
