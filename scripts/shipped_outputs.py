@@ -44,6 +44,9 @@ RUNS = {
     "solve-disk_subcritical-flags":
         ["--config", "configs/disk_subcritical.cfg", "solve", "--init", "bubble 1 0 0.3",
          "--max-iter", "40", "--tol", "1e-7", "--radii", "0.2,0.6"],
+    "solve-disk_critical-multistart":
+        ["--config", "configs/disk_critical.cfg", "--seed", "11",
+         "solve", "--init", "multistart", "--max-iter", "40"],
 }
 
 

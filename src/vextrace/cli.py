@@ -14,7 +14,8 @@ config, and the config beats the table default.
 Exit codes: 0 success (every verdict satisfied); 1 an input mistake (bad
 config or flag, argparse usage errors included, a config section or key
 the table does not list, a fraction in an integer key, [exponents] n
-other than 2, a bubble init with a non-finite number or
+other than 2, [solver] n_random below 0, [conditions] checks empty or
+naming an unknown check, a bubble init with a non-finite number or
 lam <= 0, a [norm] kind other than lebesgue or sobolev, sobolev samples
 without gradient columns, a samples_csv that is not a samples CSV, a
 config or samples_csv path that is missing, unreadable or a directory, a
@@ -311,8 +312,6 @@ def cmd_conditions(args):
                 )
             except ValueError as err:  # s, r0 or a K arc index out of range
                 raise ConfigError(f"[conditions] {err}")
-        else:
-            raise ConfigError(f"[conditions] unknown check {check!r}")
 
     payload = _base_payload("conditions", cfg.config_hash, seed=args.seed)
     payload["t_bar"] = t_bar_report

@@ -166,7 +166,7 @@ def compactness_rate_check(domain, p, r, K, s, C, r0, phi):
     if not (0.0 < r0 < math.exp(-1.0)):
         raise ValueError("need r0 in (0, 1/e)")
     _subcritical_bounds(domain, p, r)
-    bpts, bw, _, _ = domain.boundary_quadrature()
+    bpts, bw, _ = domain.boundary_quadrature()
     gap = critical_gap(p, r, bpts)
     dist = _dist_to_set(bpts, K, domain)
 

@@ -128,6 +128,7 @@ def parse_init(text):
 # -- the table -------------------------------------------------------------------
 
 REQUIRED = object()  # the default of a key that must be given
+CHECKS = ("global", "local", "existence", "compactness")  # of [conditions] checks
 
 
 class Setting(NamedTuple):
@@ -166,10 +167,11 @@ SETTINGS = {
         "tol": Setting(_number, 1e-6, lambda x: x > 0, "must be a finite number > 0"),
         "radii": Setting(_numbers, (), lambda rs: all(math.isfinite(x) and x > 0 for x in rs),
                          "must be finite numbers > 0"),
-        "n_random": Setting(_integer, 3),
+        "n_random": Setting(_integer, 3, lambda n: n >= 0, "must be at least 0"),
     },
     "conditions": {
-        "checks": Setting(_words, ("global",)),
+        "checks": Setting(_words, ("global",), lambda cs: bool(cs) and set(cs) <= set(CHECKS),
+                          "must name one or more of " + ", ".join(CHECKS)),
         "x0": Setting(_numbers, ()),
         "K_points": Setting(_numbers, ()),
         "K_arcs": Setting(_integers, ()),

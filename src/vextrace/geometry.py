@@ -7,6 +7,11 @@ is honestly polygonal: boundary vertices sit on the exact arcs, edges are
 chords, and uniform refinement bisects edges without re-snapping so that
 coarse P1 functions stay exactly representable on refined meshes.
 
+Each mesh owns its quadrature rule: interior_quadrature and
+boundary_quadrature build the points and weights together with the P1
+operators, the CSR maps from nodal values to the values and gradients at
+the points, and the trace problem only reads them.
+
 A FermiChart at a boundary point provides the boundary-adapted coordinates
 (tangential offset y, inward normal distance t) with the exact slopes of
 the boundary graph, jacobians, and signed curvature of the underlying arc.
@@ -19,6 +24,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.sparse import csr_matrix
 from scipy.spatial import Delaunay, cKDTree
 
 from .luxemburg import fixed_order_sum
@@ -346,61 +352,57 @@ class PlanarDomain:
                 for i, j in ((0, 1), (1, 2), (2, 0))]
         return float(np.max(lens))
 
-    def basis_gradients(self):
-        """P1 basis gradients per triangle, shape (nt, 3, 2)."""
-        if "bgrad" not in self._cache:
-            v = self.vertices
-            t = self.triangles
-            a, b, c = v[t[:, 0]], v[t[:, 1]], v[t[:, 2]]
-            det = (b[:, 0] - a[:, 0]) * (c[:, 1] - a[:, 1]) - (b[:, 1] - a[:, 1]) * (c[:, 0] - a[:, 0])
-            g = np.empty((len(t), 3, 2))
-            g[:, 0, 0] = b[:, 1] - c[:, 1]
-            g[:, 0, 1] = c[:, 0] - b[:, 0]
-            g[:, 1, 0] = c[:, 1] - a[:, 1]
-            g[:, 1, 1] = a[:, 0] - c[:, 0]
-            g[:, 2, 0] = a[:, 1] - b[:, 1]
-            g[:, 2, 1] = b[:, 0] - a[:, 0]
-            g /= det[:, None, None]
-            self._cache["bgrad"] = g
-        return self._cache["bgrad"]
-
     # -- quadrature -----------------------------------------------------------
 
     def interior_quadrature(self):
-        """Midpoint rule (degree-2): points (3nt,2), weights, tri index, bary."""
+        """Midpoint rule (degree 2) and its P1 operators: points (3nt, 2),
+        weights, and the CSR matrices S, Gx, Gy that map nodal values to the
+        values and the two gradient components at the points."""
         if "iq" not in self._cache:
             v = self.vertices
             t = self.triangles
-            areas = self.tri_areas()
             bary = np.array([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]])
             pts = np.einsum("qb,tbx->tqx", bary, v[t])
-            w = np.repeat(areas / 3.0, 3)
-            tri_idx = np.repeat(np.arange(len(t)), 3)
+            w = np.repeat(self.tri_areas() / 3.0, 3)
+            # P1 basis gradients, constant on each triangle: vertex i's is the
+            # opposite edge j -> k turned a quarter counterclockwise, over
+            # twice the area (the cross product of two such turned edges)
+            j, k = v[t[:, [1, 2, 0]]], v[t[:, [2, 0, 1]]]
+            g = np.stack([j[..., 1] - k[..., 1], k[..., 0] - j[..., 0]], axis=-1)
+            det = g[:, 2, 1] * g[:, 1, 0] - g[:, 2, 0] * g[:, 1, 1]
+            g = np.repeat(g / det[:, None, None], 3, axis=0)
+            # row q holds its triangle's three vertices; the zero barycentric
+            # entries stay stored, so each row sums the same three terms
+            pattern = (np.repeat(np.arange(len(w)), 3), np.repeat(t, 3, axis=0).ravel())
+            shape = (len(w), self.n_vertices)
             self._cache["iq"] = (
                 pts.reshape(-1, 2),
                 w,
-                tri_idx,
-                np.tile(bary, (len(t), 1)),
+                csr_matrix((np.tile(bary, (len(t), 1)).ravel(), pattern), shape=shape),
+                csr_matrix((g[:, :, 0].ravel(), pattern), shape=shape),
+                csr_matrix((g[:, :, 1].ravel(), pattern), shape=shape),
             )
         return self._cache["iq"]
 
     def boundary_quadrature(self):
-        """2-point Gauss per boundary edge: points, weights, edge idx, params."""
+        """2-point Gauss rule per boundary edge and its P1 operator: points,
+        weights, and the CSR matrix Sb that maps nodal values to the values
+        at the points."""
         if "bq" not in self._cache:
             e = self.boundary_edges
             a = self.vertices[e[:, 0]]
             b = self.vertices[e[:, 1]]
-            lens = self.edge_lengths()
             s = 0.5 / math.sqrt(3.0)
             params = np.array([0.5 - s, 0.5 + s])
             pts = a[:, None, :] + params[None, :, None] * (b - a)[:, None, :]
-            w = np.repeat(lens / 2.0, 2)
-            edge_idx = np.repeat(np.arange(len(e)), 2)
+            w = np.repeat(self.edge_lengths() / 2.0, 2)
+            bary = np.stack([1.0 - params, params], axis=1)
+            pattern = (np.repeat(np.arange(len(w)), 2), np.repeat(e, 2, axis=0).ravel())
             self._cache["bq"] = (
                 pts.reshape(-1, 2),
                 w,
-                edge_idx,
-                np.tile(params, len(e)),
+                csr_matrix((np.tile(bary, (len(e), 1)).ravel(), pattern),
+                           shape=(len(w), self.n_vertices)),
             )
         return self._cache["bq"]
 
@@ -446,8 +448,6 @@ class PlanarDomain:
         rows = np.concatenate([np.arange(nv), nv + np.arange(m), nv + np.arange(m)])
         cols = np.concatenate([np.arange(nv), edges[:, 0], edges[:, 1]])
         vals = np.concatenate([np.ones(nv), np.full(2 * m, 0.5)])
-        from scipy.sparse import csr_matrix
-
         prol = csr_matrix((vals, (rows, cols)), shape=(len(fine_v), len(v)))
         dom = PlanarDomain(
             fine_v,

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import optimize, sparse
+from scipy import optimize
 from scipy.spatial import cKDTree
 
 from .exponents import critical_gap
@@ -79,7 +79,8 @@ def sampled_exponent_bounds(domain, p, r):
 
 
 class DiscreteTraceProblem:
-    """Assembled quadrature data for the trace quotient on one mesh.
+    """The trace quotient on one mesh: the domain's quadrature and P1
+    operators, and the exponents sampled at its points.
 
     Flags (reported, not silently assumed):
       - ``p_plus_lt_r_minus``: the strict exponent gap needed by the
@@ -106,13 +107,9 @@ class DiscreteTraceProblem:
             raise ZeroTrace("no boundary node is free of the zero condition, "
                             "so every admissible function has zero trace")
 
-        pts, w, tri_idx, bary = domain.interior_quadrature()
-        bpts, bw, edge_idx, params = domain.boundary_quadrature()
-        self.quad_points = pts
-        self.quad_weights = w
-        self.bquad_points = bpts
-        self.bquad_weights = bw
-
+        pts, self.quad_weights, self.S, self.Gx, self.Gy = domain.interior_quadrature()
+        bpts, self.bquad_weights, self.Sb = domain.boundary_quadrature()
+        self.quad_points, self.bquad_points = pts, bpts
         self.p_exps = np.asarray(p_field(pts), float)
         self.r_exps = np.asarray(r_field(bpts), float)
         self.p_bounds, self.r_bounds = sampled_exponent_bounds(domain, p_field, r_field)
@@ -137,23 +134,6 @@ class DiscreteTraceProblem:
         self.critical_mask = gap <= CRIT_TOL
         self.critical_points = bpts[self.critical_mask]
         self.p_plus_lt_r_minus = self.p_bounds[1] < self.r_bounds[0]
-
-        nv = domain.n_vertices
-        tris = domain.triangles
-        nq = len(w)
-        rows = np.repeat(np.arange(nq), 3)
-        cols = tris[tri_idx].ravel()
-        self.S = sparse.csr_matrix((bary.ravel(), (rows, cols)), shape=(nq, nv))
-        bg = domain.basis_gradients()[tri_idx]  # (nq, 3, 2)
-        self.Gx = sparse.csr_matrix((bg[:, :, 0].ravel(), (rows, cols)), shape=(nq, nv))
-        self.Gy = sparse.csr_matrix((bg[:, :, 1].ravel(), (rows, cols)), shape=(nq, nv))
-
-        edges = domain.boundary_edges[edge_idx]
-        nqb = len(bw)
-        browz = np.repeat(np.arange(nqb), 2)
-        bcols = edges.ravel()
-        bvals = np.stack([1.0 - params, params], axis=1).ravel()
-        self.Sb = sparse.csr_matrix((bvals, (browz, bcols)), shape=(nqb, nv))
         self.mesh_h = domain.mesh_size()
 
     # -- norms and gradients --------------------------------------------------
@@ -172,7 +152,10 @@ class DiscreteTraceProblem:
         return self.Sb @ a
 
     def boundary_norm(self, a):
-        bv = self.boundary_values(a)
+        return self._boundary_norm(self.boundary_values(a))
+
+    def _boundary_norm(self, bv):
+        """Boundary norm from the values bv at the boundary quadrature."""
         if not np.any(bv):
             raise ZeroTrace("iterate vanishes on the boundary quadrature")
         lam = _norm_from_arrays(np.abs(bv), self.bquad_weights, self.r_exps, None)
@@ -197,7 +180,7 @@ class DiscreteTraceProblem:
 
     def boundary_norm_gradient(self, a):
         bv = self.boundary_values(a)
-        lam = self.boundary_norm(a)
+        lam = self._boundary_norm(bv)
         dv, _, D = _derivative_terms(np.abs(bv), self.bquad_weights, self.r_exps, None, lam)
         return lam, (self.Sb.T @ (dv * np.sign(bv))) / D
 

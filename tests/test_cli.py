@@ -282,6 +282,12 @@ def _edited(name, *edits):
          "solve", 1, "config error: [solver] unknown key 'max_iters'"),
         (_edited("disk_subcritical.cfg", ("tol = 1e-6", "tol = 1e-6\nsegment = 0 0 2 2")),
          "solve", 1, "config error: [solver] unknown key 'segment'"),
+        (_edited("disk_subcritical.cfg", ("tol = 1e-6", "tol = 1e-6\nn_random = -2")),
+         "solve", 1, "config error: [solver] n_random: must be at least 0, got -2"),
+        (_edited("disk_critical.cfg", (CHECKS, "checks =")),
+         "conditions", 1, "config error: [conditions] checks: must name one or more of"),
+        (_edited("disk_critical.cfg", (CHECKS, "checks = global bogus")),
+         "conditions", 1, "config error: [conditions] checks: must name one or more of"),
     ],
     ids=["not-critical", "gamma-not-empty", "hypothesis", "geometry", "fit-unstable",
          "norm-bad-p-expr", "h-nan", "max-iter-inf", "truncation-R-inf",
@@ -296,7 +302,8 @@ def _edited(name, *edits):
          "no-free-boundary-solve-random", "no-free-boundary-conditions", "domain-arc-nan",
          "domain-segment-inf", "p-nan-solve", "p-nan-conditions", "r-nan-solve", "norm-p-nan",
          "p-minus-inf-solve", "unknown-section-condition", "unknown-section-solvr",
-         "unknown-key-max-iters", "segment-under-solver"],
+         "unknown-key-max-iters", "segment-under-solver", "n-random-negative",
+         "checks-empty", "checks-unknown"],
 )
 def test_domain_errors_are_one_line_with_exit_code(tmp_path, text, command, code, message):
     (tmp_path / "huge_pair.csv").write_text(HUGE_PAIR_CSV)

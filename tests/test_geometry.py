@@ -144,15 +144,36 @@ def test_submesh_cut_is_gamma():
 
 def test_quadrature_integrates_polynomials(disk_005):
     dom = mesh_domain(SQUARE, 0.3)
-    pts, w, _, _ = dom.interior_quadrature()
+    pts, w, _, _, _ = dom.interior_quadrature()
     # degree-2 rule: x^2 integrates exactly over the square
     assert float(w @ pts[:, 0] ** 2) == pytest.approx(1.0 / 3.0, rel=1e-13)
     assert float(w @ (pts[:, 0] * pts[:, 1])) == pytest.approx(0.25, rel=1e-13)
-    bpts, bw, _, _ = dom.boundary_quadrature()
+    bpts, bw, _ = dom.boundary_quadrature()
     assert float(np.sum(bw)) == pytest.approx(4.0, rel=1e-14)
     # 2-point Gauss is exact to degree 3 on each edge
     bottom = np.abs(bpts[:, 1]) < 1e-12
     assert float(bw[bottom] @ bpts[bottom, 0] ** 3) == pytest.approx(0.25, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "loop, h, gamma", [(unit_disk_loop(), 0.15, ()), (SQUARE, 0.12, (3,))], ids=["disk", "square"]
+)
+def test_operators_reproduce_affine_functions(loop, h, gamma):
+    dom = mesh_domain(loop, h, gamma_arcs=gamma)
+    pts, _, S, Gx, Gy = dom.interior_quadrature()
+    bpts, _, Sb = dom.boundary_quadrature()
+
+    def f(x):
+        return 0.3 + 1.7 * x[:, 0] - 0.9 * x[:, 1]
+
+    a = f(dom.vertices)
+    scale = float(np.max(np.abs(a)))
+    ones = np.ones(dom.n_vertices)
+    for op, at, want in ((S, pts, f(pts)), (Sb, bpts, f(bpts))):
+        np.testing.assert_allclose(op @ a, want, rtol=0, atol=1e-12 * scale)
+        np.testing.assert_allclose(op @ ones, np.ones(len(at)), rtol=1e-12)
+    np.testing.assert_allclose(Gx @ a, np.full(len(pts), 1.7), rtol=1e-12)
+    np.testing.assert_allclose(Gy @ a, np.full(len(pts), -0.9), rtol=1e-12)
 
 
 # -- Fermi charts -------------------------------------------------------------
