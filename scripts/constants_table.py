@@ -14,7 +14,6 @@ from vextrace.halfspace import sharp_constant_formula, sharp_constant_quadrature
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--dims", type=int, nargs="*", default=[2, 3, 4, 5, 7])
-    ap.add_argument("--truncation-R", type=float, default=100.0)
     args = ap.parse_args()
 
     print(f"{'N':>3} {'p':>6} {'formula':>14} {'K^-1 quad':>14} "
@@ -25,7 +24,7 @@ def main():
             if not (1.0 < p < n):
                 continue
             f = sharp_constant_formula(n, p)
-            k_inv, tail = sharp_constant_quadrature(n, p, args.truncation_R)
+            k_inv, _ = sharp_constant_quadrature(n, p)
             recon = (1.0 / k_inv) ** p
             gap = abs(f - recon) / f
             print(f"{n:>3} {p:>6.3f} {f:>14.8f} {k_inv:>14.8f} "

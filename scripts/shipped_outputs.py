@@ -27,6 +27,10 @@ RUNS = {
     "norm": ["--config", "configs/golden_norm.cfg", "norm"],
     "constants-N2-p1.5": ["constants", "--N", "2", "--p", "1.5"],
     "constants-N3-p2": ["constants", "--N", "3", "--p", "2"],
+    "constants-N7-p1.0005": ["constants", "--N", "7", "--p", "1.0005"],
+    "constants-N5-p1.5-coefficients":
+        ["constants", "--N", "5", "--p", "1.5", "--dtf0", "0.2", "--dttp0", "0.3",
+         "--lap_y_p0", "0.1", "--lap_r0", "-0.5", "--H", "0.5", "--hbar", "0.5"],
     "solve-disk_subcritical": ["--config", "configs/disk_subcritical.cfg", "solve"],
     "solve-disk_subcritical-multistart":
         ["--config", "configs/disk_subcritical.cfg", "--seed", "11",

@@ -24,8 +24,7 @@ or --radii) that is not finite and > 0, an exponent that is nan or
 infinite at a sample point, a domain whose boundary nodes all carry the
 zero condition, a malformed [domain], a local check off the critical set,
 a global check with a zero set, an expansion coefficient outside its
-hypothesis, a half-space constant outside 1 < p < N, a truncation_R
-([halfspace], [expand] or --truncation-R) that is not > 0, an expand N,
+hypothesis, a half-space constant outside 1 < p < N, an expand N,
 model or eps the model domains cannot take, samples whose modular or norm
 overflows, a start whose trace vanishes, a local constant with no usable
 cap), reported in one line on stderr; 2 a violated verdict; 3 an indeterminate
@@ -38,6 +37,7 @@ import argparse
 import csv
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -57,7 +57,10 @@ EXIT_INDETERMINATE = 3
 
 
 def _null_non_finite(obj):
-    """obj with every nan and +-inf float replaced by None (JSON null)."""
+    """obj as plain JSON values: numpy scalars and arrays become Python
+    ones, and every nan and +-inf float becomes None (JSON null)."""
+    if isinstance(obj, (np.ndarray, np.generic)):
+        obj = obj.tolist()
     if isinstance(obj, dict):
         return {k: _null_non_finite(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -139,27 +142,25 @@ def cmd_constants(args):
 
     cfg = ProblemConfig.from_path(args.config) if args.config else ProblemConfig.from_text("")
     s = cfg.settings("halfspace", vars(args))
-    n, p, R = s["N"], s["p"], s["truncation_R"]
+    n, p = s["N"], s["p"]
     if n is None or p is None:
         raise ConfigError("constants needs --N and --p (or a [halfspace] section)")
     inputs = {k: s[k] for k in EXPANSION_INPUTS}
     config_hash = cfg.config_hash if args.config else hash_of_args(
-        f"constants N={n} p={p} R={R} " + " ".join(f"{k}={v}" for k, v in sorted(inputs.items()))
+        f"constants N={n} p={p} " + " ".join(f"{k}={v}" for k, v in sorted(inputs.items()))
     )
 
     formula = sharp_constant_formula(n, p)
-    k_inv, tail = sharp_constant_quadrature(n, p, truncation_R=R)
+    k_inv, _ = sharp_constant_quadrature(n, p)
     recon_gap = abs(formula - (1.0 / k_inv) ** p) / formula
-    coeffs = expansion_coefficients(n, p, truncation_R=R, **inputs)
+    coeffs = expansion_coefficients(n, p, **inputs)
     payload = _base_payload("constants", config_hash)
     payload.update(
         {
             "N": n,
             "p": p,
-            "truncation_R": R,
             "formula_value": formula,
             "quadrature_K_inv": k_inv,
-            "tail_bound": tail,
             "reconciliation": {
                 "formula_vs_quotient_pth_power_relative_gap": recon_gap,
                 "consistent": bool(recon_gap < 1e-6),
@@ -180,7 +181,7 @@ def cmd_constants(args):
     )
     lines = [
         f"K(N,p) formula value        : {formula!r}",
-        f"K^-1 by quadrature          : {k_inv!r}  (tail bound {tail:.3g})",
+        f"K^-1 by quadrature          : {k_inv!r}",
         f"reconciliation formula~K^-p : gap {recon_gap:.3g}",
     ]
     _emit(payload, args, lines)
@@ -210,7 +211,7 @@ def cmd_solve(args):
     payload["quotient_history_len"] = len(rep["quotient_history"])
 
     if args.out:
-        base = args.out.rsplit(".", 1)[0]
+        base = os.path.splitext(args.out)[0]
         _write_csv(
             base + "_history.csv",
             ["iteration", "quotient"],
@@ -340,8 +341,7 @@ def cmd_expand(args):
     if inputs["H"] is None:  # the model's own curvature
         inputs["H"] = 1.0 if model == "disk" else 0.0
     coeffs = expansion_coefficients(
-        e["N"], e["p"], hbar=inputs["H"], enforce_hypotheses=False,
-        truncation_R=e["truncation_R"], **inputs,
+        e["N"], e["p"], hbar=inputs["H"], enforce_hypotheses=False, **inputs,
     )
     fit = norm_expansion_check(e["N"], e["p"], coeffs, e["epsilons"], model=model)
     payload = _base_payload("expand", cfg.config_hash)
@@ -358,7 +358,7 @@ def cmd_expand(args):
         }
     )
     if args.out:
-        base = args.out.rsplit(".", 1)[0]
+        base = os.path.splitext(args.out)[0]
         _write_csv(
             base + "_series.csv",
             ["eps", "sobolev_norm", "boundary_norm", "gradient_modular", "defect"],

@@ -65,20 +65,8 @@ class ConditionVerdict:
             "lhs": self.lhs,
             "rhs": self.rhs,
             "margin": self.margin,
-            "provenance": _jsonable(self.provenance),
+            "provenance": self.provenance,
         }
-
-
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    return obj
 
 
 @dataclass(frozen=True)

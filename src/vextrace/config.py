@@ -187,7 +187,6 @@ SETTINGS = {
     "halfspace": {
         "N": Setting(_integer, None),
         "p": Setting(_number, None),
-        "truncation_R": Setting(_number, 100.0),
         **_INPUTS,
     },
     "expand": {
@@ -197,14 +196,12 @@ SETTINGS = {
         "epsilons": Setting(_numbers, (0.08, 0.056, 0.04, 0.028, 0.02, 0.014, 0.01)),
         **{k: s for k, s in _INPUTS.items() if k != "hbar"},  # hbar is H on a model
         "H": Setting(_number, None),  # None: the model's curvature
-        "truncation_R": Setting(_number, 100.0),
     },
 }
 
 # the flag spelling of each key a flag can set, per section
 FLAGS = {
-    "halfspace": {"N": "--N", "p": "--p", "truncation_R": "--truncation-R"}
-    | {k: f"--{k}" for k in EXPANSION_INPUTS},
+    "halfspace": {"N": "--N", "p": "--p"} | {k: f"--{k}" for k in EXPANSION_INPUTS},
     "solver": {"init": "--init", "max_iter": "--max-iter", "tol": "--tol", "radii": "--radii"},
 }
 

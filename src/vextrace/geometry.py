@@ -609,13 +609,9 @@ class FermiChart:
     x0: np.ndarray
     tau: np.ndarray
     nu: np.ndarray
-    curvature: float  # H; also the mean-curvature surrogate hbar in 2-D
+    H: float  # signed curvature; also the mean-curvature surrogate hbar in 2-D
     center_offset: float  # signed distance to the arc center along nu (0 => line)
     validity_radius: float
-
-    @property
-    def H(self):
-        return self.curvature
 
     def dpsi(self, y):
         y = np.asarray(y, float)
@@ -694,6 +690,6 @@ def fermi_chart(loop, x0):
         H = 0.0
         validity = 0.45 * min(s, arc.length - s)
     return FermiChart(
-        x0=base, tau=tau, nu=nu, curvature=H, center_offset=d,
+        x0=base, tau=tau, nu=nu, H=H, center_offset=d,
         validity_radius=validity,
     )

@@ -8,13 +8,12 @@ diagnostics, with the relative error bar K_INV_REL.
 The extremal V(y, t) = r^(-alpha) with r = sqrt((1+t)^2 + |y|^2) and
 alpha = (N-p)/(p-1) generates, under the substitutions s = 1 + t and
 rho = |y| with the unit-sphere area factor applied analytically, integrands
-that are finite sums of monomials rho^a s^b (s^2 + rho^2)^(-c/2) on the
-quarter region {s >= 1, rho >= 0}.  The quadrature engine integrates those
-on a geometrically graded tensor Gauss-Legendre box and appends analytic
-power-law tail corrections, so truncation error is dominated by the
-reported tail magnitude.  Its Rayleigh quotient of V
-(``sharp_constant_quadrature``) is an independent check of the closed form,
-and its integrals feed the expansion coefficients.
+rho^a t^k (s^2 + rho^2)^(-c/2) on the quarter region {s >= 1, rho >= 0}.
+Each integrates to a product of two Beta functions
+(``half_space_power_integral``), so the integrals are exact to rounding.
+Their Rayleigh quotient of V (``sharp_constant_quadrature``) is an
+independent check of the closed form, by different algebra, and they feed
+the expansion coefficients.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import betainc
+from scipy.special import beta
 
 from .luxemburg import _norm_from_arrays, fixed_order_sum
 
@@ -66,9 +65,6 @@ class FitUnstable(RuntimeError):
     """Expansion fit residual or conditioning beyond threshold."""
 
 
-N_PANELS = 14  # geometrically graded panels per axis of the quadrature box
-N_GAUSS = 12  # Gauss-Legendre nodes per panel
-REL_FLOOR = 1e-9  # least relative error bar a quadrature quotient reports
 K_INV_REL = 1e-14  # relative error bar of sharp_constant_inverse (a few ulps of lgamma)
 
 
@@ -130,154 +126,63 @@ class ExtremalProfile:
 
 
 # ---------------------------------------------------------------------------
-# Power-law quadrature engine on {s >= 1, rho >= 0}
+# Power-law integrals on {s >= 1, rho >= 0}, in closed form
 
 
-def _complete_beta(a, b):
-    return math.exp(math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b))
+def half_space_power_integral(a, c, k):
+    """Integral over {s >= 1, rho >= 0} of rho^a (s-1)^k (s^2+rho^2)^(-c/2).
 
-
-def _gl_panels(breaks, n):
-    """Gauss-Legendre nodes/weights on consecutive panels."""
-    x, w = np.polynomial.legendre.leggauss(n)
-    lo = np.asarray(breaks[:-1])
-    hi = np.asarray(breaks[1:])
-    mid = 0.5 * (lo + hi)
-    half = 0.5 * (hi - lo)
-    nodes = (mid[:, None] + half[:, None] * x[None, :]).ravel()
-    weights = (half[:, None] * w[None, :]).ravel()
-    return nodes, weights
-
-
-def _graded_breaks(total, n_panels):
-    """Geometric grading of [0, total] toward 0."""
-    fracs = np.geomspace(2.0 ** -(n_panels - 1), 1.0, n_panels)
-    return np.concatenate([[0.0], total * fracs])
-
-
-def _check_term_convergence(a, b, c):
-    if c - a - 1.0 <= 0.0 or c - a - b - 2.0 <= 0.0:
-        raise DivergentIntegral(
-            f"non-integrable tail for rho^{a} s^{b} r^-{c} on the half-space"
-        )
-
-
-def _box_size(truncation_R):
-    """truncation_R as a float; DomainError unless it is finite and > 0."""
-    R = float(truncation_R)
-    if not (math.isfinite(R) and R > 0):
-        raise DomainError(f"truncation_R must be a finite number > 0, got {R!r}")
-    return R
-
-
-def half_space_power_integral(terms, truncation_R):
-    """Integral over {s>=1, rho>=0} of sum_k coef*rho^a*s^b*(s^2+rho^2)^(-c/2).
-
-    Quadrature over the box [1, 1+R] x [0, R] with geometric grading, plus
-    the two analytic tail strips (complete Beta for s > 1+R, incomplete
-    Beta in rho > R).  Returns (value, tail_magnitude).  R must be finite
-    and > 0.
+    The rho integral is s^(a+1-c) B((a+1)/2, (c-a-1)/2) / 2, and s = 1/u
+    turns the s integral into B(k+1, c-a-k-2).  DivergentIntegral unless
+    c - a - 1 > 0 and c - a - k - 2 > 0.
     """
-    R = _box_size(truncation_R)
-    for coef, a, b, c in terms:
-        _check_term_convergence(a, b, c)
-    s_nodes, s_w = _gl_panels(1.0 + _graded_breaks(R, N_PANELS), N_GAUSS)
-    r_nodes, r_w = _gl_panels(_graded_breaks(R, N_PANELS), N_GAUSS)
-    S = s_nodes[:, None]
-    P = r_nodes[None, :]
-    W = s_w[:, None] * r_w[None, :]
-    r2 = S * S + P * P
-    total = 0.0
-    tail_mag = 0.0
-    for coef, a, b, c in terms:
-        box = fixed_order_sum(W * P**a * S**b * r2 ** (-c / 2.0))
-        tail = _tail_far_s(a, b, c, R) + _tail_far_rho(a, b, c, R)
-        total += coef * (box + tail)
-        tail_mag += abs(coef) * abs(tail)
-    return total, tail_mag
+    if c - a - 1.0 <= 0.0 or c - a - k - 2.0 <= 0.0:
+        raise DivergentIntegral(
+            f"non-integrable tail for rho^{a} t^{k} r^-{c} on the half-space"
+        )
+    return float(0.5 * beta((a + 1.0) / 2.0, (c - a - 1.0) / 2.0) * beta(k + 1.0, c - a - k - 2.0))
 
 
-def _tail_far_s(a, b, c, R):
-    """Exact integral over {s > 1 + R, rho >= 0}."""
-    inner = 0.5 * _complete_beta((a + 1.0) / 2.0, (c - a - 1.0) / 2.0)
-    expo = c - a - b - 2.0
-    return inner * (1.0 + R) ** (-expo) / expo
-
-
-def _rho_tail_single(a, c, s, R):
-    """Integral over rho in (R, inf) of rho^a (s^2+rho^2)^(-c/2), elementwise."""
-    aa = (c - a - 1.0) / 2.0
-    bb = (a + 1.0) / 2.0
-    x = s * s / (s * s + R * R)
-    partial = betainc(aa, bb, x) * _complete_beta(aa, bb)
-    return 0.5 * s ** (a + 1.0 - c) * partial
-
-
-def _tail_far_rho(a, b, c, R):
-    """Integral over {1 <= s <= 1 + R, rho > R} by 1-D panels in s."""
-    s_nodes, s_w = _gl_panels(1.0 + _graded_breaks(R, 10), N_GAUSS)
-    vals = s_nodes**b * _rho_tail_single(a, c, s_nodes, R)
-    return fixed_order_sum(s_w * vals)
-
-
-def boundary_power_integral(a, c, truncation_R):
-    """Integral over rho in (0, inf) of rho^a (1 + rho^2)^(-c/2) with tail;
-    the box is (0, R], with R finite and > 0."""
-    R = _box_size(truncation_R)
+def boundary_power_integral(a, c):
+    """Integral over rho in (0, inf) of rho^a (1 + rho^2)^(-c/2), which is
+    B((a+1)/2, (c-a-1)/2) / 2; DivergentIntegral unless c - a - 1 > 0."""
     if c - a - 1.0 <= 0.0:
         raise DivergentIntegral(f"non-integrable boundary tail rho^{a} r^-{c}")
-    nodes, w = _gl_panels(_graded_breaks(R, N_PANELS), N_GAUSS)
-    box = fixed_order_sum(w * nodes**a * (1.0 + nodes * nodes) ** (-c / 2.0))
-    tail = float(_rho_tail_single(a, c, 1.0, R))
-    return box + tail, abs(tail)
+    return float(0.5 * beta((a + 1.0) / 2.0, (c - a - 1.0) / 2.0))
 
 
-def _binomial_t_power_terms(coef, a, c, t_power):
-    """Expand coef * rho^a * (s-1)^k * r^-c into monomial terms."""
-    out = []
-    for j in range(t_power + 1):
-        out.append((coef * math.comb(t_power, j) * (-1.0) ** (t_power - j), a, j, c))
-    return out
+def _interior_integral(n, p, name):
+    """A named half-space integral of the standard profile (lam=1, y0=0).
 
-
-def _interior_integrals(n, p, truncation_R, need):
-    """Named half-space integrals of the standard profile (lam=1, y0=0).
-
-    Keys: grad (|grad V|^p), t_grad (t |grad V|^p), tt_grad, y2_grad,
+    Names: grad (|grad V|^p), t_grad (t |grad V|^p), tt_grad, y2_grad,
     mix_grad (t |y|^2 / r^2 |grad V|^p), value_p (V^p).
     """
     alpha = decay_rate(n, p)
     omega = sphere_area(n - 2)
     c_grad = p * (alpha + 1.0)
     amp = alpha**p * omega
-    specs = {
+    coef, a, c, k = {
         "grad": (amp, n - 2, c_grad, 0),
         "t_grad": (amp, n - 2, c_grad, 1),
         "tt_grad": (amp, n - 2, c_grad, 2),
         "y2_grad": (amp, n, c_grad, 0),
         "mix_grad": (amp, n, c_grad + 2.0, 1),
         "value_p": (omega, n - 2, p * alpha, 0),
-    }
-    out = {}
-    for name in need:
-        coef, a, c, tpow = specs[name]
-        terms = _binomial_t_power_terms(coef, a, c, tpow)
-        out[name] = half_space_power_integral(terms, truncation_R)
-    return out
+    }[name]
+    return coef * half_space_power_integral(a, c, k)
 
 
-def extremal_gradient_integral(n, p, truncation_R=100.0):
-    """(integral of |grad V|^p over the half-space, tail magnitude)."""
-    return _interior_integrals(n, p, truncation_R, ("grad",))["grad"]
+def extremal_gradient_integral(n, p):
+    """(integral of |grad V|^p over the half-space, 0.0): a closed form,
+    so its error bar is 0."""
+    return _interior_integral(n, p, "grad"), 0.0
 
 
-def extremal_boundary_integral(n, p, truncation_R=100.0):
-    """(integral of V(.,0)^{p_*} over the boundary hyperplane, tail)."""
+def extremal_boundary_integral(n, p):
+    """(integral of V(.,0)^{p_*} over the boundary hyperplane, 0.0)."""
     alpha = decay_rate(n, p)
     p_star = trace_exponent(n, p)
-    omega = sphere_area(n - 2)
-    val, tail = boundary_power_integral(n - 2, alpha * p_star, truncation_R)
-    return omega * val, omega * tail
+    return sphere_area(n - 2) * boundary_power_integral(n - 2, alpha * p_star), 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -307,42 +212,40 @@ def sharp_constant_inverse(n, p):
     """K(N, p)^-1 in closed form: sharp_constant_formula(n, p)^(-1/p).
 
     Within K_INV_REL relative of a 50-digit evaluation of the same
-    expression; the quadrature quotient agrees to about 2e-15 relative.
+    expression; the quadrature quotient agrees to 5e-15 relative away from
+    p = 1 (6.5e-12 at N = 7, p = 1.0005).
     """
     return sharp_constant_formula(n, p) ** (-1.0 / p)
 
 
-def sharp_constant_quadrature(n, p, truncation_R=100.0):
+def sharp_constant_quadrature(n, p):
     """Rayleigh quotient |grad V|_p / |V(.,0)|_{p_*} of the extremal.
 
-    Returns (K_inv_estimate, tail_bound): extremal_quotient of the standard
+    Returns (K_inv_estimate, 0.0): extremal_quotient of the standard
     profile (lam = 1, y0 = 0), whose scale factors are exactly 1.  This is
     the independent check of sharp_constant_inverse, not a source of K^-1.
     """
-    return extremal_quotient(ExtremalProfile(n, p), truncation_R)
+    return extremal_quotient(ExtremalProfile(n, p))
 
 
-def extremal_quotient(profile, truncation_R=100.0):
+def extremal_quotient(profile):
     """Rayleigh quotient of a dilated/translated profile.
 
     Translation leaves both integrals unchanged; dilation rescales them by
     exact powers of the scale, which is applied here explicitly so that the
     dilation invariance of the quotient is exercised in floating point.
-    Returns (estimate, tail_bound).  The tail bound dominates the
-    truncation error: the appended corrections are analytic and the
-    reported bound is their full magnitude propagated through the quotient,
-    never less than REL_FLOOR times the estimate.
+    Returns (estimate, 0.0): both integrals are Beta-function closed forms,
+    so nothing is truncated and the error bar is 0.
     """
     n, p, lam = profile.N, profile.p, profile.lam
     alpha = profile.alpha
     p_star = trace_exponent(n, p)
-    grad_val, grad_tail = extremal_gradient_integral(n, p, truncation_R)
-    bnd_val, bnd_tail = extremal_boundary_integral(n, p, truncation_R)
+    grad_val, _ = extremal_gradient_integral(n, p)
+    bnd_val, _ = extremal_boundary_integral(n, p)
     grad_scaled = lam ** (-alpha) * grad_val
     bnd_scaled = lam ** (-(n - 1.0) / (p - 1.0)) * bnd_val
     estimate = grad_scaled ** (1.0 / p) / bnd_scaled ** (1.0 / p_star)
-    rel = grad_tail / grad_val / p + bnd_tail / bnd_val / p_star
-    return estimate, max(estimate * rel, REL_FLOOR * estimate)
+    return estimate, 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -394,7 +297,7 @@ def expansion_coefficients(
     lap_r0=0.0,
     H=0.0,
     hbar=0.0,
-    truncation_R=100.0,
+    truncation_R=None,  # unread; kept while perfbench/workloads.py passes it
     enforce_hypotheses=True,
 ):
     """All expansion coefficients with per-coefficient hypothesis guards.
@@ -436,17 +339,13 @@ def expansion_coefficients(
             skipped[name] = str(err)
             values[name] = None
 
-    ints = {}
-
     def integral(name):
-        if name not in ints:
-            ints.update(_interior_integrals(n, p, truncation_R, (name,)))
-        return ints[name][0]
+        return _interior_integral(n, p, name)
 
     # boundary pieces
     omega = sphere_area(n - 2)
     alpha = decay_rate(n, p)
-    a0 = f0 * omega * boundary_power_integral(n - 2, alpha * p_star, truncation_R)[0]
+    a0 = f0 * omega * boundary_power_integral(n - 2, alpha * p_star)
 
     compute("c0", f0 == 0.0, [(hyp_c0, _HYP_C0)], lambda: f0 * integral("value_p"))
     compute(
@@ -454,7 +353,7 @@ def expansion_coefficients(
         f0 * lap_r0 == 0.0,
         [(hyp_a1, _HYP_A1)],
         lambda: -f0 * lap_r0 / (2.0 * p_star)
-        * omega * boundary_power_integral(n, alpha * p_star, truncation_R)[0],
+        * omega * boundary_power_integral(n, alpha * p_star),
     )
     d0 = f0 * integral("grad")
     compute(
@@ -538,6 +437,24 @@ def _model_chart(model, H):
     if model == "flat":
         return fermi_chart(polygon_loop([(-2, 0), (2, 0), (2, 4), (-2, 4)]), (0.0, 0.0))
     raise DomainError(f"model must be 'disk' or 'flat', got {model!r}")
+
+
+def _gl_panels(breaks, n):
+    """Gauss-Legendre nodes/weights on consecutive panels."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    lo = np.asarray(breaks[:-1])
+    hi = np.asarray(breaks[1:])
+    mid = 0.5 * (lo + hi)
+    half = 0.5 * (hi - lo)
+    nodes = (mid[:, None] + half[:, None] * x[None, :]).ravel()
+    weights = (half[:, None] * w[None, :]).ravel()
+    return nodes, weights
+
+
+def _graded_breaks(total, n_panels):
+    """Geometric grading of [0, total] toward 0."""
+    fracs = np.geomspace(2.0 ** -(n_panels - 1), 1.0, n_panels)
+    return np.concatenate([[0.0], total * fracs])
 
 
 def _model_quadrature(delta, eps):

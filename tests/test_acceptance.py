@@ -136,9 +136,9 @@ def test_c03_holder_500():
 
 def test_c04_sharp_constant_desk_check():
     t0 = time.perf_counter()
-    grad_val, _ = extremal_gradient_integral(3, 2.0, truncation_R=100.0)
-    bnd_val, _ = extremal_boundary_integral(3, 2.0, truncation_R=100.0)
-    k_inv, _ = sharp_constant_quadrature(3, 2.0, truncation_R=100.0)
+    grad_val, _ = extremal_gradient_integral(3, 2.0)
+    bnd_val, _ = extremal_boundary_integral(3, 2.0)
+    k_inv, _ = sharp_constant_quadrature(3, 2.0)
     formula = sharp_constant_formula(3, 2.0)
     elapsed = time.perf_counter() - t0
     ok = (
@@ -162,12 +162,10 @@ def test_c04_sharp_constant_desk_check():
 
 
 def test_c05_dilation_invariance():
-    base, _ = extremal_quotient(ExtremalProfile(3, 2.0, lam=1.0), truncation_R=100.0)
+    base, _ = extremal_quotient(ExtremalProfile(3, 2.0, lam=1.0))
     worst = 0.0
     for lam in (0.25, 1.0, 4.0):
-        est, _ = extremal_quotient(
-            ExtremalProfile(3, 2.0, lam=lam, y0=(0.7, -0.2)), truncation_R=100.0
-        )
+        est, _ = extremal_quotient(ExtremalProfile(3, 2.0, lam=lam, y0=(0.7, -0.2)))
         worst = max(worst, abs(est - base))
     ok = worst <= 1e-6
     report("C05", ok, f"quotient spread over lam in {{0.25, 1, 4}}: {worst:.2e} (<= 1e-6)")

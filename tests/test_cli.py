@@ -43,6 +43,34 @@ def test_constants_3_2():
     assert payload["coefficient_skipped"]["c0"] == "p < sqrt(N)"
 
 
+def test_constants_near_p_1_is_consistent():
+    # the quotient's exponents grow like 1/(p-1); closed-form integrals
+    # keep it on the closed form of K^-1
+    res = run_cli("constants", "--N", "7", "--p", "1.0005")
+    assert res.returncode == 0, res.stderr
+    payload = json.loads(res.stdout)
+    assert payload["reconciliation"]["consistent"] is True
+    assert payload["quadrature_K_inv"] == pytest.approx(1.00281008926, abs=1e-10)
+
+
+@pytest.mark.parametrize("command, config, sides", [
+    ("solve", "configs/disk_subcritical.cfg", ("_history.csv", "_minimizer.csv")),
+    ("expand", "configs/expand_disk.cfg", ("_series.csv",)),
+], ids=["solve", "expand"])
+def test_out_side_files_sit_beside_the_report(tmp_path, command, config, sides):
+    # a dot in a directory name is not an extension: the CSVs follow the report
+    out_dir = tmp_path / "run.v2"
+    out_dir.mkdir()
+    res = run_cli("--config", config, "--out", str(out_dir / "report"), command)
+    assert res.returncode == 0, res.stderr
+    payload = json.loads((out_dir / "report").read_text())
+    for side in sides:
+        assert (out_dir / f"report{side}").is_file()
+    assert [p.name for p in tmp_path.iterdir()] == ["run.v2"]
+    named = [v for k, v in payload.items() if k.endswith("_csv")]
+    assert sorted(named) == sorted(str(out_dir / f"report{side}") for side in sides)
+
+
 def test_solve_subcritical_disk(tmp_path):
     out = tmp_path / "report.json"
     res = run_cli("--config", "configs/disk_subcritical.cfg",
@@ -201,7 +229,7 @@ def _edited(name, *edits):
         (_edited("disk_subcritical.cfg", ("max_iter = 150", "max_iter = inf")),
          "solve", 1, "config error: [solver] max_iter: not a finite number"),
         (_edited("expand_disk.cfg", ("H = 1.0", "H = 1.0\ntruncation_R = inf")),
-         "expand", 1, "config error: [expand] truncation_R: not a finite number"),
+         "expand", 1, "config error: [expand] unknown key 'truncation_R'"),
         (_edited("disk_subcritical.cfg", ("max_iter = 150", "max_iter = 0")),
          "solve", 1, "config error: [solver] max_iter: must be at least 1"),
         (_edited("disk_subcritical.cfg", ("tol = 1e-6", "tol = 0")),
@@ -249,9 +277,9 @@ def _edited(name, *edits):
         (_edited("disk_subcritical.cfg", ("init = constant", "init = bubble 1 0 nan")),
          "solve", 1, "config error: init 'bubble 1 0 nan': bubble needs finite x, y and lam > 0"),
         ("[halfspace]\nN = 2\np = 1.5\ntruncation_R = -3\n",
-         "constants", 1, "input error: DomainError: truncation_R must be a finite number > 0"),
+         "constants", 1, "config error: [halfspace] unknown key 'truncation_R'"),
         (_edited("expand_disk.cfg", ("H = 1.0", "H = 1.0\ntruncation_R = -3")),
-         "expand", 1, "input error: DomainError: truncation_R must be a finite number > 0"),
+         "expand", 1, "config error: [expand] unknown key 'truncation_R'"),
         (_edited("disk_subcritical.cfg", ("radii = 0.3 1.0", "radii = -1 0")),
          "solve", 1, "config error: [solver] radii: must be finite numbers > 0"),
         (NO_FREE_BOUNDARY, "solve", 1, NO_FREE_MESSAGE),
@@ -395,7 +423,7 @@ def test_stdout_is_strict_json(tmp_path, text, argv, code):
         (["--config", "configs/disk_subcritical.cfg", "solve", "--radii", "0.3,abc"],
          "config error: ", "--radii"),
         (["constants", "--N", "3", "--p", "2", "--truncation-R", "inf"],
-         "config error: ", "--truncation-R: not a finite number"),
+         "config error: ", "unrecognized arguments: --truncation-R"),
         (["constants", "--N", "3", "--p", "nan"], "config error: ", "--p: not a finite number"),
         (["constants", "--N", "3", "--p", "2", "--H=-inf"],
          "config error: ", "--H: not a finite number"),
@@ -414,7 +442,7 @@ def test_stdout_is_strict_json(tmp_path, text, argv, code):
         (["--config", "configs/disk_subcritical.cfg", "solve", "--init", "bubble 1 0 nan"],
          "config error: ", "bubble needs finite x, y and lam > 0"),
         (["constants", "--N", "2", "--p", "1.5", "--truncation-R", "-5"],
-         "input error: ", "DomainError: truncation_R must be a finite number > 0"),
+         "config error: ", "unrecognized arguments: --truncation-R"),
         (["--config", "configs/disk_subcritical.cfg", "solve", "--radii", "nan,inf"],
          "config error: ", "--radii: must be finite numbers > 0"),
         (["--config", "configs/disk_subcritical.cfg", "solve", "--radii=-1,0"],

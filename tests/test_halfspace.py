@@ -90,40 +90,58 @@ def test_extremal_values():
     np.testing.assert_allclose(shifted.value([0.3, -0.4], 0.0), [0.5])
 
 
-# -- quadrature engine ----------------------------------------------------------
+# -- closed-form integrals --------------------------------------------------------
 
 
 @pytest.mark.parametrize(
-    "a,b,c",
+    "a,k,c",
     [(1, 0, 4.0), (0, 1, 4.5), (3, 1, 12.0), (5, 0, 14.0), (0, 0, 3.1), (2, 2, 9.0)],
 )
-def test_engine_matches_beta_oracle(a, b, c):
-    val, tail = half_space_power_integral([(1.0, a, b, c)], truncation_R=80.0)
-    assert val == pytest.approx(monomial_integral_oracle(a, b, c), rel=1e-9)
+def test_engine_matches_beta_oracle(a, k, c):
+    # for k >= 1 the oracle sums the binomial expansion of (s-1)^k: the same
+    # value by different algebra
+    val = half_space_power_integral(a, c, k)
+    assert val == pytest.approx(t_power_integral_oracle(a, c, k), rel=1e-12)
+
+
+@pytest.mark.parametrize("a,k,c", [(1, 0, 4.0), (3, 1, 12.0), (0, 2, 6.5), (2, 0, 9.0)])
+def test_closed_form_matches_nested_mpmath_quadrature(a, k, c):
+    # an independent reference: the double integral itself, by mpmath
+    with mpmath.workdps(20):
+        def inner(s):
+            return mpmath.quad(
+                lambda rho: rho**a * (s * s + rho * rho) ** (-mpmath.mpf(c) / 2),
+                [0, s, mpmath.inf],
+            )
+
+        ref = mpmath.quad(lambda s: (s - 1) ** k * inner(s), [1, 2, mpmath.inf])
+    assert half_space_power_integral(a, c, k) == pytest.approx(float(ref), rel=1e-12)
 
 
 def test_engine_divergence_guard():
     with pytest.raises(DivergentIntegral):
-        half_space_power_integral([(1.0, 1, 0, 3.0)], truncation_R=10.0)
+        half_space_power_integral(1, 3.0, 0)
 
 
 def test_boundary_engine_matches_oracle():
     for a, c in [(0, 3.0), (1, 4.0), (4, 12.0)]:
-        val, tail = boundary_power_integral(a, c, truncation_R=80.0)
+        val = boundary_power_integral(a, c)
         assert val == pytest.approx(boundary_integral_oracle(a, c), rel=1e-10)
     with pytest.raises(DivergentIntegral):
-        boundary_power_integral(2, 3.0, truncation_R=10.0)
+        boundary_power_integral(2, 3.0)
 
 
 def test_gradient_integral_pi_at_3_2():
-    val, tail = extremal_gradient_integral(3, 2.0, truncation_R=100.0)
+    val, bar = extremal_gradient_integral(3, 2.0)
     assert val == pytest.approx(math.pi, rel=5e-3)
-    assert val == pytest.approx(math.pi, rel=1e-8)  # engine is much better
+    assert val == pytest.approx(math.pi, rel=1e-8)
+    assert bar == 0.0
 
 
 def test_boundary_integral_pi_at_3_2():
-    val, tail = extremal_boundary_integral(3, 2.0, truncation_R=100.0)
+    val, bar = extremal_boundary_integral(3, 2.0)
     assert val == pytest.approx(math.pi, rel=1e-8)
+    assert bar == 0.0
 
 
 # -- sharp constant --------------------------------------------------------------
@@ -168,19 +186,19 @@ def test_formula_domain_errors():
 
 
 def test_quadrature_quotient_3_2():
-    est, tail = sharp_constant_quadrature(3, 2.0, truncation_R=100.0)
+    est, _ = sharp_constant_quadrature(3, 2.0)
     assert est == pytest.approx(math.pi**0.25, rel=1e-8)
 
 
 def test_quadrature_quotient_2_15():
-    est, tail = sharp_constant_quadrature(2, 1.5, truncation_R=100.0)
+    est, _ = sharp_constant_quadrature(2, 1.5)
     assert est == pytest.approx(2.0 ** (1.0 / 3.0), rel=1e-8)
 
 
 @pytest.mark.parametrize("n,p", [(3, 2.0), (4, 2.0), (5, 1.5), (2, 1.5), (7, 2.5)])
 def test_formula_reconciles_with_quotient_pth_power(n, p):
     """The printed formula equals quotient^(-p); the reconciliation is exact."""
-    est, _ = sharp_constant_quadrature(n, p, truncation_R=120.0)
+    est, _ = sharp_constant_quadrature(n, p)
     assert sharp_constant_formula(n, p) == pytest.approx((1.0 / est) ** p, rel=1e-7)
 
 
@@ -216,7 +234,7 @@ def test_closed_form_inverse_within_its_bar_of_50_digits():
 
 def test_quadrature_against_closed_form_many():
     for n, p in [(3, 2.0), (5, 1.5), (2, 1.3), (6, 2.2)]:
-        est, _ = sharp_constant_quadrature(n, p, truncation_R=100.0)
+        est, _ = sharp_constant_quadrature(n, p)
         oracle = grad_integral_oracle(n, p) ** (1 / p) / boundary_pstar_oracle(
             n, p
         ) ** (1 / trace_exponent(n, p))
@@ -224,27 +242,26 @@ def test_quadrature_against_closed_form_many():
 
 
 def test_dilation_invariance():
-    base, _ = extremal_quotient(ExtremalProfile(3, 2.0), truncation_R=100.0)
+    base, _ = extremal_quotient(ExtremalProfile(3, 2.0))
     for lam in (0.25, 0.5, 2.0, 4.0):
         for y0 in ((0.0, 0.0), (1.5, -2.0)):
-            est, _ = extremal_quotient(
-                ExtremalProfile(3, 2.0, lam=lam, y0=y0), truncation_R=100.0
-            )
+            est, _ = extremal_quotient(ExtremalProfile(3, 2.0, lam=lam, y0=y0))
             assert abs(est - base) <= 1e-6 * base
 
 
-def test_tail_bound_dominates_R_doubling():
-    for n, p in [(3, 2.0), (2, 1.5)]:
-        est1, tail1 = sharp_constant_quadrature(n, p, truncation_R=50.0)
-        est2, _ = sharp_constant_quadrature(n, p, truncation_R=100.0)
-        assert abs(est2 - est1) < tail1
+def test_quotient_near_p_1_matches_closed_form():
+    # at p = 1.0005 the profile decays like r^-11999; a truncated box lost
+    # 9.8 % of K^-1 here
+    est, bar = sharp_constant_quadrature(7, 1.0005)
+    assert abs(est - sharp_constant_inverse(7, 1.0005)) <= 1e-10
+    assert bar == 0.0
 
 
 def test_quadrature_divergence_guard():
     # N=2, p -> close to 2: alpha*p_* stays fine; construct a genuine failure
     # via the generic engine guard instead
     with pytest.raises(DivergentIntegral):
-        half_space_power_integral([(1.0, 0, 0, 1.5)], truncation_R=10.0)
+        half_space_power_integral(0, 1.5, 0)
 
 
 # -- expansion coefficients -------------------------------------------------------
