@@ -43,6 +43,7 @@ RUNS = {
     "solve-disk_variable": ["--config", "configs/disk_variable.cfg", "solve"],
     "conditions-disk_variable": ["--config", "configs/disk_variable.cfg", "conditions"],
     "expand": ["--config", "configs/expand_disk.cfg", "expand"],
+    "expand-flat": ["--config", "configs/expand_flat.cfg", "expand"],
     "constants-halfspace": ["--config", "configs/halfspace.cfg", "constants"],
     "conditions-disk_compact": ["--config", "configs/disk_compact.cfg", "conditions"],
     "solve-disk_subcritical-flags":

@@ -13,8 +13,8 @@ operators, the CSR maps from nodal values to the values and gradients at
 the points, and the trace problem only reads them.
 
 A FermiChart at a boundary point provides the boundary-adapted coordinates
-(tangential offset y, inward normal distance t) with the exact slopes of
-the boundary graph, jacobians, and signed curvature of the underlying arc.
+(tangential offset y, inward normal distance t), with the exact jacobians
+and the signed curvature of the underlying arc; the chart is orthogonal.
 """
 
 from __future__ import annotations
@@ -603,7 +603,8 @@ class FermiChart:
     normal nu; nu(y) is the unit inward normal of the boundary graph
     n = psi(y), with psi(0) = 0, psi'(0) = 0 and psi''(0) = H (signed
     curvature, positive when the domain is convex at the base point).
-    All geometric quantities are closed-form for segment and arc pieces.
+    The chart lies inside one segment or arc, so the curvature is the
+    constant H along it, and the jacobians are closed-form.
     """
 
     x0: np.ndarray
@@ -613,50 +614,23 @@ class FermiChart:
     center_offset: float  # signed distance to the arc center along nu (0 => line)
     validity_radius: float
 
-    def dpsi(self, y):
+    def boundary_jacobian(self, y):
+        """|d/dy (y, psi(y))| = sqrt(1 + psi'(y)^2); exact."""
         y = np.asarray(y, float)
-        d = self.center_offset
-        if d == 0.0:
-            return np.zeros_like(y)
-        r = abs(d)
-        return math.copysign(1.0, d) * y / np.sqrt(r * r - y * y)
-
-    def ddpsi(self, y):
-        y = np.asarray(y, float)
-        d = self.center_offset
-        if d == 0.0:
-            return np.zeros_like(y)
-        r = abs(d)
-        return math.copysign(1.0, d) * r * r / np.power(r * r - y * y, 1.5)
+        r = abs(self.center_offset)
+        if r == 0.0:
+            return np.ones_like(y)
+        dpsi = y / np.sqrt(r * r - y * y)
+        return np.sqrt(1.0 + dpsi * dpsi)
 
     def jacobian(self, y, t):
-        """det d Phi = sqrt(1 + psi'^2) * (1 - t * kappa(y)); exact."""
-        y = np.asarray(y, float)
-        t = np.asarray(t, float)
-        dp = self.dpsi(y)
-        w2 = 1.0 + dp * dp
-        w = np.sqrt(w2)
-        kappa = self.ddpsi(y) / (w2 * w)
-        return w * (1.0 - t * kappa)
+        """det d Phi = boundary_jacobian(y) * (1 - t H); exact.
 
-    def dmap_frame(self, y, t):
-        """Frame-coordinate differential of Phi, shape (..., 2, 2)."""
-        y = np.asarray(y, float)
-        t = np.asarray(t, float)
-        dp = self.dpsi(y)
-        w2 = 1.0 + dp * dp
-        w = np.sqrt(w2)
-        kappa = self.ddpsi(y) / (w2 * w)
-        out = np.empty(np.broadcast(y, t).shape + (2, 2))
-        out[..., 0, 0] = 1.0 - t * kappa
-        out[..., 0, 1] = -dp / w
-        out[..., 1, 0] = dp * (1.0 - t * kappa)
-        out[..., 1, 1] = 1.0 / w
-        return out
-
-    def boundary_jacobian(self, y):
-        dp = self.dpsi(y)
-        return np.sqrt(1.0 + dp * dp)
+        The chart is orthogonal: d_y Phi = boundary_jacobian(y) (1 - t H)
+        times the unit tangent and d_t Phi = nu(y), so its metric is
+        diag(J^2, 1) with J this jacobian, and |grad u| = hypot(u_y / J, u_t).
+        """
+        return self.boundary_jacobian(y) * (1.0 - np.asarray(t, float) * self.H)
 
 
 def fermi_chart(loop, x0):

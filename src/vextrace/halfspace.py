@@ -435,6 +435,8 @@ def _model_chart(model, H):
         radius = 1.0 / H
         return fermi_chart(unit_disk_loop(radius=radius), (radius, 0.0))
     if model == "flat":
+        if H != 0:
+            raise DomainError(f"flat model needs H = 0, got {H!r}")
         return fermi_chart(polygon_loop([(-2, 0), (2, 0), (2, 4), (-2, 4)]), (0.0, 0.0))
     raise DomainError(f"model must be 'disk' or 'flat', got {model!r}")
 
@@ -482,15 +484,18 @@ def norm_expansion_check(n, p, coeffs, epsilons, model="disk"):
     """Measure cutoff-extremal norms on a model domain and fit the slopes.
 
     The model reconstructs the exponent and weight fields from the inputs
-    echoed in the coefficient set (their chart-coordinate Taylor data), so
-    measured slopes are directly comparable with the predicted ratios
+    echoed in the coefficient set (their chart-coordinate Taylor data), and
+    the weight f enters both measured norms as it enters the coefficients,
+    so measured slopes are directly comparable with the predicted ratios
     d1/(p d0) (case of positive normal derivative of p, regressor
-    eps*ln(eps)) or d2/(p d0) (flat-in-t exponent with curved boundary,
-    regressor eps), plus a1/(p_* a0) for the boundary norm.  The profile is
-    cut off between delta and 2 delta, with delta a quarter of the chart
-    validity radius; a fit whose relative residual exceeds 0.2 raises
-    FitUnstable, and N != 2, an unknown model or an eps <= 0 raise
-    DomainError.
+    eps*ln(eps)) or d2/(p d0) (flat-in-t exponent, regressor eps), plus
+    a1/(p_* a0) for the boundary norm.  Gradients are taken in the chart's
+    own orthogonal metric diag(J^2, 1) (see FermiChart.jacobian).  The
+    profile is cut off between delta and 2 delta, with delta a quarter of
+    the chart validity radius; a fit whose relative residual exceeds 0.2
+    raises FitUnstable, and N != 2, an unknown model, a disk with H <= 0, a
+    flat model with H != 0, a weight that is not positive on the support or
+    an eps <= 0 raise DomainError.
     """
     if n != 2:
         raise DomainError(f"the model-domain check is planar (N = 2), got N = {n}")
@@ -508,6 +513,11 @@ def norm_expansion_check(n, p, coeffs, epsilons, model="disk"):
     p_star = trace_exponent(n, p)
     chart = _model_chart(model, H)
     delta = 0.25 * chart.validity_radius
+    if not min(f0, f0 + 2.0 * delta * dtf0) > 0:
+        raise DomainError(
+            f"the weight f0 + dtf0*t must be > 0 for 0 <= t <= {2.0 * delta:.4g}, "
+            f"got f0 = {f0!r}, dtf0 = {dtf0!r}"
+        )
 
     case = "normal_derivative" if dtp0 > 0 else "curvature"
     d0 = coeffs.d0
@@ -521,6 +531,15 @@ def norm_expansion_check(n, p, coeffs, epsilons, model="disk"):
     # trace-invariant rescaling keeps both the gradient p-modular and the
     # boundary p_*-modular O(1), matching the coefficient normalization
     kappa = -(n - p) / p
+    # the boundary rule and its fields do not depend on eps
+    yb, wb = _gl_panels(
+        np.concatenate([-_graded_breaks(2.0 * delta, 12)[::-1],
+                        _graded_breaks(2.0 * delta, 12)[1:]]),
+        12,
+    )
+    etab = _smoothstep_cutoff(np.abs(yb), delta)
+    r_field = p_star + 0.5 * lap_r0 * yb * yb
+    wqb = wb * chart.boundary_jacobian(yb) * f0
     sob_norms, bnd_norms, grad_mods, defects = [], [], [], []
     for eps in epsilons:
         y, t, w = _model_quadrature(delta, eps)
@@ -529,41 +548,21 @@ def norm_expansion_check(n, p, coeffs, epsilons, model="disk"):
         deta = _smoothstep_cutoff_deriv(rho, delta)
         r2 = (1.0 + t / eps) ** 2 + (y / eps) ** 2
         V = eps**kappa * r2 ** (-alpha / 2.0)
-        # frame gradient of the rescaled profile
+        # chart gradient of the rescaled profile
         pref = -alpha * eps ** (kappa - 2.0) * r2 ** (-(alpha + 2.0) / 2.0)
-        gV_y = pref * y
-        gV_t = pref * (eps + t)
         safe = np.where(rho > 0, rho, 1.0)
-        geta_y = deta * y / safe
-        geta_t = deta * t / safe
-        g_frame = np.stack(
-            [geta_y * V + eta * gV_y, geta_t * V + eta * gV_t], axis=1
-        )
-        # map frame gradients to world via dPhi^-T
-        dphi = chart.dmap_frame(y, t)
-        inv_t = np.linalg.inv(dphi).transpose(0, 2, 1)
-        g_world = np.einsum("nij,nj->ni", inv_t, g_frame)
-        gmag = np.hypot(g_world[:, 0], g_world[:, 1])
-        vals = eta * V
+        g_y = deta * y / safe * V + eta * (pref * y)
+        g_t = deta * t / safe * V + eta * (pref * (eps + t))
+        # the chart metric is diag(jac^2, 1)
         jac = chart.jacobian(y, t)
-        wq = w * jac
+        gmag = np.hypot(g_y / jac, g_t)
         p_field = p + dtp0 * t + 0.5 * dttp0 * t * t + 0.5 * lap_y_p0 * y * y
-        f_field = f0 + dtf0 * t
-        grad_mod = fixed_order_sum(wq * f_field * gmag**p_field)
+        wq = w * jac * (f0 + dtf0 * t)
+        grad_mod = fixed_order_sum(wq * gmag**p_field)
         grad_mods.append(grad_mod)
-        sob = _norm_from_arrays(np.abs(vals), wq, p_field, gmag)
+        sob = _norm_from_arrays(np.abs(eta * V), wq, p_field, gmag)
         sob_norms.append(sob)
-        # boundary norm
-        yb, wb = _gl_panels(
-            np.concatenate([-_graded_breaks(2.0 * delta, 12)[::-1],
-                            _graded_breaks(2.0 * delta, 12)[1:]]),
-            12,
-        )
-        r2b = 1.0 + (yb / eps) ** 2
-        Vb = eps**kappa * r2b ** (-alpha / 2.0)
-        etab = _smoothstep_cutoff(np.abs(yb), delta)
-        r_field = p_star + 0.5 * lap_r0 * yb * yb
-        wqb = wb * chart.boundary_jacobian(yb)
+        Vb = eps**kappa * (1.0 + (yb / eps) ** 2) ** (-alpha / 2.0)
         bnd = _norm_from_arrays(np.abs(etab * Vb), wqb, r_field, None)
         bnd_norms.append(bnd)
         x1 = eps * math.log(eps) if case == "normal_derivative" else eps

@@ -247,6 +247,12 @@ def _edited(name, *edits):
          "expand", 1, "input error: DomainError: the model-domain check is planar"),
         (_edited("expand_disk.cfg", ("H = 1.0", "H = -1.0")),
          "expand", 1, "input error: DomainError: disk model needs H > 0"),
+        (_edited("expand_flat.cfg", ("model = flat", "model = flat\nH = 0.5")),
+         "expand", 1, "input error: DomainError: flat model needs H = 0, got 0.5"),
+        (_edited("expand_disk.cfg", ("H = 1.0", "H = 1.0\nf0 = 0")),
+         "expand", 1, "input error: DomainError: the weight f0 + dtf0*t must be > 0"),
+        (_edited("expand_flat.cfg", ("dtf0 = 0.5", "dtf0 = -20")),
+         "expand", 1, "input error: DomainError: the weight f0 + dtf0*t must be > 0"),
         (_edited("disk_critical.cfg", (CHECKS, "checks = compactness\nK_arcs = 0\nr0 = 0.5")),
          "conditions", 1, "config error: [conditions] need r0 in (0, 1/e)"),
         (_edited("disk_critical.cfg", (CHECKS, "checks = compactness\nK_arcs = 0\ns = 2")),
@@ -321,6 +327,7 @@ def _edited(name, *edits):
          "norm-bad-p-expr", "h-nan", "max-iter-inf", "truncation-R-inf",
          "max-iter-zero", "tol-zero", "existence-tol-negative", "norm-modular-overflow",
          "expand-eps-zero", "expand-model-sphere", "expand-N-3", "expand-disk-H-negative",
+         "expand-flat-H-nonzero", "expand-weight-zero", "expand-weight-negative",
          "compactness-r0", "compactness-s", "compactness-K-points-odd",
          "compactness-K-arc-range", "max-iter-fraction", "n-fraction", "gamma-fraction",
          "n-not-planar", "norm-kind-unknown", "norm-sobolev-without-gradients",

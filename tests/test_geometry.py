@@ -234,6 +234,25 @@ def test_chart_jacobian_expansion_ratio():
     assert consts[2] <= 2.0 * consts[1] + 1e-9
 
 
+def test_chart_metric_is_orthogonal():
+    # Phi(y, t) = (1 - t) (sqrt(1 - y^2), y) on the unit disk at (1, 0): the
+    # coordinate lines cross at right angles, |d_y Phi| is the jacobian and
+    # d_t Phi is a unit vector, so the metric is diag(J^2, 1)
+    chart = fermi_chart(unit_disk_loop(), (1.0, 0.0))
+
+    def phi(y, t):
+        return (1.0 - t) * np.array([math.sqrt(1.0 - y * y), y])
+
+    h = 1e-6
+    r = chart.validity_radius
+    for y, t in ((0.0, 0.0), (0.3 * r, 0.1 * r), (-0.7 * r, 0.5 * r), (0.9 * r, 0.9 * r)):
+        d_y = (phi(y + h, t) - phi(y - h, t)) / (2.0 * h)
+        d_t = (phi(y, t + h) - phi(y, t - h)) / (2.0 * h)
+        assert abs(float(d_y @ d_t)) < 1e-8
+        assert float(np.linalg.norm(d_y)) == pytest.approx(float(chart.jacobian(y, t)), abs=1e-8)
+        assert float(np.linalg.norm(d_t)) == pytest.approx(1.0, abs=1e-8)
+
+
 # -- pullback through a chart: the jacobian weights of norm_expansion_check ----
 
 

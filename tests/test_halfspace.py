@@ -441,8 +441,31 @@ def test_expansion_fit_builds_no_mesh(monkeypatch, disk_coeffs, model):
         raise AssertionError("mesh_domain called")
 
     monkeypatch.setattr(geometry, "mesh_domain", no_mesh)
-    fit = norm_expansion_check(2, 1.3, disk_coeffs, (0.04, 0.02, 0.01, 0.005), model=model)
+    coeffs = disk_coeffs if model == "disk" else expansion_coefficients(2, 1.3, f0=1.0)
+    fit = norm_expansion_check(2, 1.3, coeffs, (0.04, 0.02, 0.01, 0.005), model=model)
     assert fit.case == "curvature"
+
+
+def test_expansion_fit_weight_scale_cancels(disk_coeffs):
+    # a constant weight f0 scales the measured norms and d0, a0, c0 alike,
+    # so the normalized fit does not see it
+    doubled = expansion_coefficients(
+        2, 1.3, f0=2.0, H=1.0, hbar=1.0, enforce_hypotheses=False
+    )
+    one = norm_expansion_check(2, 1.3, disk_coeffs, EPS_LIST, model="disk")
+    two = norm_expansion_check(2, 1.3, doubled, EPS_LIST, model="disk")
+    for name in ("fitted_slope", "fitted_boundary_slope", "residual"):
+        assert getattr(two, name) == pytest.approx(getattr(one, name), rel=1e-12)
+    assert two.defects == pytest.approx(one.defects, rel=1e-12, abs=1e-15)
+
+
+@pytest.mark.parametrize("dtf0", [0.5, -0.5])
+def test_expansion_fit_flat_weight_slope(dtf0):
+    # on the flat model the first-order slope comes from the weight alone
+    co = expansion_coefficients(2, 1.3, f0=1.0, dtf0=dtf0, enforce_hypotheses=False)
+    fit = norm_expansion_check(2, 1.3, co, EPS_LIST, model="flat")
+    assert fit.case == "curvature"
+    assert fit.fitted_slope == pytest.approx(fit.predicted_slope, rel=0.02)
 
 
 def test_expansion_fit_defect_shrinks(disk_coeffs):
