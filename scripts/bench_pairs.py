@@ -1,0 +1,152 @@
+#!/usr/bin/env python3
+"""Paired benchmark runs of two checkouts, written as one BENCH_*.json.
+
+    python3 scripts/bench_pairs.py PARENT CHANGE --out BENCH.json \\
+        --claim "solve-variable run_s" --what "one line on the change"
+
+PARENT and CHANGE are checkouts of the two commits (a clone, or an unpacked
+`git archive`).  For every workload the script runs
+
+    python3 perfbench/run.py --workload W --seed S --seconds T --trace 0
+
+once in each checkout per pair, one run at a time, and alternates which
+side goes first from pair to pair, for 10 pairs; then one `--trace 1` run
+per side gives the per-layer counters.  The workloads and the run length T
+are the parent's `BENCHMARK.json` (`workloads`, `run_seconds`), so both
+sides run under the benchmark's own rules; `--workloads` picks a subset.
+Every run gets PYTHONDONTWRITEBYTECODE=1, so neither side's `peak_rss_mb`
+depends on bytecode left in its checkout.
+
+One invocation writes one seed.  A second seed (a held-out check, say) is a
+second invocation with its own `--out`.
+
+The JSON holds the parent's revision, the machine, the command, a summary
+per workload and end-to-end metric (quartiles of each side, the inclusive
+method, and how many pairs the change read lower or tied), every run's
+result, and the traced results.  Standard library only.  At 30-s runs, 10
+pairs on the three workloads take about 40 minutes on two cores.
+"""
+
+import argparse
+import json
+import os
+import pathlib
+import platform
+import statistics
+import subprocess
+import sys
+from importlib import metadata
+
+PAIRS = 10
+SIDES = ("parent", "change")
+
+
+def run_once(checkout, workload, seed, seconds, trace):
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
+           "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run(cmd, cwd=checkout, env=env, capture_output=True, text=True)
+    lines = proc.stdout.strip().splitlines()
+    if proc.returncode != 0 or not lines:
+        raise RuntimeError(f"{' '.join(cmd)} in {checkout} exited {proc.returncode}:\n"
+                           f"{proc.stderr[-2000:]}")
+    return json.loads(lines[-1])
+
+
+def revision(checkout):
+    try:
+        return subprocess.run(["git", "rev-parse", "--short", "HEAD"], cwd=checkout,
+                              capture_output=True, text=True, check=True).stdout.strip()
+    except (OSError, subprocess.CalledProcessError):
+        return "unknown"
+
+
+def machine():
+    cpu = platform.machine()
+    try:
+        with open("/proc/cpuinfo") as fh:
+            cpu = next(line.split(":", 1)[1].strip() for line in fh
+                       if line.startswith("model name"))
+    except (OSError, StopIteration):
+        pass
+    versions = ", ".join(f"{pkg} {metadata.version(pkg)}" for pkg in ("numpy", "scipy"))
+    return (f"{os.cpu_count()}-vCPU {cpu}, Python {platform.python_version()}, {versions}; "
+            "parent and change each run from their own checkout, one run at a time, "
+            "alternating which side runs first in each pair")
+
+
+def quartiles(values):
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"q1": q1, "median": median, "q3": q3, "n": len(values)}
+
+
+def summarize(runs, workload):
+    by_side = {side: [r["result"]["metrics"] for r in runs
+                      if r["workload"] == workload and r["side"] == side] for side in SIDES}
+    summary = {}
+    for name in by_side["parent"][0]:
+        vals = {side: [m[name]["value"] for m in by_side[side]] for side in SIDES}
+        pairs = list(zip(vals["parent"], vals["change"]))
+        summary[name] = {
+            "parent": quartiles(vals["parent"]),
+            "change": quartiles(vals["change"]),
+            "pairs_change_lower": sum(c < p for p, c in pairs),
+            "pairs_tied": sum(c == p for p, c in pairs),
+        }
+    return summary
+
+
+def main():
+    ap = argparse.ArgumentParser(description=__doc__,
+                                 formatter_class=argparse.RawDescriptionHelpFormatter)
+    ap.add_argument("parent", type=pathlib.Path)
+    ap.add_argument("change", type=pathlib.Path)
+    ap.add_argument("--out", type=pathlib.Path, required=True)
+    ap.add_argument("--workloads", help="comma-separated subset of the benchmark's workloads")
+    ap.add_argument("--seed", type=int, default=1)
+    ap.add_argument("--claim", default="")
+    ap.add_argument("--what", default="")
+    args = ap.parse_args()
+    checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    bench = json.loads((checkouts["parent"] / "BENCHMARK.json").read_text())
+    seconds = bench["run_seconds"]
+    workloads = (args.workloads.split(",") if args.workloads
+                 else [w["name"] for w in bench["workloads"]])
+
+    runs, traced = [], []
+    for workload in workloads:
+        for pair in range(PAIRS):
+            order = SIDES if pair % 2 == 0 else SIDES[::-1]
+            for side in order:
+                result = run_once(checkouts[side], workload, args.seed, seconds, 0)
+                runs.append({"workload": workload, "seed": args.seed, "side": side,
+                             "pair": pair, "result": result})
+                print(f"{workload} pair {pair} {side}: "
+                      f"run_s {result['metrics']['run_s']['value']:.4f}", file=sys.stderr)
+        for side in SIDES:
+            result = run_once(checkouts[side], workload, args.seed, seconds, 1)
+            traced.append({"workload": workload, "seed": args.seed, "side": side,
+                           "result": result})
+
+    report = {
+        "what": args.what,
+        "parent": revision(checkouts["parent"]),
+        "command": (f"python3 perfbench/run.py --workload W --seed {args.seed} "
+                    f"--seconds {seconds:g} --trace 0 (end to end); "
+                    f"--trace 1 at seed {args.seed} (per layer)"),
+        "machine": machine(),
+        "claim": args.claim,
+        "summary": {w: summarize(runs, w) for w in workloads},
+        "runs": runs,
+        "traced": traced,
+    }
+    args.out.write_text(json.dumps(report, indent=1) + "\n")
+    for workload, metrics in report["summary"].items():
+        for name, s in metrics.items():
+            print(f"{workload:15s} {name:12s} parent {s['parent']['median']:.6g} "
+                  f"change {s['change']['median']:.6g} "
+                  f"lower in {s['pairs_change_lower']}/{s['parent']['n']}")
+
+
+if __name__ == "__main__":
+    main()

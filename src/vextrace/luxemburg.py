@@ -11,7 +11,8 @@ about 4 modular evaluations per norm, 2 when the exponent is constant.
 
 Modular, measure and quadrature sums go through ``fixed_order_sum`` and are
 exact (equal to ``math.fsum``), so they depend on no summation order, numpy
-build or CPU.
+build or CPU: a large sum is certified from two numpy sums, a rare one left
+uncertified (a rounding tie, say) goes to math.fsum.
 """
 
 from __future__ import annotations
@@ -54,31 +55,25 @@ class ExponentMismatch(ValueError):
     """Derived exponent falls outside its admissible range."""
 
 
-FSUM_MAX = 1024  # up to this many terms math.fsum is the faster route
-SUM_BLOCK = 16384  # terms per extraction block, so a level fits in cache
+FSUM_MAX = 256  # up to this many terms math.fsum is the faster route
 _GRID_MAX = 2.0**1022  # a grid 2^e with e > 1022 would overflow its sums
 
 
 def fixed_order_sum(values):
     """Exact sum: returns ``math.fsum(values)``, the correctly rounded total.
 
-    Modular, measure and quadrature sums are exact (equal to ``math.fsum``),
-    so they depend on no summation order, numpy build or CPU.  Up to
-    FSUM_MAX terms math.fsum sums them directly; larger arrays go through
-    ``_level_sums`` (error-free extraction), which gives the same bits
-    faster.  Where math.fsum itself fails (an intermediate overflow, or inf
-    and -inf together) the result is ``np.sum``'s, so inf and nan propagate
-    and callers that check finiteness see them.
+    It depends on no summation order, numpy build or CPU.  Up to FSUM_MAX
+    terms math.fsum sums them directly; larger arrays go through
+    ``_certified_sum``, the same bits faster, and back to math.fsum when it
+    cannot certify them.  Where math.fsum itself fails (an intermediate
+    overflow, or inf and -inf together) the result is ``np.sum``'s, so inf
+    and nan propagate and callers that check finiteness see them.
     """
     a = np.ascontiguousarray(values, dtype=float).ravel()
     if a.size > FSUM_MAX:
-        try:
-            return math.fsum(_level_sums(a))
-        except OverflowError:
-            # inf, nan or values near the float limit: fsum of the whole
-            # list, since one block's fsum can overflow where the whole
-            # list's does not
-            pass
+        s = _certified_sum(a)
+        if s is not None:
+            return s
     try:
         return math.fsum(a.tolist())
     except (OverflowError, ValueError):
@@ -86,37 +81,36 @@ def fixed_order_sum(values):
             return float(np.sum(a))
 
 
-def _level_sums(a):
-    """Floats whose exact sum is the exact sum of ``a``.
+def _certified_sum(a):
+    """``math.fsum(a)`` from two numpy sums and a rounding certificate, or None.
 
-    Error-free extraction, the first step of AccSum (Rump, Ogita & Oishi,
-    SIAM J. Sci. Comput. 31(1), 2008) and of reproducible summation (Demmel
-    & Nguyen, IEEE Trans. Comput. 64(7), 2015).  With 2^e > n max|r| and
-    c = 1.5 2^e, q = (r + c) - c is r rounded to a multiple of 2^(e-52) and
-    r - q is exact, and every partial sum of the n values q is a multiple of
-    that unit below 2^(e+1), so ``np.sum(q)`` is exact in any order.  Each
-    level moves the grid down to the residuals until none is left.  Raises
-    OverflowError on a non-finite value or a grid above 2^1022.
+    The first step of AccSum (Rump, Ogita & Oishi, SIAM J. Sci. Comput.
+    31(1), 2008).  With n terms, 2^e > n max|a| and c = 1.5 2^e, q =
+    (a + c) - c is a rounded to a multiple of 2^(e-52), every partial sum of
+    the q is such a multiple below 2^(e+1), and s1 = sum(q) is exact in any
+    order.  r = a - q is exact with |r_i| <= 2^(e-53), so s2 = sum(r) is
+    within n^2 2^(e-106) of its exact sum in any order (outright for
+    n < 2^26, to first order beyond), and the total within bound =
+    n^2 2^(e-105) of s1 + s2, the factor 2 covering higher orders and the
+    rounding of the bound.  Rounding is monotone: if s1 + s2 -/+ bound round
+    to the same float, it is the correctly rounded total.  None when they do
+    not (a total near a rounding tie, or cancelling), on a non-finite value,
+    or when the grid would pass 2^1022.
     """
-    sums = []
-    # equal blocks of at most SUM_BLOCK terms, so no block is a short tail
-    n_blocks = -(-a.size // SUM_BLOCK)
-    step = -(-a.size // n_blocks)
-    for start in range(0, a.size, step):
-        r = a[start : start + step]
-        while r.size:
-            top = r.size * float(np.max(np.abs(r)))
-            if not top < _GRID_MAX:
-                raise OverflowError("no extraction grid for these values")
-            if top == 0.0:
-                break
-            c = math.ldexp(1.5, math.frexp(top)[1])
-            q = r + c
-            q -= c
-            sums.append(float(np.sum(q)))
-            np.subtract(r, q, out=q)
-            r = q[q != 0.0]
-    return sums
+    n = a.size
+    top = n * max(float(a.max()), -float(a.min()))
+    if not top < _GRID_MAX:  # also nan
+        return None
+    e = math.frexp(top)[1]
+    c = math.ldexp(1.5, e)
+    q = a + c
+    q -= c
+    s1 = float(q.sum())
+    np.subtract(a, q, out=q)
+    s2 = float(q.sum())
+    bound = math.ldexp(n * n, e - 105)
+    lo = math.fsum((s1, s2, -bound))
+    return lo if lo == math.fsum((s1, s2, bound)) else None
 
 
 @dataclass(frozen=True)
@@ -241,10 +235,11 @@ def _derivative_terms(av, w, exps, gmag, lam):
     magnitudes; d modular(u/lam) / d lam = -D / lam.  Returns (dv, dg, D)
     with dg None when gmag is None.
     """
+    wp, pm1 = w * exps, exps - 1.0
 
     def terms(a):
         x = a / lam
-        wpx = w * exps * x ** (exps - 1.0)
+        wpx = wp * x**pm1
         return wpx, x * wpx
 
     dv, sv = terms(av)

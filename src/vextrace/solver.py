@@ -80,7 +80,8 @@ def sampled_exponent_bounds(domain, p, r):
 
 class DiscreteTraceProblem:
     """The trace quotient on one mesh: the domain's quadrature and P1
-    operators, and the exponents sampled at its points.
+    operators, their adjoints (``ST``, ``GxT``, ``GyT``, ``SbT``: transposed
+    views, built once), and the exponents sampled at its points.
 
     Flags (reported, not silently assumed):
       - ``p_plus_lt_r_minus``: the strict exponent gap needed by the
@@ -109,6 +110,7 @@ class DiscreteTraceProblem:
 
         pts, self.quad_weights, self.S, self.Gx, self.Gy = domain.interior_quadrature()
         bpts, self.bquad_weights, self.Sb = domain.boundary_quadrature()
+        self.ST, self.GxT, self.GyT, self.SbT = self.S.T, self.Gx.T, self.Gy.T, self.Sb.T
         self.quad_points, self.bquad_points = pts, bpts
         self.p_exps = np.asarray(p_field(pts), float)
         self.r_exps = np.asarray(r_field(bpts), float)
@@ -166,15 +168,15 @@ class DiscreteTraceProblem:
     def sobolev_norm_gradient(self, a):
         """(norm, d norm / d nodal values) by implicit differentiation."""
         vals, gmag, gx, gy = self.interior_fields(a)
-        lam = _norm_from_arrays(np.abs(vals), self.quad_weights, self.p_exps, gmag)
+        av = np.abs(vals)
+        lam = _norm_from_arrays(av, self.quad_weights, self.p_exps, gmag)
         if lam == 0.0:
             raise ZeroTrace("zero function has no norm gradient")
-        dv, dg, D = _derivative_terms(np.abs(vals), self.quad_weights, self.p_exps, gmag, lam)
+        dv, dg, D = _derivative_terms(av, self.quad_weights, self.p_exps, gmag, lam)
         tv = dv * np.sign(vals)
-        safe = np.where(gmag > 0, gmag, 1.0)
-        tg = np.where(gmag > 0, dg / safe, 0.0)
+        tg = np.divide(dg, gmag, out=np.zeros_like(gmag), where=gmag > 0)
         grad = (
-            self.S.T @ tv + self.Gx.T @ (tg * gx) + self.Gy.T @ (tg * gy)
+            self.ST @ tv + self.GxT @ (tg * gx) + self.GyT @ (tg * gy)
         ) / D
         return lam, grad
 
@@ -182,7 +184,7 @@ class DiscreteTraceProblem:
         bv = self.boundary_values(a)
         lam = self._boundary_norm(bv)
         dv, _, D = _derivative_terms(np.abs(bv), self.bquad_weights, self.r_exps, None, lam)
-        return lam, (self.Sb.T @ (dv * np.sign(bv))) / D
+        return lam, (self.SbT @ (dv * np.sign(bv))) / D
 
 
 def rayleigh_quotient(a, problem):

@@ -1,6 +1,7 @@
 import csv
 import gc
 import math
+import pathlib
 import tracemalloc
 
 import mpmath
@@ -48,7 +49,7 @@ def test_fixed_order_sum_matches_fsum():
     rng = np.random.default_rng(0)
     for n in (1, 7, 255, 256, 257, 4095, 4096, 4097, 10000):
         a = rng.standard_normal(n) * 10.0 ** rng.integers(-8, 8, size=n)
-        assert fixed_order_sum(a) == pytest.approx(math.fsum(a.tolist()), rel=1e-15)
+        assert fixed_order_sum(a).hex() == math.fsum(a.tolist()).hex()
 
 
 def test_fixed_order_sum_compensation():
@@ -56,11 +57,27 @@ def test_fixed_order_sum_compensation():
     assert fixed_order_sum(a) == pytest.approx(1.0 + 2e-12, rel=1e-12)
 
 
+def _uncertified_cases():
+    """Arrays whose certificate refuses, so math.fsum must take over."""
+    rng = np.random.default_rng(8)
+    # 1 + 2^-53 is a rounding tie: the padding decides it, far below the bound
+    tie = np.r_[1.0, 2.0**-53, rng.choice([1e-300, -1e-300], 2998)]
+    x = rng.standard_normal(1500)
+    # n max|a| passes 2^1022, while no partial sum in any order can overflow
+    big = np.r_[rng.uniform(0.5, 1.0, 4) * 2.0**1021 * [1, -1, 1, -1], rng.standard_normal(596)]
+    return [
+        pytest.param(tie, id="near-tie-3000"),
+        pytest.param(np.r_[x, -x[::-1]], id="exactly-cancelling-3000"),
+        pytest.param(big, id="grid-limit-600"),
+    ]
+
+
 def _exact_sum_cases():
     rng = np.random.default_rng(6)
     cases = []
-    # 1024 and 1025 sit on either side of the math.fsum / extraction cut-over
-    for n in (1, 1024, 1025, 4097, 17_500, 70_000):
+    # 256 and 257 sit on either side of the math.fsum / certified-sum
+    # cut-over FSUM_MAX; the larger sizes are kept from earlier cut-overs
+    for n in (1, 256, 257, 1024, 1025, 4097, 17_500, 70_000):
         x = rng.standard_normal(n)
         cases.append(pytest.param(x - x.mean(), id=f"cancelling-{n}"))
         cases.append(pytest.param(rng.uniform(1.5, 2.0, n), id=f"positive-{n}"))
@@ -71,7 +88,7 @@ def _exact_sum_cases():
             a = rng.random(n)
             a[n // 3] = bad
             cases.append(pytest.param(a, id=f"{bad}-{n}"))
-    return cases
+    return cases + _uncertified_cases()
 
 
 @pytest.mark.parametrize("a", _exact_sum_cases())
@@ -82,6 +99,64 @@ def test_fixed_order_sum_is_fsum_in_any_order(a):
     want = math.fsum(a.tolist())
     assert same(fixed_order_sum(a), want)
     assert same(fixed_order_sum(np.random.default_rng(7).permutation(a)), want)
+
+
+@pytest.mark.parametrize("a", _uncertified_cases())
+def test_uncertified_sums_fall_back_to_fsum(a):
+    # fixed_order_sum's bits on these arrays are checked with the exact-sum cases
+    assert lux._certified_sum(a) is None
+
+
+@st.composite
+def finite_arrays(draw):
+    """257 to 4000 finite floats: random magnitudes over a drawn span of
+    decades, a few drawn values (ties, subnormals, huge ones) at random
+    places, and optionally half of the array negated into the other half."""
+    n = draw(st.integers(257, 4000))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    span = draw(st.integers(0, 30))
+    a = rng.standard_normal(n) * 10.0 ** rng.integers(-span, span + 1, size=n)
+    for v in draw(st.lists(st.floats(-1e300, 1e300), max_size=20)):
+        a[rng.integers(n)] = v
+    if draw(st.booleans()):
+        a[: n // 2] = -a[n - n // 2 :]
+    return a
+
+
+@settings(max_examples=200, deadline=None)
+@given(finite_arrays(), st.integers(0, 2**32 - 1))
+def test_fixed_order_sum_is_fsum_property(a, seed):
+    want = math.fsum(a.tolist()).hex()
+    assert fixed_order_sum(a).hex() == want
+    assert fixed_order_sum(a[::-1]).hex() == want
+    assert fixed_order_sum(np.random.default_rng(seed).permutation(a)).hex() == want
+
+
+def test_modular_and_derivative_sums_are_certified():
+    """The large sums of a norm-gradient evaluation take the fast path.
+
+    A refused certificate still gives the right bits through math.fsum, but
+    costs about 14 times as much at 8,751 terms, and no output shows it.
+    """
+    from vextrace.config import ProblemConfig
+
+    cfg = pathlib.Path(__file__).resolve().parents[1] / "configs" / "disk_subcritical.cfg"
+    problem = ProblemConfig.from_path(cfg).build_problem()
+    x, y = problem.domain.vertices.T
+    u = 1.0 + 0.5 * x + 0.25 * y**2
+    vals, gmag, _, _ = problem.interior_fields(u)
+    av, w, exps = np.abs(vals), problem.quad_weights, problem.p_exps
+    assert av.size > lux.FSUM_MAX
+    # the modular terms at the unit centre, as _norm_from_arrays forms them
+    peak = max(float(np.max(av)), float(np.max(gmag)))
+    terms = lux._scaled_terms(av / peak, w, exps, gmag / peak, 1.0)
+    assert lux._certified_sum(terms) is not None
+    assert lux._certified_sum(exps * terms) is not None
+    # the weights D sums: (a / lam) times the derivative terms, for both atoms
+    lam = problem.sobolev_norm(u)
+    dv, dg, D = lux._derivative_terms(av, w, exps, gmag, lam)
+    weights = np.concatenate([av / lam * dv, gmag / lam * dg])
+    assert lux._certified_sum(weights) == D
 
 
 @pytest.mark.parametrize("n", [2, 2000])
