@@ -21,9 +21,13 @@ One invocation writes one seed.  A second seed (a held-out check, say) is a
 second invocation with its own `--out`.
 
 The JSON holds the parent's revision, the machine, the command, a summary
-per workload and end-to-end metric (quartiles of each side, the inclusive
-method, and how many pairs the change read lower or tied), every run's
-result, and the traced results.  Standard library only.  At 30-s runs, 10
+per workload and end-to-end metric, every run's result, and the traced
+results.  A metric's summary holds the quartiles of each side (inclusive
+method), its direction (`better`, from the parent's `BENCHMARK.json`
+`end_to_end` list), how many pairs the change read better in that
+direction or tied, and whether the gap between the medians exceeds the
+parent's interquartile spread: a claimed gain needs both nine wins in ten
+pairs and that gap.  Standard library only.  At 30-s runs, 10
 pairs on the three workloads take about 40 minutes on two cores.
 """
 
@@ -80,18 +84,25 @@ def quartiles(values):
     return {"q1": q1, "median": median, "q3": q3, "n": len(values)}
 
 
-def summarize(runs, workload):
+def summarize(runs, workload, better):
+    """Per metric: quartiles, wins in the direction better[name], ties, and
+    whether the medians differ by more than the parent's quartile spread."""
     by_side = {side: [r["result"]["metrics"] for r in runs
                       if r["workload"] == workload and r["side"] == side] for side in SIDES}
     summary = {}
     for name in by_side["parent"][0]:
         vals = {side: [m[name]["value"] for m in by_side[side]] for side in SIDES}
         pairs = list(zip(vals["parent"], vals["change"]))
+        sign = 1.0 if better[name] == "higher" else -1.0
+        parent, change = quartiles(vals["parent"]), quartiles(vals["change"])
         summary[name] = {
-            "parent": quartiles(vals["parent"]),
-            "change": quartiles(vals["change"]),
-            "pairs_change_lower": sum(c < p for p, c in pairs),
+            "better": better[name],
+            "parent": parent,
+            "change": change,
+            "pairs_change_better": sum(sign * (c - p) > 0 for p, c in pairs),
             "pairs_tied": sum(c == p for p, c in pairs),
+            "median_gap_exceeds_parent_iqr":
+                abs(change["median"] - parent["median"]) > parent["q3"] - parent["q1"],
         }
     return summary
 
@@ -110,6 +121,7 @@ def main():
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     bench = json.loads((checkouts["parent"] / "BENCHMARK.json").read_text())
     seconds = bench["run_seconds"]
+    better = {m["name"]: m["better"] for m in bench["end_to_end"]}
     workloads = (args.workloads.split(",") if args.workloads
                  else [w["name"] for w in bench["workloads"]])
 
@@ -136,7 +148,7 @@ def main():
                     f"--trace 1 at seed {args.seed} (per layer)"),
         "machine": machine(),
         "claim": args.claim,
-        "summary": {w: summarize(runs, w) for w in workloads},
+        "summary": {w: summarize(runs, w, better) for w in workloads},
         "runs": runs,
         "traced": traced,
     }
@@ -145,7 +157,8 @@ def main():
         for name, s in metrics.items():
             print(f"{workload:15s} {name:12s} parent {s['parent']['median']:.6g} "
                   f"change {s['change']['median']:.6g} "
-                  f"lower in {s['pairs_change_lower']}/{s['parent']['n']}")
+                  f"better ({s['better']}) in {s['pairs_change_better']}/{s['parent']['n']}, "
+                  f"median gap > parent IQR: {s['median_gap_exceeds_parent_iqr']}")
 
 
 if __name__ == "__main__":

@@ -354,8 +354,6 @@ def cmd_expand(args):
             "epsilons": list(fit.epsilons),
             "fitted_slope": fit.fitted_slope,
             "predicted_slope": fit.predicted_slope,
-            "fitted_boundary_slope": fit.fitted_boundary_slope,
-            "predicted_boundary_slope": fit.predicted_boundary_slope,
             "residual": fit.residual,
         }
     )
@@ -363,9 +361,8 @@ def cmd_expand(args):
         base = os.path.splitext(args.out)[0]
         _write_csv(
             base + "_series.csv",
-            ["eps", "sobolev_norm", "boundary_norm", "gradient_modular", "defect"],
-            list(zip(fit.epsilons, fit.sobolev_norms, fit.boundary_norms,
-                     fit.gradient_modulars, fit.defects)),
+            ["eps", "sobolev_norm", "gradient_modular", "defect"],
+            list(zip(fit.epsilons, fit.sobolev_norms, fit.gradient_modulars, fit.defects)),
         )
         payload["series_csv"] = base + "_series.csv"
     _emit(

@@ -194,7 +194,8 @@ SETTINGS = {
         "p": Setting(_number),
         "model": Setting(_text, "disk"),
         "epsilons": Setting(_numbers, (0.08, 0.056, 0.04, 0.028, 0.02, 0.014, 0.01)),
-        **{k: s for k, s in _INPUTS.items() if k != "hbar"},  # hbar is H on a model
+        # hbar is H on a model, and lap_r0 moves no norm that expand fits
+        **{k: s for k, s in _INPUTS.items() if k not in ("hbar", "lap_r0")},
         "H": Setting(_number, None),  # None: the model's curvature
     },
 }

@@ -409,12 +409,9 @@ class ExpansionFit:
     case: str  # 'normal_derivative' or 'curvature'
     epsilons: tuple
     sobolev_norms: tuple
-    boundary_norms: tuple
     gradient_modulars: tuple
     fitted_slope: float
     predicted_slope: float
-    fitted_boundary_slope: float
-    predicted_boundary_slope: float
     residual: float
     defects: tuple
 
@@ -453,12 +450,6 @@ def _gl_panels(breaks, n):
     return nodes, weights
 
 
-def _graded_breaks(total, n_panels):
-    """Geometric grading of [0, total] toward 0."""
-    fracs = np.geomspace(2.0 ** -(n_panels - 1), 1.0, n_panels)
-    return np.concatenate([[0.0], total * fracs])
-
-
 def _model_quadrature(delta, eps):
     """Polar grid on the upper half-plane support {radius <= 2 delta}.
 
@@ -481,21 +472,20 @@ def _model_quadrature(delta, eps):
 
 
 def norm_expansion_check(n, p, coeffs, epsilons, model="disk"):
-    """Measure cutoff-extremal norms on a model domain and fit the slopes.
+    """Measure cutoff-extremal Sobolev norms on a model domain and fit the slope.
 
     The model reconstructs the exponent and weight fields from the inputs
     echoed in the coefficient set (their chart-coordinate Taylor data), and
-    the weight f enters both measured norms as it enters the coefficients,
-    so measured slopes are directly comparable with the predicted ratios
+    the weight f enters the measured norm as it enters the coefficients, so
+    the measured slope is directly comparable with the predicted ratio
     d1/(p d0) (case of positive normal derivative of p, regressor
-    eps*ln(eps)) or d2/(p d0) (flat-in-t exponent, regressor eps), plus
-    a1/(p_* a0) for the boundary norm.  Gradients are taken in the chart's
-    own orthogonal metric diag(J^2, 1) (see FermiChart.jacobian).  The
-    profile is cut off between delta and 2 delta, with delta a quarter of
-    the chart validity radius; a fit whose relative residual exceeds 0.2
-    raises FitUnstable, and N != 2, an unknown model, a disk with H <= 0, a
-    flat model with H != 0, a weight that is not positive on the support or
-    an eps <= 0 raise DomainError.
+    eps*ln(eps)) or d2/(p d0) (flat-in-t exponent, regressor eps).
+    Gradients are taken in the chart's own orthogonal metric diag(J^2, 1)
+    (see FermiChart.jacobian).  The profile is cut off between delta and
+    2 delta, with delta a quarter of the chart validity radius; a fit whose
+    relative residual exceeds 0.2 raises FitUnstable, and N != 2, an
+    unknown model, a disk with H <= 0, a flat model with H != 0, a weight
+    that is not positive on the support or an eps <= 0 raise DomainError.
     """
     if n != 2:
         raise DomainError(f"the model-domain check is planar (N = 2), got N = {n}")
@@ -505,12 +495,11 @@ def norm_expansion_check(n, p, coeffs, epsilons, model="disk"):
     inp = coeffs.inputs
     f0, dtf0 = inp["f0"], inp["dtf0"]
     dtp0, dttp0 = inp["dtp0"], inp["dttp0"]
-    lap_y_p0, lap_r0 = inp["lap_y_p0"], inp["lap_r0"]
+    lap_y_p0 = inp["lap_y_p0"]
     H = inp["H"]
     if model == "disk" and inp["hbar"] != H:
         raise ValueError("planar models require hbar == H")
     alpha = decay_rate(n, p)
-    p_star = trace_exponent(n, p)
     chart = _model_chart(model, H)
     delta = 0.25 * chart.validity_radius
     if not min(f0, f0 + 2.0 * delta * dtf0) > 0:
@@ -521,26 +510,15 @@ def norm_expansion_check(n, p, coeffs, epsilons, model="disk"):
 
     case = "normal_derivative" if dtp0 > 0 else "curvature"
     d0 = coeffs.d0
-    a0 = coeffs.a0
     if case == "normal_derivative":
         slope_pred = coeffs.require("d1") / (p * d0)
     else:
         slope_pred = coeffs.require("d2") / (p * d0)
-    bnd_slope_pred = (coeffs.a1 if coeffs.a1 is not None else 0.0) / (p_star * a0)
 
-    # trace-invariant rescaling keeps both the gradient p-modular and the
-    # boundary p_*-modular O(1), matching the coefficient normalization
+    # trace-invariant rescaling keeps the gradient p-modular O(1), matching
+    # the coefficient normalization
     kappa = -(n - p) / p
-    # the boundary rule and its fields do not depend on eps
-    yb, wb = _gl_panels(
-        np.concatenate([-_graded_breaks(2.0 * delta, 12)[::-1],
-                        _graded_breaks(2.0 * delta, 12)[1:]]),
-        12,
-    )
-    etab = _smoothstep_cutoff(np.abs(yb), delta)
-    r_field = p_star + 0.5 * lap_r0 * yb * yb
-    wqb = wb * chart.boundary_jacobian(yb) * f0
-    sob_norms, bnd_norms, grad_mods, defects = [], [], [], []
+    sob_norms, grad_mods, defects = [], [], []
     for eps in epsilons:
         y, t, w = _model_quadrature(delta, eps)
         rho = np.hypot(y, t)
@@ -562,9 +540,6 @@ def norm_expansion_check(n, p, coeffs, epsilons, model="disk"):
         grad_mods.append(grad_mod)
         sob = _norm_from_arrays(np.abs(eta * V), wq, p_field, gmag)
         sob_norms.append(sob)
-        Vb = eps**kappa * (1.0 + (yb / eps) ** 2) ** (-alpha / 2.0)
-        bnd = _norm_from_arrays(np.abs(etab * Vb), wqb, r_field, None)
-        bnd_norms.append(bnd)
         x1 = eps * math.log(eps) if case == "normal_derivative" else eps
         defects.append(abs(sob / (d0 ** (1.0 / p) * (1.0 + slope_pred * x1)) - 1.0))
 
@@ -599,20 +574,13 @@ def norm_expansion_check(n, p, coeffs, epsilons, model="disk"):
         raise FitUnstable("ill-conditioned expansion fit")
     if resid > 0.2:
         raise FitUnstable(f"expansion fit residual {resid:.3g} beyond threshold")
-
-    yb2 = np.asarray(bnd_norms) / a0 ** (1.0 / p_star) - 1.0
-    Xb = np.stack([eps_arr**2 * np.log(eps_arr), eps_arr**2], axis=1)
-    solb, *_ = np.linalg.lstsq(Xb, yb2, rcond=None)
     return ExpansionFit(
         case=case,
         epsilons=epsilons,
         sobolev_norms=tuple(sob_norms),
-        boundary_norms=tuple(bnd_norms),
         gradient_modulars=tuple(grad_mods),
         fitted_slope=fitted,
         predicted_slope=slope_pred,
-        fitted_boundary_slope=float(solb[0]),
-        predicted_boundary_slope=bnd_slope_pred,
         residual=resid,
         defects=tuple(defects),
     )

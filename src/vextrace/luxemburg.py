@@ -65,9 +65,12 @@ def fixed_order_sum(values):
     It depends on no summation order, numpy build or CPU.  Up to FSUM_MAX
     terms math.fsum sums them directly; larger arrays go through
     ``_certified_sum``, the same bits faster, and back to math.fsum when it
-    cannot certify them.  Where math.fsum itself fails (an intermediate
-    overflow, or inf and -inf together) the result is ``np.sum``'s, so inf
-    and nan propagate and callers that check finiteness see them.
+    cannot certify them.  Where math.fsum overflows on n finite terms, they
+    are summed scaled by 2^-k with 2^k > n, so no partial sum can overflow,
+    and the total is scaled back, +-inf when it is beyond the float range;
+    in that sum only terms below 2^(k-1022) in magnitude lose bits.  Inputs
+    holding inf or nan give ``np.sum``'s result, so inf and nan propagate
+    and callers that check finiteness see them.
     """
     a = np.ascontiguousarray(values, dtype=float).ravel()
     if a.size > FSUM_MAX:
@@ -77,6 +80,9 @@ def fixed_order_sum(values):
     try:
         return math.fsum(a.tolist())
     except (OverflowError, ValueError):
+        if np.isfinite(a).all():
+            k = a.size.bit_length()
+            return math.fsum(np.ldexp(a, -k).tolist()) * 2.0**k
         with np.errstate(over="ignore", invalid="ignore"):
             return float(np.sum(a))
 

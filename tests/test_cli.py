@@ -148,7 +148,7 @@ def test_expand_subcommand(tmp_path):
     assert payload["fitted_slope"] < 0
     assert payload["predicted_slope"] < 0
     series = (tmp_path / "fit_series.csv").read_text().splitlines()
-    assert series[0] == "eps,sobolev_norm,boundary_norm,gradient_modular,defect"
+    assert series[0] == "eps,sobolev_norm,gradient_modular,defect"
     assert len(series) == 1 + len(payload["epsilons"])
 
 
@@ -286,6 +286,8 @@ def _edited(name, *edits):
          "constants", 1, "config error: [halfspace] unknown key 'truncation_R'"),
         (_edited("expand_disk.cfg", ("H = 1.0", "H = 1.0\ntruncation_R = -3")),
          "expand", 1, "config error: [expand] unknown key 'truncation_R'"),
+        (_edited("expand_disk.cfg", ("H = 1.0", "H = 1.0\nlap_r0 = -0.5")),
+         "expand", 1, "config error: [expand] unknown key 'lap_r0'"),
         (_edited("disk_subcritical.cfg", ("radii = 0.3 1.0", "radii = -1 0")),
          "solve", 1, "config error: [solver] radii: must be finite numbers > 0"),
         (NO_FREE_BOUNDARY, "solve", 1, NO_FREE_MESSAGE),
@@ -333,8 +335,9 @@ def _edited(name, *edits):
          "n-not-planar", "norm-kind-unknown", "norm-sobolev-without-gradients",
          "norm-not-a-samples-csv", "norm-samples-csv-directory", "config-directory",
          "init-bubble-lam-negative", "init-bubble-nan", "halfspace-truncation-R-negative",
-         "expand-truncation-R-negative", "radii-not-positive", "no-free-boundary-solve",
-         "no-free-boundary-solve-random", "no-free-boundary-conditions", "domain-arc-nan",
+         "expand-truncation-R-negative", "expand-lap-r0", "radii-not-positive",
+         "no-free-boundary-solve", "no-free-boundary-solve-random",
+         "no-free-boundary-conditions", "domain-arc-nan",
          "domain-segment-inf", "p-nan-solve", "p-nan-conditions", "r-nan-solve", "norm-p-nan",
          "p-minus-inf-solve", "unknown-section-condition", "unknown-section-solvr",
          "unknown-key-max-iters", "segment-under-solver", "n-random-negative",

@@ -447,14 +447,14 @@ def test_expansion_fit_builds_no_mesh(monkeypatch, disk_coeffs, model):
 
 
 def test_expansion_fit_weight_scale_cancels(disk_coeffs):
-    # a constant weight f0 scales the measured norms and d0, a0, c0 alike,
+    # a constant weight f0 scales the measured norms and d0, c0 alike,
     # so the normalized fit does not see it
     doubled = expansion_coefficients(
         2, 1.3, f0=2.0, H=1.0, hbar=1.0, enforce_hypotheses=False
     )
     one = norm_expansion_check(2, 1.3, disk_coeffs, EPS_LIST, model="disk")
     two = norm_expansion_check(2, 1.3, doubled, EPS_LIST, model="disk")
-    for name in ("fitted_slope", "fitted_boundary_slope", "residual"):
+    for name in ("fitted_slope", "residual"):
         assert getattr(two, name) == pytest.approx(getattr(one, name), rel=1e-12)
     assert two.defects == pytest.approx(one.defects, rel=1e-12, abs=1e-15)
 

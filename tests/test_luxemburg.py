@@ -159,6 +159,29 @@ def test_modular_and_derivative_sums_are_certified():
     assert lux._certified_sum(weights) == D
 
 
+BIG = 2.0**1023  # two of these overflow a partial sum
+
+
+@pytest.mark.parametrize(
+    "terms, total",
+    [
+        ([BIG, BIG, -BIG, -BIG], 0.0),
+        ([BIG, BIG, -BIG, -BIG] + [1.0] * 400, 400.0),
+        ([BIG, BIG, -BIG, -BIG] + [1.0] * 400 + [0.5], 400.5),
+        ([BIG, BIG, -BIG], BIG),
+        ([BIG, BIG, BIG, -BIG], math.inf),
+        ([-BIG, -BIG, -BIG, BIG] + [1.0] * 400, -math.inf),
+    ],
+    ids=["cancelling-4", "cancelling-404", "cancelling-405", "in-range", "over", "under-404"],
+)
+def test_overflowing_partial_sums_do_not_depend_on_order(terms, total):
+    # the total is exact, or +-inf beyond the float range, in every order
+    a = np.array(terms)
+    rng = np.random.default_rng(5)
+    for order in [a, a[::-1], np.r_[a[1::2], a[::2]]] + [rng.permutation(a) for _ in range(8)]:
+        assert fixed_order_sum(order) == total
+
+
 @pytest.mark.parametrize("n", [2, 2000])
 def test_overflowing_sum_is_infinite_and_modular_raises(n):
     assert fixed_order_sum(np.full(n, 1e308)) == math.inf

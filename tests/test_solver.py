@@ -1,4 +1,6 @@
 import math
+import pathlib
+import sys
 
 import numpy as np
 import pytest
@@ -20,6 +22,9 @@ from vextrace.solver import (
     sampled_exponent_bounds,
     solve_problem,
 )
+
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "scripts"))
+from radial_reference import radial_trace_constant  # noqa: E402
 
 P15 = ExponentField.from_text("1.5", 2)
 R2 = ExponentField.from_text("2", 2)
@@ -111,6 +116,33 @@ def test_minimize_converges_on_the_subcritical_disk(disk_prob):
     assert rep.starts == (("constant", rep.t_estimate, rep.iterations, "tol"),)
     d = rep.to_dict()
     assert (d["stop_reason"], d["n_evaluations"]) == ("tol", rep.n_evaluations)
+
+
+# the unit disk's radial constant T_rad for constant (p, r), to 10 digits
+RADIAL = {(1.5, 2.0): 0.8420611156, (1.5, 3.0): 1.1438618908,
+          (1.5, 1.5): 0.6198885793, (1.3, 1.3): 0.5846333448}
+
+
+@pytest.mark.parametrize("p, r", list(RADIAL))
+def test_radial_reference_ignores_its_start_radius_and_tolerance(p, r):
+    ref = radial_trace_constant(p, r)
+    assert ref == pytest.approx(RADIAL[p, r], rel=0, abs=1e-10)
+    for rho0, rtol in ((1e-4, 1e-12), (1e-8, 1e-10), (1e-4, 1e-10)):
+        moved = radial_trace_constant(p, r, rho0=rho0, rtol=rtol)
+        assert moved == pytest.approx(ref, rel=0, abs=1e-10)
+
+
+def test_polygon_constants_extrapolate_to_the_radial_reference(disk_prob):
+    # That T_rad is the disk's constant at r = 2 != p = 1.5 rests on
+    # numerical evidence only (for r = p the minimizer is a simple,
+    # positive Steklov eigenfunction, so radial): the polygon values
+    # converge to it at second order, so their h = 0.1, 0.05 Richardson
+    # limit must meet it.
+    fine = DiscreteTraceProblem(mesh_domain(unit_disk_loop(), 0.05), P15, R2)
+    coarse_t, fine_t = (minimize(prob, init="constant", max_iter=1000, tol=1e-10).t_estimate
+                        for prob in (disk_prob, fine))
+    limit = (4.0 * fine_t - coarse_t) / 3.0
+    assert limit == pytest.approx(radial_trace_constant(1.5, 2.0), rel=0, abs=1e-6)
 
 
 def test_zero_trace_in_a_trial_stops_at_the_last_accepted_iterate(monkeypatch):
