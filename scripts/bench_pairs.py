@@ -17,18 +17,20 @@ sides run under the benchmark's own rules; `--workloads` picks a subset.
 Every run gets PYTHONDONTWRITEBYTECODE=1, so neither side's `peak_rss_mb`
 depends on bytecode left in its checkout.
 
-One invocation writes one seed.  A second seed (a held-out check, say) is a
-second invocation with its own `--out`.
+`--seed` may be given more than once (a held-out check, say): every
+workload then runs its pairs and traced runs at each seed in turn, and the
+JSON holds one summary per seed.
 
 The JSON holds the parent's revision, the machine, the command, a summary
-per workload and end-to-end metric, every run's result, and the traced
-results.  A metric's summary holds the quartiles of each side (inclusive
-method), its direction (`better`, from the parent's `BENCHMARK.json`
-`end_to_end` list), how many pairs the change read better in that
-direction or tied, and whether the gap between the medians exceeds the
-parent's interquartile spread: a claimed gain needs both nine wins in ten
-pairs and that gap.  Standard library only.  At 30-s runs, 10
-pairs on the three workloads take about 40 minutes on two cores.
+per seed, workload and end-to-end metric (`summary[seed][workload]`),
+every run's result, and the traced results.  A metric's summary holds the
+quartiles of each side (inclusive method), its direction (`better`, from
+the parent's `BENCHMARK.json` `end_to_end` list), how many pairs the
+change read better in that direction or tied, and whether the gap between
+the medians exceeds the parent's interquartile spread: a claimed gain
+needs both nine wins in ten pairs and that gap.  Standard library only.
+At 30-s runs, 10 pairs on the three workloads take about 40 minutes per
+seed on two cores.
 """
 
 import argparse
@@ -84,11 +86,12 @@ def quartiles(values):
     return {"q1": q1, "median": median, "q3": q3, "n": len(values)}
 
 
-def summarize(runs, workload, better):
+def summarize(runs, seed, workload, better):
     """Per metric: quartiles, wins in the direction better[name], ties, and
     whether the medians differ by more than the parent's quartile spread."""
     by_side = {side: [r["result"]["metrics"] for r in runs
-                      if r["workload"] == workload and r["side"] == side] for side in SIDES}
+                      if (r["seed"], r["workload"], r["side"]) == (seed, workload, side)]
+               for side in SIDES}
     summary = {}
     for name in by_side["parent"][0]:
         vals = {side: [m[name]["value"] for m in by_side[side]] for side in SIDES}
@@ -114,10 +117,12 @@ def main():
     ap.add_argument("change", type=pathlib.Path)
     ap.add_argument("--out", type=pathlib.Path, required=True)
     ap.add_argument("--workloads", help="comma-separated subset of the benchmark's workloads")
-    ap.add_argument("--seed", type=int, default=1)
+    ap.add_argument("--seed", type=int, action="append",
+                    help="workload seed, repeatable (default 1)")
     ap.add_argument("--claim", default="")
     ap.add_argument("--what", default="")
     args = ap.parse_args()
+    seeds = args.seed or [1]
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     bench = json.loads((checkouts["parent"] / "BENCHMARK.json").read_text())
     seconds = bench["run_seconds"]
@@ -126,39 +131,42 @@ def main():
                  else [w["name"] for w in bench["workloads"]])
 
     runs, traced = [], []
-    for workload in workloads:
-        for pair in range(PAIRS):
-            order = SIDES if pair % 2 == 0 else SIDES[::-1]
-            for side in order:
-                result = run_once(checkouts[side], workload, args.seed, seconds, 0)
-                runs.append({"workload": workload, "seed": args.seed, "side": side,
-                             "pair": pair, "result": result})
-                print(f"{workload} pair {pair} {side}: "
-                      f"run_s {result['metrics']['run_s']['value']:.4f}", file=sys.stderr)
-        for side in SIDES:
-            result = run_once(checkouts[side], workload, args.seed, seconds, 1)
-            traced.append({"workload": workload, "seed": args.seed, "side": side,
-                           "result": result})
+    for seed in seeds:
+        for workload in workloads:
+            for pair in range(PAIRS):
+                order = SIDES if pair % 2 == 0 else SIDES[::-1]
+                for side in order:
+                    result = run_once(checkouts[side], workload, seed, seconds, 0)
+                    runs.append({"workload": workload, "seed": seed, "side": side,
+                                 "pair": pair, "result": result})
+                    print(f"seed {seed} {workload} pair {pair} {side}: "
+                          f"run_s {result['metrics']['run_s']['value']:.4f}", file=sys.stderr)
+            for side in SIDES:
+                result = run_once(checkouts[side], workload, seed, seconds, 1)
+                traced.append({"workload": workload, "seed": seed, "side": side,
+                               "result": result})
 
     report = {
         "what": args.what,
         "parent": revision(checkouts["parent"]),
-        "command": (f"python3 perfbench/run.py --workload W --seed {args.seed} "
-                    f"--seconds {seconds:g} --trace 0 (end to end); "
-                    f"--trace 1 at seed {args.seed} (per layer)"),
+        "command": (f"python3 perfbench/run.py --workload W --seed S --seconds {seconds:g} "
+                    f"--trace 0 (end to end), then --trace 1 (per layer), "
+                    f"for S in {', '.join(map(str, seeds))}"),
         "machine": machine(),
         "claim": args.claim,
-        "summary": {w: summarize(runs, w, better) for w in workloads},
+        "summary": {str(seed): {w: summarize(runs, seed, w, better) for w in workloads}
+                    for seed in seeds},
         "runs": runs,
         "traced": traced,
     }
     args.out.write_text(json.dumps(report, indent=1) + "\n")
-    for workload, metrics in report["summary"].items():
-        for name, s in metrics.items():
-            print(f"{workload:15s} {name:12s} parent {s['parent']['median']:.6g} "
-                  f"change {s['change']['median']:.6g} "
-                  f"better ({s['better']}) in {s['pairs_change_better']}/{s['parent']['n']}, "
-                  f"median gap > parent IQR: {s['median_gap_exceeds_parent_iqr']}")
+    for seed, by_workload in report["summary"].items():
+        for workload, metrics in by_workload.items():
+            for name, s in metrics.items():
+                print(f"seed {seed} {workload:15s} {name:12s} "
+                      f"parent {s['parent']['median']:.6g} change {s['change']['median']:.6g} "
+                      f"better ({s['better']}) in {s['pairs_change_better']}/{s['parent']['n']}, "
+                      f"median gap > parent IQR: {s['median_gap_exceeds_parent_iqr']}")
 
 
 if __name__ == "__main__":

@@ -346,11 +346,13 @@ class PlanarDomain:
         return fixed_order_sum(self.edge_lengths())
 
     def mesh_size(self):
-        v = self.vertices
-        t = self.triangles
-        lens = [np.linalg.norm(v[t[:, i]] - v[t[:, j]], axis=1)
-                for i, j in ((0, 1), (1, 2), (2, 0))]
-        return float(np.max(lens))
+        if "h" not in self._cache:
+            v = self.vertices
+            t = self.triangles
+            lens = [np.linalg.norm(v[t[:, i]] - v[t[:, j]], axis=1)
+                    for i, j in ((0, 1), (1, 2), (2, 0))]
+            self._cache["h"] = float(np.max(lens))
+        return self._cache["h"]
 
     # -- quadrature -----------------------------------------------------------
 

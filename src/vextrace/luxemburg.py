@@ -7,7 +7,10 @@ Sobolev kind); the Luxemburg norm is the unique lambda > 0 with
 modular(u/lambda) = 1.  It is found by a safeguarded Newton iteration on the
 log-modular G(s) = log modular(u/e^s), which is convex and decreasing in
 s = log lambda, inside the bracket given by the norm-modular inequalities:
-about 4 modular evaluations per norm, 2 when the exponent is constant.
+about 4 modular evaluations per norm from the unit scale, 2 when the
+exponent is constant, and about 2.6 when the caller starts the root near
+its norm, as the descent does.  On request the root also returns its terms
+and their slope weight, from which the norm's gradient follows.
 
 Modular, measure and quadrature sums go through ``fixed_order_sum`` and are
 exact (equal to ``math.fsum``), so they depend on no summation order, numpy
@@ -57,6 +60,7 @@ class ExponentMismatch(ValueError):
 
 FSUM_MAX = 256  # up to this many terms math.fsum is the faster route
 _GRID_MAX = 2.0**1022  # a grid 2^e with e > 1022 would overflow its sums
+_MIN_NORMAL = 2.0**-1022  # a start whose modular is below this is dropped
 
 
 def fixed_order_sum(values):
@@ -223,36 +227,13 @@ def _scaled_terms(av, w, exps, gmag, lam):
     return terms
 
 
-def _modular_value(terms, exps, delta=0.0):
-    """Modular and its slope weight at lam e^delta, from the terms at lam.
+def _modular_value(terms, exps):
+    """Modular and its slope weight from the terms t_i of modular(u/lam).
 
-    With t_i = terms_i e^(-p_i delta), returns (m, d): m = sum t_i is the
-    modular and d = sum p_i t_i = -dm/d(log lam); both sums are exact.
+    Returns (m, d): m = sum t_i is the modular and d = sum p_i t_i =
+    -dm/d(log lam); both sums are exact.
     """
-    if delta:
-        terms = terms * np.exp(-delta * exps)
     return fixed_order_sum(terms), fixed_order_sum(exps * terms)
-
-
-def _derivative_terms(av, w, exps, gmag, lam):
-    """Per-atom terms w p (a/lam)^(p-1) and their weight D = sum w p (a/lam)^p.
-
-    The atoms are the values and, for the sobolev kind, the gradient
-    magnitudes; d modular(u/lam) / d lam = -D / lam.  Returns (dv, dg, D)
-    with dg None when gmag is None.
-    """
-    wp, pm1 = w * exps, exps - 1.0
-
-    def terms(a):
-        x = a / lam
-        wpx = wp * x**pm1
-        return wpx, x * wpx
-
-    dv, sv = terms(av)
-    if gmag is None:
-        return dv, None, fixed_order_sum(sv)
-    dg, sg = terms(gmag)
-    return dv, dg, fixed_order_sum(np.concatenate([sv, sg]))
 
 
 def modular(samples, p, kind="lebesgue"):
@@ -265,39 +246,68 @@ def modular(samples, p, kind="lebesgue"):
     return ModularValue(val, kind)
 
 
-def _norm_from_arrays(av, w, exps, gmag):
+def _norm_from_arrays(av, w, exps, gmag, start=None, terms=False):
     """Luxemburg norm from raw arrays; the shared root-finding core.
 
-    Newton on G(s) = log m(e^s), m(lam) = modular(u/lam) at unit scale.  G
-    is convex and decreasing with slope -d/m in [-p+, -p-], so Newton never
-    stalls, and from s = 0 its first step, log(rho) m/d, is the closed form
+    Newton on G(s) = log m(e^s), m(lam) = modular(u/lam).  G is convex and
+    decreasing with slope -d/m in [-p+, -p-], so Newton never stalls, and
+    from the unit scale its first step, log(rho) m/d, is the closed form
     rho^(1/p) when p is constant.  The iterate is lam = centre e^delta: the
     terms at the centre cost one pow pass, every other evaluation one exp
     pass, and the centre moves (a new pow pass) once |delta| > RECENTRE, so
     no evaluation carries the rounding of a large |s|.
+
+    ``start`` is a guess at the norm and the first centre in place of the
+    unit scale; a guess within RECENTRE of the root saves the second pow
+    pass.  It is dropped, and the unit scale taken, when it is not a
+    positive float or the modular there is 0, subnormal or inf.
+
+    With ``terms`` the result is (lam, tv, tg, D) rather than lam: the
+    per-atom terms w (a/lam)^p of the values (tv) and of the gradient
+    magnitudes (tg, None without gmag) at the last evaluation, and their
+    slope weight D = sum p (tv + tg) there.  Then d lam / d a_i =
+    p_i lam t_i / (a_i D).  A zero sample gives (0.0, None, None, 0.0).
     """
+    zero = (0.0, None, None, 0.0) if terms else 0.0
     peak = float(np.max(av)) if av.size else 0.0
     if gmag is not None:
         peak = max(peak, float(np.max(gmag)))
     if peak == 0.0:
-        return 0.0
+        return zero
     if not math.isfinite(peak):
         raise NonFiniteModular("samples contain non-finite values")
     # pre-scale by the peak so powers cannot overflow, undo by homogeneity
     av = av / peak
     g = None if gmag is None else gmag / peak
-    centre, delta = 1.0, 0.0
-    terms = _scaled_terms(av, w, exps, g, centre)
-    m, d = _modular_value(terms, exps)
-    if not math.isfinite(m):
-        raise NonFiniteModular("modular overflow at unit scale")
-    if m == 0.0:
-        return 0.0
+
+    def centred(c):
+        """The terms at centre c, and apart (value, gradient) with ``terms``."""
+        if not terms:
+            return _scaled_terms(av, w, exps, g, c), None, None
+        tv = _scaled_terms(av, w, exps, None, c)
+        tg = None if g is None else _scaled_terms(g, w, exps, None, c)
+        return (tv if tg is None else tv + tg), tv, tg
+
+    centre = math.nan if start is None else float(start) / peak
+    delta, m = 0.0, math.nan
+    if 0.0 < centre < math.inf:
+        with np.errstate(over="ignore"):  # an overflow drops the start
+            parts = centred(centre)
+            m, d = _modular_value(parts[0], exps)
+    if not _MIN_NORMAL <= m < math.inf:
+        centre = 1.0
+        parts = centred(centre)
+        m, d = _modular_value(parts[0], exps)
+        if not math.isfinite(m):
+            raise NonFiniteModular("modular overflow at unit scale")
+        if m == 0.0:
+            return zero
     # bracket from the norm-modular inequalities, log lambda between
     # log(rho)/p+ and log(rho)/p-, kept relative to the centre
     log_rho = math.log(m)
     ends = sorted((log_rho / float(np.max(exps)), log_rho / float(np.min(exps))))
     lo, hi = ends[0] - 1e-12, ends[1] + 1e-12
+    shift = None  # e^(-p delta) of the last evaluation, kept with ``terms``
     with np.errstate(over="ignore"):  # m = inf only bisects toward larger lambda
         for _ in range(MAX_STEPS):
             # m is decreasing in lambda: m > 1 puts the root above delta
@@ -313,15 +323,26 @@ def _norm_from_arrays(av, w, exps, gmag):
                 break
             if abs(delta) > RECENTRE:
                 moved = centre * math.exp(delta)
-                shift = math.log(moved / centre)
+                jump = math.log(moved / centre)
                 centre, delta = moved, 0.0
-                lo, hi = lo - shift, hi - shift
-                terms = _scaled_terms(av, w, exps, g, centre)
-            m, d = _modular_value(terms, exps, delta)
+                lo, hi = lo - jump, hi - jump
+                parts = centred(centre)
+            # the terms at centre e^delta are those at the centre times shift
+            shift = np.exp(-delta * exps) if delta else None
+            t = parts[0] if shift is None else parts[0] * shift
+            if not terms:
+                shift = None  # norm-only callers keep no array beyond the terms
+            m, d = _modular_value(t, exps)
     norm = (centre + centre * math.expm1(delta)) * peak
     if not math.isfinite(norm):
         raise NonFiniteModular("norm beyond the float range")
-    return norm
+    if not terms:
+        return norm
+    tv, tg = parts[1:]
+    if shift is not None:
+        tv = tv * shift
+        tg = None if tg is None else tg * shift
+    return norm, tv, tg, d
 
 
 def luxemburg_norm(samples, p, kind="lebesgue"):

@@ -2,11 +2,12 @@
 
 The quotient is the Sobolev Luxemburg norm over the boundary Luxemburg
 norm; both norm gradients come from implicit differentiation of the
-modular equation.  The quotient is 0-homogeneous, so ``minimize`` hands it
-unconstrained to scipy's L-BFGS-B (Liu & Nocedal 1989) over the free
-nodes, from a start scaled to unit boundary norm.  The minimizer is
-renormalized to unit boundary norm, and the report says why the run
-stopped: tol, max_iter, line_search or zero_trace.
+modular equation, with the terms the root hands back.  The quotient is
+0-homogeneous, so ``minimize`` hands it unconstrained to scipy's L-BFGS-B
+(Liu & Nocedal 1989) over the free nodes, from a start scaled to unit
+boundary norm.  The minimizer is renormalized to unit boundary norm, and
+the report says why the run stopped: tol, max_iter, line_search or
+zero_trace.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from scipy.spatial import cKDTree
 from .exponents import critical_gap
 from .geometry import GeometryError, fermi_chart
 from .halfspace import sharp_constant_inverse
-from .luxemburg import _derivative_terms, _norm_from_arrays, fixed_order_sum
+from .luxemburg import _norm_from_arrays, fixed_order_sum
 
 __all__ = [
     "DiscreteTraceProblem",
@@ -156,35 +157,42 @@ class DiscreteTraceProblem:
     def boundary_norm(self, a):
         return self._boundary_norm(self.boundary_values(a))
 
-    def _boundary_norm(self, bv):
-        """Boundary norm from the values bv at the boundary quadrature."""
+    def _boundary_norm(self, bv, start=None, terms=False):
+        """Boundary norm from the values bv at the boundary quadrature; with
+        ``terms``, the tuple of ``_norm_from_arrays``."""
         if not np.any(bv):
             raise ZeroTrace("iterate vanishes on the boundary quadrature")
-        lam = _norm_from_arrays(np.abs(bv), self.bquad_weights, self.r_exps, None)
+        out = _norm_from_arrays(np.abs(bv), self.bquad_weights, self.r_exps, None, start, terms)
+        lam = out[0] if terms else out
         if lam == 0.0 or not math.isfinite(lam):
             raise ZeroTrace("boundary norm underflow")
-        return lam
+        return out
 
-    def sobolev_norm_gradient(self, a):
-        """(norm, d norm / d nodal values) by implicit differentiation."""
+    def sobolev_norm_gradient(self, a, start=None):
+        """(norm, d norm / d nodal values) by implicit differentiation.
+
+        The root hands back its terms t and slope weight D, and an atom a
+        contributes p lam t / (a D) times d a / d nodal values: sign(v) for a
+        value, grad u / |grad u| for a gradient magnitude; a zero atom gives 0.
+        ``start`` is a guess at the norm for the root.
+        """
         vals, gmag, gx, gy = self.interior_fields(a)
-        av = np.abs(vals)
-        lam = _norm_from_arrays(av, self.quad_weights, self.p_exps, gmag)
+        lam, tv, tg, D = _norm_from_arrays(np.abs(vals), self.quad_weights, self.p_exps,
+                                           gmag, start, terms=True)
         if lam == 0.0:
             raise ZeroTrace("zero function has no norm gradient")
-        dv, dg, D = _derivative_terms(av, self.quad_weights, self.p_exps, gmag, lam)
-        tv = dv * np.sign(vals)
-        tg = np.divide(dg, gmag, out=np.zeros_like(gmag), where=gmag > 0)
-        grad = (
-            self.ST @ tv + self.GxT @ (tg * gx) + self.GyT @ (tg * gy)
-        ) / D
+        pl = self.p_exps * (lam / D)
+        cv = np.divide(pl * tv, vals, out=np.zeros_like(vals), where=vals != 0.0)
+        cg = np.divide(pl * tg, gmag * gmag, out=np.zeros_like(gmag), where=gmag > 0.0)
+        grad = self.ST @ cv + self.GxT @ (cg * gx) + self.GyT @ (cg * gy)
         return lam, grad
 
-    def boundary_norm_gradient(self, a):
+    def boundary_norm_gradient(self, a, start=None):
+        """(boundary norm, its gradient), as ``sobolev_norm_gradient``."""
         bv = self.boundary_values(a)
-        lam = self._boundary_norm(bv)
-        dv, _, D = _derivative_terms(np.abs(bv), self.bquad_weights, self.r_exps, None, lam)
-        return lam, (self.SbT @ (dv * np.sign(bv))) / D
+        lam, t, _, D = self._boundary_norm(bv, start, terms=True)
+        c = np.divide(self.r_exps * (lam / D) * t, bv, out=np.zeros_like(bv), where=bv != 0.0)
+        return lam, self.SbT @ c
 
 
 def rayleigh_quotient(a, problem):
@@ -306,26 +314,39 @@ def minimize(problem, init="constant", max_iter=200, tol=1e-6, seed=0):
     """L-BFGS-B on the trace quotient over the free nodes from one start.
 
     Each evaluation of q = S/B and (dS - q dB)/B costs one norm-gradient
-    pair.  ``tol`` is L-BFGS-B's ``ftol`` (stop when an iteration lowers q
-    by at most tol * max(q, 1)), ``max_iter`` its ``maxiter``, and at most
-    4 * max_iter evaluations run.  A start whose trace vanishes raises
-    ZeroTrace; a trial point whose trace vanishes ends the run at the last
-    accepted iterate.  The history (start, then each accepted iterate) is
-    nonincreasing by the sufficient-decrease search.
+    pair.  From the second evaluation on, each norm's root starts from a
+    guess: the previous evaluation's norm plus its gradient times the step
+    in the free nodes, an exact sum, so that the guess, and with it the last
+    bits of the root, depend on no BLAS build or CPU.  ``tol`` is L-BFGS-B's
+    ``ftol`` (stop when an iteration lowers q by at most tol * max(q, 1)),
+    ``max_iter`` its ``maxiter``, and at most 4 * max_iter evaluations run.
+    A start whose trace vanishes raises ZeroTrace; a trial point whose trace
+    vanishes ends the run at the last accepted iterate.  The history (start,
+    then each accepted iterate) is nonincreasing by the sufficient-decrease
+    search.
     """
     a, label = _initial_vector(problem, init, np.random.default_rng(seed))
     free = problem.free_mask
     a = a / problem.boundary_norm(a)
     last = a[free]
     evaluated, accepted = [], []
+    previous = None  # x, norms and their gradients at the last evaluation
 
     def quotient_and_gradient(x):
+        nonlocal previous
         a[free] = x
-        num, dnum = problem.sobolev_norm_gradient(a)
-        den, dden = problem.boundary_norm_gradient(a)
+        guess = (None, None)
+        if previous is not None:
+            x0, norms, grads = previous
+            dx = x - x0
+            guess = tuple(n + fixed_order_sum(g * dx) for n, g in zip(norms, grads))
+        num, dnum = problem.sobolev_norm_gradient(a, guess[0])
+        den, dden = problem.boundary_norm_gradient(a, guess[1])
+        dnum, dden = dnum[free], dden[free]
+        previous = (x.copy(), (num, den), (dnum, dden))
         q = num / den
         evaluated.append(q)
-        return q, ((dnum - q * dden) / den)[free]
+        return q, (dnum - q * dden) / den
 
     def accept(intermediate_result):
         accepted.append(float(intermediate_result.fun))

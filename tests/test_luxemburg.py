@@ -132,7 +132,7 @@ def test_fixed_order_sum_is_fsum_property(a, seed):
     assert fixed_order_sum(np.random.default_rng(seed).permutation(a)).hex() == want
 
 
-def test_modular_and_derivative_sums_are_certified():
+def test_modular_and_derivative_sums_are_certified(monkeypatch):
     """The large sums of a norm-gradient evaluation take the fast path.
 
     A refused certificate still gives the right bits through math.fsum, but
@@ -147,16 +147,26 @@ def test_modular_and_derivative_sums_are_certified():
     vals, gmag, _, _ = problem.interior_fields(u)
     av, w, exps = np.abs(vals), problem.quad_weights, problem.p_exps
     assert av.size > lux.FSUM_MAX
-    # the modular terms at the unit centre, as _norm_from_arrays forms them
-    peak = max(float(np.max(av)), float(np.max(gmag)))
-    terms = lux._scaled_terms(av / peak, w, exps, gmag / peak, 1.0)
+    certified = []
+    real = lux._certified_sum
+
+    def recording(a):
+        certified.append(real(a))
+        return certified[-1]
+
+    monkeypatch.setattr(lux, "_certified_sum", recording)
+    lam, tv, tg, D = lux._norm_from_arrays(av, w, exps, gmag, terms=True)
+    monkeypatch.undo()
+    assert lam == problem.sobolev_norm(u)
+    # every modular and slope sum of the root was certified, D the last one
+    assert certified and None not in certified
+    assert D == certified[-1]
+    # the terms handed back, their exps * weights and D
+    terms = tv + tg
     assert lux._certified_sum(terms) is not None
-    assert lux._certified_sum(exps * terms) is not None
-    # the weights D sums: (a / lam) times the derivative terms, for both atoms
-    lam = problem.sobolev_norm(u)
-    dv, dg, D = lux._derivative_terms(av, w, exps, gmag, lam)
-    weights = np.concatenate([av / lam * dv, gmag / lam * dg])
-    assert lux._certified_sum(weights) == D
+    weights = lux._certified_sum(exps * terms)
+    assert weights is not None
+    assert weights == pytest.approx(D, rel=1e-15)
 
 
 BIG = 2.0**1023  # two of these overflow a partial sum
@@ -311,9 +321,9 @@ def test_norm_wide_bracket_matches_oracle_in_few_evaluations(monkeypatch, u, p):
 def _count_calls(monkeypatch, owner, name, counts):
     inner = getattr(owner, name)
 
-    def counting(*args):
+    def counting(*args, **kwargs):
         counts[name] = counts.get(name, 0) + 1
-        return inner(*args)
+        return inner(*args, **kwargs)
 
     monkeypatch.setattr(owner, name, counting)
 
@@ -348,8 +358,10 @@ def test_variable_exponent_descent_takes_few_evaluations_per_norm(monkeypatch):
     _count_calls(monkeypatch, lux, "_modular_value", counts)
     _count_calls(monkeypatch, solver, "_norm_from_arrays", counts)
     solver.minimize(problem, init="constant", max_iter=150, tol=1e-6)
-    # about 4 here; a bracketing root-finder needs about 10
-    assert counts["_modular_value"] <= 5 * counts["_norm_from_arrays"]
+    # about 2.6 here: from the second evaluation on, each root starts near
+    # its norm; about 4 from the unit scale, and a bracketing root-finder
+    # needs about 10
+    assert counts["_modular_value"] <= 3 * counts["_norm_from_arrays"]
 
 
 def test_norm_on_extreme_weights_matches_a_50_digit_root():
@@ -368,6 +380,53 @@ def test_norm_on_extreme_weights_matches_a_50_digit_root():
 
             root = mpmath.exp(mpmath.findroot(log_modular, mpmath.log(lam)))
             assert abs(lam / root - 1) <= 1e-15, (av, w, exps)
+
+
+def _start_cases():
+    rng = np.random.default_rng(21)
+    n = 300
+    cases = [(rng.uniform(0.0, 3.0, n), rng.uniform(1e-4, 1e-2, n),
+              rng.uniform(1.1, 1.9, n), rng.uniform(0.0, 5.0, n))]
+    zeros = rng.uniform(0.0, 1.0, n)
+    zeros[::3] = 0.0
+    cases.append((zeros, rng.uniform(1e-4, 1e-2, n), rng.uniform(1.1, 4.0, n), None))
+    for u, p in (atoms([1.0, 1.0], [1e-30, 1e-30], [1.1, 4.0]),
+                 atoms([1.0, 1.0], [1e30, 1e30], [1.1, 4.0]),
+                 _spread_exponents()):
+        cases.append((np.abs(u.values), u.weights, p, None))
+    extreme = np.random.default_rng(12)
+    for _ in range(20):
+        cases.append((extreme.uniform(0.01, 1.0, 5), 10.0 ** extreme.uniform(-300.0, 300.0, 5),
+                      extreme.uniform(1.05, 10.0, 5), None))
+    return cases
+
+
+def test_norm_with_any_start_is_the_norm_without_one():
+    for av, w, exps, gmag in _start_cases():
+        lam = lux._norm_from_arrays(av, w, exps, gmag)
+        starts = [lam * f for f in (1e-300, 1e-8, 1e-3, 1.0, 1.001, 1e8, 1e300)]
+        for start in starts + [0.0, -1.0, math.inf, math.nan]:
+            moved = lux._norm_from_arrays(av, w, exps, gmag, start=start)
+            assert 0.0 < moved < math.inf
+            assert abs(moved / lam - 1.0) <= 1e-15, (start, lam, moved)
+            assert lux._norm_from_arrays(av, w, exps, gmag, start, terms=True)[0] == moved
+
+
+def test_norm_terms_give_the_root_and_its_slope():
+    rng = np.random.default_rng(22)
+    n = 300
+    av, gmag = rng.uniform(0.0, 3.0, n), rng.uniform(0.0, 5.0, n)
+    av[:10] = gmag[:10] = 0.0
+    w, exps = rng.uniform(1e-4, 1e-2, n), rng.uniform(1.1, 1.9, n)
+    for start in (None, 0.9 * lux._norm_from_arrays(av, w, exps, gmag)):
+        lam, tv, tg, D = lux._norm_from_arrays(av, w, exps, gmag, start, terms=True)
+        assert np.array_equal(tv[:10], np.zeros(10)) and np.array_equal(tg[:10], np.zeros(10))
+        assert tv == pytest.approx(w * (av / lam) ** exps, rel=1e-14)
+        assert tg == pytest.approx(w * (gmag / lam) ** exps, rel=1e-14)
+        assert fixed_order_sum(tv + tg) == pytest.approx(1.0, rel=1e-14)
+        assert D == pytest.approx(fixed_order_sum(exps * (tv + tg)), rel=1e-15)
+    assert lux._norm_from_arrays(np.zeros(3), np.ones(3), np.full(3, 2.0), None,
+                                 terms=True) == (0.0, None, None, 0.0)
 
 
 def test_norm_leaves_no_garbage_behind():
@@ -412,6 +471,19 @@ def test_homogeneity(sample, c):
     base = luxemburg_norm(u, p)
     scaled = luxemburg_norm(u.scaled(c), p)
     assert scaled == pytest.approx(c * base, rel=1e-10, abs=1e-300)
+
+
+@settings(max_examples=150, deadline=None)
+@given(random_samples(), st.integers(-1074, 1023))
+def test_a_start_never_loses_the_norm(sample, k):
+    u, p = sample
+    av = np.abs(u.values)
+    lam = lux._norm_from_arrays(av, u.weights, p, None)
+    moved = lux._norm_from_arrays(av, u.weights, p, None, start=lam * math.ldexp(1.0, k))
+    if lam == 0.0:
+        assert moved == 0.0
+    else:
+        assert abs(moved / lam - 1.0) <= 1e-15
 
 
 @settings(max_examples=150, deadline=None)

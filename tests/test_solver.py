@@ -95,6 +95,32 @@ def test_boundary_gradient_matches_finite_differences(disk_prob):
         assert grad[j] == pytest.approx(fd, rel=1e-5)
 
 
+def test_gradients_of_an_iterate_vanishing_on_a_patch(disk_prob):
+    # u = 0 on the nodes with x > 0.5, so v = 0 and grad u = 0 at the points
+    # of the triangles there, on the boundary too: those atoms contribute 0
+    rng = np.random.default_rng(4)
+    dom = disk_prob.domain
+    a = 1.0 + 0.3 * rng.standard_normal(dom.n_vertices)
+    patch = dom.vertices[:, 0] > 0.5
+    a[patch] = 0.0
+    vals, gmag, _, _ = disk_prob.interior_fields(a)
+    assert np.any((vals == 0.0) & (gmag == 0.0))
+    assert np.any(disk_prob.boundary_values(a) == 0.0)
+    near = np.flatnonzero(np.abs(dom.vertices[:, 0] - 0.5) < 0.15)
+    for norm, norm_gradient in ((disk_prob.sobolev_norm, disk_prob.sobolev_norm_gradient),
+                                (disk_prob.boundary_norm, disk_prob.boundary_norm_gradient)):
+        _, grad = norm_gradient(a)
+        assert np.all(np.isfinite(grad))
+        for j in rng.choice(near, 20, replace=False):
+            h = 1e-6
+            ap = a.copy()
+            ap[j] += h
+            am = a.copy()
+            am[j] -= h
+            fd = (norm(ap) - norm(am)) / (2 * h)
+            assert grad[j] == pytest.approx(fd, rel=1e-5, abs=1e-8)
+
+
 def test_minimize_subcritical_disk(disk_prob, disk_solution):
     rep = disk_solution
     hand = 0.8557
@@ -150,12 +176,12 @@ def test_zero_trace_in_a_trial_stops_at_the_last_accepted_iterate(monkeypatch):
     real = prob.boundary_norm_gradient
     calls = 0
 
-    def vanishing_on_calls_6_to_8(a):
+    def vanishing_on_calls_6_to_8(a, start=None):
         nonlocal calls
         calls += 1
         if 6 <= calls <= 8:
             raise ZeroTrace("forced")
-        return real(a)
+        return real(a, start)
 
     monkeypatch.setattr(prob, "boundary_norm_gradient", vanishing_on_calls_6_to_8)
     rep = minimize(prob, init="constant", max_iter=50, tol=1e-9)
