@@ -2,10 +2,16 @@
 
 Domains are bounded by a closed loop of segments and circular arcs.  Meshes
 are plain P1 triangulations built from a boundary ring plus a hexagonal
-interior lattice, Delaunay-connected and filtered to the polygon.  The mesh
-is honestly polygonal: boundary vertices sit on the exact arcs, edges are
-chords, and uniform refinement bisects edges without re-snapping so that
-coarse P1 functions stay exactly representable on refined meshes.
+interior lattice, Delaunay-connected and filtered to the polygon.  The
+Delaunay triangulation is local: a unit lattice triangle whose corners are
+all at least 2 spacings from the ring has an empty circumdisk of radius
+spacing/sqrt(3), so it is in the triangulation and is built straight from
+the lattice rows and columns, while every other triangle has its corners
+within 4 spacings of a ring vertex, so qhull triangulates only that band
+(_mesh_once gives the argument).  The mesh is honestly polygonal:
+boundary vertices sit on the exact arcs, edges are chords, and uniform
+refinement bisects edges without re-snapping so that coarse P1 functions
+stay exactly representable on refined meshes.
 
 Each mesh owns its quadrature rule: interior_quadrature and
 boundary_quadrature build the points and weights together with the P1
@@ -372,17 +378,21 @@ class PlanarDomain:
             j, k = v[t[:, [1, 2, 0]]], v[t[:, [2, 0, 1]]]
             g = np.stack([j[..., 1] - k[..., 1], k[..., 0] - j[..., 0]], axis=-1)
             det = g[:, 2, 1] * g[:, 1, 0] - g[:, 2, 0] * g[:, 1, 1]
-            g = np.repeat(g / det[:, None, None], 3, axis=0)
-            # row q holds its triangle's three vertices; the zero barycentric
-            # entries stay stored, so each row sums the same three terms
-            pattern = (np.repeat(np.arange(len(w)), 3), np.repeat(t, 3, axis=0).ravel())
+            g = g / det[:, None, None]
+            # row q holds its triangle's three vertices in increasing order;
+            # the zero barycentric entries stay stored, so each row sums the
+            # same three terms
+            order = np.argsort(t, axis=1)
+            g = np.repeat(np.take_along_axis(g, order[:, :, None], axis=1), 3, axis=0)
+            cols = np.repeat(np.take_along_axis(t, order, axis=1), 3, axis=0).ravel()
+            rows = np.arange(0, len(cols) + 1, 3)
             shape = (len(w), self.n_vertices)
             self._cache["iq"] = (
                 pts.reshape(-1, 2),
                 w,
-                csr_matrix((np.tile(bary, (len(t), 1)).ravel(), pattern), shape=shape),
-                csr_matrix((g[:, :, 0].ravel(), pattern), shape=shape),
-                csr_matrix((g[:, :, 1].ravel(), pattern), shape=shape),
+                csr_matrix((bary.T[order].swapaxes(1, 2).ravel(), cols, rows), shape=shape),
+                csr_matrix((g[:, :, 0].ravel(), cols, rows), shape=shape),
+                csr_matrix((g[:, :, 1].ravel(), cols, rows), shape=shape),
             )
         return self._cache["iq"]
 
@@ -399,11 +409,14 @@ class PlanarDomain:
             pts = a[:, None, :] + params[None, :, None] * (b - a)[:, None, :]
             w = np.repeat(self.edge_lengths() / 2.0, 2)
             bary = np.stack([1.0 - params, params], axis=1)
-            pattern = (np.repeat(np.arange(len(w)), 2), np.repeat(e, 2, axis=0).ravel())
+            # row q holds its edge's two vertices in increasing order
+            order = np.argsort(e, axis=1)
+            cols = np.repeat(np.take_along_axis(e, order, axis=1), 2, axis=0).ravel()
             self._cache["bq"] = (
                 pts.reshape(-1, 2),
                 w,
-                csr_matrix((np.tile(bary, (len(e), 1)).ravel(), pattern),
+                csr_matrix((bary.T[order].swapaxes(1, 2).ravel(), cols,
+                            np.arange(0, len(cols) + 1, 2)),
                            shape=(len(w), self.n_vertices)),
             )
         return self._cache["bq"]
@@ -514,6 +527,10 @@ def mesh_domain(loop, target_h, gamma_arcs=()):
 
     The lattice spacing is 0.496 target_h, then 0.8 times the last, for up
     to three tries; the first mesh with every edge at most target_h is kept.
+    Its triangles are those of the Delaunay triangulation of the ring and
+    lattice points, filtered to the polygon, though qhull sees only the
+    points near the ring (see _mesh_once).  They come in canonical order:
+    each row counterclockwise from its smallest vertex, the rows sorted.
     """
     if not (math.isfinite(target_h) and target_h > 0):
         raise ValueError("target_h must be positive")
@@ -543,31 +560,107 @@ def mesh_domain(loop, target_h, gamma_arcs=()):
 
 def hex_lattice(lo, hi, spacing):
     """Hexagonal lattice points of the given spacing in the box [lo, hi]."""
+    return _hex_lattice(lo, hi, spacing)[0]
+
+
+def _hex_lattice(lo, hi, spacing):
+    """hex_lattice's points with the row r and column c of each: the point
+    sits at x = lo_x + (0.4 + c) spacing, plus spacing / 2 when r is odd,
+    and y = lo_y + (r + 1/2) spacing sqrt(3) / 2."""
     dy = spacing * math.sqrt(3.0) / 2.0
     ys = np.arange(lo[1] + 0.5 * dy, hi[1], dy)
-    pts = []
+    pts, rows, cols = [], [], []
     for row, y in enumerate(ys):
         off = 0.5 * spacing if row % 2 else 0.0
         xs = np.arange(lo[0] + 0.4 * spacing + off, hi[0], spacing)
         pts.append(np.stack([xs, np.full_like(xs, y)], axis=1))
-    return np.concatenate(pts, axis=0) if pts else np.zeros((0, 2))
+        rows.append(np.full(len(xs), row))
+        cols.append(np.arange(len(xs)))
+    if not pts:
+        return np.zeros((0, 2)), np.zeros(0, dtype=int), np.zeros(0, dtype=int)
+    return np.concatenate(pts, axis=0), np.concatenate(rows), np.concatenate(cols)
+
+
+def _lattice_triangles(ids, rows, cols):
+    """The unit triangles of the hexagonal lattice with all three corners
+    among the given points, counterclockwise.  The point (r, c), vertex id
+    i, spans the up triangle on its right neighbour (r, c + 1) and its upper
+    right neighbour, and the down triangle on its upper right and upper left
+    neighbours; those two sit at columns c + (r odd) and c + (r odd) - 1 of
+    row r + 1, so every unit triangle is spanned once, by its lowest-id
+    corner."""
+    grid = np.full((rows.max(initial=0) + 2, cols.max(initial=0) + 3), -1)
+    grid[rows, cols + 1] = ids
+    odd = rows % 2
+    right = grid[rows, cols + 2]
+    upper_right = grid[rows + 1, cols + 1 + odd]
+    upper_left = grid[rows + 1, cols + odd]
+    up = (right >= 0) & (upper_right >= 0)
+    down = (upper_right >= 0) & (upper_left >= 0)
+    return np.concatenate([np.stack([ids, right, upper_right], axis=1)[up],
+                           np.stack([ids, upper_right, upper_left], axis=1)[down]])
 
 
 def _mesh_once(loop, spacing, gamma_arcs):
     """Delaunay mesh of the boundary ring and the hexagonal lattice inside
-    it; raises GeometryError when boundary recovery fails."""
+    it, in canonical order; raises GeometryError when boundary recovery
+    fails.
+
+    The triangles are those of the Delaunay triangulation of all the points
+    (ring and lattice) with their centroid inside the ring, but qhull sees
+    only the band near the ring.  With s the spacing, L <= s the longest
+    chord and d(x) the distance from x to the nearest ring vertex (every
+    chord point is within L/2 of a vertex, so x is at least d(x) - L/2 from
+    the ring), call a lattice point deep when d >= 2s + L/2:
+
+    * The circumdisk of a unit lattice triangle has radius s/sqrt(3); the
+      other lattice points are at least 2s/sqrt(3) from its centre.  The six
+      unit triangles around a deep point have their corners at least s from
+      the ring, so the lattice filters kept them, and their circumdisks at
+      least (2 - 2/sqrt(3))s from it, so the disks are empty: the six are
+      in every Delaunay triangulation of the points and fill the
+      neighbourhood of the deep point.  So the triangles with three deep corners are
+      exactly the unit triangles with three deep corners, and
+      _lattice_triangles builds them from the lattice rows and columns.
+    * A triangle with a corner u that is not deep has an empty circumdisk.
+      If it had a corner w with d(w) >= 4s, the lattice would be complete
+      within 2s of w, so any disk with w on its circle and a radius above
+      s/sqrt(3) would hold a lattice point (a disk of radius just above
+      s/sqrt(3) inside it, through w, does: its centre is within s/sqrt(3)
+      of a lattice point); then |u - w| <= 2s/sqrt(3), while d is
+      1-Lipschitz, so |u - w| >= 4s - 2s - L/2 >= 1.5s.  Hence all its
+      corners are in the band of the ring and the lattice points with
+      d < 4s, and its circumdisk is empty of the band too.  Conversely, the
+      full triangulation's triangles around a point that is not deep fill
+      its neighbourhood and are all in the band's triangulation, so the
+      band's triangles with a corner that is not deep are exactly the full
+      triangulation's.
+
+    A domain with no deep point has every point in the band and no lattice
+    triangle, through the same code.  Each row starts at its smallest
+    vertex, counterclockwise, and the rows are sorted, so the mesh does not
+    depend on qhull's output order.
+    """
     ring, arc_ids = loop.polyline(spacing)
     n_ring = len(ring)
     if n_ring < 3:
         raise GeometryError("boundary too coarse")
-    interior = hex_lattice(ring.min(axis=0), ring.max(axis=0), spacing)
+    interior, row, col = _hex_lattice(ring.min(axis=0), ring.max(axis=0), spacing)
     if len(interior):
-        interior = interior[points_in_polygon(interior, ring)]
-        interior = interior[far_from_ring(interior, ring, 0.55 * spacing)]
-
+        keep = points_in_polygon(interior, ring)
+        keep[keep] = far_from_ring(interior[keep], ring, 0.55 * spacing)
+        interior, row, col = interior[keep], row[keep], col[keep]
     allpts = np.concatenate([ring, interior], axis=0)
-    tri = Delaunay(allpts)
-    cells = tri.simplices
+
+    # each lattice point's distance to the nearest ring vertex, inf from 4s on
+    half = 0.5 * float(np.max(np.hypot(*(np.roll(ring, -1, axis=0) - ring).T)))
+    near, _ = cKDTree(ring).query(interior, distance_upper_bound=4.0 * spacing)
+    deep = near >= 2.0 * spacing + half
+    band = np.concatenate([np.arange(n_ring), n_ring + np.flatnonzero(near < 4.0 * spacing)])
+    cells = band[Delaunay(allpts[band]).simplices]
+    # the triangles with three deep corners come from the lattice instead
+    deep_vertex = np.concatenate([np.zeros(n_ring, dtype=bool), deep])
+    cells = cells[~np.all(deep_vertex[cells], axis=1)]
     cent = allpts[cells].mean(axis=1)
     keep = points_in_polygon(cent, ring)
     v = allpts[cells[keep, 0]]
@@ -581,15 +674,25 @@ def _mesh_once(loop, spacing, gamma_arcs):
     flip = area2[nondeg] < 0
     cells[flip] = cells[flip][:, ::-1]
 
+    cells = np.concatenate([cells, _lattice_triangles(n_ring + np.flatnonzero(deep),
+                                                      row[deep], col[deep])])
+    # canonical order: each row from its smallest vertex, the rows sorted
+    first = np.argmin(cells, axis=1)
+    cells = np.take_along_axis(cells, (first[:, None] + np.arange(3)) % 3, axis=1)
+    cells = cells[np.lexsort(cells.T[::-1])]
+
     # boundary recovery: edges adjacent to exactly one triangle must be the
     # consecutive ring pairs
     edges = np.stack([np.arange(n_ring), (np.arange(n_ring) + 1) % n_ring], axis=1)
     table, _, counts = edge_table(cells)
     if not np.array_equal(table[counts == 1], np.unique(np.sort(edges, axis=1), axis=0)):
         raise GeometryError("boundary recovery failed; refine or simplify the loop")
+    # a triangulated disk: Euler's count, and no edge on three triangles
+    if len(cells) != 2 * len(allpts) - n_ring - 2 or counts.max() > 2:
+        raise GeometryError("the triangles do not tile the ring")
 
     e_arc = np.asarray(arc_ids)
-    gamma = np.array([int(a_) in gamma_arcs for a_ in e_arc], dtype=bool)
+    gamma = np.isin(e_arc, list(gamma_arcs))
     return PlanarDomain(allpts, cells, edges, e_arc, gamma, loop=loop)
 
 

@@ -536,8 +536,9 @@ def test_reproducibility_same_seed_and_threads():
         (["expansion_study.py"], "flat case=curvature fitted=-0.0024 predicted=+0.0000 "
                                  "residual=1.16e-02"),
         (["shipped_outputs.py", "{tmp}"], "norm: exit 0"),
+        (["mesh_census.py", "{tmp}/census.txt"], "mesh nv nt sha256"),
     ],
-    ids=["constants-table", "disk-study", "expansion-study", "shipped-outputs"],
+    ids=["constants-table", "disk-study", "expansion-study", "shipped-outputs", "mesh-census"],
 )
 def test_scripts_run(tmp_path, script, first_line):
     args = [a.replace("{tmp}", str(tmp_path)) for a in script[1:]]

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 from scipy import integrate
+from scipy.sparse import csr_matrix
+from scipy.spatial import Delaunay
 
 from vextrace import geometry
 from vextrace.geometry import (
@@ -23,6 +25,8 @@ from vextrace.geometry import (
 
 SQUARE = polygon_loop([(0, 0), (1, 0), (1, 1), (0, 1)])
 L_SHAPE = polygon_loop([(0, 0), (2, 0), (2, 1), (1, 1), (1, 2), (0, 2)])
+COMB = polygon_loop([(0, 0), (3, 0), (3, 2), (2.5, 2), (2.5, 0.5), (2, 0.5), (2, 2),
+                     (1, 2), (1, 1), (0.5, 1.5), (0, 1)])
 
 
 @pytest.fixture(scope="module")
@@ -174,6 +178,47 @@ def test_operators_reproduce_affine_functions(loop, h, gamma):
         np.testing.assert_allclose(op @ ones, np.ones(len(at)), rtol=1e-12)
     np.testing.assert_allclose(Gx @ a, np.full(len(pts), 1.7), rtol=1e-12)
     np.testing.assert_allclose(Gy @ a, np.full(len(pts), -0.9), rtol=1e-12)
+
+
+def _coo_operators(dom):
+    """S, Gx, Gy and Sb assembled from (value, (row, column)) triplets in
+    each triangle's (edge's) own vertex order."""
+    v, t, e = dom.vertices, dom.triangles, dom.boundary_edges
+    bary = np.array([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]])
+    j, k = v[t[:, [1, 2, 0]]], v[t[:, [2, 0, 1]]]
+    g = np.stack([j[..., 1] - k[..., 1], k[..., 0] - j[..., 0]], axis=-1)
+    det = g[:, 2, 1] * g[:, 1, 0] - g[:, 2, 0] * g[:, 1, 1]
+    g = np.repeat(g / det[:, None, None], 3, axis=0)
+    pattern = (np.repeat(np.arange(3 * len(t)), 3), np.repeat(t, 3, axis=0).ravel())
+    shape = (3 * len(t), dom.n_vertices)
+    half_gap = 0.5 / math.sqrt(3.0)
+    params = np.array([0.5 - half_gap, 0.5 + half_gap])
+    edge_bary = np.stack([1.0 - params, params], axis=1)
+    edge_pattern = (np.repeat(np.arange(2 * len(e)), 2), np.repeat(e, 2, axis=0).ravel())
+    return (
+        csr_matrix((np.tile(bary, (len(t), 1)).ravel(), pattern), shape=shape),
+        csr_matrix((g[:, :, 0].ravel(), pattern), shape=shape),
+        csr_matrix((g[:, :, 1].ravel(), pattern), shape=shape),
+        csr_matrix((np.tile(edge_bary, (len(e), 1)).ravel(), edge_pattern),
+                   shape=(2 * len(e), dom.n_vertices)),
+    )
+
+
+@pytest.mark.parametrize(
+    "loop, h, gamma",
+    [(unit_disk_loop(), 0.05, ()), (SQUARE, 0.04, (3,)), (COMB, 0.1, ())],
+    ids=["disk", "square-gamma", "comb"],
+)
+def test_operators_equal_the_coo_assembly(loop, h, gamma):
+    dom = mesh_domain(loop, h, gamma_arcs=gamma)
+    # a cut submesh has boundary edges running from the higher vertex too
+    sub, _ = dom.submesh(dom.vertices[0], 0.5)
+    for d in (dom, sub, dom.refine()[0]):
+        got = (*d.interior_quadrature()[2:], *d.boundary_quadrature()[2:])
+        for a, b in zip(got, _coo_operators(d)):
+            for key in ("indptr", "indices", "data"):
+                x, y = getattr(a, key), getattr(b, key)
+                assert x.dtype == y.dtype and np.array_equal(x, y), key
 
 
 # -- Fermi charts -------------------------------------------------------------
@@ -362,10 +407,6 @@ def _even_odd_reference(points, ring):
     return inside
 
 
-COMB = polygon_loop([(0, 0), (3, 0), (3, 2), (2.5, 2), (2.5, 0.5), (2, 0.5), (2, 2),
-                     (1, 2), (1, 1), (0.5, 1.5), (0, 1)])
-
-
 @pytest.mark.parametrize(
     "loop",
     [SQUARE, L_SHAPE, COMB, unit_disk_loop(1.3, (0.2, -0.1))],
@@ -455,10 +496,18 @@ def _mesh_domain_reference(loop, h, gamma):
     raise GeometryError("could not reach the requested mesh size")
 
 
+MESH_HS = (0.5, 0.3, 0.24, 0.2, 0.18, 0.15, 0.1, 0.04)
+FINE_BENCHMARK_MESHES = pytest.mark.parametrize(
+    "loop, h, gamma",
+    [(unit_disk_loop(), 0.03, ()), (SQUARE, 0.025, (3,)), (HALF_DISK, 0.03, (0,))],
+    ids=["disk", "square-gamma", "half-disk"],
+)
+
+
 @pytest.mark.parametrize("name", list(MESH_DOMAINS))
 def test_mesh_domain_equals_the_all_full_tries_loop(name):
     loop, gamma, scale = MESH_DOMAINS[name]
-    for h in (0.5, 0.3, 0.24, 0.2, 0.18, 0.15, 0.1, 0.04):
+    for h in MESH_HS:
         h *= scale
         got = mesh_domain(loop, h, gamma_arcs=gamma)
         want = _mesh_domain_reference(loop, h, gamma)
@@ -467,11 +516,7 @@ def test_mesh_domain_equals_the_all_full_tries_loop(name):
             assert a.dtype == b.dtype and np.array_equal(a, b), (h, key)
 
 
-@pytest.mark.parametrize(
-    "loop, h, gamma",
-    [(unit_disk_loop(), 0.03, ()), (SQUARE, 0.025, (3,)), (HALF_DISK, 0.03, (0,))],
-    ids=["disk", "square-gamma", "half-disk"],
-)
+@FINE_BENCHMARK_MESHES
 def test_fine_benchmark_meshes_take_one_full_try(monkeypatch, loop, h, gamma):
     tried, once = [], geometry._mesh_once
     monkeypatch.setattr(geometry, "_mesh_once",
@@ -479,3 +524,72 @@ def test_fine_benchmark_meshes_take_one_full_try(monkeypatch, loop, h, gamma):
     dom = mesh_domain(loop, h, gamma_arcs=gamma)
     assert dom.mesh_size() <= h
     assert tried == [0.62 * h * 0.8]
+
+
+# -- the triangles are the full Delaunay triangulation's ------------------------
+
+
+def _canonical(triangles):
+    """Each row rotated to start at its smallest vertex, the rows sorted."""
+    t = np.asarray(triangles)
+    t = np.take_along_axis(t, (np.argmin(t, axis=1)[:, None] + np.arange(3)) % 3, axis=1)
+    return t[np.lexsort(t.T[::-1])]
+
+
+def _full_delaunay(dom):
+    """qhull on every point of the mesh, then the centroid, degeneracy and
+    orientation filters, in canonical order."""
+    pts = dom.vertices
+    ring = pts[:len(dom.boundary_edges)]
+    cells = Delaunay(pts).simplices
+    cells = cells[points_in_polygon(pts[cells].mean(axis=1), ring)]
+    a, b = pts[cells[:, 1]] - pts[cells[:, 0]], pts[cells[:, 2]] - pts[cells[:, 0]]
+    area2 = a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]
+    scale = float(np.max(ring.max(axis=0) - ring.min(axis=0)))
+    nondeg = np.abs(area2) > 1e-12 * scale**2
+    cells, area2 = cells[nondeg], area2[nondeg]
+    cells[area2 < 0] = cells[area2 < 0][:, ::-1]
+    return _canonical(cells)
+
+
+def _assert_full_delaunay_in_canonical_order(dom):
+    t = dom.triangles
+    assert np.array_equal(t, _full_delaunay(dom))
+    a = dom.vertices[t[:, 1]] - dom.vertices[t[:, 0]]
+    b = dom.vertices[t[:, 2]] - dom.vertices[t[:, 0]]
+    assert np.all(a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0] > 0)
+    assert np.all(t[:, 0] < t[:, 1]) and np.all(t[:, 0] < t[:, 2])
+    assert np.array_equal(np.lexsort(t.T[::-1]), np.arange(len(t)))
+
+
+@pytest.mark.parametrize("name", list(MESH_DOMAINS))
+def test_mesh_domain_is_the_full_delaunay(name):
+    loop, gamma, scale = MESH_DOMAINS[name]
+    for h in MESH_HS:
+        _assert_full_delaunay_in_canonical_order(mesh_domain(loop, h * scale, gamma_arcs=gamma))
+
+
+@FINE_BENCHMARK_MESHES
+def test_fine_benchmark_meshes_are_the_full_delaunay(loop, h, gamma):
+    _assert_full_delaunay_in_canonical_order(mesh_domain(loop, h, gamma_arcs=gamma))
+
+
+def test_qhull_sees_only_the_boundary_band(monkeypatch):
+    seen, delaunay = [], geometry.Delaunay
+    monkeypatch.setattr(geometry, "Delaunay", lambda pts: seen.append(len(pts)) or delaunay(pts))
+    shares = []
+    for h in (0.12, 0.06, 0.03):
+        dom = mesh_domain(unit_disk_loop(), h)
+        shares.append(seen[-1] / dom.n_vertices)  # the try that was kept
+    assert shares[-1] <= 0.15
+    assert shares[0] > shares[1] > shares[2]
+
+
+def test_mesh_once_refuses_triangles_that_do_not_tile_the_ring(monkeypatch):
+    spacing = _tried_spacings(0.1)[0]
+    assert geometry._mesh_once(unit_disk_loop(), spacing, set()).n_vertices > 0
+    lattice = geometry._lattice_triangles
+    monkeypatch.setattr(geometry, "_lattice_triangles",
+                        lambda *a: np.concatenate([lattice(*a)] * 2))
+    with pytest.raises(GeometryError, match="do not tile"):
+        geometry._mesh_once(unit_disk_loop(), spacing, set())
