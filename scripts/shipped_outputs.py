@@ -9,6 +9,11 @@ running the script from two checkouts and comparing the directories with
     python3 scripts/shipped_outputs.py /tmp/before   # in the old checkout
     python3 scripts/shipped_outputs.py /tmp/after    # in the new checkout
     diff -r /tmp/before /tmp/after
+
+Byte identity holds on one machine with one numpy build: numpy's power and
+exp dispatch to different SIMD kernels by CPU and build, and those move
+the last bits of T, so compare directories written on the same machine
+with the same numpy.
 """
 
 import argparse

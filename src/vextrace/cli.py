@@ -274,7 +274,8 @@ def cmd_conditions(args):
             t_bar = Estimate(float("inf"), 0.0)
             prov = {"method": "no_critical_points", "argmin": None, "n_sampled": 0}
         t_bar_report = {"value": t_bar.value, "error": t_bar.error,
-                        **{k: prov[k] for k in ("method", "argmin", "n_sampled")}}
+                        **{k: prov[k] for k in ("method", "argmin", "n_sampled",
+                                                "critical_corners") if k in prov}}
 
     for check in cond["checks"]:
         if check == "global":

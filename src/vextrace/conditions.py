@@ -32,6 +32,7 @@ __all__ = [
     "disk_global_lhs",
     "local_condition",
     "existence_verdict",
+    "critical_corners",
     "localized_constant_estimate",
     "smallest_localized_constant",
 ]
@@ -367,12 +368,36 @@ def localized_constant_estimate(problem, x0, radii=None, max_iter=120):
     return Estimate(vals[-1], err), "schedule"
 
 
+def critical_corners(problem):
+    """The convex corners of the domain's loop (interior angle below pi) at
+    which p_* - r is at most CRIT_TOL, as [{"point": [x, y], "angle": a}]
+    with the interior angle a in radians.
+
+    The half-space constant K(N, p(x))^-1 is the localized constant where
+    the boundary is C^1.  At a convex corner the wedge admits smaller
+    quotients: radial functions about the vertex of a wedge of opening a
+    have (a/pi)^(1/p) times their half-plane quotient, and at a right angle
+    with p = 1.5 the family 1/(1 + rho) gives 0.8513 against K^-1 = 1.2599.
+    That is an upper bound only, so no T_bar is known there.
+    """
+    corners = problem.domain.loop.convex_corners()
+    if not corners:
+        return []
+    gap = critical_gap(problem.p_field, problem.r_field, np.array([x for x, _ in corners]))
+    return [{"point": [float(x[0]), float(x[1])], "angle": angle}
+            for (x, angle), g in zip(corners, gap) if g <= CRIT_TOL]
+
+
 def smallest_localized_constant(problem):
     """Infimum of the localized constants over sampled critical points.
 
     The infimum is taken over at most MAX_SAMPLED evenly strided boundary
     quadrature points in the critical set (a sampled check, flagged as such
-    in the result).
+    in the result).  When the critical set holds a convex corner
+    (critical_corners), whose localized constant is below the smooth
+    points' by an amount not computed, the estimate gets an infinite error
+    bar, so no verdict against it is decided, and the provenance lists the
+    corners under "critical_corners".
     """
     pts = problem.critical_points
     if len(pts) == 0:
@@ -384,5 +409,10 @@ def smallest_localized_constant(problem):
         if best is None or est.value < best[0].value:
             best = (est, method, (float(x[0]), float(x[1])))
     est, method, loc = best
-    return est, {"method": method, "argmin": list(loc), "sampled_check": True,
-                 "n_sampled": int(len(pts))}
+    prov = {"method": method, "argmin": list(loc), "sampled_check": True,
+            "n_sampled": int(len(pts))}
+    corners = critical_corners(problem)
+    if corners:
+        est = Estimate(est.value, math.inf)
+        prov["critical_corners"] = corners
+    return est, prov

@@ -15,8 +15,12 @@ stay exactly representable on refined meshes.
 
 Each mesh owns its quadrature rule: interior_quadrature and
 boundary_quadrature build the points and weights together with the P1
-operators, the CSR maps from nodal values to the values and gradients at
-the points, and the trace problem only reads them.
+operators, the CSR maps from nodal values to the values at the points
+(two entries a row: a side midpoint or a Gauss point reads only its edge's
+two ends) and to the gradients (one row per triangle, whose constant
+gradient its three midpoints share), and the trace problem only reads
+them.  A mesh from mesh_domain or submesh keeps the edge table built to
+find its boundary, and mesh_size and refine read it.
 
 A FermiChart at a boundary point provides the boundary-adapted coordinates
 (tangential offset y, inward normal distance t), with the exact jacobians
@@ -174,6 +178,18 @@ class BoundaryLoop:
         first arc wins a tie."""
         return min(((arc, *arc.project(x)) for arc in self.arcs), key=lambda hit: hit[2])
 
+    def convex_corners(self):
+        """(point, interior angle) of each junction of two arcs where the
+        loop turns left, so that the interior angle is below pi; a turn of
+        at most 1e-9 rad is rounding at a smooth junction."""
+        out = []
+        for a, b in zip(self.arcs, self.arcs[1:] + self.arcs[:1]):
+            t_in, t_out = a.tangent(a.length), b.tangent(0.0)
+            turn = math.atan2(t_in[0] * t_out[1] - t_in[1] * t_out[0], t_in @ t_out)
+            if turn > 1e-9:
+                out.append((b.point(0.0), math.pi - turn))
+        return out
+
     def signed_area(self):
         """Shoelace area of the ring at spacing an eighth of the shortest arc,
         positive for a counterclockwise loop."""
@@ -253,7 +269,7 @@ def distance_to_segments(points, a, b, pairs=None):
     return np.sqrt(d2)
 
 
-def far_from_ring(points, ring, dist):
+def far_from_ring(points, ring, dist, nearest=None):
     """Mask of the points at distance >= dist from every chord of the ring.
 
     Every point of a chord of length L lies within L/2 of one of its ends,
@@ -264,14 +280,22 @@ def far_from_ring(points, ring, dist):
     factor keeps rounding in the computed distances from deciding the test.
     So the mask equals the all-chords one, at a cost linear in the number
     of points near the ring.
+
+    nearest = (tree, vertex_dist) hands in the ring's cKDTree and each
+    point's distance to its nearest ring vertex from a query bounded at or
+    beyond the bound, so a caller that needs those distances anyway makes
+    one query; a distance below the bound is the same number either way.
     """
     pts = np.atleast_2d(points)
     ends = np.roll(ring, -1, axis=0)
     half = 0.5 * float(np.max(np.hypot(*(ends - ring).T)))
     bound = (dist + half) * (1.0 + 1e-9)
-    tree = cKDTree(ring)
-    # the search stops at the bound; a point with no vertex inside it gets inf
-    vertex_dist, _ = tree.query(pts, distance_upper_bound=bound)
+    if nearest is None:
+        tree = cKDTree(ring)
+        # the search stops at the bound; a point with no vertex inside it gets inf
+        vertex_dist, _ = tree.query(pts, distance_upper_bound=bound)
+    else:
+        tree, vertex_dist = nearest
     far = vertex_dist >= bound
     band = np.flatnonzero(~far)
     near = tree.query_ball_point(pts[band], bound)
@@ -284,6 +308,13 @@ def far_from_ring(points, ring, dist):
     return far
 
 
+def _triangle_areas(corners):
+    """Areas of the triangles with the given corners, (nt, 3, 2)."""
+    d1 = corners[:, 1] - corners[:, 0]
+    d2 = corners[:, 2] - corners[:, 0]
+    return 0.5 * np.abs(d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
+
+
 def edge_table(triangles):
     """Undirected edges of a triangulation and the triangles on each.
 
@@ -294,9 +325,10 @@ def edge_table(triangles):
     """
     t = np.asarray(triangles, dtype=np.int64)
     n = int(t.max()) + 1
-    sides = np.sort(t[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
+    after = t[:, [1, 2, 0]]
     keys, inverse, counts = np.unique(
-        sides[:, 0] * n + sides[:, 1], return_inverse=True, return_counts=True
+        (np.minimum(t, after) * n + np.maximum(t, after)).ravel(),
+        return_inverse=True, return_counts=True,
     )
     return np.stack([keys // n, keys % n], axis=1), inverse.reshape(-1, 3), counts
 
@@ -333,11 +365,7 @@ class PlanarDomain:
 
     def tri_areas(self):
         if "areas" not in self._cache:
-            v = self.vertices
-            t = self.triangles
-            d1 = v[t[:, 1]] - v[t[:, 0]]
-            d2 = v[t[:, 2]] - v[t[:, 0]]
-            self._cache["areas"] = 0.5 * np.abs(d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
+            self._cache["areas"] = _triangle_areas(self.vertices[self.triangles])
         return self._cache["areas"]
 
     def edge_lengths(self):
@@ -352,45 +380,60 @@ class PlanarDomain:
         return fixed_order_sum(self.edge_lengths())
 
     def mesh_size(self):
+        """The longest edge: over the edge table when the mesh has one,
+        else over every triangle's three sides (each inner edge twice),
+        which is cheaper than building the table."""
         if "h" not in self._cache:
-            v = self.vertices
-            t = self.triangles
-            lens = [np.linalg.norm(v[t[:, i]] - v[t[:, j]], axis=1)
-                    for i, j in ((0, 1), (1, 2), (2, 0))]
-            self._cache["h"] = float(np.max(lens))
+            if "edges" in self._cache:
+                a, b = self._cache["edges"][0].T
+            else:
+                a, b = self.triangles, self.triangles[:, [1, 2, 0]]
+            d = self.vertices[a] - self.vertices[b]
+            # sqrt is monotone, so the root of the largest square is the
+            # largest root
+            self._cache["h"] = float(np.sqrt(np.max(d[..., 0] * d[..., 0] + d[..., 1] * d[..., 1])))
         return self._cache["h"]
 
     # -- quadrature -----------------------------------------------------------
 
     def interior_quadrature(self):
-        """Midpoint rule (degree 2) and its P1 operators: points (3nt, 2),
-        weights, and the CSR matrices S, Gx, Gy that map nodal values to the
-        values and the two gradient components at the points."""
+        """Midpoint rule (degree 2) and its P1 operators, all from one
+        gather of the triangles' corners.  Returns the points (3nt, 2), point
+        3i + m at the midpoint of triangle i's side from corner m to corner
+        m + 1 (mod 3); the weights, a third of the triangle's area each; and
+        the CSR matrices S, Gx, Gy.  S (3nt rows) maps nodal values to the
+        values at the points, each row 0.5 at its side's two ends; Gx and Gy
+        (nt rows) map them to the components of each triangle's constant
+        gradient, each row the triangle's three basis gradients, so the
+        gradient at point q is row q // 3."""
         if "iq" not in self._cache:
-            v = self.vertices
             t = self.triangles
-            bary = np.array([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]])
-            pts = np.einsum("qb,tbx->tqx", bary, v[t])
-            w = np.repeat(self.tri_areas() / 3.0, 3)
+            vt = self.vertices[t]
+            j, k = vt[:, [1, 2, 0]], vt[:, [2, 0, 1]]
+            pts = 0.5 * (vt + j)
+            if "areas" not in self._cache:
+                self._cache["areas"] = _triangle_areas(vt)
+            w = np.repeat(self._cache["areas"] / 3.0, 3)
             # P1 basis gradients, constant on each triangle: vertex i's is the
             # opposite edge j -> k turned a quarter counterclockwise, over
             # twice the area (the cross product of two such turned edges)
-            j, k = v[t[:, [1, 2, 0]]], v[t[:, [2, 0, 1]]]
             g = np.stack([j[..., 1] - k[..., 1], k[..., 0] - j[..., 0]], axis=-1)
             det = g[:, 2, 1] * g[:, 1, 0] - g[:, 2, 0] * g[:, 1, 1]
             g = g / det[:, None, None]
-            # row q holds its triangle's three vertices in increasing order;
-            # the zero barycentric entries stay stored, so each row sums the
-            # same three terms
+            # each row holds its vertices in increasing order: a gradient row
+            # the triangle's three, a value row its side's two ends
             order = np.argsort(t, axis=1)
-            g = np.repeat(np.take_along_axis(g, order[:, :, None], axis=1), 3, axis=0)
-            cols = np.repeat(np.take_along_axis(t, order, axis=1), 3, axis=0).ravel()
+            g = np.take_along_axis(g, order[:, :, None], axis=1)
+            cols = np.take_along_axis(t, order, axis=1).ravel()
             rows = np.arange(0, len(cols) + 1, 3)
-            shape = (len(w), self.n_vertices)
+            shape = (len(t), self.n_vertices)
+            after = t[:, [1, 2, 0]]
+            ends = np.stack([np.minimum(t, after), np.maximum(t, after)], axis=-1).ravel()
             self._cache["iq"] = (
                 pts.reshape(-1, 2),
                 w,
-                csr_matrix((bary.T[order].swapaxes(1, 2).ravel(), cols, rows), shape=shape),
+                csr_matrix((np.full(len(ends), 0.5), ends, np.arange(0, len(ends) + 1, 2)),
+                           shape=(len(w), self.n_vertices)),
                 csr_matrix((g[:, :, 0].ravel(), cols, rows), shape=shape),
                 csr_matrix((g[:, :, 1].ravel(), cols, rows), shape=shape),
             )
@@ -444,7 +487,9 @@ class PlanarDomain:
         v = self.vertices
         t = self.triangles
         nv = len(v)
-        edges, tri_edges, _ = edge_table(t)
+        if "edges" not in self._cache:
+            self._cache["edges"] = edge_table(t)
+        edges, tri_edges, _ = self._cache["edges"]
         m = len(edges)
         # the midpoint of edge e is fine vertex nv + e
         fine_v = np.concatenate([v, 0.5 * (v[edges[:, 0]] + v[edges[:, 1]])], axis=0)
@@ -496,7 +541,8 @@ class PlanarDomain:
         sub_v = self.vertices[used]
 
         # boundary of the submesh = edges with exactly one adjacent triangle
-        edges, _, counts = edge_table(sub_tris)
+        table = edge_table(sub_tris)
+        edges, _, counts = table
         nsub = len(used)
         bkeys = edges[counts == 1] @ np.array([nsub, 1])
 
@@ -518,6 +564,7 @@ class PlanarDomain:
             b_gamma,
             loop=self.loop,
         )
+        dom._cache["edges"] = table
         return dom, used
 
 def mesh_domain(loop, target_h, gamma_arcs=()):
@@ -558,15 +605,11 @@ def mesh_domain(loop, target_h, gamma_arcs=()):
     raise GeometryError("could not reach the requested mesh size")
 
 
-def hex_lattice(lo, hi, spacing):
-    """Hexagonal lattice points of the given spacing in the box [lo, hi]."""
-    return _hex_lattice(lo, hi, spacing)[0]
-
-
 def _hex_lattice(lo, hi, spacing):
-    """hex_lattice's points with the row r and column c of each: the point
-    sits at x = lo_x + (0.4 + c) spacing, plus spacing / 2 when r is odd,
-    and y = lo_y + (r + 1/2) spacing sqrt(3) / 2."""
+    """Hexagonal lattice points of the given spacing in the box [lo, hi],
+    with the row r and column c of each: the point sits at
+    x = lo_x + (0.4 + c) spacing, plus spacing / 2 when r is odd, and
+    y = lo_y + (r + 1/2) spacing sqrt(3) / 2."""
     dy = spacing * math.sqrt(3.0) / 2.0
     ys = np.arange(lo[1] + 0.5 * dy, hi[1], dy)
     pts, rows, cols = [], [], []
@@ -646,15 +689,17 @@ def _mesh_once(loop, spacing, gamma_arcs):
     if n_ring < 3:
         raise GeometryError("boundary too coarse")
     interior, row, col = _hex_lattice(ring.min(axis=0), ring.max(axis=0), spacing)
-    if len(interior):
-        keep = points_in_polygon(interior, ring)
-        keep[keep] = far_from_ring(interior[keep], ring, 0.55 * spacing)
-        interior, row, col = interior[keep], row[keep], col[keep]
+    keep = points_in_polygon(interior, ring)
+    interior, row, col = interior[keep], row[keep], col[keep]
+    # each lattice point's distance to the nearest ring vertex, inf from 4s
+    # on; chords are at most s long, so far_from_ring's bound is below 4s
+    tree = cKDTree(ring)
+    near, _ = tree.query(interior, distance_upper_bound=4.0 * spacing)
+    keep = far_from_ring(interior, ring, 0.55 * spacing, (tree, near))
+    interior, row, col, near = interior[keep], row[keep], col[keep], near[keep]
     allpts = np.concatenate([ring, interior], axis=0)
 
-    # each lattice point's distance to the nearest ring vertex, inf from 4s on
     half = 0.5 * float(np.max(np.hypot(*(np.roll(ring, -1, axis=0) - ring).T)))
-    near, _ = cKDTree(ring).query(interior, distance_upper_bound=4.0 * spacing)
     deep = near >= 2.0 * spacing + half
     band = np.concatenate([np.arange(n_ring), n_ring + np.flatnonzero(near < 4.0 * spacing)])
     cells = band[Delaunay(allpts[band]).simplices]
@@ -684,8 +729,9 @@ def _mesh_once(loop, spacing, gamma_arcs):
     # boundary recovery: edges adjacent to exactly one triangle must be the
     # consecutive ring pairs
     edges = np.stack([np.arange(n_ring), (np.arange(n_ring) + 1) % n_ring], axis=1)
-    table, _, counts = edge_table(cells)
-    if not np.array_equal(table[counts == 1], np.unique(np.sort(edges, axis=1), axis=0)):
+    table = edge_table(cells)
+    counts = table[2]
+    if not np.array_equal(table[0][counts == 1], np.unique(np.sort(edges, axis=1), axis=0)):
         raise GeometryError("boundary recovery failed; refine or simplify the loop")
     # a triangulated disk: Euler's count, and no edge on three triangles
     if len(cells) != 2 * len(allpts) - n_ring - 2 or counts.max() > 2:
@@ -693,7 +739,9 @@ def _mesh_once(loop, spacing, gamma_arcs):
 
     e_arc = np.asarray(arc_ids)
     gamma = np.isin(e_arc, list(gamma_arcs))
-    return PlanarDomain(allpts, cells, edges, e_arc, gamma, loop=loop)
+    dom = PlanarDomain(allpts, cells, edges, e_arc, gamma, loop=loop)
+    dom._cache["edges"] = table
+    return dom
 
 
 # ---------------------------------------------------------------------------

@@ -82,7 +82,9 @@ def sampled_exponent_bounds(domain, p, r):
 class DiscreteTraceProblem:
     """The trace quotient on one mesh: the domain's quadrature and P1
     operators, their adjoints (``ST``, ``GxT``, ``GyT``, ``SbT``: transposed
-    views, built once), and the exponents sampled at its points.
+    views, built once), and the exponents sampled at its points.  ``S``
+    maps nodal values to the 3nt interior points, ``Gx`` and ``Gy`` to the
+    nt triangles' gradients, each shared by the triangle's three points.
 
     Flags (reported, not silently assumed):
       - ``p_plus_lt_r_minus``: the strict exponent gap needed by the
@@ -142,10 +144,12 @@ class DiscreteTraceProblem:
     # -- norms and gradients --------------------------------------------------
 
     def interior_fields(self, a):
-        vals = self.S @ a
+        """(vals, gmag, gx, gy): the values and gradient magnitudes at the
+        interior quadrature points, and the gradient components of each
+        triangle, whose magnitude gmag repeats for its three points."""
         gx = self.Gx @ a
         gy = self.Gy @ a
-        return vals, np.hypot(gx, gy), gx, gy
+        return self.S @ a, np.repeat(np.hypot(gx, gy), 3), gx, gy
 
     def sobolev_norm(self, a):
         vals, gmag, _, _ = self.interior_fields(a)
@@ -174,6 +178,8 @@ class DiscreteTraceProblem:
         The root hands back its terms t and slope weight D, and an atom a
         contributes p lam t / (a D) times d a / d nodal values: sign(v) for a
         value, grad u / |grad u| for a gradient magnitude; a zero atom gives 0.
+        A triangle's three gradient atoms share its gradient, so their
+        p lam t / D are summed before the one division by |grad u|^2.
         ``start`` is a guess at the norm for the root.
         """
         vals, gmag, gx, gy = self.interior_fields(a)
@@ -183,7 +189,9 @@ class DiscreteTraceProblem:
             raise ZeroTrace("zero function has no norm gradient")
         pl = self.p_exps * (lam / D)
         cv = np.divide(pl * tv, vals, out=np.zeros_like(vals), where=vals != 0.0)
-        cg = np.divide(pl * tg, gmag * gmag, out=np.zeros_like(gmag), where=gmag > 0.0)
+        gt, tt = gmag[::3], (pl * tg).reshape(-1, 3)
+        cg = np.divide(tt[:, 0] + tt[:, 1] + tt[:, 2], gt * gt,
+                       out=np.zeros_like(gt), where=gt > 0.0)
         grad = self.ST @ cv + self.GxT @ (cg * gx) + self.GyT @ (cg * gy)
         return lam, grad
 

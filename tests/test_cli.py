@@ -139,6 +139,45 @@ def test_conditions_exit_codes(tmp_path):
     assert by_name2["local_conditions"]["satisfied"] is True
 
 
+L_SHAPE_CRITICAL = """[domain]
+segment = 0 0 2 0
+segment = 2 0 2 1
+segment = 2 1 1 1
+segment = 1 1 1 2
+segment = 1 2 0 2
+segment = 0 2 0 0
+h = 0.08
+gamma =
+
+[exponents]
+n = 2
+p_expr = 1.5
+r_expr = 3
+
+[conditions]
+checks = existence global
+"""
+
+
+def test_conditions_at_critical_convex_corners_are_indeterminate(tmp_path):
+    # r = 3 = p_* on the whole boundary of an L-shape: K(2, 1.5)^-1 holds at
+    # its smooth points only, and a right-angle corner admits quotients
+    # below 0.86, so neither check may claim "satisfied" against it (both
+    # did, with T = 1.027 and lhs = 1.040): exit 3
+    cfg = tmp_path / "l_shape.cfg"
+    cfg.write_text(L_SHAPE_CRITICAL)
+    res = run_cli("--config", str(cfg), "conditions")
+    assert res.returncode == 3, res.stderr + res.stdout
+    payload = json.loads(res.stdout)
+    assert [v["satisfied"] for v in payload["verdicts"]] == [None, None]
+    t_bar = payload["t_bar"]
+    assert t_bar["value"] == 1.2599210498948732 and t_bar["error"] is None
+    # the five convex corners, not the reflex one at (1, 1)
+    corners = t_bar["critical_corners"]
+    assert sorted(tuple(c["point"]) for c in corners) == [(0, 0), (0, 2), (1, 2), (2, 0), (2, 1)]
+    assert all(c["angle"] == pytest.approx(math.pi / 2, rel=1e-12) for c in corners)
+
+
 def test_expand_subcommand(tmp_path):
     out = tmp_path / "fit.json"
     res = run_cli("--config", "configs/expand_disk.cfg", "--out", str(out), "expand")
@@ -536,7 +575,7 @@ def test_reproducibility_same_seed_and_threads():
         (["expansion_study.py"], "flat case=curvature fitted=-0.0024 predicted=+0.0000 "
                                  "residual=1.16e-02"),
         (["shipped_outputs.py", "{tmp}"], "norm: exit 0"),
-        (["mesh_census.py", "{tmp}/census.txt"], "mesh nv nt sha256"),
+        (["mesh_census.py", "{tmp}/census.txt"], "mesh nv nt sha256 h volume iq"),
     ],
     ids=["constants-table", "disk-study", "expansion-study", "shipped-outputs", "mesh-census"],
 )

@@ -10,6 +10,7 @@ from vextrace.conditions import (
     LogPower,
     NotCritical,
     compactness_rate_check,
+    critical_corners,
     disk_global_lhs,
     existence_verdict,
     global_condition,
@@ -332,6 +333,39 @@ def test_smallest_localized_constant():
     # a floor stride of 170 // 16 = 10 visited 17
     assert len(prob.critical_points) == 170
     assert prov["n_sampled"] == 16
+
+
+L_SHAPE = polygon_loop([(0, 0), (2, 0), (2, 1), (1, 1), (1, 2), (0, 2)])
+
+
+def test_critical_corners_are_the_convex_junctions_in_the_critical_set():
+    dom = mesh_domain(L_SHAPE, 0.25)
+    crit = DiscreteTraceProblem(dom, P15, R3)
+    corners = critical_corners(crit)
+    assert [c["point"] for c in corners] == [[2, 0], [2, 1], [1, 2], [0, 2], [0, 0]]
+    assert all(c["angle"] == pytest.approx(math.pi / 2, rel=1e-12) for c in corners)
+    # r = 3 - x2 / 2 is critical on the bottom side only: (0, 0) and (2, 0)
+    bottom = DiscreteTraceProblem(dom, P15, ExponentField.from_text("3 - x2 / 2", 2))
+    assert [c["point"] for c in critical_corners(bottom)] == [[2, 0], [0, 0]]
+    assert critical_corners(DiscreteTraceProblem(dom, P15, R2)) == []
+    # a full circle's one junction is smooth
+    disk_prob = DiscreteTraceProblem(mesh_domain(unit_disk_loop(), 0.2), P15, R3)
+    assert critical_corners(disk_prob) == []
+
+
+def test_a_critical_corner_leaves_global_and_existence_indeterminate():
+    dom = mesh_domain(L_SHAPE, 0.25)
+    prob = DiscreteTraceProblem(dom, P15, R3)
+    t_bar, prov = smallest_localized_constant(prob)
+    assert t_bar.value == sharp_constant_inverse(2, 1.5) and t_bar.error == math.inf
+    assert prov["critical_corners"] == critical_corners(prob)
+    # both clear K^-1 = 1.26 by far, and neither is decided
+    assert global_condition(dom, P15, R3, t_bar).satisfied is None
+    assert existence_verdict(Estimate(0.5, 1e-4), t_bar).satisfied is None
+    # the smooth disk keeps its few-ulp bar and no corner entry
+    disk_prob = DiscreteTraceProblem(mesh_domain(unit_disk_loop(), 0.2), P15, R3)
+    t_bar, prov = smallest_localized_constant(disk_prob)
+    assert t_bar.error == K_INV_REL * t_bar.value and "critical_corners" not in prov
 
 
 def test_smallest_localized_constant_needs_critical_points():

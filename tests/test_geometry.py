@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 from scipy.sparse import csr_matrix
-from scipy.spatial import Delaunay
+from scipy.spatial import Delaunay, cKDTree
 
 from vextrace import geometry
 from vextrace.geometry import (
@@ -16,7 +16,6 @@ from vextrace.geometry import (
     distance_to_segments,
     far_from_ring,
     fermi_chart,
-    hex_lattice,
     mesh_domain,
     points_in_polygon,
     polygon_loop,
@@ -176,27 +175,32 @@ def test_operators_reproduce_affine_functions(loop, h, gamma):
     for op, at, want in ((S, pts, f(pts)), (Sb, bpts, f(bpts))):
         np.testing.assert_allclose(op @ a, want, rtol=0, atol=1e-12 * scale)
         np.testing.assert_allclose(op @ ones, np.ones(len(at)), rtol=1e-12)
-    np.testing.assert_allclose(Gx @ a, np.full(len(pts), 1.7), rtol=1e-12)
-    np.testing.assert_allclose(Gy @ a, np.full(len(pts), -0.9), rtol=1e-12)
+    # one gradient row per triangle
+    assert Gx.shape[0] == Gy.shape[0] == len(dom.triangles) == len(pts) // 3
+    np.testing.assert_allclose(Gx @ a, np.full(len(dom.triangles), 1.7), rtol=1e-12)
+    np.testing.assert_allclose(Gy @ a, np.full(len(dom.triangles), -0.9), rtol=1e-12)
 
 
 def _coo_operators(dom):
     """S, Gx, Gy and Sb assembled from (value, (row, column)) triplets in
-    each triangle's (edge's) own vertex order."""
+    each triangle's (side's, edge's) own vertex order: S has a row per side
+    midpoint with 0.5 at the side's two ends, Gx and Gy a row per triangle
+    with its three basis gradients."""
     v, t, e = dom.vertices, dom.triangles, dom.boundary_edges
-    bary = np.array([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]])
     j, k = v[t[:, [1, 2, 0]]], v[t[:, [2, 0, 1]]]
     g = np.stack([j[..., 1] - k[..., 1], k[..., 0] - j[..., 0]], axis=-1)
     det = g[:, 2, 1] * g[:, 1, 0] - g[:, 2, 0] * g[:, 1, 1]
-    g = np.repeat(g / det[:, None, None], 3, axis=0)
-    pattern = (np.repeat(np.arange(3 * len(t)), 3), np.repeat(t, 3, axis=0).ravel())
-    shape = (3 * len(t), dom.n_vertices)
+    g = g / det[:, None, None]
+    pattern = (np.repeat(np.arange(len(t)), 3), t.ravel())
+    shape = (len(t), dom.n_vertices)
+    sides = t[:, [0, 1, 1, 2, 2, 0]].ravel()
+    side_pattern = (np.repeat(np.arange(3 * len(t)), 2), sides)
     half_gap = 0.5 / math.sqrt(3.0)
     params = np.array([0.5 - half_gap, 0.5 + half_gap])
     edge_bary = np.stack([1.0 - params, params], axis=1)
     edge_pattern = (np.repeat(np.arange(2 * len(e)), 2), np.repeat(e, 2, axis=0).ravel())
     return (
-        csr_matrix((np.tile(bary, (len(t), 1)).ravel(), pattern), shape=shape),
+        csr_matrix((np.full(len(sides), 0.5), side_pattern), shape=(3 * len(t), dom.n_vertices)),
         csr_matrix((g[:, :, 0].ravel(), pattern), shape=shape),
         csr_matrix((g[:, :, 1].ravel(), pattern), shape=shape),
         csr_matrix((np.tile(edge_bary, (len(e), 1)).ravel(), edge_pattern),
@@ -441,10 +445,26 @@ OFFSET_SQUARE = polygon_loop([(0.03, -0.07), (1.037, -0.07), (1.037, 0.937), (0.
 def test_far_from_ring_matches_dense_distance(loop, h):
     for spacing in _tried_spacings(h):
         ring, _ = loop.polyline(spacing)
-        lattice = hex_lattice(ring.min(axis=0), ring.max(axis=0), spacing)
+        lattice = geometry._hex_lattice(ring.min(axis=0), ring.max(axis=0), spacing)[0]
         dense = distance_to_segments(lattice, ring, np.roll(ring, -1, axis=0))
         assert np.array_equal(far_from_ring(lattice, ring, 0.55 * spacing),
                               dense >= 0.55 * spacing)
+
+
+@pytest.mark.parametrize("loop", [unit_disk_loop(), SQUARE, L_SHAPE, COMB, OFFSET_SQUARE],
+                         ids=["disk", "square", "l-shape", "comb", "gamma-square"])
+@pytest.mark.parametrize("h", [0.1, 0.03])
+def test_far_from_ring_takes_the_nearest_vertices_from_the_mesh_query(loop, h):
+    """_mesh_once hands far_from_ring the distances of its own query,
+    bounded at 4 spacings; the mask is the one far_from_ring finds alone."""
+    for spacing in _tried_spacings(h):
+        ring, _ = loop.polyline(spacing)
+        lattice = geometry._hex_lattice(ring.min(axis=0), ring.max(axis=0), spacing)[0]
+        lattice = lattice[points_in_polygon(lattice, ring)]
+        tree = cKDTree(ring)
+        near, _ = tree.query(lattice, distance_upper_bound=4.0 * spacing)
+        assert np.array_equal(far_from_ring(lattice, ring, 0.55 * spacing, (tree, near)),
+                              far_from_ring(lattice, ring, 0.55 * spacing))
 
 
 def test_distance_to_segments_pairs_take_the_nearest_listed_segment():
@@ -524,6 +544,48 @@ def test_fine_benchmark_meshes_take_one_full_try(monkeypatch, loop, h, gamma):
     dom = mesh_domain(loop, h, gamma_arcs=gamma)
     assert dom.mesh_size() <= h
     assert tried == [0.62 * h * 0.8]
+
+
+def _longest_triangle_side(dom):
+    v, t = dom.vertices, dom.triangles
+    return float(np.max([np.linalg.norm(v[t[:, i]] - v[t[:, j]], axis=1)
+                         for i, j in ((0, 1), (1, 2), (2, 0))]))
+
+
+@pytest.mark.parametrize("name", list(MESH_DOMAINS))
+def test_mesh_size_from_the_edge_table_is_the_longest_triangle_side(name):
+    loop, gamma, scale = MESH_DOMAINS[name]
+    for h in (0.3, 0.1):
+        dom = mesh_domain(loop, h * scale, gamma_arcs=gamma)
+        sub, _ = dom.submesh(dom.vertices[0], 0.5 * scale)
+        # mesh_domain and submesh hand their edge tables to the new mesh
+        for d in (dom, sub):
+            for a, b in zip(d._cache["edges"], geometry.edge_table(d.triangles)):
+                assert a.dtype == b.dtype and np.array_equal(a, b)
+        # a refined mesh has no table until its own refine builds one
+        fine, tabled = dom.refine()[0], sub.refine()[0]
+        tabled.refine()
+        assert "edges" not in fine._cache and "edges" in tabled._cache
+        for d in (dom, sub, fine, tabled):
+            assert d.mesh_size() == _longest_triangle_side(d)
+
+
+@pytest.mark.parametrize("name", list(MESH_DOMAINS))
+def test_midpoint_rule_reads_each_side_from_its_two_ends(name):
+    loop, gamma, scale = MESH_DOMAINS[name]
+    dom = mesh_domain(loop, 0.2 * scale, gamma_arcs=gamma)
+    sub, _ = dom.submesh(dom.vertices[0], 0.5 * scale)
+    a = np.random.default_rng(3).standard_normal(dom.n_vertices)
+    for d, x in ((dom, a), (sub, a[:sub.n_vertices]), (dom.refine()[0], dom.refine()[1] @ a)):
+        pts, w, S, _, _ = d.interior_quadrature()
+        t = d.triangles
+        after = t[:, [1, 2, 0]]
+        assert np.array_equal(pts, (0.5 * (d.vertices[t] + d.vertices[after])).reshape(-1, 2))
+        assert np.array_equal(S @ x, (0.5 * (x[t] + x[after])).ravel())
+        v = d.vertices
+        e1, e2 = v[t[:, 1]] - v[t[:, 0]], v[t[:, 2]] - v[t[:, 0]]
+        cross = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
+        assert np.array_equal(w, np.repeat(0.5 * np.abs(cross) / 3.0, 3))
 
 
 # -- the triangles are the full Delaunay triangulation's ------------------------
