@@ -21,7 +21,9 @@ depends on bytecode left in its checkout.
 workload then runs its pairs and traced runs at each seed in turn, and the
 JSON holds one summary per seed.
 
-The JSON holds the parent's revision, the machine, the command, a summary
+The JSON holds the parent's revision, the machine (with numpy's SIMD
+baseline and the dispatch targets it enables, which fix the bits of its
+exp and power loops), the command, a summary
 per seed, workload and end-to-end metric (`summary[seed][workload]`),
 every run's result, and the traced results.  A metric's summary holds the
 quartiles of each side (inclusive method), its direction (`better`, from
@@ -67,6 +69,25 @@ def revision(checkout):
         return "unknown"
 
 
+# asked of a child interpreter, so this script imports only the standard library
+DISPATCH_QUERY = (
+    "from numpy._core import _multiarray_umath as m; "
+    "print(' '.join(m.__cpu_baseline__)); "
+    "print(' '.join(t for t in m.__cpu_dispatch__ if m.__cpu_features__.get(t)))"
+)
+
+
+def numpy_dispatch():
+    """numpy's SIMD baseline and enabled dispatch targets, as one phrase."""
+    try:
+        out = subprocess.run([sys.executable, "-c", DISPATCH_QUERY], capture_output=True,
+                             text=True, check=True).stdout
+    except (OSError, subprocess.CalledProcessError):
+        return "numpy SIMD dispatch unknown"
+    baseline, targets = (out.splitlines() + ["", ""])[:2]
+    return f"numpy SIMD baseline {baseline or 'none'} + dispatch {targets or 'none'}"
+
+
 def machine():
     cpu = platform.machine()
     try:
@@ -76,7 +97,8 @@ def machine():
     except (OSError, StopIteration):
         pass
     versions = ", ".join(f"{pkg} {metadata.version(pkg)}" for pkg in ("numpy", "scipy"))
-    return (f"{os.cpu_count()}-vCPU {cpu}, Python {platform.python_version()}, {versions}; "
+    return (f"{os.cpu_count()}-vCPU {cpu}, Python {platform.python_version()}, {versions}, "
+            f"{numpy_dispatch()}; "
             "parent and change each run from their own checkout, one run at a time, "
             "alternating which side runs first in each pair")
 

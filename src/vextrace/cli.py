@@ -19,11 +19,12 @@ naming an unknown check, a bubble init with a non-finite number or
 lam <= 0, a [norm] kind other than lebesgue or sobolev, sobolev samples
 without gradient columns, a samples_csv that is not a samples CSV, a
 config or samples_csv path that is missing, unreadable or a directory, a
-compactness s, r0 or K set out of range, a solve radius ([solver] radii
-or --radii) that is not finite and > 0, an exponent that is nan or
-infinite at a sample point, a domain whose boundary nodes all carry the
-zero condition, a malformed [domain], a local check off the critical set,
-a global check with a zero set, an expansion coefficient outside its
+compactness s, r0 or K set out of range, C <= 0 or phi_n < 1, a solve
+radius ([solver] radii or --radii) that is not finite and > 0, --seed
+below 0 or --threads below 1, an exponent that is nan or infinite at a
+sample point, a domain whose boundary nodes all carry the zero
+condition, a malformed [domain], a local check off the critical set, a
+global check with a zero set, an expansion coefficient outside its
 hypothesis, a half-space constant outside 1 < p < N, an expand N,
 model, H, weight or eps the model domains cannot take (a disk needs
 H > 0, the flat model H = 0, the weight f0 + dtf0 t > 0), samples whose
@@ -41,6 +42,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -125,7 +127,7 @@ def cmd_norm(args):
         raise ConfigError(f"[norm] samples_csv {path}: {err}")
     try:
         value = luxemburg_norm(samples, p, kind=kind)
-        rho = modular(samples, p, kind=kind).value
+        rho = modular(samples, p, kind=kind)
     except ValueError as err:  # an unknown kind, or sobolev without gradient columns
         raise ConfigError(f"[norm] {err}")
     payload = _base_payload("norm", cfg.config_hash)
@@ -314,12 +316,12 @@ def cmd_conditions(args):
                         s=cond["s"], C=cond["C"], r0=cond["r0"], phi=LogPower(cond["phi_n"]),
                     )
                 )
-            except ValueError as err:  # s, r0 or a K arc index out of range
+            except ValueError as err:  # s, C, r0, phi_n or a K arc index out of range
                 raise ConfigError(f"[conditions] {err}")
 
     payload = _base_payload("conditions", cfg.config_hash, seed=args.seed)
     payload["t_bar"] = t_bar_report
-    payload["verdicts"] = [v.to_dict() for v in verdicts]
+    payload["verdicts"] = [asdict(v) for v in verdicts]
     lines = [
         f"{v.name}: {'satisfied' if v.satisfied else 'indeterminate' if v.satisfied is None else 'violated'}"
         f" (lhs={v.lhs:.6g}, rhs={v.rhs:.6g})"
@@ -427,6 +429,8 @@ def run(argv=None):
         args = build_parser().parse_args(argv)
         if args.threads < 1:
             raise ConfigError("--threads must be >= 1")
+        if args.seed < 0:
+            raise ConfigError("--seed must be >= 0")
         return handlers[args.command](args)
     except (ConfigError, OSError) as err:  # a missing, unreadable or directory path too
         print(f"config error: {err}", file=sys.stderr)

@@ -59,16 +59,6 @@ class ConditionVerdict:
     margin: float
     provenance: dict = field(default_factory=dict)
 
-    def to_dict(self):
-        return {
-            "name": self.name,
-            "satisfied": self.satisfied,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "margin": self.margin,
-            "provenance": self.provenance,
-        }
-
 
 @dataclass(frozen=True)
 class Estimate:
@@ -90,9 +80,14 @@ class Estimate:
 class LogPower:
     """Approach-rate profile xi -> (ln ln xi)^n; admissible for the
     compactness criterion (eventually increasing to infinity with
-    phi(xi)/ln(xi) nonincreasing)."""
+    phi(xi)/ln(xi) nonincreasing) when n >= 1: n = 0 is constant, and a
+    negative n decreases to 0."""
 
     n: int = 1
+
+    def __post_init__(self):
+        if not self.n >= 1:
+            raise ValueError(f"need phi_n >= 1, got {self.n}")
 
     def __call__(self, xi):
         xi = np.asarray(xi, float)
@@ -154,6 +149,8 @@ def compactness_rate_check(domain, p, r, K, s, C, r0, phi):
         raise ValueError("need 0 < s <= N-1")
     if not (0.0 < r0 < math.exp(-1.0)):
         raise ValueError("need r0 in (0, 1/e)")
+    if not C > 0.0:
+        raise ValueError("need C > 0")
     _subcritical_bounds(domain, p, r)
     bpts, bw, _ = domain.boundary_quadrature()
     gap = critical_gap(p, r, bpts)
@@ -340,7 +337,7 @@ def existence_verdict(t_estimate, t_bar_estimate):
     )
 
 
-def localized_constant_estimate(problem, x0, radii=None, max_iter=120):
+def localized_constant_estimate(problem, x0, max_iter=120):
     """Localized-constant surrogate at a critical boundary point.
 
     When the base point is a local minimum of p and a local maximum of r,
@@ -359,9 +356,8 @@ def localized_constant_estimate(problem, x0, radii=None, max_iter=120):
     if p_min_ok and r_max_ok:
         k_inv = sharp_constant_inverse(2, float(p.eval_at(x0)))
         return Estimate(k_inv, K_INV_REL * k_inv), "halfspace"
-    if radii is None:
-        base = 0.4 * math.sqrt(domain.volume())
-        radii = [base / 2.0, base / 4.0, base / 8.0]
+    base = 0.4 * math.sqrt(domain.volume())
+    radii = [base / 2.0, base / 4.0, base / 8.0]
     sched = local_constant_schedule(problem, x0, radii, max_iter=max_iter)
     vals = [t for _, t in sched]
     err = abs(vals[-1] - vals[-2]) if len(vals) >= 2 else 0.1 * vals[-1]

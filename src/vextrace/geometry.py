@@ -19,8 +19,9 @@ operators, the CSR maps from nodal values to the values at the points
 (two entries a row: a side midpoint or a Gauss point reads only its edge's
 two ends) and to the gradients (one row per triangle, whose constant
 gradient its three midpoints share), and the trace problem only reads
-them.  A mesh from mesh_domain or submesh keeps the edge table built to
-find its boundary, and mesh_size and refine read it.
+them.  PlanarDomain.edges owns each mesh's edge table: a mesh from
+mesh_domain or submesh starts with the table built to find its boundary,
+and mesh_size and refine read it.
 
 A FermiChart at a boundary point provides the boundary-adapted coordinates
 (tangential offset y, inward normal distance t), with the exact jacobians
@@ -84,8 +85,7 @@ class Segment:
     def tangent(self, s):
         a = np.asarray(self.start, float)
         b = np.asarray(self.end, float)
-        t = (b - a) / self.length
-        return np.broadcast_to(t, np.shape(s) + (2,)).copy() if np.ndim(s) else t
+        return (b - a) / self.length
 
     def project(self, x):
         """(arclength, distance) of the closest point to x."""
@@ -269,7 +269,7 @@ def distance_to_segments(points, a, b, pairs=None):
     return np.sqrt(d2)
 
 
-def far_from_ring(points, ring, dist, nearest=None):
+def far_from_ring(points, ring, dist, tree, vertex_dist):
     """Mask of the points at distance >= dist from every chord of the ring.
 
     Every point of a chord of length L lies within L/2 of one of its ends,
@@ -281,21 +281,15 @@ def far_from_ring(points, ring, dist, nearest=None):
     So the mask equals the all-chords one, at a cost linear in the number
     of points near the ring.
 
-    nearest = (tree, vertex_dist) hands in the ring's cKDTree and each
-    point's distance to its nearest ring vertex from a query bounded at or
-    beyond the bound, so a caller that needs those distances anyway makes
-    one query; a distance below the bound is the same number either way.
+    tree is the ring's cKDTree and vertex_dist each point's distance to its
+    nearest ring vertex, from a query bounded at or beyond the bound (inf
+    past it), so the caller, which needs those distances anyway, makes the
+    one query.
     """
     pts = np.atleast_2d(points)
     ends = np.roll(ring, -1, axis=0)
     half = 0.5 * float(np.max(np.hypot(*(ends - ring).T)))
     bound = (dist + half) * (1.0 + 1e-9)
-    if nearest is None:
-        tree = cKDTree(ring)
-        # the search stops at the bound; a point with no vertex inside it gets inf
-        vertex_dist, _ = tree.query(pts, distance_upper_bound=bound)
-    else:
-        tree, vertex_dist = nearest
     far = vertex_dist >= bound
     band = np.flatnonzero(~far)
     near = tree.query_ball_point(pts[band], bound)
@@ -379,19 +373,22 @@ class PlanarDomain:
     def boundary_length(self):
         return fixed_order_sum(self.edge_lengths())
 
+    def edges(self):
+        """The mesh's edge_table, built on first use; a mesh from
+        mesh_domain or submesh comes with the table built to find its
+        boundary."""
+        if "edges" not in self._cache:
+            self._cache["edges"] = edge_table(self.triangles)
+        return self._cache["edges"]
+
     def mesh_size(self):
-        """The longest edge: over the edge table when the mesh has one,
-        else over every triangle's three sides (each inner edge twice),
-        which is cheaper than building the table."""
+        """The longest edge."""
         if "h" not in self._cache:
-            if "edges" in self._cache:
-                a, b = self._cache["edges"][0].T
-            else:
-                a, b = self.triangles, self.triangles[:, [1, 2, 0]]
+            a, b = self.edges()[0].T
             d = self.vertices[a] - self.vertices[b]
             # sqrt is monotone, so the root of the largest square is the
             # largest root
-            self._cache["h"] = float(np.sqrt(np.max(d[..., 0] * d[..., 0] + d[..., 1] * d[..., 1])))
+            self._cache["h"] = float(np.sqrt(np.max(d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1])))
         return self._cache["h"]
 
     # -- quadrature -----------------------------------------------------------
@@ -487,9 +484,7 @@ class PlanarDomain:
         v = self.vertices
         t = self.triangles
         nv = len(v)
-        if "edges" not in self._cache:
-            self._cache["edges"] = edge_table(t)
-        edges, tri_edges, _ = self._cache["edges"]
+        edges, tri_edges, _ = self.edges()
         m = len(edges)
         # the midpoint of edge e is fine vertex nv + e
         fine_v = np.concatenate([v, 0.5 * (v[edges[:, 0]] + v[edges[:, 1]])], axis=0)
@@ -581,8 +576,6 @@ def mesh_domain(loop, target_h, gamma_arcs=()):
     """
     if not (math.isfinite(target_h) and target_h > 0):
         raise ValueError("target_h must be positive")
-    if not isinstance(loop, BoundaryLoop):
-        loop = BoundaryLoop(tuple(loop))
     if loop.signed_area() < 0:
         raise GeometryError("boundary loop must be counterclockwise")
     gamma_arcs = set(int(i) for i in gamma_arcs)
@@ -695,7 +688,7 @@ def _mesh_once(loop, spacing, gamma_arcs):
     # on; chords are at most s long, so far_from_ring's bound is below 4s
     tree = cKDTree(ring)
     near, _ = tree.query(interior, distance_upper_bound=4.0 * spacing)
-    keep = far_from_ring(interior, ring, 0.55 * spacing, (tree, near))
+    keep = far_from_ring(interior, ring, 0.55 * spacing, tree, near)
     interior, row, col, near = interior[keep], row[keep], col[keep], near[keep]
     allpts = np.concatenate([ring, interior], axis=0)
 

@@ -28,7 +28,6 @@ import numpy as np
 
 __all__ = [
     "WeightedSamples",
-    "ModularValue",
     "MissingGradient",
     "NonFiniteModular",
     "ExponentMismatch",
@@ -186,12 +185,6 @@ class WeightedSamples:
         )
 
 
-@dataclass(frozen=True)
-class ModularValue:
-    value: float
-    kind: str  # 'lebesgue' or 'sobolev'
-
-
 def _exponents_at(p, points):
     if isinstance(p, np.ndarray):
         return p
@@ -243,7 +236,7 @@ def modular(samples, p, kind="lebesgue"):
         val = _modular_value(_scaled_terms(av, w, exps, gmag, 1.0), exps)[0]
     if not math.isfinite(val):
         raise NonFiniteModular("modular overflow; rescale the samples")
-    return ModularValue(val, kind)
+    return val
 
 
 def _norm_from_arrays(av, w, exps, gmag, start=None, terms=False):

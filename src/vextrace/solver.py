@@ -13,7 +13,7 @@ zero_trace.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 from scipy import optimize
@@ -219,16 +219,6 @@ class ConcentrationVerdict:
     atom_candidates: tuple  # ranked ((x, y), mass fraction) pairs
     refinement: dict  # discrete analogue of the atom inequality
 
-    def to_dict(self):
-        return {
-            "concentrated": bool(self.concentrated),
-            "atom_location": list(self.atom_location) if self.atom_location else None,
-            "boundary_mass_profile": [[r, f] for r, f in self.boundary_mass_profile],
-            "interior_gradient_mass": [[r, f] for r, f in self.interior_gradient_mass],
-            "atom_candidates": [[list(x), f] for x, f in self.atom_candidates],
-            "refinement": self.refinement,
-        }
-
 
 @dataclass
 class SolverReport:
@@ -258,7 +248,7 @@ class SolverReport:
             "n_evaluations": self.n_evaluations,
             "starts": [list(s) for s in self.starts],
             "init": self.init_label,
-            "concentration": self.concentration.to_dict() if self.concentration else None,
+            "concentration": asdict(self.concentration) if self.concentration else None,
             "problem_flags": self.problem_flags,
         }
 

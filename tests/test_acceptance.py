@@ -101,8 +101,8 @@ def test_c02_norm_modular_relations_500():
         if k % 25 == 0:
             # sequence relations: norms to 0 iff modulars to 0 and to
             # infinity together, probed along geometric scalings
-            mods_down = [modular(u.scaled(2.0**-j), pe).value for j in range(8)]
-            mods_up = [modular(u.scaled(2.0**j), pe).value for j in range(8)]
+            mods_down = [modular(u.scaled(2.0**-j), pe) for j in range(8)]
+            mods_up = [modular(u.scaled(2.0**j), pe) for j in range(8)]
             assert all(a > b for a, b in zip(mods_down, mods_down[1:]))
             assert all(b > a for a, b in zip(mods_up, mods_up[1:]))
     ok = worst >= -1e-9

@@ -219,6 +219,7 @@ HUGE_PAIR_CSV = open(f"{REPO}/configs/golden_pair.csv").read().replace(",1.0,1.0
 
 EXPAND_EPS = "0.08 0.056 0.04 0.028 0.02 0.014 0.01 0.007 0.005 0.0035"
 CHECKS = "checks = global local existence"
+COMPACT_CHECKS = "checks = global existence compactness"
 
 # a unit square whose only piece without the zero condition is one short
 # edge between zero-condition pieces: no boundary node is free
@@ -300,6 +301,12 @@ def _edited(name, *edits):
          "conditions", 1, "config error: [conditions] K_points: expected x y pairs"),
         (_edited("disk_critical.cfg", (CHECKS, "checks = compactness\nK_arcs = 5")),
          "conditions", 1, "config error: [conditions] K arc index 5 out of range"),
+        (_edited("disk_compact.cfg", (COMPACT_CHECKS, "checks = compactness\nphi_n = 0")),
+         "conditions", 1, "config error: [conditions] need phi_n >= 1, got 0"),
+        (_edited("disk_compact.cfg", (COMPACT_CHECKS, "checks = compactness\nphi_n = -3")),
+         "conditions", 1, "config error: [conditions] need phi_n >= 1, got -3"),
+        (_edited("disk_compact.cfg", (COMPACT_CHECKS, "checks = compactness\nC = 0")),
+         "conditions", 1, "config error: [conditions] need C > 0"),
         (_edited("disk_subcritical.cfg", ("max_iter = 150", "max_iter = 20.7")),
          "solve", 1, "config error: [solver] max_iter: not an integer: 20.7"),
         (_edited("disk_subcritical.cfg", ("n = 2", "n = 2.5")),
@@ -370,7 +377,8 @@ def _edited(name, *edits):
          "expand-eps-zero", "expand-model-sphere", "expand-N-3", "expand-disk-H-negative",
          "expand-flat-H-nonzero", "expand-weight-zero", "expand-weight-negative",
          "compactness-r0", "compactness-s", "compactness-K-points-odd",
-         "compactness-K-arc-range", "max-iter-fraction", "n-fraction", "gamma-fraction",
+         "compactness-K-arc-range", "compactness-phi-n-zero", "compactness-phi-n-negative",
+         "compactness-C-zero", "max-iter-fraction", "n-fraction", "gamma-fraction",
          "n-not-planar", "norm-kind-unknown", "norm-sobolev-without-gradients",
          "norm-not-a-samples-csv", "norm-samples-csv-directory", "config-directory",
          "init-bubble-lam-negative", "init-bubble-nan", "halfspace-truncation-R-negative",
@@ -500,11 +508,16 @@ def test_stdout_is_strict_json(tmp_path, text, argv, code):
          "input error: ", "ZeroTrace: iterate vanishes on the boundary quadrature"),
         (["--threads", "0", "constants", "--N", "2", "--p", "1.5"],
          "config error: ", "--threads must be >= 1"),
+        (["--seed", "-1", "--config", "configs/disk_subcritical.cfg", "solve"],
+         "config error: ", "--seed must be >= 0"),
+        (["--seed", "-1", "--config", "configs/disk_critical.cfg", "conditions"],
+         "config error: ", "--seed must be >= 0"),
     ],
     ids=["constants-p-above-N", "solve-bad-radii", "truncation-R-inf", "p-nan", "H-minus-inf",
          "tol-nan", "tol-zero", "max-iter-zero", "tol-negative-exponent", "H-space-minus-inf",
          "init-bubble-lam-negative", "init-bubble-nan", "truncation-R-negative", "radii-nan-inf",
-         "radii-not-positive", "init-bubble-zero-trace", "threads-zero"],
+         "radii-not-positive", "init-bubble-zero-trace", "threads-zero", "seed-negative-solve",
+         "seed-negative-conditions"],
 )
 def test_flag_mistakes_are_one_line(argv, prefix, message):
     res = run_cli(*argv)

@@ -1,4 +1,5 @@
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -19,11 +20,13 @@ from vextrace.conditions import (
     localized_constant_estimate,
     smallest_localized_constant,
 )
+from vextrace.config import ProblemConfig
 from vextrace.exponents import ExponentField, SupercriticalError
 from vextrace.geometry import BoundaryLoop, CircularArc, mesh_domain, polygon_loop, unit_disk_loop
 from vextrace.halfspace import K_INV_REL, sharp_constant_inverse, sharp_constant_quadrature
 from vextrace.solver import DiscreteTraceProblem, ZeroTrace, local_constant_schedule
 
+CONFIGS = pathlib.Path(__file__).resolve().parents[1] / "configs"
 P15 = ExponentField.from_text("1.5", 2)
 R2 = ExponentField.from_text("2", 2)
 R3 = ExponentField.from_text("3", 2)
@@ -129,6 +132,19 @@ def test_compactness_precondition_validation(disk):
     with pytest.raises(ValueError):
         compactness_rate_check(disk, P15, R2, K=[[1, 0]], s=1.0, C=1.0,
                                r0=0.5, phi=LogPower(1))
+    # C bounds a Minkowski content, so it must be positive
+    for C in (0.0, -1.0, math.nan):
+        with pytest.raises(ValueError, match=r"need C > 0"):
+            compactness_rate_check(disk, P15, R2, K=[[1, 0]], s=1.0, C=C,
+                                   r0=0.3, phi=LogPower(1))
+
+
+@pytest.mark.parametrize("n", [0, -3])
+def test_log_power_needs_an_exponent_of_at_least_one(n):
+    # n = 0 makes phi constant and n < 0 makes it decrease to 0, so neither
+    # increases to infinity as the criterion asks
+    with pytest.raises(ValueError, match=r"need phi_n >= 1"):
+        LogPower(n)
 
 
 def test_supercritical_p_inside_the_domain_is_refused(disk):
@@ -295,9 +311,7 @@ def test_localized_constant_schedule_fallback():
     p = ExponentField.from_text(p_expr, 2)
     r = ExponentField.from_text(f"({p_expr})/(2 - ({p_expr}))", 2)
     prob = DiscreteTraceProblem(dom, p, r)
-    est, method = localized_constant_estimate(
-        prob, (1.0, 0.0), radii=(0.8, 0.4), max_iter=50
-    )
+    est, method = localized_constant_estimate(prob, (1.0, 0.0), max_iter=50)
     assert method == "schedule"
     assert est.value > 0 and est.error >= 0
 
@@ -321,6 +335,21 @@ def test_localized_constant_schedule_stops_at_cap_without_free_boundary():
     assert est.error == abs(sched[1][1] - sched[0][1])
     with pytest.raises(ZeroTrace, match="free boundary node"):
         local_constant_schedule(prob, x0, radii[2:], max_iter=10)
+
+
+@pytest.mark.xfail(strict=True, reason="the radius schedule's smallest caps hold a few "
+                   "elements, so the schedule measures mesh error, not rho -> 0")
+def test_schedule_estimate_respects_the_half_space_bound():
+    # concentrating the half-space extremal at a smooth critical x0 gives
+    # T_bar_x0 <= K(2, p(x0))^-1, so no estimate may put its low end above
+    # it; on the shipped variable disk the schedule gives 1.4892 +- 0.1258
+    # near (0.986, -0.163), where K^-1 = 1.1655
+    prob = ProblemConfig.from_path(str(CONFIGS / "disk_variable.cfg")).build_problem()
+    pts = prob.critical_points
+    x0 = pts[np.argmin(np.linalg.norm(pts - (0.986, -0.163), axis=1))]
+    est, method = localized_constant_estimate(prob, x0)
+    assert method == "schedule"
+    assert est.low <= sharp_constant_inverse(2, float(prob.p_field.eval_at(x0)))
 
 
 def test_smallest_localized_constant():

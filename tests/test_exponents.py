@@ -173,7 +173,21 @@ def test_gradients_match_a_50_digit_derivative(text):
                 assert abs(g[i] - exact) <= 1e-14 * abs(exact) + 1e-300, (text, x, y, i)
 
 
-DIGEST = "7c09befc4dc451ad9620e94202e797d3d3035606854235b08ef9d3c7f8ee3ea9"
+# one digest per set of SIMD targets numpy dispatches to on this CPU, as
+# __cpu_dispatch__ and __cpu_features__ report them: the empty set is the
+# X86_V2 baseline, which NPY_DISABLE_CPU_FEATURES="X86_V3 X86_V4 AVX512_ICL
+# AVX512_SPR" selects on an AVX-512 CPU (numpy 2.4.6)
+DIGESTS = {
+    frozenset({"X86_V3", "X86_V4", "AVX512_ICL", "AVX512_SPR"}):
+        "7c09befc4dc451ad9620e94202e797d3d3035606854235b08ef9d3c7f8ee3ea9",
+    frozenset(): "47fb735a7b4f09d79bf29e63d588405bec0e9fa98065eae561f6d68f08a71ad0",
+}
+
+
+def _dispatch_targets():
+    from numpy._core import _multiarray_umath as umath
+
+    return frozenset(t for t in umath.__cpu_dispatch__ if umath.__cpu_features__.get(t))
 
 
 def _canonical_bytes(a):
@@ -188,8 +202,9 @@ def test_values_and_gradients_digest():
 
     The corpus is CORPUS, texts at the edges of the float range (overflow
     to inf, division by zero, negative bases, x1^101) and 300 random texts,
-    at 45 points.  The reference digest depends on the bits of numpy's exp,
-    log and power loops, which can differ across numpy builds and CPUs.
+    at 45 points.  The digest depends on the bits of numpy's exp, log and
+    power loops, which differ with the SIMD kernels numpy dispatches to, so
+    each set of dispatch targets has its own; a set with none listed fails.
     """
     edges = [
         "10^400*x1", "1/0 + x1", "x1^0.5", "(x1 - 1)^-1.5", "x1^101", "x1^3", "log(x1)",
@@ -208,7 +223,9 @@ def test_values_and_gradients_digest():
             f = ExponentField.from_text(text, 2)
             digest.update(_canonical_bytes(f(pts)))
             digest.update(_canonical_bytes(f.gradient(pts)))
-    assert digest.hexdigest() == DIGEST
+    targets = _dispatch_targets()
+    assert targets in DIGESTS, f"no digest for numpy dispatch targets {sorted(targets)}"
+    assert digest.hexdigest() == DIGESTS[targets]
 
 
 # -- critical exponents ------------------------------------------------------

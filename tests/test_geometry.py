@@ -443,28 +443,16 @@ OFFSET_SQUARE = polygon_loop([(0.03, -0.07), (1.037, -0.07), (1.037, 0.937), (0.
                          ids=["disk", "square", "l-shape", "comb", "gamma-square"])
 @pytest.mark.parametrize("h", [0.1, 0.03])
 def test_far_from_ring_matches_dense_distance(loop, h):
+    """With the nearest-vertex query _mesh_once makes, bounded at 4
+    spacings, the mask is the one every chord gives."""
     for spacing in _tried_spacings(h):
         ring, _ = loop.polyline(spacing)
         lattice = geometry._hex_lattice(ring.min(axis=0), ring.max(axis=0), spacing)[0]
-        dense = distance_to_segments(lattice, ring, np.roll(ring, -1, axis=0))
-        assert np.array_equal(far_from_ring(lattice, ring, 0.55 * spacing),
-                              dense >= 0.55 * spacing)
-
-
-@pytest.mark.parametrize("loop", [unit_disk_loop(), SQUARE, L_SHAPE, COMB, OFFSET_SQUARE],
-                         ids=["disk", "square", "l-shape", "comb", "gamma-square"])
-@pytest.mark.parametrize("h", [0.1, 0.03])
-def test_far_from_ring_takes_the_nearest_vertices_from_the_mesh_query(loop, h):
-    """_mesh_once hands far_from_ring the distances of its own query,
-    bounded at 4 spacings; the mask is the one far_from_ring finds alone."""
-    for spacing in _tried_spacings(h):
-        ring, _ = loop.polyline(spacing)
-        lattice = geometry._hex_lattice(ring.min(axis=0), ring.max(axis=0), spacing)[0]
-        lattice = lattice[points_in_polygon(lattice, ring)]
         tree = cKDTree(ring)
         near, _ = tree.query(lattice, distance_upper_bound=4.0 * spacing)
-        assert np.array_equal(far_from_ring(lattice, ring, 0.55 * spacing, (tree, near)),
-                              far_from_ring(lattice, ring, 0.55 * spacing))
+        dense = distance_to_segments(lattice, ring, np.roll(ring, -1, axis=0))
+        assert np.array_equal(far_from_ring(lattice, ring, 0.55 * spacing, tree, near),
+                              dense >= 0.55 * spacing)
 
 
 def test_distance_to_segments_pairs_take_the_nearest_listed_segment():
@@ -559,15 +547,14 @@ def test_mesh_size_from_the_edge_table_is_the_longest_triangle_side(name):
         dom = mesh_domain(loop, h * scale, gamma_arcs=gamma)
         sub, _ = dom.submesh(dom.vertices[0], 0.5 * scale)
         # mesh_domain and submesh hand their edge tables to the new mesh
-        for d in (dom, sub):
-            for a, b in zip(d._cache["edges"], geometry.edge_table(d.triangles)):
-                assert a.dtype == b.dtype and np.array_equal(a, b)
-        # a refined mesh has no table until its own refine builds one
-        fine, tabled = dom.refine()[0], sub.refine()[0]
-        tabled.refine()
-        assert "edges" not in fine._cache and "edges" in tabled._cache
-        for d in (dom, sub, fine, tabled):
+        assert "edges" in dom._cache and "edges" in sub._cache
+        # a refined mesh builds its table on first use
+        fine = dom.refine()[0]
+        assert "edges" not in fine._cache
+        for d in (dom, sub, fine):
             assert d.mesh_size() == _longest_triangle_side(d)
+            for a, b in zip(d.edges(), geometry.edge_table(d.triangles)):
+                assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
 @pytest.mark.parametrize("name", list(MESH_DOMAINS))

@@ -207,17 +207,17 @@ def test_overflowing_sum_is_infinite_and_modular_raises(n):
 
 def test_modular_unit_mass():
     u, p = atoms([1.0], [1.0], [2.0])
-    assert modular(u, p).value == 1.0
+    assert modular(u, p) == 1.0
 
 
 def test_modular_cube():
     u, p = atoms([2.0], [1.0], [3.0])
-    assert modular(u, p).value == 8.0
+    assert modular(u, p) == 8.0
 
 
 def test_modular_two_exponents():
     u, p = atoms([1.0, 1.0], [1.0, 1.0], [2.0, 4.0])
-    assert modular(u, p).value == 2.0
+    assert modular(u, p) == 2.0
 
 
 def test_modular_missing_gradient():
@@ -230,7 +230,7 @@ def test_sobolev_modular():
     pts = np.zeros((2, 2))
     g = np.array([[3.0, 4.0], [0.0, 0.0]])  # |grad| = 5, 0
     u = WeightedSamples(pts, [1.0, 1.0], [1.0, 2.0], g)
-    val = modular(u, np.array([2.0, 2.0]), kind="sobolev").value
+    val = modular(u, np.array([2.0, 2.0]), kind="sobolev")
     assert val == pytest.approx(1.0 + 4.0 + 25.0, rel=1e-15)
 
 
@@ -527,7 +527,7 @@ def test_norm_to_zero_implies_modular_to_zero():
     for k in range(16):
         uk = u.scaled(2.0**-k)
         norms.append(luxemburg_norm(uk, p))
-        mods.append(modular(uk, p).value)
+        mods.append(modular(uk, p))
     assert norms[-1] < 1e-3 and mods[-1] < 1e-4
     assert all(a > b for a, b in zip(mods, mods[1:]))
     assert all(a > b for a, b in zip(norms, norms[1:]))
@@ -535,7 +535,7 @@ def test_norm_to_zero_implies_modular_to_zero():
 
 def test_norm_to_infinity_implies_modular_to_infinity():
     u, p = atoms([3.0, -1.0, 2.0], [1.0, 0.5, 0.2], [1.5, 2.5, 3.5])
-    mods = [modular(u.scaled(2.0**k), p).value for k in range(8)]
+    mods = [modular(u.scaled(2.0**k), p) for k in range(8)]
     assert all(b > a for a, b in zip(mods, mods[1:]))
     assert mods[-1] > 1e6
 
@@ -556,7 +556,7 @@ def test_relations_large_norm_case():
     lam = luxemburg_norm(u, p)
     oracle = brentq_norm_oracle(u, p)
     assert lam == pytest.approx(oracle, rel=1e-11)
-    rho = modular(u, p).value
+    rho = modular(u, p)
     assert 4.0 <= rho <= 16.0
     assert rho ** (1 / 4) <= lam <= rho ** (1 / 2)
     checks = verify_norm_modular_relations(u, p)
@@ -567,7 +567,7 @@ def test_relations_small_norm_case():
     u, p = atoms([0.5, 0.5], [0.5, 0.5], [2.0, 4.0])
     lam = luxemburg_norm(u, p)
     assert lam == pytest.approx(brentq_norm_oracle(u, p), rel=1e-11)
-    rho = modular(u, p).value
+    rho = modular(u, p)
     assert lam ** 4.0 - 1e-12 <= rho <= lam ** 2.0 + 1e-12
     checks = verify_norm_modular_relations(u, p)
     assert all(c.passed for c in checks)
