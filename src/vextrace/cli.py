@@ -23,15 +23,15 @@ compactness s, r0 or K set out of range, C <= 0 or phi_n < 1, a solve
 radius ([solver] radii or --radii) that is not finite and > 0, --seed
 below 0 or --threads below 1, an exponent that is nan or infinite at a
 sample point, a domain whose boundary nodes all carry the zero
-condition, a malformed [domain], a local check off the critical set, a
-global check with a zero set, an expansion coefficient outside its
-hypothesis, a half-space constant outside 1 < p < N, an expand N,
-model, H, weight or eps the model domains cannot take (a disk needs
-H > 0, the flat model H = 0, the weight f0 + dtf0 t > 0), samples whose
-modular or norm overflows, a start whose trace vanishes, a local
-constant with no usable cap), reported in one line on stderr; 2 a
-violated verdict; 3 an indeterminate verdict or an expansion fit too
-unstable to give a slope.
+condition, a malformed [domain] (a zero-length segment, an arc over one
+turn, a loop without positive area), a local check off the critical set,
+a global check with a zero set, an expansion coefficient outside its
+hypothesis, a half-space constant outside 1 < p < N, an expand N, model,
+H, weight or eps the model domains cannot take (a disk needs H > 0, the
+flat model H = 0, the weight f0 + dtf0 t > 0), samples whose modular or
+norm overflows, a start whose trace vanishes), reported in one line on
+stderr; 2 a violated verdict; 3 an indeterminate verdict or an expansion
+fit too unstable to give a slope.
 """
 
 from __future__ import annotations

@@ -18,7 +18,7 @@ from .exponents import SupercriticalError, critical_gap, local_extremum_check
 from .geometry import GeometryError, distance_to_segments, fermi_chart
 from .halfspace import K_INV_REL, sharp_constant_inverse
 from .luxemburg import fixed_order_sum
-from .solver import CRIT_TOL, local_constant_schedule, sampled_exponent_bounds
+from .solver import CRIT_TOL, sampled_exponent_bounds
 
 __all__ = [
     "ConditionVerdict",
@@ -337,31 +337,22 @@ def existence_verdict(t_estimate, t_bar_estimate):
     )
 
 
-def localized_constant_estimate(problem, x0, max_iter=120):
-    """Localized-constant surrogate at a critical boundary point.
-
-    When the base point is a local minimum of p and a local maximum of r,
-    the localized constant equals the half-space constant K(2, p(x0))^-1,
-    taken in closed form with the relative bar K_INV_REL (method
-    "halfspace").  Otherwise falls back to the supremum of local solves on
-    a shrinking radius schedule, with the last increment as the error bar
-    (method "schedule").
+# max_iter is unread; kept while perfbench/workloads.py passes it
+def localized_constant_estimate(problem, x0, max_iter=None):
+    """The half-space constant K(2, p(x0))^-1 at a critical boundary point,
+    with method "halfspace".  Concentrating the half-space extremal at x0
+    gives T_bar_x0 <= K^-1, with equality when x0 is a local minimum of p
+    and a local maximum of r (both sampled within 10 mesh sizes); then the
+    bar is the closed form's relative K_INV_REL, else K^-1 is an upper
+    bound only and the bar is infinite.
     """
-    domain = problem.domain
     p, r = problem.p_field, problem.r_field
     x0 = np.asarray(x0, float)
     p_min_ok, _, r_max_ok, _ = _extremum_gates(
         p, r, x0, 10 * problem.mesh_h, problem.quad_points, problem.bquad_points
     )
-    if p_min_ok and r_max_ok:
-        k_inv = sharp_constant_inverse(2, float(p.eval_at(x0)))
-        return Estimate(k_inv, K_INV_REL * k_inv), "halfspace"
-    base = 0.4 * math.sqrt(domain.volume())
-    radii = [base / 2.0, base / 4.0, base / 8.0]
-    sched = local_constant_schedule(problem, x0, radii, max_iter=max_iter)
-    vals = [t for _, t in sched]
-    err = abs(vals[-1] - vals[-2]) if len(vals) >= 2 else 0.1 * vals[-1]
-    return Estimate(vals[-1], err), "schedule"
+    k_inv = sharp_constant_inverse(2, float(p.eval_at(x0)))
+    return Estimate(k_inv, K_INV_REL * k_inv if p_min_ok and r_max_ok else math.inf), "halfspace"
 
 
 def critical_corners(problem):
@@ -389,26 +380,24 @@ def smallest_localized_constant(problem):
 
     The infimum is taken over at most MAX_SAMPLED evenly strided boundary
     quadrature points in the critical set (a sampled check, flagged as such
-    in the result).  When the critical set holds a convex corner
+    in the result).  It gets an infinite error bar, so that no verdict
+    against it is decided, when any sampled estimate is known only from
+    above, or when the critical set holds a convex corner
     (critical_corners), whose localized constant is below the smooth
-    points' by an amount not computed, the estimate gets an infinite error
-    bar, so no verdict against it is decided, and the provenance lists the
-    corners under "critical_corners".
+    points' by an amount not computed; the provenance lists such corners
+    under "critical_corners".
     """
     pts = problem.critical_points
     if len(pts) == 0:
         raise NotCritical("no critical boundary quadrature points")
     pts = pts[::math.ceil(len(pts) / MAX_SAMPLED)]
-    best = None
-    for x in pts:
-        est, method = localized_constant_estimate(problem, x)
-        if best is None or est.value < best[0].value:
-            best = (est, method, (float(x[0]), float(x[1])))
-    est, method, loc = best
-    prov = {"method": method, "argmin": list(loc), "sampled_check": True,
+    sampled = [(x, *localized_constant_estimate(problem, x)) for x in pts]
+    x, est, method = min(sampled, key=lambda s: s[1].value)
+    prov = {"method": method, "argmin": [float(x[0]), float(x[1])], "sampled_check": True,
             "n_sampled": int(len(pts))}
     corners = critical_corners(problem)
     if corners:
-        est = Estimate(est.value, math.inf)
         prov["critical_corners"] = corners
+    if corners or any(math.isinf(e.error) for _, e, _ in sampled):
+        est = Estimate(est.value, math.inf)
     return est, prov

@@ -72,6 +72,10 @@ class Segment:
     start: tuple
     end: tuple
 
+    def __post_init__(self):
+        if not self.length > 0:
+            raise GeometryError(f"segment from {self.start} to {self.end} has zero length")
+
     @property
     def length(self):
         return float(np.hypot(self.end[0] - self.start[0], self.end[1] - self.start[1]))
@@ -100,13 +104,13 @@ class CircularArc:
     center: tuple
     radius: float
     angle_start: float
-    angle_end: float  # traversed from angle_start to angle_end (can exceed 2 pi)
+    angle_end: float  # traversed from angle_start to angle_end, at most one turn
 
     def __post_init__(self):
         if self.radius <= 0:
             raise GeometryError("arc radius must be positive")
-        if self.angle_end == self.angle_start:
-            raise GeometryError("empty arc")
+        if not 0.0 < abs(self.angle_end - self.angle_start) < 2.0 * math.pi + 1e-12:
+            raise GeometryError("an arc must sweep more than 0 and at most one full turn")
 
     @property
     def length(self):
@@ -191,11 +195,18 @@ class BoundaryLoop:
         return out
 
     def signed_area(self):
-        """Shoelace area of the ring at spacing an eighth of the shortest arc,
-        positive for a counterclockwise loop."""
-        ring, _ = self.polyline(min(a.length for a in self.arcs) / 8.0)
-        x, y = ring[:, 0], ring[:, 1]
-        return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
+        """Enclosed area, positive for a counterclockwise loop: half the sum
+        over the pieces of the integral of x dy - y dx, a shoelace term per
+        segment and its closed form per arc."""
+        terms = []
+        for a in self.arcs:
+            if isinstance(a, Segment):
+                terms.append(a.start[0] * a.end[1] - a.end[0] * a.start[1])
+            else:
+                (cx, cy), rad, a0, a1 = a.center, a.radius, a.angle_start, a.angle_end
+                terms.append(rad * (rad * (a1 - a0) + cx * (math.sin(a1) - math.sin(a0))
+                                    - cy * (math.cos(a1) - math.cos(a0))))
+        return 0.5 * math.fsum(terms)
 
 def unit_disk_loop(radius=1.0, center=(0.0, 0.0)):
     return BoundaryLoop((CircularArc(center, radius, 0.0, 2.0 * math.pi),))
@@ -576,8 +587,8 @@ def mesh_domain(loop, target_h, gamma_arcs=()):
     """
     if not (math.isfinite(target_h) and target_h > 0):
         raise ValueError("target_h must be positive")
-    if loop.signed_area() < 0:
-        raise GeometryError("boundary loop must be counterclockwise")
+    if not loop.signed_area() > 0:
+        raise GeometryError("boundary loop must be counterclockwise around a positive area")
     gamma_arcs = set(int(i) for i in gamma_arcs)
     for i in gamma_arcs:
         if i < 0 or i >= len(loop.arcs):

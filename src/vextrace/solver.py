@@ -36,7 +36,6 @@ __all__ = [
     "solve_problem",
     "concentration_diagnostic",
     "monotonicity_check",
-    "local_constant_schedule",
     "bubble_init",
     "sampled_exponent_bounds",
 ]
@@ -512,6 +511,7 @@ def local_constant_schedule(problem, x0, radii, max_iter=200):
     The schedule stops at the first cap without a free boundary node: the
     constant start vanishes on its whole boundary, and smaller caps are
     no better.  Raises ZeroTrace when not even the largest cap is usable.
+    No program path calls it; kept while perfbench/tracing.py wraps it.
     """
     out = []
     for r in sorted(radii, reverse=True):

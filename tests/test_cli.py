@@ -219,6 +219,8 @@ HUGE_PAIR_CSV = open(f"{REPO}/configs/golden_pair.csv").read().replace(",1.0,1.0
 
 EXPAND_EPS = "0.08 0.056 0.04 0.028 0.02 0.014 0.01 0.007 0.005 0.0035"
 CHECKS = "checks = global local existence"
+DISK_ARC = "arc = 0 0 1 0 6.283185307179586"
+SQUARE = "segment = 0 0 1 0\nsegment = 1 0 1 1\nsegment = 1 1 0 1\nsegment = 0 1 0 0"
 COMPACT_CHECKS = "checks = global existence compactness"
 
 # a unit square whose only piece without the zero condition is one short
@@ -370,6 +372,24 @@ def _edited(name, *edits):
          "conditions", 1, "config error: [conditions] checks: must name one or more of"),
         (_edited("disk_critical.cfg", (CHECKS, "checks = global bogus")),
          "conditions", 1, "config error: [conditions] checks: must name one or more of"),
+        (_edited("square_gamma.cfg", ("segment = 1 0 1 1",
+                                      "segment = 1 0 1 0\nsegment = 1 0 1 1")),
+         "solve", 1, "input error: GeometryError: segment from (1.0, 0.0) to (1.0, 0.0) has zero"),
+        (_edited("disk_subcritical.cfg", (DISK_ARC, "arc = 0 0 1 0 12.566370614359172")),
+         "solve", 1, "input error: GeometryError: an arc must sweep more than 0 and at most one"),
+        (_edited("square_gamma.cfg", (SQUARE, "segment = 0 0 1 0\nsegment = 1 0 0 0"),
+                 ("gamma = 3", "gamma =")),
+         "solve", 1, "input error: GeometryError: boundary loop must be counterclockwise around"),
+        (_edited("square_gamma.cfg", (SQUARE, "segment = 0 0 1 1\nsegment = 1 1 2 2\n"
+                                              "segment = 2 2 0 0"), ("gamma = 3", "gamma =")),
+         "solve", 1, "input error: GeometryError: boundary loop must be counterclockwise around"),
+        (_edited("disk_subcritical.cfg", (DISK_ARC, "arc = 0 0 1e-300 0 6.283185307179586"),
+                 ("h = 0.1", "h = 1e-300")),
+         "solve", 1, "input error: GeometryError: boundary loop must be counterclockwise around"),
+        (_edited("square_gamma.cfg", ("segment = 0 1 0 0", "segment = 0 1 0 1e-13\n"
+                                                         "segment = 0 1e-13 0 0"),
+                 ("gamma = 3", "gamma =")),
+         "solve", 1, "input error: GeometryError: could not reach the requested mesh size"),
     ],
     ids=["not-critical", "gamma-not-empty", "hypothesis", "geometry", "fit-unstable",
          "norm-bad-p-expr", "h-nan", "max-iter-inf", "truncation-R-inf",
@@ -388,7 +408,8 @@ def _edited(name, *edits):
          "domain-segment-inf", "p-nan-solve", "p-nan-conditions", "r-nan-solve", "norm-p-nan",
          "p-minus-inf-solve", "unknown-section-condition", "unknown-section-solvr",
          "unknown-key-max-iters", "segment-under-solver", "n-random-negative",
-         "checks-empty", "checks-unknown"],
+         "checks-empty", "checks-unknown", "segment-zero-length", "arc-two-turns",
+         "loop-digon", "loop-collinear", "disk-area-underflow", "square-sliver-side"],
 )
 def test_domain_errors_are_one_line_with_exit_code(tmp_path, text, command, code, message):
     (tmp_path / "huge_pair.csv").write_text(HUGE_PAIR_CSV)
@@ -410,6 +431,13 @@ def _reject_constant(name):
 
 # the compact regime: no critical point, so T_bar and the margins are infinite
 COMPACT = _edited("disk_compact.cfg")
+# the whole boundary is critical, and p = 1.5 + 0.1 x1 is not locally minimal
+# at most of it, so K(2, p)^-1 is an upper bound only and T_bar's bar infinite
+VARIABLE_CRITICAL = _edited(
+    "disk_critical.cfg", ("p_expr = 1.5", "p_expr = 1.5 + 0.1*x1"),
+    ("r_expr = 3", "r_expr = (1.5 + 0.1*x1)/(2 - (1.5 + 0.1*x1))"),
+    (CHECKS, "checks = global existence"),
+)
 # p has a local max along the bottom edge at x0, so the local gates fail
 LOCAL_GATE_FAILS = """[domain]
 segment = 0 0 1 0
@@ -446,10 +474,11 @@ x0 = 0.5 0.0
         (None, ["--config", "configs/expand_disk.cfg", "expand"], 0),
         (COMPACT, ["conditions"], 0),
         (LOCAL_GATE_FAILS, ["conditions"], 2),
+        (VARIABLE_CRITICAL, ["conditions"], 3),
     ],
     ids=["norm", "constants-2-1.5", "constants-3-2", "solve-subcritical", "solve-square",
          "solve-subcritical-multistart", "solve-square-multistart", "conditions", "expand",
-         "conditions-compact", "conditions-local-gates-fail"],
+         "conditions-compact", "conditions-local-gates-fail", "conditions-variable-critical"],
 )
 def test_stdout_is_strict_json(tmp_path, text, argv, code):
     # NaN and Infinity are not JSON: a non-finite float is written as null
@@ -471,6 +500,9 @@ def test_stdout_is_strict_json(tmp_path, text, argv, code):
         (v,) = payload["verdicts"]
         assert v["satisfied"] is False and v["margin"] is None
         assert payload["t_bar"] is None
+    if text is VARIABLE_CRITICAL:
+        assert payload["t_bar"]["method"] == "halfspace" and payload["t_bar"]["error"] is None
+        assert [v["satisfied"] for v in payload["verdicts"]] == [None, None]
 
 
 @pytest.mark.parametrize(

@@ -3,7 +3,9 @@ import pathlib
 
 import numpy as np
 import pytest
+from scipy import optimize
 
+from vextrace import conditions, solver
 from vextrace.conditions import (
     ConditionVerdict,
     Estimate,
@@ -22,7 +24,14 @@ from vextrace.conditions import (
 )
 from vextrace.config import ProblemConfig
 from vextrace.exponents import ExponentField, SupercriticalError
-from vextrace.geometry import BoundaryLoop, CircularArc, mesh_domain, polygon_loop, unit_disk_loop
+from vextrace.geometry import (
+    BoundaryLoop,
+    CircularArc,
+    PlanarDomain,
+    mesh_domain,
+    polygon_loop,
+    unit_disk_loop,
+)
 from vextrace.halfspace import K_INV_REL, sharp_constant_inverse, sharp_constant_quadrature
 from vextrace.solver import DiscreteTraceProblem, ZeroTrace, local_constant_schedule
 
@@ -303,17 +312,51 @@ def test_localized_constant_halfspace_route():
     assert 0 < est.error <= K_INV_REL * est.value
 
 
-def test_localized_constant_schedule_fallback():
-    # p has a local max at x0 (min gate fails), so the radius schedule
-    # takes over; r tracks the critical exponent so x0 stays critical
-    dom = mesh_domain(unit_disk_loop(), 0.15)
+def _peaked_problem(dom):
+    # p has a local max at (1, 0); r tracks the critical exponent
     p_expr = "1.5 - 0.05*((x1 - 1)^2 + x2^2)"
     p = ExponentField.from_text(p_expr, 2)
-    r = ExponentField.from_text(f"({p_expr})/(2 - ({p_expr}))", 2)
-    prob = DiscreteTraceProblem(dom, p, r)
+    return DiscreteTraceProblem(dom, p, ExponentField.from_text(f"({p_expr})/(2 - ({p_expr}))", 2))
+
+
+def test_localized_constant_schedule_fallback():
+    # p has a local max at x0 (min gate fails), so K(2, p(x0))^-1 is only an
+    # upper bound on the localized constant: the bar is infinite; r tracks
+    # the critical exponent so x0 stays critical
+    prob = _peaked_problem(mesh_domain(unit_disk_loop(), 0.15))
     est, method = localized_constant_estimate(prob, (1.0, 0.0), max_iter=50)
-    assert method == "schedule"
-    assert est.value > 0 and est.error >= 0
+    assert method == "halfspace"
+    assert est.value == sharp_constant_inverse(2, 1.5) and est.error == math.inf
+
+
+def test_localized_constant_estimate_runs_no_descent(monkeypatch):
+    # neither route solves anything: no descent and no cap
+    calls = []
+    monkeypatch.setattr(solver, "minimize", lambda *a, **k: calls.append("minimize"))
+    monkeypatch.setattr(optimize, "minimize", lambda *a, **k: calls.append("scipy minimize"))
+    monkeypatch.setattr(PlanarDomain, "submesh", lambda *a, **k: calls.append("submesh"))
+    dom = mesh_domain(unit_disk_loop(), 0.15)
+    for prob in (DiscreteTraceProblem(dom, P15, R3), _peaked_problem(dom)):
+        localized_constant_estimate(prob, (1.0, 0.0))
+        smallest_localized_constant(prob)
+    assert calls == []
+
+
+def test_one_upper_bound_only_estimate_leaves_the_infimum_unbounded(monkeypatch):
+    # the smallest sampled value has a finite bar, another point's estimate
+    # is known only from above: the infimum may lie below both
+    prob = DiscreteTraceProblem(mesh_domain(unit_disk_loop(), 0.2), P15, R3)
+    first = tuple(prob.critical_points[0])
+
+    def estimate(problem, x0):
+        if tuple(x0) == first:
+            return Estimate(1.0, 1e-15), "halfspace"
+        return Estimate(2.0, math.inf), "halfspace"
+
+    monkeypatch.setattr(conditions, "localized_constant_estimate", estimate)
+    t_bar, prov = smallest_localized_constant(prob)
+    assert t_bar == Estimate(1.0, math.inf)
+    assert prov["argmin"] == list(first) and "critical_corners" not in prov
 
 
 def test_localized_constant_schedule_stops_at_cap_without_free_boundary():
@@ -329,16 +372,10 @@ def test_localized_constant_schedule_stops_at_cap_without_free_boundary():
     radii = (base / 2.0, base / 4.0, base / 8.0)
     sched = local_constant_schedule(prob, x0, radii, max_iter=10)
     assert [rad for rad, _ in sched] == [base / 2.0, base / 4.0]
-    est, method = localized_constant_estimate(prob, x0, max_iter=10)
-    assert method == "schedule"
-    assert est.value == sched[-1][1]
-    assert est.error == abs(sched[1][1] - sched[0][1])
     with pytest.raises(ZeroTrace, match="free boundary node"):
         local_constant_schedule(prob, x0, radii[2:], max_iter=10)
 
 
-@pytest.mark.xfail(strict=True, reason="the radius schedule's smallest caps hold a few "
-                   "elements, so the schedule measures mesh error, not rho -> 0")
 def test_schedule_estimate_respects_the_half_space_bound():
     # concentrating the half-space extremal at a smooth critical x0 gives
     # T_bar_x0 <= K(2, p(x0))^-1, so no estimate may put its low end above
@@ -348,7 +385,6 @@ def test_schedule_estimate_respects_the_half_space_bound():
     pts = prob.critical_points
     x0 = pts[np.argmin(np.linalg.norm(pts - (0.986, -0.163), axis=1))]
     est, method = localized_constant_estimate(prob, x0)
-    assert method == "schedule"
     assert est.low <= sharp_constant_inverse(2, float(prob.p_field.eval_at(x0)))
 
 

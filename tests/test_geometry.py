@@ -116,6 +116,46 @@ def test_gamma_whole_boundary_rejected():
         mesh_domain(SQUARE, 0.5, gamma_arcs=(0, 1, 2, 3))
 
 
+def test_signed_area_is_exact_per_piece():
+    assert SQUARE.signed_area() == 1.0
+    assert L_SHAPE.signed_area() == 3.0
+    assert COMB.signed_area() == 4.5
+    assert polygon_loop([(0, 0), (0, 1), (1, 1), (1, 0)]).signed_area() == -1.0
+    disk = unit_disk_loop(2.0, (1.0, -3.0))
+    assert disk.signed_area() == pytest.approx(4.0 * math.pi, rel=1e-15)
+    clockwise = BoundaryLoop((CircularArc((0.5, 0.5), 1.0, 2.0 * math.pi, 0.0),))
+    assert clockwise.signed_area() == pytest.approx(-math.pi, rel=1e-15)
+    # the upper half disk: the arc from angle 0 to pi, then the diameter back
+    half = BoundaryLoop((CircularArc((0.0, 0.0), 1.0, 0.0, math.pi),
+                         Segment((-1.0, 0.0), (1.0, 0.0))))
+    assert half.signed_area() == pytest.approx(math.pi / 2.0, rel=1e-15)
+    # a 1e-13 side is one exact term, not a ring of 8e13 points
+    sliver = polygon_loop([(0, 0), (1, 0), (1, 1), (0, 1), (0, 1e-13)])
+    assert sliver.signed_area() == 1.0
+
+
+def test_degenerate_pieces_are_refused():
+    with pytest.raises(GeometryError, match="zero length"):
+        Segment((1.0, 0.0), (1.0, 0.0))
+    with pytest.raises(GeometryError, match="at most one full turn"):
+        CircularArc((0.0, 0.0), 1.0, 0.0, 4.0 * math.pi)
+    with pytest.raises(GeometryError, match="at most one full turn"):
+        CircularArc((0.0, 0.0), 1.0, 0.0, -2.0 * math.pi - 1e-9)
+    with pytest.raises(GeometryError, match="more than 0"):
+        CircularArc((0.0, 0.0), 1.0, 1.0, 1.0)
+    assert CircularArc((0.0, 0.0), 1.0, 1.0, 1.0 + 2.0 * math.pi).is_full_circle
+
+
+@pytest.mark.parametrize("loop", [
+    polygon_loop([(0, 0), (1, 0)]),
+    polygon_loop([(0, 0), (1, 1), (2, 2)]),
+    unit_disk_loop(1e-300),
+], ids=["digon", "collinear", "disk-area-underflow"])
+def test_loops_without_area_are_refused(loop):
+    with pytest.raises(GeometryError, match="around a positive area"):
+        mesh_domain(loop, 0.2)
+
+
 @pytest.mark.parametrize("h", [0.0, -0.1, math.nan, math.inf, -math.inf])
 def test_mesh_size_must_be_positive_and_finite(h):
     with pytest.raises(ValueError, match="target_h must be positive"):
