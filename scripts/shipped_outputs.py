@@ -51,6 +51,7 @@ RUNS = {
     "expand-flat": ["--config", "configs/expand_flat.cfg", "expand"],
     "constants-halfspace": ["--config", "configs/halfspace.cfg", "constants"],
     "conditions-disk_compact": ["--config", "configs/disk_compact.cfg", "conditions"],
+    "conditions-lshape_critical": ["--config", "configs/lshape_critical.cfg", "conditions"],
     "solve-disk_subcritical-flags":
         ["--config", "configs/disk_subcritical.cfg", "solve", "--init", "bubble 1 0 0.3",
          "--max-iter", "40", "--tol", "1e-7", "--radii", "0.2,0.6"],

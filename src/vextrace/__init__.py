@@ -14,7 +14,6 @@ from .exponents import (  # noqa: F401
     ExponentField,
     local_extremum_check,
     parse_exponent,
-    trace_critical,
 )
 from .luxemburg import (  # noqa: F401
     WeightedSamples,

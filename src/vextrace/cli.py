@@ -24,9 +24,11 @@ radius ([solver] radii or --radii) that is not finite and > 0, --seed
 below 0 or --threads below 1, an exponent that is nan or infinite at a
 sample point, a domain whose boundary nodes all carry the zero
 condition, a malformed [domain] (a zero-length segment, an arc over one
-turn, a loop without positive area), a local check off the critical set,
+turn, a loop without positive area) or one no meshing try triangulates
+(named by the last try's cause), a local check off the critical set,
 a global check with a zero set, an expansion coefficient outside its
-hypothesis, a half-space constant outside 1 < p < N, an expand N, model,
+hypothesis, a half-space constant outside 1 < p < N or whose integrals
+leave the float range, an expand N, model,
 H, weight or eps the model domains cannot take (a disk needs H > 0, the
 flat model H = 0, the weight f0 + dtf0 t > 0), samples whose modular or
 norm overflows, a start whose trace vanishes), reported in one line on
@@ -270,14 +272,8 @@ def cmd_conditions(args):
 
     t_bar = t_bar_report = None
     if any(c in ("global", "existence") for c in cond["checks"]):
-        if len(problem.critical_points):
-            t_bar, prov = smallest_localized_constant(problem)
-        else:  # compact regime: no critical points
-            t_bar = Estimate(float("inf"), 0.0)
-            prov = {"method": "no_critical_points", "argmin": None, "n_sampled": 0}
-        t_bar_report = {"value": t_bar.value, "error": t_bar.error,
-                        **{k: prov[k] for k in ("method", "argmin", "n_sampled",
-                                                "critical_corners") if k in prov}}
+        t_bar, prov = smallest_localized_constant(problem)
+        t_bar_report = {"value": t_bar.value, "error": t_bar.error, **prov}
 
     for check in cond["checks"]:
         if check == "global":

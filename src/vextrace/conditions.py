@@ -241,15 +241,9 @@ def global_condition(domain, p, r, t_bar):
     per = domain.boundary_length()
     p_bounds, r_bounds = sampled_exponent_bounds(domain, p, r)
     lhs = global_lhs_closed_form(vol, per, p_bounds, r_bounds)
-    if lhs < t_bar.low:
-        sat = True
-    elif lhs > t_bar.high:
-        sat = False
-    else:
-        sat = None
     return ConditionVerdict(
         name="global_small_domain",
-        satisfied=sat,
+        satisfied=_strict_gap(Estimate(lhs), t_bar),
         lhs=lhs,
         rhs=t_bar.value,
         margin=t_bar.value - lhs,
@@ -314,18 +308,20 @@ def local_condition(domain, p, r, x0):
     )
 
 
+def _strict_gap(a, b):
+    """a < b for two Estimates: True or False where the bars decide it, else None."""
+    if a.high < b.low:
+        return True
+    if a.low > b.high:
+        return False
+    return None
+
+
 def existence_verdict(t_estimate, t_bar_estimate):
     """Strict-gap test T < T_bar with both error bars; numerical evidence only."""
-    sat: bool | None
-    if t_estimate.high < t_bar_estimate.low:
-        sat = True
-    elif t_estimate.low > t_bar_estimate.high:
-        sat = False
-    else:
-        sat = None
     return ConditionVerdict(
         name="existence_strict_gap",
-        satisfied=sat,
+        satisfied=_strict_gap(t_estimate, t_bar_estimate),
         lhs=t_estimate.value,
         rhs=t_bar_estimate.value,
         margin=t_bar_estimate.value - t_estimate.value,
@@ -376,25 +372,25 @@ def critical_corners(problem):
 
 
 def smallest_localized_constant(problem):
-    """Infimum of the localized constants over sampled critical points.
+    """T_bar, the infimum of the localized constants over sampled critical
+    points, as (Estimate, the conditions report's provenance keys).
 
     The infimum is taken over at most MAX_SAMPLED evenly strided boundary
-    quadrature points in the critical set (a sampled check, flagged as such
-    in the result).  It gets an infinite error bar, so that no verdict
-    against it is decided, when any sampled estimate is known only from
-    above, or when the critical set holds a convex corner
-    (critical_corners), whose localized constant is below the smooth
-    points' by an amount not computed; the provenance lists such corners
-    under "critical_corners".
+    quadrature points in the critical set; over none (the compact regime)
+    it is +inf, known exactly.  It gets an infinite error bar, so that no
+    verdict against it is decided, when any sampled estimate is known only
+    from above, or when the critical set holds a convex corner
+    (critical_corners, listed in the provenance), whose localized constant
+    is below the smooth points' by an amount not computed.
     """
     pts = problem.critical_points
     if len(pts) == 0:
-        raise NotCritical("no critical boundary quadrature points")
+        return Estimate(math.inf, 0.0), {"method": "no_critical_points", "argmin": None,
+                                         "n_sampled": 0}
     pts = pts[::math.ceil(len(pts) / MAX_SAMPLED)]
     sampled = [(x, *localized_constant_estimate(problem, x)) for x in pts]
     x, est, method = min(sampled, key=lambda s: s[1].value)
-    prov = {"method": method, "argmin": [float(x[0]), float(x[1])], "sampled_check": True,
-            "n_sampled": int(len(pts))}
+    prov = {"method": method, "argmin": [float(x[0]), float(x[1])], "n_sampled": int(len(pts))}
     corners = critical_corners(problem)
     if corners:
         prov["critical_corners"] = corners

@@ -30,7 +30,6 @@ __all__ = [
     "DimensionError",
     "SupercriticalError",
     "parse_exponent",
-    "trace_critical",
     "critical_gap",
     "local_extremum_check",
     "log_holder_probe",
@@ -247,28 +246,21 @@ class ExponentField:
             return self.expr(_Dual(pts, seeds)).tangent.T
 
 
-def trace_critical(p):
-    """Critical trace exponent field (N-1)p/(N-p); it holds where p < N."""
-    n = p.ambient_dimension
-
-    def expr(pts):
-        v = p.expr(pts)
-        return (_full(pts, float(n - 1)) * v) / (_full(pts, float(n)) - v)
-
-    return ExponentField(expr, n)
-
-
 def critical_gap(p, r, points):
-    """Trace-exponent gap p_*(x) - r(x) at points; <= 0 marks critical points.
+    """Gap p_*(x) - r(x) at points, p_* = (N-1)p/(N-p) the critical trace
+    exponent; <= 0 marks critical points.
 
     Raises SupercriticalError if p >= N at any of the points.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     n = p.ambient_dimension
-    hi = float(np.max(p(pts), initial=-math.inf))
+    v = p(pts)
+    hi = float(np.max(v, initial=-math.inf))
     if hi >= n:
         raise SupercriticalError(f"sup p = {hi} >= N = {n}")
-    return np.asarray(trace_critical(p)(pts), float) - np.asarray(r(pts), float)
+    # nan and inf values are the caller's to judge, without a warning
+    with np.errstate(all="ignore"):
+        return (n - 1.0) * v / (n - v) - r(pts)
 
 
 def local_extremum_check(field_, x0, kind, points):

@@ -598,14 +598,18 @@ def mesh_domain(loop, target_h, gamma_arcs=()):
 
     # 0.62 * 0.8 rather than 0.496 keeps the spacings' last bits
     spacing = 0.62 * target_h
+    dom = None
     for _ in range(3):
         spacing *= 0.8
         try:
             dom = _mesh_once(loop, spacing, gamma_arcs)
-        except GeometryError:
+        except GeometryError as err:
+            failure = err
             continue
         if dom.mesh_size() <= target_h:
             return dom
+    if dom is None:  # no try gave a mesh: the last one's cause, not the size
+        raise failure
     raise GeometryError("could not reach the requested mesh size")
 
 

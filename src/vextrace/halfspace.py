@@ -19,6 +19,7 @@ the expansion coefficients.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -90,6 +91,15 @@ def trace_exponent(n, p):
 def _check_range(n, p):
     if not (1.0 < p < n):
         raise DomainError(f"need 1 < p < N, got p={p}, N={n}")
+
+
+@contextmanager
+def _float_range(n, p):
+    """Gamma((N-1)/2) overflowing, or integrals underflowed to 0, as a DomainError."""
+    try:
+        yield
+    except (OverflowError, ZeroDivisionError):
+        raise DomainError(f"half-space integrals at N={n}, p={p} leave the float range") from None
 
 
 @dataclass(frozen=True)
@@ -240,11 +250,12 @@ def extremal_quotient(profile):
     n, p, lam = profile.N, profile.p, profile.lam
     alpha = profile.alpha
     p_star = trace_exponent(n, p)
-    grad_val, _ = extremal_gradient_integral(n, p)
-    bnd_val, _ = extremal_boundary_integral(n, p)
-    grad_scaled = lam ** (-alpha) * grad_val
-    bnd_scaled = lam ** (-(n - 1.0) / (p - 1.0)) * bnd_val
-    estimate = grad_scaled ** (1.0 / p) / bnd_scaled ** (1.0 / p_star)
+    with _float_range(n, p):
+        grad_val, _ = extremal_gradient_integral(n, p)
+        bnd_val, _ = extremal_boundary_integral(n, p)
+        grad_scaled = lam ** (-alpha) * grad_val
+        bnd_scaled = lam ** (-(n - 1.0) / (p - 1.0)) * bnd_val
+        estimate = grad_scaled ** (1.0 / p) / bnd_scaled ** (1.0 / p_star)
     return estimate, 0.0
 
 
@@ -343,7 +354,8 @@ def expansion_coefficients(
         return _interior_integral(n, p, name)
 
     # boundary pieces
-    omega = sphere_area(n - 2)
+    with _float_range(n, p):
+        omega = sphere_area(n - 2)
     alpha = decay_rate(n, p)
     a0 = f0 * omega * boundary_power_integral(n - 2, alpha * p_star)
 

@@ -6,7 +6,8 @@ import sys
 
 import pytest
 
-from vextrace.cli import build_parser
+from vextrace.cli import _null_non_finite, build_parser
+from vextrace.conditions import smallest_localized_constant
 from vextrace.config import FLAGS, SETTINGS, ConfigError, ProblemConfig
 
 REPO = __file__.rsplit("/tests/", 1)[0]
@@ -176,6 +177,34 @@ def test_conditions_at_critical_convex_corners_are_indeterminate(tmp_path):
     corners = t_bar["critical_corners"]
     assert sorted(tuple(c["point"]) for c in corners) == [(0, 0), (0, 2), (1, 2), (2, 0), (2, 1)]
     assert all(c["angle"] == pytest.approx(math.pi / 2, rel=1e-12) for c in corners)
+
+
+@pytest.mark.parametrize("name", ["disk_critical", "disk_compact", "lshape_critical"])
+def test_conditions_t_bar_is_smallest_localized_constant(name):
+    # the report's t_bar is the owner's (value, error, **provenance) as is,
+    # the compact regime's +inf and the corners' infinite bar included
+    res = run_cli("--config", f"configs/{name}.cfg", "conditions")
+    assert res.returncode in (0, 3), res.stderr
+    problem = ProblemConfig.from_path(f"{REPO}/configs/{name}.cfg").build_problem()
+    t_bar, prov = smallest_localized_constant(problem)
+    want = _null_non_finite({"value": t_bar.value, "error": t_bar.error, **prov})
+    assert json.loads(res.stdout)["t_bar"] == json.loads(json.dumps(want))
+
+
+def test_shipped_lshape_critical_reports_its_corners():
+    # the shipped L-shape reaches T_bar's infinite-bar report: K(2, 1.5)^-1
+    # with a null error, five right-angle corners, and both checks
+    # indeterminate although their lhs clear K^-1 by far
+    res = run_cli("--config", "configs/lshape_critical.cfg", "conditions")
+    assert res.returncode == 3, res.stderr + res.stdout
+    payload = json.loads(res.stdout)
+    t_bar = payload["t_bar"]
+    assert t_bar["value"] == 1.2599210498948732 and t_bar["error"] is None
+    assert t_bar["method"] == "halfspace" and len(t_bar["critical_corners"]) == 5
+    by_name = {v["name"]: v for v in payload["verdicts"]}
+    assert by_name["global_small_domain"]["lhs"] == pytest.approx(1.040041911525952, rel=1e-12)
+    assert by_name["existence_strict_gap"]["lhs"] == pytest.approx(1.0271439431382814, rel=1e-6)
+    assert [v["satisfied"] for v in payload["verdicts"]] == [None, None]
 
 
 def test_expand_subcommand(tmp_path):
@@ -389,7 +418,9 @@ def _edited(name, *edits):
         (_edited("square_gamma.cfg", ("segment = 0 1 0 0", "segment = 0 1 0 1e-13\n"
                                                          "segment = 0 1e-13 0 0"),
                  ("gamma = 3", "gamma =")),
-         "solve", 1, "input error: GeometryError: could not reach the requested mesh size"),
+         "solve", 1, "input error: GeometryError: boundary recovery failed; refine or simplify"),
+        (_edited("expand_disk.cfg", ("N = 2", "N = 400")), "expand", 1,
+         "input error: DomainError: half-space integrals at N=400, p=1.3 leave the float"),
     ],
     ids=["not-critical", "gamma-not-empty", "hypothesis", "geometry", "fit-unstable",
          "norm-bad-p-expr", "h-nan", "max-iter-inf", "truncation-R-inf",
@@ -409,7 +440,8 @@ def _edited(name, *edits):
          "p-minus-inf-solve", "unknown-section-condition", "unknown-section-solvr",
          "unknown-key-max-iters", "segment-under-solver", "n-random-negative",
          "checks-empty", "checks-unknown", "segment-zero-length", "arc-two-turns",
-         "loop-digon", "loop-collinear", "disk-area-underflow", "square-sliver-side"],
+         "loop-digon", "loop-collinear", "disk-area-underflow", "square-sliver-side",
+         "expand-N-400"],
 )
 def test_domain_errors_are_one_line_with_exit_code(tmp_path, text, command, code, message):
     (tmp_path / "huge_pair.csv").write_text(HUGE_PAIR_CSV)
@@ -544,12 +576,19 @@ def test_stdout_is_strict_json(tmp_path, text, argv, code):
          "config error: ", "--seed must be >= 0"),
         (["--seed", "-1", "--config", "configs/disk_critical.cfg", "conditions"],
          "config error: ", "--seed must be >= 0"),
+        (["constants", "--N", "320", "--p", "1.5"], "input error: ",
+         "DomainError: half-space integrals at N=320, p=1.5 leave the float range"),
+        (["constants", "--N", "200", "--p", "1.01"], "input error: ",
+         "DomainError: half-space integrals at N=200, p=1.01 leave the float range"),
+        (["constants", "--N", "400", "--p", "1.5"], "input error: ",
+         "DomainError: half-space integrals at N=400, p=1.5 leave the float range"),
     ],
     ids=["constants-p-above-N", "solve-bad-radii", "truncation-R-inf", "p-nan", "H-minus-inf",
          "tol-nan", "tol-zero", "max-iter-zero", "tol-negative-exponent", "H-space-minus-inf",
          "init-bubble-lam-negative", "init-bubble-nan", "truncation-R-negative", "radii-nan-inf",
          "radii-not-positive", "init-bubble-zero-trace", "threads-zero", "seed-negative-solve",
-         "seed-negative-conditions"],
+         "seed-negative-conditions", "constants-integrals-underflow",
+         "constants-integrals-underflow-near-p-1", "constants-sphere-area-overflow"],
 )
 def test_flag_mistakes_are_one_line(argv, prefix, message):
     res = run_cli(*argv)

@@ -393,7 +393,7 @@ def test_smallest_localized_constant():
     prob = DiscreteTraceProblem(dom, P15, R3)
     est, prov = smallest_localized_constant(prob)
     assert est.value == pytest.approx(2.0 ** (1.0 / 3.0), rel=1e-6)
-    assert prov["sampled_check"] is True
+    assert set(prov) == {"method", "argmin", "n_sampled"}
     # a ceiling stride through the 170 critical points visits 16 of them;
     # a floor stride of 170 // 16 = 10 visited 17
     assert len(prob.critical_points) == 170
@@ -433,8 +433,11 @@ def test_a_critical_corner_leaves_global_and_existence_indeterminate():
     assert t_bar.error == K_INV_REL * t_bar.value and "critical_corners" not in prov
 
 
-def test_smallest_localized_constant_needs_critical_points():
+def test_smallest_localized_constant_in_the_compact_regime():
+    # no critical point: the infimum over an empty set is +inf, known exactly
     dom = mesh_domain(unit_disk_loop(), 0.2)
     prob = DiscreteTraceProblem(dom, P15, R2)
-    with pytest.raises(NotCritical):
-        smallest_localized_constant(prob)
+    t_bar, prov = smallest_localized_constant(prob)
+    assert t_bar == Estimate(math.inf, 0.0)
+    assert prov == {"method": "no_critical_points", "argmin": None, "n_sampled": 0}
+    assert global_condition(dom, P15, R2, t_bar).satisfied is True

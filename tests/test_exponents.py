@@ -1,5 +1,6 @@
 import hashlib
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -15,7 +16,6 @@ from vextrace.exponents import (
     local_extremum_check,
     log_holder_probe,
     parse_exponent,
-    trace_critical,
 )
 
 
@@ -231,11 +231,36 @@ def test_values_and_gradients_digest():
 # -- critical exponents ------------------------------------------------------
 
 
-def test_trace_critical_constant_cases():
+def test_critical_gap_constant_cases():
+    # against r = 0 the gap is p_* = (N-1)p/(N-p) itself
     for n, p, expected in [(2, 1.5, 3.0), (3, 2.0, 4.0), (5, 1.5, 12.0 / 7.0)]:
         f = ExponentField.from_text(repr(p), n)
         pts = np.zeros((3, n))
-        np.testing.assert_allclose(trace_critical(f)(pts), expected, rtol=1e-15)
+        gap = critical_gap(f, ExponentField.from_text("0", n), pts)
+        np.testing.assert_allclose(gap, expected, rtol=1e-15)
+
+
+def test_critical_gap_evaluates_p_once():
+    calls = []
+    inner = parse_exponent("1.5 + 0.1*x1", 2)
+    p = ExponentField(lambda pts: calls.append(len(pts)) or inner(pts), 2)
+    r = ExponentField.from_text("2", 2)
+    pts = np.array([[0.0, 0.0], [0.5, 0.5], [1.0, 0.0]])
+    gap = critical_gap(p, r, pts)
+    assert calls == [3]
+    v = inner(pts)
+    assert np.array_equal(gap, (2 - 1.0) * v / (2 - v) - 2.0)
+
+
+def test_critical_gap_is_quiet_on_nan_and_inf():
+    # p is -inf at x1 = 0, where p_* is -inf/inf, and nan at x1 = -1; the
+    # gap carries the nans to the caller without a RuntimeWarning
+    p = ExponentField.from_text("1.5 + 0.1*log(x1)", 2)
+    r = ExponentField.from_text("3", 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        gap = critical_gap(p, r, np.array([[0.0, 0.0], [-1.0, 0.0], [1.0, 0.0]]))
+    assert np.isnan(gap[0]) and np.isnan(gap[1]) and gap[2] == 0.0
 
 
 def test_supercritical_error():
@@ -250,7 +275,7 @@ def test_critical_identity_machine_precision():
     f = ExponentField.from_text("1.5 + 0.3*exp(-1*(x1^2 + x2^2))", 2)
     pts = rng.uniform(-1, 1, size=(200, 2))
     p = f(pts)
-    p_low = trace_critical(f)(pts)
+    p_low = critical_gap(f, ExponentField.from_text("0", 2), pts)
     assert np.all(p_low > p)
     np.testing.assert_allclose(p_low * (2 - p), 1 * p, rtol=1e-13)
 
@@ -282,11 +307,13 @@ def test_critical_set_uniformly_subcritical():
 
 
 def test_critical_set_with_exact_critical_field():
-    # r built as the critical trace exponent of a variable p: every queried
-    # point is critical with margin zero up to floating error
-    p = ExponentField.from_text("1.5 + 0.2*exp(-1*(x1^2 + x2^2))", 2)
+    # r written as the critical trace exponent p/(2 - p) of a variable p:
+    # every queried point is critical with margin zero up to floating error
+    text = "1.5 + 0.2*exp(-1*(x1^2 + x2^2))"
+    p = ExponentField.from_text(text, 2)
+    r = ExponentField.from_text(f"({text})/(2 - ({text}))", 2)
     pts = _circle_points(np.linspace(0, 2 * np.pi, 33)[:-1])
-    gap = critical_gap(p, trace_critical(p), pts)
+    gap = critical_gap(p, r, pts)
     assert np.all(gap <= 1e-9)
     assert abs(float(np.min(gap))) <= 1e-12
 

@@ -534,13 +534,17 @@ def _tried_spacings(h):
 
 def _mesh_domain_reference(loop, h, gamma):
     """One full try per spacing of _tried_spacings; the first that reaches h."""
+    dom = None
     for spacing in _tried_spacings(h):
         try:
             dom = geometry._mesh_once(loop, spacing, set(gamma))
-        except GeometryError:
+        except GeometryError as err:
+            failure = err
             continue
         if dom.mesh_size() <= h:
             return dom
+    if dom is None:
+        raise failure
     raise GeometryError("could not reach the requested mesh size")
 
 
@@ -562,6 +566,25 @@ def test_mesh_domain_equals_the_all_full_tries_loop(name):
         for key in ("vertices", "triangles", "boundary_edges", "edge_arc", "gamma_edges"):
             a, b = getattr(got, key), getattr(want, key)
             assert a.dtype == b.dtype and np.array_equal(a, b), (h, key)
+
+
+def test_mesh_domain_raises_the_last_tries_cause_when_no_try_meshes(monkeypatch):
+    # a unit square with a 1e-13 side piece: every try fails boundary
+    # recovery, and that cause, not the mesh size, is what the user sees
+    sliver = polygon_loop([(0, 0), (1, 0), (1, 1), (0, 1), (0, 1e-13)])
+    with pytest.raises(GeometryError, match="boundary recovery failed"):
+        mesh_domain(sliver, 0.2)
+    # one try that gives a mesh coarser than h keeps the size message
+    once, tries = geometry._mesh_once, iter(["coarse", "fail", "fail"])
+
+    def flaky(loop, spacing, gamma):
+        if next(tries) == "coarse":
+            return once(loop, 4.0 * spacing, gamma)
+        raise GeometryError("boundary recovery failed")
+
+    monkeypatch.setattr(geometry, "_mesh_once", flaky)
+    with pytest.raises(GeometryError, match="could not reach the requested mesh size"):
+        mesh_domain(SQUARE, 0.2)
 
 
 @FINE_BENCHMARK_MESHES

@@ -257,6 +257,19 @@ def test_quotient_near_p_1_matches_closed_form():
     assert bar == 0.0
 
 
+def test_quotient_beyond_the_float_range_is_a_domain_error():
+    # at N = 300 the gradient integral is subnormal but the quotient still
+    # agrees with the closed form; at N = 320 both integrals underflow to 0,
+    # and past N = 344 Gamma((N-1)/2) overflows
+    est, _ = sharp_constant_quadrature(300, 1.5)
+    assert est == pytest.approx(sharp_constant_inverse(300, 1.5), rel=1e-11)
+    for n, p in [(320, 1.5), (200, 1.01), (400, 1.5)]:
+        with pytest.raises(DomainError, match=f"at N={n}, p={p} leave the float range"):
+            sharp_constant_quadrature(n, p)
+    with pytest.raises(DomainError, match="at N=400, p=1.5 leave the float range"):
+        expansion_coefficients(400, 1.5, f0=1.0)
+
+
 def test_quadrature_divergence_guard():
     # N=2, p -> close to 2: alpha*p_* stays fine; construct a genuine failure
     # via the generic engine guard instead
