@@ -58,6 +58,8 @@ RUNS = {
     "solve-disk_critical-multistart":
         ["--config", "configs/disk_critical.cfg", "--seed", "11",
          "solve", "--init", "multistart", "--max-iter", "40"],
+    "conditions-lshape_multistart":
+        ["--config", "configs/lshape_multistart.cfg", "--seed", "11", "conditions"],
 }
 
 

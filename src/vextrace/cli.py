@@ -11,28 +11,9 @@ threaded, and modular, measure and quadrature sums are exact (equal to
 Every setting is a key of the config.SETTINGS table; a flag beats the
 config, and the config beats the table default.
 
-Exit codes: 0 success (every verdict satisfied); 1 an input mistake (bad
-config or flag, argparse usage errors included, a config section or key
-the table does not list, a fraction in an integer key, [exponents] n
-other than 2, [solver] n_random below 0, [conditions] checks empty or
-naming an unknown check, a bubble init with a non-finite number or
-lam <= 0, a [norm] kind other than lebesgue or sobolev, sobolev samples
-without gradient columns, a samples_csv that is not a samples CSV, a
-config or samples_csv path that is missing, unreadable or a directory, a
-compactness s, r0 or K set out of range, C <= 0 or phi_n < 1, a solve
-radius ([solver] radii or --radii) that is not finite and > 0, --seed
-below 0 or --threads below 1, an exponent that is nan or infinite at a
-sample point, a domain whose boundary nodes all carry the zero
-condition, a malformed [domain] (a zero-length segment, an arc over one
-turn, a loop without positive area) or one no meshing try triangulates
-(named by the last try's cause), a local check off the critical set,
-a global check with a zero set, an expansion coefficient outside its
-hypothesis, a half-space constant outside 1 < p < N or whose integrals
-leave the float range, an expand N, model,
-H, weight or eps the model domains cannot take (a disk needs H > 0, the
-flat model H = 0, the weight f0 + dtf0 t > 0), samples whose modular or
-norm overflows, a start whose trace vanishes), reported in one line on
-stderr; 2 a violated verdict; 3 an indeterminate verdict or an expansion
+Exit codes: 0 success (every verdict satisfied); 1 an input mistake,
+reported in one line on stderr (README's exit-code table lists the
+causes); 2 a violated verdict; 3 an indeterminate verdict or an expansion
 fit too unstable to give a slope.
 """
 
@@ -76,7 +57,22 @@ def _null_non_finite(obj):
     return obj
 
 
-def _emit(payload, args, summary_lines):
+def _emit(payload, args, summary_lines, tables=None):
+    """Write the report to --out or stdout and the summary to stderr.
+
+    With --out, each table {name: (header, rows)} goes to the CSV
+    <stem>_<name>.csv beside the report, which names it as
+    payload["<name>_csv"]; without --out the tables are not written.
+    """
+    if args.out:
+        stem = os.path.splitext(args.out)[0]
+        for name, (header, rows) in (tables or {}).items():
+            path = f"{stem}_{name}.csv"
+            with open(path, "w", newline="") as fh:
+                w = csv.writer(fh)
+                w.writerow(header)
+                w.writerows([repr(float(x)) for x in row] for row in rows)
+            payload[f"{name}_csv"] = path
     # allow_nan=False: strict JSON, so a non-finite float that slips past
     # _null_non_finite is an error, never NaN or Infinity in the report
     text = json.dumps(_null_non_finite(payload), sort_keys=True, indent=2, allow_nan=False)
@@ -89,19 +85,22 @@ def _emit(payload, args, summary_lines):
         print(line, file=sys.stderr)
 
 
-def _write_csv(path, header, rows):
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        for row in rows:
-            w.writerow([repr(float(x)) for x in row])
-
-
 def _base_payload(command, config_hash, seed=None):
     payload = {"version": __version__, "command": command, "config_hash": config_hash}
     if seed is not None:
         payload["seed"] = int(seed)
     return payload
+
+
+def _descend(problem, opts, seed):
+    """The descent [solver] names: every start under multistart, else the
+    one ``init`` (the constant start by default)."""
+    from .solver import minimize, solve_problem
+
+    run_opts = dict(max_iter=opts["max_iter"], tol=opts["tol"], seed=seed)
+    if opts["init"] == "multistart":
+        return solve_problem(problem, n_random=opts["n_random"], **run_opts)
+    return minimize(problem, init=opts["init"], **run_opts)
 
 
 def _require_config(args):
@@ -199,41 +198,19 @@ def cmd_solve(args):
     opts = cfg.settings("solver", vars(args))
     problem = cfg.build_problem()
 
-    from .solver import concentration_diagnostic, minimize, solve_problem
+    from .solver import concentration_diagnostic
 
-    run_opts = dict(max_iter=opts["max_iter"], tol=opts["tol"], seed=args.seed)
-    if opts["init"] == "multistart":
-        report = solve_problem(problem, n_random=opts["n_random"], **run_opts)
-    else:
-        report = minimize(problem, init=opts["init"], **run_opts)
+    report = _descend(problem, opts, args.seed)
     if opts["radii"]:
         report.concentration = concentration_diagnostic(report.minimizer, problem, opts["radii"])
 
     payload = _base_payload("solve", cfg.config_hash, seed=args.seed)
-    rep = report.to_dict()
-    payload.update(rep)
-    del payload["quotient_history"]
-    payload["quotient_history_first"] = rep["quotient_history"][0]
-    payload["quotient_history_len"] = len(rep["quotient_history"])
-
-    if args.out:
-        base = os.path.splitext(args.out)[0]
-        _write_csv(
-            base + "_history.csv",
-            ["iteration", "quotient"],
-            list(enumerate(rep["quotient_history"])),
-        )
-        dom = problem.domain
-        _write_csv(
-            base + "_minimizer.csv",
-            ["x1", "x2", "value"],
-            [
-                (dom.vertices[i, 0], dom.vertices[i, 1], report.minimizer[i])
-                for i in range(dom.n_vertices)
-            ],
-        )
-        payload["minimizer_csv"] = base + "_minimizer.csv"
-        payload["history_csv"] = base + "_history.csv"
+    payload.update(report.to_dict())
+    verts = problem.domain.vertices
+    tables = {
+        "history": (["iteration", "quotient"], enumerate(report.quotient_history)),
+        "minimizer": (["x1", "x2", "value"], zip(verts[:, 0], verts[:, 1], report.minimizer)),
+    }
     lines = [
         f"T estimate = {report.t_estimate!r} after {report.iterations} iterations "
         f"({report.n_evaluations} evaluations), stopped by {report.stop_reason}",
@@ -248,7 +225,7 @@ def cmd_solve(args):
             f"concentrated={report.concentration.concentrated} "
             f"atom={report.concentration.atom_location}"
         )
-    _emit(payload, args, lines)
+    _emit(payload, args, lines, tables)
     return EXIT_OK
 
 
@@ -285,10 +262,7 @@ def cmd_conditions(args):
             verdicts.append(local_condition(domain, p, r, x0))
         elif check == "existence":
             opts = cfg.settings("solver")
-            from .solver import minimize
-
-            rep = minimize(problem, init="constant", max_iter=opts["max_iter"],
-                           tol=opts["tol"], seed=args.seed)
+            rep = _descend(problem, opts, args.seed)
             t_err = max(opts["tol"] * rep.t_estimate, 1e-4 * rep.t_estimate)
             verdicts.append(
                 existence_verdict(Estimate(rep.t_estimate, t_err), t_bar)
@@ -356,17 +330,12 @@ def cmd_expand(args):
             "residual": fit.residual,
         }
     )
-    if args.out:
-        base = os.path.splitext(args.out)[0]
-        _write_csv(
-            base + "_series.csv",
-            ["eps", "sobolev_norm", "gradient_modular", "defect"],
-            list(zip(fit.epsilons, fit.sobolev_norms, fit.gradient_modulars, fit.defects)),
-        )
-        payload["series_csv"] = base + "_series.csv"
+    series = (["eps", "sobolev_norm", "gradient_modular", "defect"],
+              zip(fit.epsilons, fit.sobolev_norms, fit.gradient_modulars, fit.defects))
     _emit(
         payload, args,
         [f"{fit.case}: fitted {fit.fitted_slope:+.4f} vs predicted {fit.predicted_slope:+.4f}"],
+        {"series": series},
     )
     return EXIT_OK
 
@@ -397,29 +366,30 @@ def build_parser():
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("norm", help="Luxemburg norm of a samples CSV (config [norm])")
+    sub.add_parser(
+        "norm", help="Luxemburg norm of a samples CSV (config [norm])"
+    ).set_defaults(handler=cmd_norm)
 
     c = sub.add_parser("constants", help="sharp constant by formula and quadrature")
+    c.set_defaults(handler=cmd_constants)
     s = sub.add_parser("solve", help="minimize the trace quotient (config problem)")
+    s.set_defaults(handler=cmd_solve)
     helps = {"init": "constant | random | multistart | 'bubble x y lam'",
              "radii": "comma-separated diagnostic radii"}
     for parser, section in ((c, "halfspace"), (s, "solver")):
         for key, flag in FLAGS[section].items():
             parser.add_argument(flag, dest=key, help=helps.get(key))
 
-    sub.add_parser("conditions", help="evaluate existence conditions (config [conditions])")
-    sub.add_parser("expand", help="cutoff-extremal norm expansion fit (config [expand])")
+    sub.add_parser(
+        "conditions", help="evaluate existence conditions (config [conditions])"
+    ).set_defaults(handler=cmd_conditions)
+    sub.add_parser(
+        "expand", help="cutoff-extremal norm expansion fit (config [expand])"
+    ).set_defaults(handler=cmd_expand)
     return ap
 
 
 def run(argv=None):
-    handlers = {
-        "norm": cmd_norm,
-        "constants": cmd_constants,
-        "solve": cmd_solve,
-        "conditions": cmd_conditions,
-        "expand": cmd_expand,
-    }
     try:
         # usage mistakes raise ConfigError out of parse_args
         args = build_parser().parse_args(argv)
@@ -427,7 +397,7 @@ def run(argv=None):
             raise ConfigError("--threads must be >= 1")
         if args.seed < 0:
             raise ConfigError("--seed must be >= 0")
-        return handlers[args.command](args)
+        return args.handler(args)
     except (ConfigError, OSError) as err:  # a missing, unreadable or directory path too
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG

@@ -94,17 +94,19 @@ def _check_range(n, p):
 
 
 @contextmanager
-def _float_range(n, p):
-    """Gamma((N-1)/2) overflowing, or integrals underflowed to 0, as a DomainError."""
+def _float_range(what):
+    """An OverflowError or ZeroDivisionError in the block as a one-line
+    DomainError saying that ``what`` leaves the float range."""
     try:
         yield
     except (OverflowError, ZeroDivisionError):
-        raise DomainError(f"half-space integrals at N={n}, p={p} leave the float range") from None
+        raise DomainError(f"{what} leave the float range") from None
 
 
 @dataclass(frozen=True)
 class ExtremalProfile:
-    """Dilated and translated half-space extremal V_{lambda, y0}."""
+    """Dilated and translated half-space extremal V_{lambda, y0}; y0 None
+    is the origin."""
 
     N: int
     p: float
@@ -115,13 +117,11 @@ class ExtremalProfile:
         _check_range(self.N, self.p)
         if self.lam <= 0:
             raise ValueError("scale must be positive")
-        y0 = self.y0
-        if y0 is None:
-            y0 = (0.0,) * (self.N - 1)
-        y0 = tuple(float(v) for v in np.atleast_1d(y0))
-        if len(y0) != self.N - 1:
-            raise ValueError("y0 must have dimension N-1")
-        object.__setattr__(self, "y0", y0)
+        if self.y0 is not None:
+            y0 = tuple(float(v) for v in np.atleast_1d(self.y0))
+            if len(y0) != self.N - 1:
+                raise ValueError("y0 must have dimension N-1")
+            object.__setattr__(self, "y0", y0)
 
     @property
     def alpha(self):
@@ -130,9 +130,10 @@ class ExtremalProfile:
     def value(self, y, t):
         y = np.atleast_2d(np.asarray(y, float))
         t = np.asarray(t, float)
-        dy = y - np.asarray(self.y0)
-        r2 = (1.0 + t / self.lam) ** 2 + np.sum(dy * dy, axis=-1) / self.lam**2
-        return self.lam ** (-self.alpha) * r2 ** (-self.alpha / 2.0)
+        dy = y if self.y0 is None else y - np.asarray(self.y0)
+        with _float_range(f"profile powers at lam={self.lam!r}, p={self.p!r}"):
+            r2 = (1.0 + t / self.lam) ** 2 + np.sum(dy * dy, axis=-1) / self.lam**2
+            return self.lam ** (-self.alpha) * r2 ** (-self.alpha / 2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -250,7 +251,7 @@ def extremal_quotient(profile):
     n, p, lam = profile.N, profile.p, profile.lam
     alpha = profile.alpha
     p_star = trace_exponent(n, p)
-    with _float_range(n, p):
+    with _float_range(f"half-space integrals at N={n}, p={p}"):
         grad_val, _ = extremal_gradient_integral(n, p)
         bnd_val, _ = extremal_boundary_integral(n, p)
         grad_scaled = lam ** (-alpha) * grad_val
@@ -354,7 +355,7 @@ def expansion_coefficients(
         return _interior_integral(n, p, name)
 
     # boundary pieces
-    with _float_range(n, p):
+    with _float_range(f"half-space integrals at N={n}, p={p}"):
         omega = sphere_area(n - 2)
     alpha = decay_rate(n, p)
     a0 = f0 * omega * boundary_power_integral(n - 2, alpha * p_star)
@@ -537,9 +538,10 @@ def norm_expansion_check(n, p, coeffs, epsilons, model="disk"):
         eta = _smoothstep_cutoff(rho, delta)
         deta = _smoothstep_cutoff_deriv(rho, delta)
         r2 = (1.0 + t / eps) ** 2 + (y / eps) ** 2
-        V = eps**kappa * r2 ** (-alpha / 2.0)
-        # chart gradient of the rescaled profile
-        pref = -alpha * eps ** (kappa - 2.0) * r2 ** (-(alpha + 2.0) / 2.0)
+        with _float_range(f"cutoff-profile powers at eps={eps!r}, p={p!r}"):
+            V = eps**kappa * r2 ** (-alpha / 2.0)
+            # chart gradient of the rescaled profile
+            pref = -alpha * eps ** (kappa - 2.0) * r2 ** (-(alpha + 2.0) / 2.0)
         safe = np.where(rho > 0, rho, 1.0)
         g_y = deta * y / safe * V + eta * (pref * y)
         g_t = deta * t / safe * V + eta * (pref * (eps + t))
@@ -550,38 +552,42 @@ def norm_expansion_check(n, p, coeffs, epsilons, model="disk"):
         wq = w * jac * (f0 + dtf0 * t)
         grad_mod = fixed_order_sum(wq * gmag**p_field)
         grad_mods.append(grad_mod)
-        sob = _norm_from_arrays(np.abs(eta * V), wq, p_field, gmag)
+        sob = _norm_from_arrays(np.abs(eta * V), wq, p_field, gmag)[0]
         sob_norms.append(sob)
         x1 = eps * math.log(eps) if case == "normal_derivative" else eps
         defects.append(abs(sob / (d0 ** (1.0 / p) * (1.0 + slope_pred * x1)) - 1.0))
 
-    eps_arr = np.asarray(epsilons)
-    ys = np.asarray(sob_norms) / d0 ** (1.0 / p) - 1.0
-    # the value-term contribution to the norm is known exactly; subtracting
-    # it removes a regressor nearly collinear with the slope column
-    if coeffs.c0 is not None:
-        ys = ys - (coeffs.c0 / (p * d0)) * eps_arr**p
-        nuisance = [eps_arr**alpha, eps_arr ** (2.0 * p)]
-    else:
-        nuisance = [eps_arr**p, eps_arr**alpha]
-    if case == "normal_derivative":
-        cols = [eps_arr * np.log(eps_arr), eps_arr] + nuisance[:1]
-    else:
-        cols = [eps_arr] + nuisance
-    # drop nuisance columns that collide with the slope column
-    kept = [cols[0]]
-    for c in cols[1:]:
-        if all(_column_distinct(c, k) for k in kept):
-            kept.append(c)
-    X = np.stack(kept, axis=1)
-    n_distinct = len(np.unique(eps_arr))
-    if n_distinct <= X.shape[1]:
-        raise FitUnstable(
-            f"{n_distinct} distinct epsilons cannot test a fit of {X.shape[1]} columns"
-        )
-    sol, res, rank, sv = np.linalg.lstsq(X, ys, rcond=None)
-    fitted = float(sol[0])
-    resid = float(np.linalg.norm(X @ sol - ys) / max(np.linalg.norm(ys), 1e-300))
+    # an eps too large for the powers gives a non-finite fit, caught below
+    with np.errstate(over="ignore", invalid="ignore"):
+        eps_arr = np.asarray(epsilons)
+        ys = np.asarray(sob_norms) / d0 ** (1.0 / p) - 1.0
+        # the value-term contribution to the norm is known exactly; subtracting
+        # it removes a regressor nearly collinear with the slope column
+        if coeffs.c0 is not None:
+            ys = ys - (coeffs.c0 / (p * d0)) * eps_arr**p
+            nuisance = [eps_arr**alpha, eps_arr ** (2.0 * p)]
+        else:
+            nuisance = [eps_arr**p, eps_arr**alpha]
+        if case == "normal_derivative":
+            cols = [eps_arr * np.log(eps_arr), eps_arr] + nuisance[:1]
+        else:
+            cols = [eps_arr] + nuisance
+        # drop nuisance columns that collide with the slope column
+        kept = [cols[0]]
+        for c in cols[1:]:
+            if all(_column_distinct(c, k) for k in kept):
+                kept.append(c)
+        X = np.stack(kept, axis=1)
+        n_distinct = len(np.unique(eps_arr))
+        if n_distinct <= X.shape[1]:
+            raise FitUnstable(
+                f"{n_distinct} distinct epsilons cannot test a fit of {X.shape[1]} columns"
+            )
+        sol, res, rank, sv = np.linalg.lstsq(X, ys, rcond=None)
+        fitted = float(sol[0])
+        resid = float(np.linalg.norm(X @ sol - ys) / max(np.linalg.norm(ys), 1e-300))
+    if not (math.isfinite(fitted) and math.isfinite(resid)):
+        raise FitUnstable(f"the expansion fit is not finite (slope {fitted}, residual {resid})")
     if rank < X.shape[1] or (sv[0] / max(sv[-1], 1e-300)) > 1e12:
         raise FitUnstable("ill-conditioned expansion fit")
     if resid > 0.2:

@@ -9,8 +9,8 @@ log-modular G(s) = log modular(u/e^s), which is convex and decreasing in
 s = log lambda, inside the bracket given by the norm-modular inequalities:
 about 4 modular evaluations per norm from the unit scale, 2 when the
 exponent is constant, and about 2.6 when the caller starts the root near
-its norm, as the descent does.  On request the root also returns its terms
-and their slope weight, from which the norm's gradient follows.
+its norm, as the descent does.  The root also returns its terms and their
+slope weight, from which the norm's gradient follows.
 
 Modular, measure and quadrature sums go through ``fixed_order_sum`` and are
 exact (equal to ``math.fsum``), so they depend on no summation order, numpy
@@ -239,7 +239,7 @@ def modular(samples, p, kind="lebesgue"):
     return val
 
 
-def _norm_from_arrays(av, w, exps, gmag, start=None, terms=False):
+def _norm_from_arrays(av, w, exps, gmag, start=None):
     """Luxemburg norm from raw arrays; the shared root-finding core.
 
     Newton on G(s) = log m(e^s), m(lam) = modular(u/lam).  G is convex and
@@ -255,13 +255,13 @@ def _norm_from_arrays(av, w, exps, gmag, start=None, terms=False):
     pass.  It is dropped, and the unit scale taken, when it is not a
     positive float or the modular there is 0, subnormal or inf.
 
-    With ``terms`` the result is (lam, tv, tg, D) rather than lam: the
-    per-atom terms w (a/lam)^p of the values (tv) and of the gradient
-    magnitudes (tg, None without gmag) at the last evaluation, and their
-    slope weight D = sum p (tv + tg) there.  Then d lam / d a_i =
-    p_i lam t_i / (a_i D).  A zero sample gives (0.0, None, None, 0.0).
+    Returns (lam, tv, tg, D): the norm, the per-atom terms w (a/lam)^p of
+    the values (tv) and of the gradient magnitudes (tg, None without gmag)
+    at the last evaluation, and their slope weight D = sum p (tv + tg)
+    there.  Then d lam / d a_i = p_i lam t_i / (a_i D).  A zero sample
+    gives (0.0, None, None, 0.0).
     """
-    zero = (0.0, None, None, 0.0) if terms else 0.0
+    zero = (0.0, None, None, 0.0)
     peak = float(np.max(av)) if av.size else 0.0
     if gmag is not None:
         peak = max(peak, float(np.max(gmag)))
@@ -274,9 +274,7 @@ def _norm_from_arrays(av, w, exps, gmag, start=None, terms=False):
     g = None if gmag is None else gmag / peak
 
     def centred(c):
-        """The terms at centre c, and apart (value, gradient) with ``terms``."""
-        if not terms:
-            return _scaled_terms(av, w, exps, g, c), None, None
+        """The terms at centre c, and apart (value, gradient)."""
         tv = _scaled_terms(av, w, exps, None, c)
         tg = None if g is None else _scaled_terms(g, w, exps, None, c)
         return (tv if tg is None else tv + tg), tv, tg
@@ -300,7 +298,7 @@ def _norm_from_arrays(av, w, exps, gmag, start=None, terms=False):
     log_rho = math.log(m)
     ends = sorted((log_rho / float(np.max(exps)), log_rho / float(np.min(exps))))
     lo, hi = ends[0] - 1e-12, ends[1] + 1e-12
-    shift = None  # e^(-p delta) of the last evaluation, kept with ``terms``
+    shift = None  # e^(-p delta) of the last evaluation
     with np.errstate(over="ignore"):  # m = inf only bisects toward larger lambda
         for _ in range(MAX_STEPS):
             # m is decreasing in lambda: m > 1 puts the root above delta
@@ -323,14 +321,10 @@ def _norm_from_arrays(av, w, exps, gmag, start=None, terms=False):
             # the terms at centre e^delta are those at the centre times shift
             shift = np.exp(-delta * exps) if delta else None
             t = parts[0] if shift is None else parts[0] * shift
-            if not terms:
-                shift = None  # norm-only callers keep no array beyond the terms
             m, d = _modular_value(t, exps)
     norm = (centre + centre * math.expm1(delta)) * peak
     if not math.isfinite(norm):
         raise NonFiniteModular("norm beyond the float range")
-    if not terms:
-        return norm
     tv, tg = parts[1:]
     if shift is not None:
         tv = tv * shift
@@ -341,7 +335,7 @@ def _norm_from_arrays(av, w, exps, gmag, start=None, terms=False):
 def luxemburg_norm(samples, p, kind="lebesgue"):
     """Luxemburg norm: 0 for u = 0, else the lambda with modular(u/lambda)=1."""
     av, w, exps, gmag = _modular_terms(samples, p, kind)
-    return _norm_from_arrays(av, w, exps, gmag)
+    return _norm_from_arrays(av, w, exps, gmag)[0]
 
 
 def holder_product_bound(f, g, p, q):
@@ -361,10 +355,10 @@ def holder_product_bound(f, g, p, q):
     if np.any(se < 1.0 - 1e-12):
         raise ExponentMismatch("derived exponent s(x) < 1")
     prod = np.abs(f.values * g.values)
-    lhs = _norm_from_arrays(prod, f.weights, se, None)
+    lhs = _norm_from_arrays(prod, f.weights, se, None)[0]
     const = float(np.max(se / pe)) + float(np.max(se / qe))
-    nf = _norm_from_arrays(np.abs(f.values), f.weights, pe, None)
-    ng = _norm_from_arrays(np.abs(g.values), g.weights, qe, None)
+    nf = _norm_from_arrays(np.abs(f.values), f.weights, pe, None)[0]
+    ng = _norm_from_arrays(np.abs(g.values), g.weights, qe, None)[0]
     return lhs, const * nf * ng, se
 
 
@@ -387,7 +381,7 @@ def verify_norm_modular_relations(samples, p):
     """
     av, w, exps, _ = _modular_terms(samples, p, "lebesgue")
     rho = _modular_value(_scaled_terms(av, w, exps, None, 1.0), exps)[0]
-    lam = _norm_from_arrays(av, w, exps, None)
+    lam = _norm_from_arrays(av, w, exps, None)[0]
     checks = []
 
     if lam > 0.0:

@@ -152,22 +152,21 @@ class DiscreteTraceProblem:
 
     def sobolev_norm(self, a):
         vals, gmag, _, _ = self.interior_fields(a)
-        return _norm_from_arrays(np.abs(vals), self.quad_weights, self.p_exps, gmag)
+        return _norm_from_arrays(np.abs(vals), self.quad_weights, self.p_exps, gmag)[0]
 
     def boundary_values(self, a):
         return self.Sb @ a
 
     def boundary_norm(self, a):
-        return self._boundary_norm(self.boundary_values(a))
+        return self._boundary_norm(self.boundary_values(a))[0]
 
-    def _boundary_norm(self, bv, start=None, terms=False):
-        """Boundary norm from the values bv at the boundary quadrature; with
-        ``terms``, the tuple of ``_norm_from_arrays``."""
+    def _boundary_norm(self, bv, start=None):
+        """The ``_norm_from_arrays`` tuple of the values bv at the boundary
+        quadrature; ZeroTrace when they vanish or their norm underflows."""
         if not np.any(bv):
             raise ZeroTrace("iterate vanishes on the boundary quadrature")
-        out = _norm_from_arrays(np.abs(bv), self.bquad_weights, self.r_exps, None, start, terms)
-        lam = out[0] if terms else out
-        if lam == 0.0 or not math.isfinite(lam):
+        out = _norm_from_arrays(np.abs(bv), self.bquad_weights, self.r_exps, None, start)
+        if out[0] == 0.0 or not math.isfinite(out[0]):
             raise ZeroTrace("boundary norm underflow")
         return out
 
@@ -183,7 +182,7 @@ class DiscreteTraceProblem:
         """
         vals, gmag, gx, gy = self.interior_fields(a)
         lam, tv, tg, D = _norm_from_arrays(np.abs(vals), self.quad_weights, self.p_exps,
-                                           gmag, start, terms=True)
+                                           gmag, start)
         if lam == 0.0:
             raise ZeroTrace("zero function has no norm gradient")
         pl = self.p_exps * (lam / D)
@@ -197,7 +196,7 @@ class DiscreteTraceProblem:
     def boundary_norm_gradient(self, a, start=None):
         """(boundary norm, its gradient), as ``sobolev_norm_gradient``."""
         bv = self.boundary_values(a)
-        lam, t, _, D = self._boundary_norm(bv, start, terms=True)
+        lam, t, _, D = self._boundary_norm(bv, start)
         c = np.divide(self.r_exps * (lam / D) * t, bv, out=np.zeros_like(bv), where=bv != 0.0)
         return lam, self.SbT @ c
 
@@ -240,7 +239,8 @@ class SolverReport:
         return {
             "t_estimate": self.t_estimate,
             "iterations": self.iterations,
-            "quotient_history": list(self.quotient_history),
+            "quotient_history_first": self.quotient_history[0],
+            "quotient_history_len": len(self.quotient_history),
             "converged": self.converged,
             "line_search_failed": self.stop_reason == "line_search",
             "stop_reason": self.stop_reason,

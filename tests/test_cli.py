@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from vextrace.cli import _null_non_finite, build_parser
+from vextrace.cli import _null_non_finite, build_parser, run
 from vextrace.conditions import smallest_localized_constant
 from vextrace.config import FLAGS, SETTINGS, ConfigError, ProblemConfig
 
@@ -205,6 +205,30 @@ def test_shipped_lshape_critical_reports_its_corners():
     assert by_name["global_small_domain"]["lhs"] == pytest.approx(1.040041911525952, rel=1e-12)
     assert by_name["existence_strict_gap"]["lhs"] == pytest.approx(1.0271439431382814, rel=1e-6)
     assert [v["satisfied"] for v in payload["verdicts"]] == [None, None]
+
+
+def test_existence_runs_the_descent_solver_names(monkeypatch, capsys):
+    # [solver] init = multistart: the existence check's T is the multistart
+    # T of solve, from one solve_problem run (the constant start alone
+    # stops at 1.00296 on this L-shape)
+    from vextrace import solver
+
+    argv = ["--config", f"{REPO}/configs/lshape_multistart.cfg", "--seed", "11"]
+    assert run([*argv, "solve"]) == 0
+    t_solve = json.loads(capsys.readouterr().out)["t_estimate"]
+    calls = []
+    real = solver.solve_problem
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "solve_problem", counting)
+    assert run([*argv, "conditions"]) == 0
+    (verdict,) = json.loads(capsys.readouterr().out)["verdicts"]
+    assert len(calls) == 1 and calls[0]["seed"] == 11
+    assert verdict["name"] == "existence_strict_gap" and verdict["lhs"] == t_solve
+    assert t_solve < 0.93
 
 
 def test_expand_subcommand(tmp_path):
@@ -421,6 +445,23 @@ def _edited(name, *edits):
          "solve", 1, "input error: GeometryError: boundary recovery failed; refine or simplify"),
         (_edited("expand_disk.cfg", ("N = 2", "N = 400")), "expand", 1,
          "input error: DomainError: half-space integrals at N=400, p=1.3 leave the float"),
+        (_edited("disk_subcritical.cfg", ("init = constant", "init = bubble 1 0 1.4e154")),
+         "solve", 1, "input error: DomainError: profile powers at lam=1.4e+154, p=1.5 leave"),
+        (_edited("disk_subcritical.cfg", ("p_expr = 1.5", "p_expr = 1.06"),
+                 ("r_expr = 2", "r_expr = 1.1"), ("init = constant", "init = bubble 1 0 1e-20")),
+         "solve", 1, "input error: DomainError: profile powers at lam=1e-20, p=1.06 leave"),
+        (_edited("expand_disk.cfg", (EXPAND_EPS, EXPAND_EPS + " 1e-130")), "expand", 1,
+         "input error: DomainError: cutoff-profile powers at eps=1e-130, p=1.3 leave the float"),
+        (_edited("expand_disk.cfg", (EXPAND_EPS, EXPAND_EPS + " 1e300")),
+         "expand", 3, "indeterminate: the expansion fit is not finite (slope nan"),
+        (_edited("disk_subcritical.cfg", ("p_expr = 1.5", "p_expr = 2.5")),
+         "solve", 1, "config error: problem assembly: sup p = 2.5 >= 2 in the plane"),
+        (_edited("disk_subcritical.cfg", ("r_expr = 2", "r_expr = 0.5")),
+         "solve", 1, "config error: problem assembly: inf r = 0.5 < 1"),
+        (_edited("disk_critical.cfg", (CHECKS, "checks = local"), ("x0 = 1.0 0.0", "")),
+         "conditions", 1, "config error: [conditions] x0 = x y required for the local check"),
+        (_edited("disk_critical.cfg", (CHECKS, "checks = compactness")),
+         "conditions", 1, "config error: [conditions] K_points or K_arcs required"),
     ],
     ids=["not-critical", "gamma-not-empty", "hypothesis", "geometry", "fit-unstable",
          "norm-bad-p-expr", "h-nan", "max-iter-inf", "truncation-R-inf",
@@ -441,7 +482,9 @@ def _edited(name, *edits):
          "unknown-key-max-iters", "segment-under-solver", "n-random-negative",
          "checks-empty", "checks-unknown", "segment-zero-length", "arc-two-turns",
          "loop-digon", "loop-collinear", "disk-area-underflow", "square-sliver-side",
-         "expand-N-400"],
+         "expand-N-400", "init-bubble-lam-overflow", "init-bubble-lam-underflow",
+         "expand-eps-underflow", "expand-eps-huge", "p-sup-above-2", "r-inf-below-1",
+         "local-without-x0", "compactness-without-K"],
 )
 def test_domain_errors_are_one_line_with_exit_code(tmp_path, text, command, code, message):
     (tmp_path / "huge_pair.csv").write_text(HUGE_PAIR_CSV)
@@ -582,13 +625,20 @@ def test_stdout_is_strict_json(tmp_path, text, argv, code):
          "DomainError: half-space integrals at N=200, p=1.01 leave the float range"),
         (["constants", "--N", "400", "--p", "1.5"], "input error: ",
          "DomainError: half-space integrals at N=400, p=1.5 leave the float range"),
+        (["constants", "--N", "1e20", "--p", "1.5"], "input error: ",
+         "DomainError: half-space integrals at N=100000000000000000000, p=1.5 leave the float"),
+        (["constants", "--p", "1.5"], "config error: ",
+         "constants needs --N and --p (or a [halfspace] section)"),
+        (["--config", "configs/disk_subcritical.cfg", "solve", "--init", "bubble 0 0 0.3"],
+         "input error: ", "GeometryError: x0 does not lie on the boundary"),
     ],
     ids=["constants-p-above-N", "solve-bad-radii", "truncation-R-inf", "p-nan", "H-minus-inf",
          "tol-nan", "tol-zero", "max-iter-zero", "tol-negative-exponent", "H-space-minus-inf",
          "init-bubble-lam-negative", "init-bubble-nan", "truncation-R-negative", "radii-nan-inf",
          "radii-not-positive", "init-bubble-zero-trace", "threads-zero", "seed-negative-solve",
          "seed-negative-conditions", "constants-integrals-underflow",
-         "constants-integrals-underflow-near-p-1", "constants-sphere-area-overflow"],
+         "constants-integrals-underflow-near-p-1", "constants-sphere-area-overflow",
+         "constants-N-1e20", "constants-without-N", "init-bubble-off-boundary"],
 )
 def test_flag_mistakes_are_one_line(argv, prefix, message):
     res = run_cli(*argv)

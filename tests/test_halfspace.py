@@ -88,6 +88,11 @@ def test_extremal_values():
     np.testing.assert_allclose(prof.value([[0.0, 0.0], [0.0, 0.0]], [0.0, 1.0]), [1.0, 0.5])
     shifted = ExtremalProfile(3, 2.0, lam=2.0, y0=(0.3, -0.4))
     np.testing.assert_allclose(shifted.value([0.3, -0.4], 0.0), [0.5])
+    # the origin is y0 = None, not a stored tuple of N - 1 zeros, and gives
+    # the bits of an explicit zero y0
+    assert prof.y0 is None and ExtremalProfile(10**7, 1.5).y0 is None
+    y, t = [[0.3, -0.4], [-2.0, 0.7]], [0.2, 1.5]
+    assert np.array_equal(prof.value(y, t), ExtremalProfile(3, 2.0, y0=(0.0, 0.0)).value(y, t))
 
 
 # -- closed-form integrals --------------------------------------------------------

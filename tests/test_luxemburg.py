@@ -155,7 +155,7 @@ def test_modular_and_derivative_sums_are_certified(monkeypatch):
         return certified[-1]
 
     monkeypatch.setattr(lux, "_certified_sum", recording)
-    lam, tv, tg, D = lux._norm_from_arrays(av, w, exps, gmag, terms=True)
+    lam, tv, tg, D = lux._norm_from_arrays(av, w, exps, gmag)
     monkeypatch.undo()
     assert lam == problem.sobolev_norm(u)
     # every modular and slope sum of the root was certified, D the last one
@@ -335,7 +335,7 @@ def test_constant_exponent_norm_is_the_closed_form_in_two_evaluations(monkeypatc
     w = rng.uniform(1e-4, 1e-2, n)
     counts = {}
     _count_calls(monkeypatch, lux, "_modular_value", counts)
-    lam = lux._norm_from_arrays(av, w, np.full(n, p), gmag)
+    lam = lux._norm_from_arrays(av, w, np.full(n, p), gmag)[0]
     # the first Newton step from the unit scale is the closed form, and the
     # second evaluation only confirms it
     assert counts["_modular_value"] == 2
@@ -371,7 +371,7 @@ def test_norm_on_extreme_weights_matches_a_50_digit_root():
             av = rng.uniform(0.01, 1.0, 5)
             w = 10.0 ** rng.uniform(-300.0, 300.0, 5)
             exps = rng.uniform(1.05, 10.0, 5)
-            lam = lux._norm_from_arrays(av, w, exps, None)
+            lam = lux._norm_from_arrays(av, w, exps, None)[0]
             atoms_mp = [tuple(map(mpmath.mpf, t)) for t in zip(w, av, exps)]
 
             def log_modular(s):
@@ -403,13 +403,12 @@ def _start_cases():
 
 def test_norm_with_any_start_is_the_norm_without_one():
     for av, w, exps, gmag in _start_cases():
-        lam = lux._norm_from_arrays(av, w, exps, gmag)
+        lam = lux._norm_from_arrays(av, w, exps, gmag)[0]
         starts = [lam * f for f in (1e-300, 1e-8, 1e-3, 1.0, 1.001, 1e8, 1e300)]
         for start in starts + [0.0, -1.0, math.inf, math.nan]:
-            moved = lux._norm_from_arrays(av, w, exps, gmag, start=start)
+            moved = lux._norm_from_arrays(av, w, exps, gmag, start=start)[0]
             assert 0.0 < moved < math.inf
             assert abs(moved / lam - 1.0) <= 1e-15, (start, lam, moved)
-            assert lux._norm_from_arrays(av, w, exps, gmag, start, terms=True)[0] == moved
 
 
 def test_norm_terms_give_the_root_and_its_slope():
@@ -418,15 +417,15 @@ def test_norm_terms_give_the_root_and_its_slope():
     av, gmag = rng.uniform(0.0, 3.0, n), rng.uniform(0.0, 5.0, n)
     av[:10] = gmag[:10] = 0.0
     w, exps = rng.uniform(1e-4, 1e-2, n), rng.uniform(1.1, 1.9, n)
-    for start in (None, 0.9 * lux._norm_from_arrays(av, w, exps, gmag)):
-        lam, tv, tg, D = lux._norm_from_arrays(av, w, exps, gmag, start, terms=True)
+    for start in (None, 0.9 * lux._norm_from_arrays(av, w, exps, gmag)[0]):
+        lam, tv, tg, D = lux._norm_from_arrays(av, w, exps, gmag, start)
         assert np.array_equal(tv[:10], np.zeros(10)) and np.array_equal(tg[:10], np.zeros(10))
         assert tv == pytest.approx(w * (av / lam) ** exps, rel=1e-14)
         assert tg == pytest.approx(w * (gmag / lam) ** exps, rel=1e-14)
         assert fixed_order_sum(tv + tg) == pytest.approx(1.0, rel=1e-14)
         assert D == pytest.approx(fixed_order_sum(exps * (tv + tg)), rel=1e-15)
-    assert lux._norm_from_arrays(np.zeros(3), np.ones(3), np.full(3, 2.0), None,
-                                 terms=True) == (0.0, None, None, 0.0)
+    assert lux._norm_from_arrays(np.zeros(3), np.ones(3), np.full(3, 2.0),
+                                 None) == (0.0, None, None, 0.0)
 
 
 def test_norm_leaves_no_garbage_behind():
@@ -478,8 +477,8 @@ def test_homogeneity(sample, c):
 def test_a_start_never_loses_the_norm(sample, k):
     u, p = sample
     av = np.abs(u.values)
-    lam = lux._norm_from_arrays(av, u.weights, p, None)
-    moved = lux._norm_from_arrays(av, u.weights, p, None, start=lam * math.ldexp(1.0, k))
+    lam = lux._norm_from_arrays(av, u.weights, p, None)[0]
+    moved = lux._norm_from_arrays(av, u.weights, p, None, start=lam * math.ldexp(1.0, k))[0]
     if lam == 0.0:
         assert moved == 0.0
     else:
