@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .exponents import SupercriticalError, critical_gap, local_extremum_check
+from .exponents import critical_gap, local_extremum_check
 from .geometry import GeometryError, distance_to_segments, fermi_chart
 from .halfspace import K_INV_REL, sharp_constant_inverse
 from .luxemburg import fixed_order_sum
@@ -103,7 +103,6 @@ def _dist_to_set(points, K, domain):
     consistently with the discrete boundary measure.  An arc index outside
     the domain's loop raises GeometryError.
     """
-    points = np.atleast_2d(points)
     if len(K) and isinstance(K[0], (int, np.integer)):
         for i in K:
             if i < 0 or i >= len(domain.loop.arcs):
@@ -112,17 +111,8 @@ def _dist_to_set(points, K, domain):
         v = domain.vertices
         return distance_to_segments(points, v[edges[:, 0]], v[edges[:, 1]])
     K_pts = np.atleast_2d(np.asarray(K, float))
-    diff = points[:, None, :] - K_pts[None, :, :]
-    return np.min(np.sqrt(np.sum(diff * diff, axis=2)), axis=1)
-
-
-def _subcritical_bounds(domain, p, r):
-    """``sampled_exponent_bounds``, once they show sup p < N on the domain."""
-    p_bounds, r_bounds = sampled_exponent_bounds(domain, p, r)
-    n = p.ambient_dimension
-    if p_bounds[1] >= n:
-        raise SupercriticalError(f"sup p = {p_bounds[1]} >= N = {n}")
-    return p_bounds, r_bounds
+    # a point is a zero-length segment: t clips to 0, leaving dx^2 + dy^2
+    return distance_to_segments(points, K_pts, K_pts)
 
 
 def _extremum_gates(p, r, x0, radius, ipts, bpts):
@@ -151,7 +141,7 @@ def compactness_rate_check(domain, p, r, K, s, C, r0, phi):
         raise ValueError("need r0 in (0, 1/e)")
     if not C > 0.0:
         raise ValueError("need C > 0")
-    _subcritical_bounds(domain, p, r)
+    sampled_exponent_bounds(domain, p, r)
     bpts, bw, _ = domain.boundary_quadrature()
     gap = critical_gap(p, r, bpts)
     dist = _dist_to_set(bpts, K, domain)
@@ -233,7 +223,8 @@ def global_condition(domain, p, r, t_bar):
     """Small-domain sufficient condition via the constant test function.
 
     Requires an empty zero set; three-valued against the localized-constant
-    estimate t_bar (an Estimate with error bar).
+    estimate t_bar (an Estimate with error bar).  Raises SupercriticalError
+    unless sup p < N on the domain sample.
     """
     if np.any(domain.gamma_edges):
         raise GammaNotEmpty("the global condition needs an empty zero set (gamma)")
@@ -267,7 +258,7 @@ def local_condition(domain, p, r, x0):
     the domain sample.
     """
     x0 = np.asarray(x0, float)
-    p_bounds, r_bounds = _subcritical_bounds(domain, p, r)
+    p_bounds, r_bounds = sampled_exponent_bounds(domain, p, r)
     gap0 = float(critical_gap(p, r, x0)[0])
     if abs(gap0) > CRIT_TOL:
         raise NotCritical(f"trace-exponent gap at x0 is {gap0}")

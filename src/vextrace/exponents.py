@@ -130,6 +130,10 @@ _OPS = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
 _STRAY = re.compile(r"\*\*|[^0-9A-Za-z_\s.+\-*/^(),]")
 # decimal literals only: no 1_0, 0x10, 1j or True
 _NUMBER = re.compile(r"\d*\.?\d*(?:[eE][+-]?\d+)?")
+# the deepest tree accepted, CPython's limit on nested parentheses; its
+# closures then run far below the recursion limit, on duals too
+MAX_DEPTH = 200
+_TOO_DEEP = f"expression nested deeper than {MAX_DEPTH} levels"
 
 
 def parse_exponent(text, n):
@@ -153,6 +157,8 @@ def parse_exponent(text, n):
         tree = ast.parse(source, mode="eval")
     except SyntaxError as err:  # offset 0: the text ended too early
         raise ExponentSyntaxError(err.msg, at[err.offset - 1] if err.offset else len(text))
+    except (RecursionError, MemoryError):  # the parser's own stack ran out
+        raise ExponentSyntaxError(_TOO_DEEP, 0) from None
 
     def fail(message, node):
         raise ExponentSyntaxError(message, at[node.col_offset])
@@ -163,7 +169,10 @@ def parse_exponent(text, n):
             fail(f"bad number {literal!r}", node)
         return float(literal)
 
-    def build(node):
+    def build(node, depth=0):
+        depth += 1  # this node's level, counted from 1 at the root
+        if depth > MAX_DEPTH:
+            fail(_TOO_DEEP, node)
         if isinstance(node, ast.Constant):
             value = number(node)
             return lambda pts: _full(pts, value)
@@ -177,15 +186,15 @@ def parse_exponent(text, n):
             k = int(index[1]) - 1
             return lambda pts: _column(pts, k)
         if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
-            arg = build(node.operand)
+            arg = build(node.operand, depth)
             return lambda pts: -arg(pts)
         # one leading '+', as in '+x1' or '-+x1', but not '++x1' or '+-x1'
         if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.UAdd):
             if isinstance(node.operand, ast.UnaryOp):
                 fail("unexpected sign", node.operand)
-            return build(node.operand)
+            return build(node.operand, depth)
         if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow):
-            base, expo, sign = build(node.left), node.right, 1.0
+            base, expo, sign = build(node.left, depth), node.right, 1.0
             if isinstance(expo, ast.UnaryOp) and isinstance(expo.op, ast.USub):
                 expo, sign = expo.operand, -1.0
             if not isinstance(expo, ast.Constant):
@@ -193,7 +202,7 @@ def parse_exponent(text, n):
             e = sign * number(expo)  # a float, as numpy's fast scalar powers expect
             return lambda pts: base(pts) ** e
         if isinstance(node, ast.BinOp) and type(node.op) in _OPS:
-            op, left, right = _OPS[type(node.op)], build(node.left), build(node.right)
+            op, left, right = _OPS[type(node.op)], build(node.left, depth), build(node.right, depth)
             return lambda pts: op(left(pts), right(pts))
         if isinstance(node, ast.Call):
             name = getattr(node.func, "id", None)
@@ -201,7 +210,7 @@ def parse_exponent(text, n):
                 fail("unknown function", node.func)
             if len(node.args) != 1 or node.keywords:
                 fail(f"{name} takes one argument", node)
-            fn, arg = _FUNCS[name], build(node.args[0])
+            fn, arg = _FUNCS[name], build(node.args[0], depth)
             return lambda pts: fn(arg(pts))
         fail("unsupported expression", node)
 

@@ -95,11 +95,12 @@ def _check_range(n, p):
 
 @contextmanager
 def _float_range(what):
-    """An OverflowError or ZeroDivisionError in the block as a one-line
-    DomainError saying that ``what`` leaves the float range."""
+    """An OverflowError, ZeroDivisionError or DivergentIntegral in the block
+    as a one-line DomainError saying that ``what`` leaves the float range: a
+    p within an ulp of N rounds a convergent tail exponent to 0."""
     try:
         yield
-    except (OverflowError, ZeroDivisionError):
+    except (OverflowError, ZeroDivisionError, DivergentIntegral):
         raise DomainError(f"{what} leave the float range") from None
 
 
@@ -354,11 +355,11 @@ def expansion_coefficients(
     def integral(name):
         return _interior_integral(n, p, name)
 
-    # boundary pieces
+    alpha = decay_rate(n, p)
     with _float_range(f"half-space integrals at N={n}, p={p}"):
         omega = sphere_area(n - 2)
-    alpha = decay_rate(n, p)
-    a0 = f0 * omega * boundary_power_integral(n - 2, alpha * p_star)
+        a0 = f0 * omega * boundary_power_integral(n - 2, alpha * p_star)
+        d0 = f0 * integral("grad")
 
     compute("c0", f0 == 0.0, [(hyp_c0, _HYP_C0)], lambda: f0 * integral("value_p"))
     compute(
@@ -368,7 +369,6 @@ def expansion_coefficients(
         lambda: -f0 * lap_r0 / (2.0 * p_star)
         * omega * boundary_power_integral(n, alpha * p_star),
     )
-    d0 = f0 * integral("grad")
     compute(
         "d1",
         f0 * dtp0 == 0.0,
@@ -498,13 +498,12 @@ def norm_expansion_check(n, p, coeffs, epsilons, model="disk"):
     2 delta, with delta a quarter of the chart validity radius; a fit whose
     relative residual exceeds 0.2 raises FitUnstable, and N != 2, an
     unknown model, a disk with H <= 0, a flat model with H != 0, a weight
-    that is not positive on the support or an eps <= 0 raise DomainError.
+    that is not positive on the support, an eps <= 0 or an eps >= delta
+    raise DomainError.
     """
     if n != 2:
         raise DomainError(f"the model-domain check is planar (N = 2), got N = {n}")
     epsilons = tuple(sorted((float(e) for e in epsilons), reverse=True))
-    if not all(e > 0 for e in epsilons):
-        raise DomainError(f"epsilons must be > 0, got {min(epsilons)!r}")
     inp = coeffs.inputs
     f0, dtf0 = inp["f0"], inp["dtf0"]
     dtp0, dttp0 = inp["dtp0"], inp["dttp0"]
@@ -515,6 +514,10 @@ def norm_expansion_check(n, p, coeffs, epsilons, model="disk"):
     alpha = decay_rate(n, p)
     chart = _model_chart(model, H)
     delta = 0.25 * chart.validity_radius
+    bad = [e for e in epsilons if not 0 < e < delta]  # no profile cut off at its own scale
+    if bad:
+        raise DomainError(f"epsilons must be > 0 and < the cutoff radius delta = {delta:.4g}, "
+                          f"got {bad[0]!r}")
     if not min(f0, f0 + 2.0 * delta * dtf0) > 0:
         raise DomainError(
             f"the weight f0 + dtf0*t must be > 0 for 0 <= t <= {2.0 * delta:.4g}, "

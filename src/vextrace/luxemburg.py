@@ -281,18 +281,19 @@ def _norm_from_arrays(av, w, exps, gmag, start=None):
 
     centre = math.nan if start is None else float(start) / peak
     delta, m = 0.0, math.nan
-    if 0.0 < centre < math.inf:
-        with np.errstate(over="ignore"):  # an overflow drops the start
+    # an overflow drops the start, and at the unit scale is reported below
+    with np.errstate(over="ignore"):
+        if 0.0 < centre < math.inf:
             parts = centred(centre)
             m, d = _modular_value(parts[0], exps)
-    if not _MIN_NORMAL <= m < math.inf:
-        centre = 1.0
-        parts = centred(centre)
-        m, d = _modular_value(parts[0], exps)
-        if not math.isfinite(m):
-            raise NonFiniteModular("modular overflow at unit scale")
-        if m == 0.0:
-            return zero
+        if not _MIN_NORMAL <= m < math.inf:
+            centre = 1.0
+            parts = centred(centre)
+            m, d = _modular_value(parts[0], exps)
+    if not math.isfinite(m):
+        raise NonFiniteModular("modular overflow at unit scale")
+    if m == 0.0:
+        return zero
     # bracket from the norm-modular inequalities, log lambda between
     # log(rho)/p+ and log(rho)/p-, kept relative to the centre
     log_rho = math.log(m)
@@ -401,23 +402,16 @@ def verify_norm_modular_relations(samples, p):
             RelationCheck("sign_agreement", True, agree, abs(rho - 1.0))
         )
 
-    p_lo = float(np.min(exps))
-    p_hi = float(np.max(exps))
-    if lam > 1.0 + RELATION_TOL:
-        lo_s = rho - lam**p_lo
-        hi_s = lam**p_hi - rho
-        checks.append(RelationCheck("norm_gt1_lower", True, lo_s >= -RELATION_TOL, lo_s))
-        checks.append(RelationCheck("norm_gt1_upper", True, hi_s >= -RELATION_TOL, hi_s))
-        checks.append(RelationCheck("norm_lt1_lower", False, True, 0.0))
-        checks.append(RelationCheck("norm_lt1_upper", False, True, 0.0))
-    elif 0.0 < lam < 1.0 - RELATION_TOL:
-        lo_s = rho - lam**p_hi
-        hi_s = lam**p_lo - rho
-        checks.append(RelationCheck("norm_gt1_lower", False, True, 0.0))
-        checks.append(RelationCheck("norm_gt1_upper", False, True, 0.0))
-        checks.append(RelationCheck("norm_lt1_lower", True, lo_s >= -RELATION_TOL, lo_s))
-        checks.append(RelationCheck("norm_lt1_upper", True, hi_s >= -RELATION_TOL, hi_s))
-    else:
-        for name in ("norm_gt1_lower", "norm_gt1_upper", "norm_lt1_lower", "norm_lt1_upper"):
-            checks.append(RelationCheck(name, False, True, 0.0))
+    gt1, lt1 = lam > 1.0 + RELATION_TOL, 0.0 < lam < 1.0 - RELATION_TOL
+    lo = hi = 0.0  # |u|^{p-} and |u|^{p+}, taken only where a pair applies
+    if gt1 or lt1:
+        lo, hi = lam ** float(np.min(exps)), lam ** float(np.max(exps))
+    for name, applicable, slack in (
+        ("norm_gt1_lower", gt1, rho - lo),
+        ("norm_gt1_upper", gt1, hi - rho),
+        ("norm_lt1_lower", lt1, rho - hi),
+        ("norm_lt1_upper", lt1, lo - rho),
+    ):
+        slack = slack if applicable else 0.0
+        checks.append(RelationCheck(name, applicable, slack >= -RELATION_TOL, slack))
     return checks

@@ -19,7 +19,7 @@ import numpy as np
 from scipy import optimize
 from scipy.spatial import cKDTree
 
-from .exponents import critical_gap
+from .exponents import SupercriticalError, critical_gap
 from .geometry import GeometryError, fermi_chart
 from .halfspace import sharp_constant_inverse
 from .luxemburg import _norm_from_arrays, fixed_order_sum
@@ -61,7 +61,8 @@ def sampled_exponent_bounds(domain, p, r):
     of r over the boundary quadrature points and boundary vertices.
 
     Raises DegenerateExponent at the first sample where p or r is not a
-    finite number, since no bound check can judge a nan.
+    finite number, since no bound check can judge a nan, and then
+    SupercriticalError unless sup p < N, where p_* is defined.
     """
     samples = (
         ("p", p, np.concatenate([domain.interior_quadrature()[0], domain.vertices])),
@@ -75,6 +76,9 @@ def sampled_exponent_bounds(domain, p, r):
         if len(bad):
             raise DegenerateExponent(f"{name} is {v[bad[0]]} at {tuple(map(float, pts[bad[0]]))}")
         bounds.append((float(np.min(v)), float(np.max(v))))
+    n = p.ambient_dimension
+    if bounds[0][1] >= n:
+        raise SupercriticalError(f"sup p = {bounds[0][1]} >= N = {n}")
     return tuple(bounds)
 
 
@@ -122,13 +126,9 @@ class DiscreteTraceProblem:
             raise DegenerateExponent(
                 f"inf p = {self.p_bounds[0]} < 1.05: descent ill-conditioned"
             )
-        if self.p_bounds[1] >= 2.0:
-            # planar critical theory needs p < N = 2
-            raise DegenerateExponent(f"sup p = {self.p_bounds[1]} >= 2 in the plane")
         if self.r_bounds[0] < 1.0:
             raise DegenerateExponent(f"inf r = {self.r_bounds[0]} < 1")
 
-        # sup p < 2 is enforced above, so the gap needs no bounds check
         gap = critical_gap(p_field, r_field, bpts)
         self.subcritical_margin = float(np.min(gap))
         if self.subcritical_margin < -1e-9:
@@ -375,17 +375,24 @@ def minimize(problem, init="constant", max_iter=200, tol=1e-6, seed=0):
     )
 
 
+def _separated(points, d):
+    """Indices of up to three of the points, taken in order, each farther
+    than d from every point taken before it."""
+    chosen = []
+    for i, x in enumerate(points):
+        if all(np.linalg.norm(x - points[j]) > d for j in chosen):
+            chosen.append(i)
+            if len(chosen) == 3:
+                break
+    return chosen
+
+
 def _cluster_critical_points(problem):
     """Up to three critical quadrature points more than 10h apart, each
     moved to the nearest point of the exact boundary: the quadrature points
     lie on the chords, off a curved arc, where fermi_chart has no chart."""
-    sep = 10.0 * problem.mesh_h
-    chosen = []
-    for x in problem.critical_points:
-        if all(np.linalg.norm(x - c) > sep for c in chosen):
-            chosen.append(x)
-        if len(chosen) >= 3:
-            break
+    pts = problem.critical_points
+    chosen = pts[_separated(pts, 10.0 * problem.mesh_h)]
     return [arc.point(s) for arc, s, _ in map(problem.domain.loop.nearest, chosen)]
 
 
@@ -424,7 +431,7 @@ def concentration_diagnostic(a, problem, radii):
     bv = problem.boundary_values(a)
     masses = problem.bquad_weights * np.abs(bv) ** problem.r_exps
     total = fixed_order_sum(masses)
-    vals, gmag, _, _ = problem.interior_fields(a)
+    _, gmag, _, _ = problem.interior_fields(a)
     gmasses = problem.quad_weights * gmag**problem.p_exps
 
     bpts = problem.bquad_points
@@ -432,16 +439,12 @@ def concentration_diagnostic(a, problem, radii):
     balls = cKDTree(bpts).query_ball_point(bpts, r_atom)
     ball_mass = np.array([fixed_order_sum(masses[b]) for b in balls])
     order = np.argsort(-ball_mass)
-    atom_idx = int(order[0])
-    atom = bpts[atom_idx]
+    atom = bpts[order[0]]
 
-    candidates = []
-    for idx in order:
-        x = bpts[idx]
-        if all(np.linalg.norm(x - np.asarray(c[0])) > 2 * r_atom for c in candidates):
-            candidates.append(((float(x[0]), float(x[1])), float(ball_mass[idx] / total)))
-        if len(candidates) >= 3:
-            break
+    candidates = tuple(
+        ((float(bpts[i, 0]), float(bpts[i, 1])), float(ball_mass[i] / total))
+        for i in order[_separated(bpts[order], 2 * r_atom)]
+    )
 
     db = np.linalg.norm(bpts - atom, axis=1)
     di = np.linalg.norm(problem.quad_points - atom, axis=1)
@@ -452,8 +455,6 @@ def concentration_diagnostic(a, problem, radii):
     gprofile = tuple(
         (r, float(fixed_order_sum(gmasses[di <= r]) / gtotal)) for r in radii
     )
-    frac_close = float(fixed_order_sum(masses[db <= r_atom]) / total)
-    concentrated = frac_close > 0.9
 
     p_atom = float(problem.p_field.eval_at(atom))
     r_atom_exp = float(problem.r_field.eval_at(atom))
@@ -462,11 +463,11 @@ def concentration_diagnostic(a, problem, radii):
     tbar = sharp_constant_inverse(2, p_atom)
     slack = mu ** (1.0 / p_atom) - tbar * nu ** (1.0 / r_atom_exp)
     return ConcentrationVerdict(
-        concentrated=concentrated,
+        concentrated=nu / total > 0.9,
         atom_location=(float(atom[0]), float(atom[1])),
         boundary_mass_profile=profile,
         interior_gradient_mass=gprofile,
-        atom_candidates=tuple(candidates),
+        atom_candidates=candidates,
         refinement={
             "nu": nu,
             "mu": mu,

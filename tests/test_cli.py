@@ -268,6 +268,9 @@ def test_solve_unknown_init_flag_is_config_error():
 
 # golden_pair.csv with both values 1e200: the p = 2 modular overflows to inf
 HUGE_PAIR_CSV = open(f"{REPO}/configs/golden_pair.csv").read().replace(",1.0,1.0\n", ",1.0,1e200\n")
+# weights and values 1e308: the p = 2 modular overflows at the unit scale itself
+HUGE_WEIGHT_CSV = HUGE_PAIR_CSV.replace(",1.0,1e200\n", ",1e308,1e308\n")
+DEEP = "config error: [exponents]: expression nested deeper than 200 levels"
 
 
 EXPAND_EPS = "0.08 0.056 0.04 0.028 0.02 0.014 0.01 0.007 0.005 0.0035"
@@ -452,16 +455,34 @@ def _edited(name, *edits):
          "solve", 1, "input error: DomainError: profile powers at lam=1e-20, p=1.06 leave"),
         (_edited("expand_disk.cfg", (EXPAND_EPS, EXPAND_EPS + " 1e-130")), "expand", 1,
          "input error: DomainError: cutoff-profile powers at eps=1e-130, p=1.3 leave the float"),
-        (_edited("expand_disk.cfg", (EXPAND_EPS, EXPAND_EPS + " 1e300")),
-         "expand", 3, "indeterminate: the expansion fit is not finite (slope nan"),
+        (_edited("expand_disk.cfg", (EXPAND_EPS, EXPAND_EPS + " 1e300")), "expand", 1,
+         "input error: DomainError: epsilons must be > 0 and < the cutoff radius delta = 0.1125, "
+         "got 1e+300"),
         (_edited("disk_subcritical.cfg", ("p_expr = 1.5", "p_expr = 2.5")),
-         "solve", 1, "config error: problem assembly: sup p = 2.5 >= 2 in the plane"),
+         "solve", 1, "config error: problem assembly: sup p = 2.5 >= N = 2"),
         (_edited("disk_subcritical.cfg", ("r_expr = 2", "r_expr = 0.5")),
          "solve", 1, "config error: problem assembly: inf r = 0.5 < 1"),
         (_edited("disk_critical.cfg", (CHECKS, "checks = local"), ("x0 = 1.0 0.0", "")),
          "conditions", 1, "config error: [conditions] x0 = x y required for the local check"),
         (_edited("disk_critical.cfg", (CHECKS, "checks = compactness")),
          "conditions", 1, "config error: [conditions] K_points or K_arcs required"),
+        (_edited("disk_subcritical.cfg", ("p_expr = 1.5", "p_expr = 1.5" + " + 0*x1" * 990)),
+         "solve", 1, DEEP),
+        (_edited("disk_subcritical.cfg", ("p_expr = 1.5", "p_expr = 1.5" + " + 0*x1" * 3000)),
+         "solve", 1, DEEP),
+        (_edited("disk_subcritical.cfg", ("p_expr = 1.5", "p_expr = 1.5+0*x1" + "^1" * 3000)),
+         "solve", 1, DEEP),
+        (_edited("disk_subcritical.cfg", ("p_expr = 1.5", "p_expr = " + "-" * 2000 + "1.5")),
+         "solve", 1, DEEP),
+        (_edited("expand_disk.cfg", ("p = 1.3", "p = 1.9999999999999998")), "expand", 1,
+         "input error: DomainError: half-space integrals at N=2, p=1.9999999999999998 leave"),
+        (_edited("golden_norm.cfg", ("configs/golden_pair.csv", "{tmp}/huge_weight_pair.csv"),
+                 ("p_expr = 2 + 2*x1", "p_expr = 2")),
+         "norm", 1, "input error: NonFiniteModular: modular overflow at unit scale"),
+        (_edited("expand_disk.cfg", ("H = 1.0", "H = 2")), "expand", 1,
+         "input error: DomainError: epsilons must be > 0 and < the cutoff radius delta = 0.05625"),
+        (_edited("expand_disk.cfg", ("H = 1.0", "H = 5")), "expand", 1,
+         "input error: DomainError: epsilons must be > 0 and < the cutoff radius delta = 0.0225,"),
     ],
     ids=["not-critical", "gamma-not-empty", "hypothesis", "geometry", "fit-unstable",
          "norm-bad-p-expr", "h-nan", "max-iter-inf", "truncation-R-inf",
@@ -484,10 +505,13 @@ def _edited(name, *edits):
          "loop-digon", "loop-collinear", "disk-area-underflow", "square-sliver-side",
          "expand-N-400", "init-bubble-lam-overflow", "init-bubble-lam-underflow",
          "expand-eps-underflow", "expand-eps-huge", "p-sup-above-2", "r-inf-below-1",
-         "local-without-x0", "compactness-without-K"],
+         "local-without-x0", "compactness-without-K", "p-expr-990-terms", "p-expr-3000-terms",
+         "p-expr-3000-powers", "p-expr-2000-signs", "expand-p-ulp-below-N",
+         "norm-unit-scale-overflow", "expand-eps-beyond-delta-H-2", "expand-eps-beyond-delta-H-5"],
 )
 def test_domain_errors_are_one_line_with_exit_code(tmp_path, text, command, code, message):
     (tmp_path / "huge_pair.csv").write_text(HUGE_PAIR_CSV)
+    (tmp_path / "huge_weight_pair.csv").write_text(HUGE_WEIGHT_CSV)
     cfg = tmp_path / "case.cfg"
     if text is None:  # the config path names a directory
         cfg.mkdir()
@@ -631,6 +655,12 @@ def test_stdout_is_strict_json(tmp_path, text, argv, code):
          "constants needs --N and --p (or a [halfspace] section)"),
         (["--config", "configs/disk_subcritical.cfg", "solve", "--init", "bubble 0 0 0.3"],
          "input error: ", "GeometryError: x0 does not lie on the boundary"),
+        (["constants", "--N", "2", "--p", "1.9999999999999998"], "input error: ",
+         "DomainError: half-space integrals at N=2, p=1.9999999999999998 leave the float range"),
+        (["constants", "--N", "3", "--p", "2.9999999999999996"], "input error: ",
+         "DomainError: half-space integrals at N=3, p=2.9999999999999996 leave the float range"),
+        (["constants", "--N", "5", "--p", "4.999999999999999"], "input error: ",
+         "DomainError: half-space integrals at N=5, p=4.999999999999999 leave the float range"),
     ],
     ids=["constants-p-above-N", "solve-bad-radii", "truncation-R-inf", "p-nan", "H-minus-inf",
          "tol-nan", "tol-zero", "max-iter-zero", "tol-negative-exponent", "H-space-minus-inf",
@@ -638,7 +668,8 @@ def test_stdout_is_strict_json(tmp_path, text, argv, code):
          "radii-not-positive", "init-bubble-zero-trace", "threads-zero", "seed-negative-solve",
          "seed-negative-conditions", "constants-integrals-underflow",
          "constants-integrals-underflow-near-p-1", "constants-sphere-area-overflow",
-         "constants-N-1e20", "constants-without-N", "init-bubble-off-boundary"],
+         "constants-N-1e20", "constants-without-N", "init-bubble-off-boundary",
+         "constants-p-ulp-below-N-2", "constants-p-ulp-below-N-3", "constants-p-ulp-below-N-5"],
 )
 def test_flag_mistakes_are_one_line(argv, prefix, message):
     res = run_cli(*argv)

@@ -165,6 +165,19 @@ def test_supercritical_p_inside_the_domain_is_refused(disk):
                                r0=0.3, phi=LogPower(1))
     with pytest.raises(SupercriticalError):
         local_condition(disk, p, R3, (1.0, 0.0))
+    with pytest.raises(SupercriticalError, match=r"sup p = 2\.49\d* >= N = 2"):
+        global_condition(disk, p, R3, Estimate(1.0))
+
+
+@pytest.mark.parametrize("k", [1, 7, 300])
+def test_point_set_distance_equals_the_dense_reference(disk, k):
+    # a point of K is a zero-length segment to distance_to_segments
+    rng = np.random.default_rng(k)
+    pts = rng.uniform(-1.5, 1.5, (500, 2))
+    K = rng.uniform(-1.5, 1.5, (k, 2))
+    diff = pts[:, None, :] - K[None, :, :]
+    dense = np.min(np.sqrt(np.sum(diff * diff, axis=2)), axis=1)
+    assert np.array_equal(conditions._dist_to_set(pts, K, disk), dense)
 
 
 # -- global condition ----------------------------------------------------------

@@ -413,3 +413,33 @@ def test_affine_field_round_trip_property(a, b, x, y):
     e = ExponentField.from_text(f"{a!r} + {b!r}*x1", 2)
     assert e.eval_at((x, y)) == a + b * x
     assert e.gradient((x, y)).tolist() == [[b, 0.0]]
+
+
+_TOKENS = ["x1", "x2", "x3", "1.5", "0", "2e-3", " ", "+", "-", "*", "/", "^", "^-1",
+           "(", ")", "sqrt(", "exp(", "log(", ",", "."]
+# a core wrapped k times: nested signs, parentheses and calls, long sums and powers
+_WRAPS = [("-", ""), ("(", ")"), ("sqrt(", ")"), ("(x1+", ")"), ("", " + 0*x1"), ("", "^1"),
+          ("+", ""), ("exp(", ")*x2")]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    tokens=st.lists(st.sampled_from(_TOKENS), max_size=400),
+    wrap=st.sampled_from(_WRAPS),
+    depth=st.integers(0, 3000),
+    core=st.sampled_from(["1.5", "x1", "x2 + 1", "x1^2"]),
+)
+def test_parse_exponent_refuses_in_one_error_and_evaluates_what_it_accepts(
+    tokens, wrap, depth, core
+):
+    # random token runs and deep wrappings: either one of the parser's two
+    # errors, or a field whose values and gradients evaluate without a
+    # RecursionError
+    pts = np.array([[0.3, -0.7], [1.0, 2.0], [0.0, 0.0]])
+    for text in ("".join(tokens), wrap[0] * depth + core + wrap[1] * depth):
+        try:
+            f = ExponentField(parse_exponent(text, 2), 2)
+        except (ExponentSyntaxError, DimensionError):
+            continue
+        assert f(pts).shape == (3,)
+        assert f.gradient(pts).shape == (3, 2)
