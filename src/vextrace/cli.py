@@ -29,13 +29,16 @@ from dataclasses import asdict
 
 import numpy as np
 
-from . import __version__
-from .conditions import GammaNotEmpty, NotCritical
+from . import __version__, solver
+from .conditions import (Estimate, GammaNotEmpty, LogPower, NotCritical, compactness_rate_check,
+                         existence_verdict, global_condition, local_condition,
+                         smallest_localized_constant)
 from .config import EXPANSION_INPUTS, FLAGS, ConfigError, ProblemConfig, hash_of_args
+from .exponents import ExponentField
 from .geometry import CornerError, GeometryError
-from .halfspace import DomainError, FitUnstable, HypothesisViolation
+from .halfspace import (DomainError, FitUnstable, HypothesisViolation, expansion_coefficients,
+                        norm_expansion_check, sharp_constant_formula, sharp_constant_quadrature)
 from .luxemburg import NonFiniteModular, WeightedSamples, luxemburg_norm, modular
-from .solver import ZeroTrace
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -95,12 +98,10 @@ def _base_payload(command, config_hash, seed=None):
 def _descend(problem, opts, seed):
     """The descent [solver] names: every start under multistart, else the
     one ``init`` (the constant start by default)."""
-    from .solver import minimize, solve_problem
-
     run_opts = dict(max_iter=opts["max_iter"], tol=opts["tol"], seed=seed)
     if opts["init"] == "multistart":
-        return solve_problem(problem, n_random=opts["n_random"], **run_opts)
-    return minimize(problem, init=opts["init"], **run_opts)
+        return solver.solve_problem(problem, n_random=opts["n_random"], **run_opts)
+    return solver.minimize(problem, init=opts["init"], **run_opts)
 
 
 def _require_config(args):
@@ -116,8 +117,6 @@ def cmd_norm(args):
     cfg = _require_config(args)
     s = cfg.settings("norm")
     path, kind = s["samples_csv"], s["kind"]
-    from .exponents import ExponentField
-
     try:
         p = ExponentField.from_text(s["p_expr"], s["n"])
     except ValueError as err:
@@ -139,12 +138,6 @@ def cmd_norm(args):
 
 
 def cmd_constants(args):
-    from .halfspace import (
-        expansion_coefficients,
-        sharp_constant_formula,
-        sharp_constant_quadrature,
-    )
-
     cfg = ProblemConfig.from_path(args.config) if args.config else ProblemConfig.from_text("")
     s = cfg.settings("halfspace", vars(args))
     n, p = s["N"], s["p"]
@@ -197,12 +190,10 @@ def cmd_solve(args):
     cfg = _require_config(args)
     opts = cfg.settings("solver", vars(args))
     problem = cfg.build_problem()
-
-    from .solver import concentration_diagnostic
-
     report = _descend(problem, opts, args.seed)
     if opts["radii"]:
-        report.concentration = concentration_diagnostic(report.minimizer, problem, opts["radii"])
+        report.concentration = solver.concentration_diagnostic(
+            report.minimizer, problem, opts["radii"])
 
     payload = _base_payload("solve", cfg.config_hash, seed=args.seed)
     payload.update(report.to_dict())
@@ -231,16 +222,6 @@ def cmd_solve(args):
 
 def cmd_conditions(args):
     cfg = _require_config(args)
-    from .conditions import (
-        Estimate,
-        LogPower,
-        compactness_rate_check,
-        existence_verdict,
-        global_condition,
-        local_condition,
-        smallest_localized_constant,
-    )
-
     problem = cfg.build_problem()
     domain = problem.domain
     p, r = problem.p_field, problem.r_field
@@ -308,8 +289,6 @@ def cmd_conditions(args):
 
 def cmd_expand(args):
     cfg = _require_config(args)
-    from .halfspace import expansion_coefficients, norm_expansion_check
-
     e = cfg.settings("expand")
     model = e["model"]
     inputs = {k: e[k] for k in EXPANSION_INPUTS if k in e}
@@ -402,7 +381,7 @@ def run(argv=None):
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG
     except (GeometryError, CornerError, NotCritical, GammaNotEmpty, HypothesisViolation,
-            DomainError, NonFiniteModular, ZeroTrace) as err:
+            DomainError, NonFiniteModular, solver.ZeroTrace) as err:
         print(f"input error: {type(err).__name__}: {err}", file=sys.stderr)
         return EXIT_CONFIG
     except FitUnstable as err:

@@ -18,7 +18,7 @@ from .exponents import critical_gap, local_extremum_check
 from .geometry import GeometryError, distance_to_segments, fermi_chart
 from .halfspace import K_INV_REL, sharp_constant_inverse
 from .luxemburg import fixed_order_sum
-from .solver import CRIT_TOL, sampled_exponent_bounds
+from .solver import CRIT_TOL, LOCAL_RADIUS, sampled_exponent_bounds
 
 __all__ = [
     "ConditionVerdict",
@@ -115,10 +115,13 @@ def _dist_to_set(points, K, domain):
     return distance_to_segments(points, K_pts, K_pts)
 
 
-def _extremum_gates(p, r, x0, radius, ipts, bpts):
-    """Is x0 a local minimum of p over the interior and boundary quadrature
-    points within radius, and a local maximum of r over the boundary ones?
-    Returns (p_min_ok, p_witness, r_max_ok, r_witness)."""
+def _extremum_gates(domain, p, r, x0):
+    """Is x0 a local minimum of p over the domain's interior and boundary
+    quadrature points within LOCAL_RADIUS mesh sizes, and a local maximum of
+    r over the boundary ones?  Returns (p_min_ok, p_witness, r_max_ok,
+    r_witness)."""
+    radius = LOCAL_RADIUS * domain.mesh_size()
+    ipts, bpts = domain.interior_quadrature()[0], domain.boundary_quadrature()[0]
     near_i = ipts[np.linalg.norm(ipts - x0, axis=1) <= radius]
     near_b = bpts[np.linalg.norm(bpts - x0, axis=1) <= radius]
     p_min = local_extremum_check(p, x0, "min", np.concatenate([near_i, near_b]))
@@ -252,10 +255,10 @@ def local_condition(domain, p, r, x0):
     """Pointwise sufficient condition at a critical boundary point.
 
     Gates, in order: x0 critical, p locally minimal, r locally maximal
-    (both sampled within 10 mesh sizes of x0); then the disjunction (inward
-    normal derivative of p positive) or (boundary curvature positive); the
-    fired branch is recorded.  Raises SupercriticalError unless sup p < N on
-    the domain sample.
+    (both sampled within LOCAL_RADIUS mesh sizes of x0); then the
+    disjunction (inward normal derivative of p positive) or (boundary
+    curvature positive); the fired branch is recorded.  Raises
+    SupercriticalError unless sup p < N on the domain sample.
     """
     x0 = np.asarray(x0, float)
     p_bounds, r_bounds = sampled_exponent_bounds(domain, p, r)
@@ -263,10 +266,7 @@ def local_condition(domain, p, r, x0):
     if abs(gap0) > CRIT_TOL:
         raise NotCritical(f"trace-exponent gap at x0 is {gap0}")
 
-    p_min_ok, p_wit, r_max_ok, r_wit = _extremum_gates(
-        p, r, x0, 10.0 * domain.mesh_size(),
-        domain.interior_quadrature()[0], domain.boundary_quadrature()[0],
-    )
+    p_min_ok, p_wit, r_max_ok, r_wit = _extremum_gates(domain, p, r, x0)
 
     chart = fermi_chart(domain.loop, x0)
     dtp = float(p.gradient(x0[None, :])[0] @ chart.nu)
@@ -329,15 +329,13 @@ def localized_constant_estimate(problem, x0, max_iter=None):
     """The half-space constant K(2, p(x0))^-1 at a critical boundary point,
     with method "halfspace".  Concentrating the half-space extremal at x0
     gives T_bar_x0 <= K^-1, with equality when x0 is a local minimum of p
-    and a local maximum of r (both sampled within 10 mesh sizes); then the
-    bar is the closed form's relative K_INV_REL, else K^-1 is an upper
-    bound only and the bar is infinite.
+    and a local maximum of r (both sampled within LOCAL_RADIUS mesh sizes);
+    then the bar is the closed form's relative K_INV_REL, else K^-1 is an
+    upper bound only and the bar is infinite.
     """
     p, r = problem.p_field, problem.r_field
     x0 = np.asarray(x0, float)
-    p_min_ok, _, r_max_ok, _ = _extremum_gates(
-        p, r, x0, 10 * problem.mesh_h, problem.quad_points, problem.bquad_points
-    )
+    p_min_ok, _, r_max_ok, _ = _extremum_gates(problem.domain, p, r, x0)
     k_inv = sharp_constant_inverse(2, float(p.eval_at(x0)))
     return Estimate(k_inv, K_INV_REL * k_inv if p_min_ok and r_max_ok else math.inf), "halfspace"
 

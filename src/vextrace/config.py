@@ -36,6 +36,7 @@ from typing import Callable, NamedTuple
 
 from .exponents import ExponentField
 from .geometry import BoundaryLoop, CircularArc, Segment, mesh_domain
+from .solver import DiscreteTraceProblem
 
 
 class ConfigError(ValueError):
@@ -304,8 +305,6 @@ class ProblemConfig:
         return p, r
 
     def build_problem(self):
-        from .solver import DiscreteTraceProblem
-
         domain = self.build_domain()
         p, r = self.build_exponents()
         if p.ambient_dimension != 2:

@@ -30,6 +30,7 @@ __all__ = [
     "DimensionError",
     "SupercriticalError",
     "parse_exponent",
+    "trace_exponent",
     "critical_gap",
     "local_extremum_check",
     "log_holder_probe",
@@ -255,9 +256,15 @@ class ExponentField:
             return self.expr(_Dual(pts, seeds)).tangent.T
 
 
+def trace_exponent(n, p):
+    """The critical trace exponent p_* = (N-1)p/(N-p), for a scalar or an
+    array p; the caller has checked p < N."""
+    return (n - 1.0) * p / (n - p)
+
+
 def critical_gap(p, r, points):
-    """Gap p_*(x) - r(x) at points, p_* = (N-1)p/(N-p) the critical trace
-    exponent; <= 0 marks critical points.
+    """Gap p_*(x) - r(x) at points, p_* the critical trace exponent; <= 0
+    marks critical points.
 
     Raises SupercriticalError if p >= N at any of the points.
     """
@@ -269,7 +276,7 @@ def critical_gap(p, r, points):
         raise SupercriticalError(f"sup p = {hi} >= N = {n}")
     # nan and inf values are the caller's to judge, without a warning
     with np.errstate(all="ignore"):
-        return (n - 1.0) * v / (n - v) - r(pts)
+        return trace_exponent(n, v) - r(pts)
 
 
 def local_extremum_check(field_, x0, kind, points):

@@ -819,7 +819,7 @@ def fermi_chart(loop, x0):
             half_extent = arc.length / 2.0
         else:
             half_extent = min(s, arc.length - s)
-        validity = 0.45 * min(abs(d), half_extent if half_extent > 0 else abs(d))
+        validity = 0.45 * min(abs(d), half_extent)
     else:
         d = 0.0
         H = 0.0

@@ -19,12 +19,15 @@ the expansion coefficients.
 from __future__ import annotations
 
 import math
+import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import beta
 
+from .exponents import trace_exponent
+from .geometry import fermi_chart, polygon_loop, unit_disk_loop
 from .luxemburg import _norm_from_arrays, fixed_order_sum
 
 __all__ = [
@@ -45,7 +48,6 @@ __all__ = [
     "extremal_boundary_integral",
     "expansion_coefficients",
     "norm_expansion_check",
-    "trace_exponent",
     "decay_rate",
 ]
 
@@ -81,11 +83,6 @@ def sphere_area(m):
 def decay_rate(n, p):
     _check_range(n, p)
     return (n - p) / (p - 1.0)
-
-
-def trace_exponent(n, p):
-    _check_range(n, p)
-    return (n - 1.0) * p / (n - p)
 
 
 def _check_range(n, p):
@@ -163,38 +160,48 @@ def boundary_power_integral(a, c):
     return float(0.5 * beta((a + 1.0) / 2.0, (c - a - 1.0) / 2.0))
 
 
-def _interior_integral(n, p, name):
-    """A named half-space integral of the standard profile (lam=1, y0=0).
+def _profile_integral(n, p, name, weight=1.0):
+    """weight times a named integral of the standard profile (lam=1, y0=0).
 
-    Names: grad (|grad V|^p), t_grad (t |grad V|^p), tt_grad, y2_grad,
-    mix_grad (t |y|^2 / r^2 |grad V|^p), value_p (V^p).
+    Over the half-space: grad (|grad V|^p), t_grad (t |grad V|^p), tt_grad,
+    y2_grad, mix_grad (t |y|^2 / r^2 |grad V|^p), value_p (V^p).  Over the
+    boundary hyperplane: trace (V(.,0)^{p_*}), y2_trace (|y|^2 V(.,0)^{p_*}).
+    Each is a sphere-area coefficient times a Beta-function factor, and the
+    weight multiplies the coefficient first (a0 and a1 take their input
+    factors so).  An integral below the normal floats has lost relative
+    precision (at p = 1.5 and N = 308 the quotient misses the closed form by
+    1e-4), so it raises the float-range DomainError.
     """
     alpha = decay_rate(n, p)
     omega = sphere_area(n - 2)
     c_grad = p * (alpha + 1.0)
+    c_trace = alpha * trace_exponent(n, p)
     amp = alpha**p * omega
-    coef, a, c, k = {
-        "grad": (amp, n - 2, c_grad, 0),
-        "t_grad": (amp, n - 2, c_grad, 1),
-        "tt_grad": (amp, n - 2, c_grad, 2),
-        "y2_grad": (amp, n, c_grad, 0),
-        "mix_grad": (amp, n, c_grad + 2.0, 1),
-        "value_p": (omega, n - 2, p * alpha, 0),
+    coef, integral, args = {
+        "grad": (amp, half_space_power_integral, (n - 2, c_grad, 0)),
+        "t_grad": (amp, half_space_power_integral, (n - 2, c_grad, 1)),
+        "tt_grad": (amp, half_space_power_integral, (n - 2, c_grad, 2)),
+        "y2_grad": (amp, half_space_power_integral, (n, c_grad, 0)),
+        "mix_grad": (amp, half_space_power_integral, (n, c_grad + 2.0, 1)),
+        "value_p": (omega, half_space_power_integral, (n - 2, p * alpha, 0)),
+        "trace": (omega, boundary_power_integral, (n - 2, c_trace)),
+        "y2_trace": (omega, boundary_power_integral, (n, c_trace)),
     }[name]
-    return coef * half_space_power_integral(a, c, k)
+    factor = integral(*args)
+    if coef * factor < sys.float_info.min:
+        raise DomainError(f"half-space integrals at N={n}, p={p} leave the float range")
+    return weight * coef * factor
 
 
 def extremal_gradient_integral(n, p):
     """(integral of |grad V|^p over the half-space, 0.0): a closed form,
     so its error bar is 0."""
-    return _interior_integral(n, p, "grad"), 0.0
+    return _profile_integral(n, p, "grad"), 0.0
 
 
 def extremal_boundary_integral(n, p):
     """(integral of V(.,0)^{p_*} over the boundary hyperplane, 0.0)."""
-    alpha = decay_rate(n, p)
-    p_star = trace_exponent(n, p)
-    return sphere_area(n - 2) * boundary_power_integral(n - 2, alpha * p_star), 0.0
+    return _profile_integral(n, p, "trace"), 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -352,13 +359,11 @@ def expansion_coefficients(
             skipped[name] = str(err)
             values[name] = None
 
-    def integral(name):
-        return _interior_integral(n, p, name)
+    def integral(name, weight=1.0):
+        return _profile_integral(n, p, name, weight)
 
-    alpha = decay_rate(n, p)
     with _float_range(f"half-space integrals at N={n}, p={p}"):
-        omega = sphere_area(n - 2)
-        a0 = f0 * omega * boundary_power_integral(n - 2, alpha * p_star)
+        a0 = integral("trace", f0)
         d0 = f0 * integral("grad")
 
     compute("c0", f0 == 0.0, [(hyp_c0, _HYP_C0)], lambda: f0 * integral("value_p"))
@@ -366,8 +371,7 @@ def expansion_coefficients(
         "a1",
         f0 * lap_r0 == 0.0,
         [(hyp_a1, _HYP_A1)],
-        lambda: -f0 * lap_r0 / (2.0 * p_star)
-        * omega * boundary_power_integral(n, alpha * p_star),
+        lambda: integral("y2_trace", -f0 * lap_r0 / (2.0 * p_star)),
     )
     compute(
         "d1",
@@ -437,8 +441,6 @@ def _column_distinct(a, b):
 
 
 def _model_chart(model, H):
-    from .geometry import fermi_chart, polygon_loop, unit_disk_loop
-
     if model == "disk":
         if H <= 0:
             raise DomainError("disk model needs H > 0")
@@ -586,7 +588,7 @@ def norm_expansion_check(n, p, coeffs, epsilons, model="disk"):
             raise FitUnstable(
                 f"{n_distinct} distinct epsilons cannot test a fit of {X.shape[1]} columns"
             )
-        sol, res, rank, sv = np.linalg.lstsq(X, ys, rcond=None)
+        sol, _, rank, sv = np.linalg.lstsq(X, ys, rcond=None)
         fitted = float(sol[0])
         resid = float(np.linalg.norm(X @ sol - ys) / max(np.linalg.norm(ys), 1e-300))
     if not (math.isfinite(fitted) and math.isfinite(resid)):

@@ -229,14 +229,18 @@ def _modular_value(terms, exps):
     return fixed_order_sum(terms), fixed_order_sum(exps * terms)
 
 
-def modular(samples, p, kind="lebesgue"):
-    """Modular sum_i w_i |u_i|^{p_i} (+ gradient part for the sobolev kind)."""
-    av, w, exps, gmag = _modular_terms(samples, p, kind)
+def _modular_at(av, w, exps, gmag, lam):
+    """modular(u/lam); NonFiniteModular when it overflows."""
     with np.errstate(over="ignore"):  # an overflow is reported just below
-        val = _modular_value(_scaled_terms(av, w, exps, gmag, 1.0), exps)[0]
+        val = _modular_value(_scaled_terms(av, w, exps, gmag, lam), exps)[0]
     if not math.isfinite(val):
         raise NonFiniteModular("modular overflow; rescale the samples")
     return val
+
+
+def modular(samples, p, kind="lebesgue"):
+    """Modular sum_i w_i |u_i|^{p_i} (+ gradient part for the sobolev kind)."""
+    return _modular_at(*_modular_terms(samples, p, kind), 1.0)
 
 
 def _norm_from_arrays(av, w, exps, gmag, start=None):
@@ -378,15 +382,17 @@ def verify_norm_modular_relations(samples, p):
     sign agreement of |u|-1 and modular-1, and the two-sided power bounds
     |u|^{p-} <= modular <= |u|^{p+} (norm > 1) and the reversed pair
     (norm < 1).  Slack is how far inside the inequality the data sits;
-    negative slack beyond -RELATION_TOL fails.
+    negative slack beyond -RELATION_TOL fails.  A power bound beyond the
+    float range is +inf and holds; a modular that overflows raises
+    NonFiniteModular.
     """
     av, w, exps, _ = _modular_terms(samples, p, "lebesgue")
-    rho = _modular_value(_scaled_terms(av, w, exps, None, 1.0), exps)[0]
+    rho = _modular_at(av, w, exps, None, 1.0)
     lam = _norm_from_arrays(av, w, exps, None)[0]
     checks = []
 
     if lam > 0.0:
-        unit = _modular_value(_scaled_terms(av, w, exps, None, lam), exps)[0]
+        unit = _modular_at(av, w, exps, None, lam)
         slack = RELATION_TOL * 10 - abs(unit - 1.0)
         checks.append(RelationCheck("unit_ball_modular", True, slack >= -RELATION_TOL, slack))
     else:
@@ -405,7 +411,8 @@ def verify_norm_modular_relations(samples, p):
     gt1, lt1 = lam > 1.0 + RELATION_TOL, 0.0 < lam < 1.0 - RELATION_TOL
     lo = hi = 0.0  # |u|^{p-} and |u|^{p+}, taken only where a pair applies
     if gt1 or lt1:
-        lo, hi = lam ** float(np.min(exps)), lam ** float(np.max(exps))
+        with np.errstate(over="ignore"):
+            lo, hi = (float(np.float64(lam) ** e) for e in (np.min(exps), np.max(exps)))
     for name, applicable, slack in (
         ("norm_gt1_lower", gt1, rho - lo),
         ("norm_gt1_upper", gt1, hi - rho),

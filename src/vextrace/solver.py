@@ -20,8 +20,8 @@ from scipy import optimize
 from scipy.spatial import cKDTree
 
 from .exponents import SupercriticalError, critical_gap
-from .geometry import GeometryError, fermi_chart
-from .halfspace import sharp_constant_inverse
+from .geometry import GeometryError, distance_to_segments, fermi_chart
+from .halfspace import ExtremalProfile, _smoothstep_cutoff, sharp_constant_inverse
 from .luxemburg import _norm_from_arrays, fixed_order_sum
 
 __all__ = [
@@ -41,6 +41,9 @@ __all__ = [
 ]
 
 CRIT_TOL = 1e-8  # a boundary point with p_* - r at most this is critical
+# in mesh sizes: the neighbourhood of a local check, the spacing of critical
+# clusters and the radius of a mass atom
+LOCAL_RADIUS = 10.0
 
 
 class ZeroTrace(ValueError):
@@ -271,8 +274,6 @@ def bubble_init(problem, x0, lam, delta=None):
     tail is cut off smoothly beyond delta (default 4 lam), which is all an
     initial iterate needs.
     """
-    from .halfspace import ExtremalProfile, _smoothstep_cutoff
-
     chart = fermi_chart(problem.domain.loop, x0)
     p0 = float(problem.p_field.eval_at(chart.x0))
     prof = ExtremalProfile(2, p0, lam=lam)
@@ -388,23 +389,24 @@ def _separated(points, d):
 
 
 def _cluster_critical_points(problem):
-    """Up to three critical quadrature points more than 10h apart, each
-    moved to the nearest point of the exact boundary: the quadrature points
-    lie on the chords, off a curved arc, where fermi_chart has no chart."""
+    """Up to three critical quadrature points more than LOCAL_RADIUS mesh
+    sizes apart, each moved to the nearest point of the exact boundary: the
+    quadrature points lie on the chords, off a curved arc, where fermi_chart
+    has no chart."""
     pts = problem.critical_points
-    chosen = pts[_separated(pts, 10.0 * problem.mesh_h)]
+    chosen = pts[_separated(pts, LOCAL_RADIUS * problem.mesh_h)]
     return [arc.point(s) for arc, s, _ in map(problem.domain.loop.nearest, chosen)]
 
 
 def solve_problem(problem, n_random=3, max_iter=200, tol=1e-6, seed=0):
     """Multi-start driver: constant, random restarts, one bubble of scale 4h
-    per detected critical cluster; returns the best report, whose
-    ``starts`` lists every start in order."""
+    per detected critical cluster farther than 8 lam from the zero set;
+    returns the best report, whose ``starts`` lists every start in order."""
     inits = ["constant"] + ["random"] * n_random
     lam = 4.0 * problem.mesh_h
+    gamma_pts = problem.domain.vertices[problem.gamma_nodes]
     for x0 in _cluster_critical_points(problem):
-        gamma_pts = problem.domain.vertices[problem.gamma_nodes]
-        if len(gamma_pts) and np.min(np.linalg.norm(gamma_pts - x0, axis=1)) < 8 * lam:
+        if distance_to_segments(x0, gamma_pts, gamma_pts)[0] < 8 * lam:
             continue
         inits.append(("bubble", (float(x0[0]), float(x0[1])), lam))
 
@@ -422,9 +424,10 @@ def concentration_diagnostic(a, problem, radii):
 
     The iterate is renormalized to unit boundary norm, so the boundary
     modular masses sum to one; the verdict is whether the mass fraction
-    within radius 10h of the atom exceeds 0.9.  The discrete analogue of
-    the atom inequality is evaluated with the closed-form half-space
-    constant K(2, p(atom))^-1 as the localized-constant surrogate.
+    within LOCAL_RADIUS mesh sizes of the atom exceeds 0.9.  The discrete
+    analogue of the atom inequality is evaluated with the closed-form
+    half-space constant K(2, p(atom))^-1 as the localized-constant
+    surrogate.
     """
     a = np.asarray(a, float) / problem.boundary_norm(a)
     radii = sorted(float(r) for r in radii)
@@ -435,7 +438,7 @@ def concentration_diagnostic(a, problem, radii):
     gmasses = problem.quad_weights * gmag**problem.p_exps
 
     bpts = problem.bquad_points
-    r_atom = 10.0 * problem.mesh_h
+    r_atom = LOCAL_RADIUS * problem.mesh_h
     balls = cKDTree(bpts).query_ball_point(bpts, r_atom)
     ball_mass = np.array([fixed_order_sum(masses[b]) for b in balls])
     order = np.argsort(-ball_mass)
@@ -487,12 +490,11 @@ def monotonicity_check(problem, x0, radius, max_iter=200, tol=1e-6):
     a full-domain solve, so T_full <= T_local holds by construction.
     Returns (T_full, T_local).
     """
-    sub, node_map = problem.domain.submesh(np.asarray(x0, float), radius)
+    x0 = np.asarray(x0, float)
+    sub, node_map = problem.domain.submesh(x0, radius)
     gamma_pts = problem.domain.vertices[problem.gamma_nodes]
-    if len(gamma_pts):
-        d = np.linalg.norm(gamma_pts - np.asarray(x0, float), axis=1)
-        if np.min(d) <= radius:
-            raise MeshNotNested("cap overlaps the prescribed zero set")
+    if distance_to_segments(x0, gamma_pts, gamma_pts)[0] <= radius:
+        raise MeshNotNested("cap overlaps the prescribed zero set")
     local = DiscreteTraceProblem(sub, problem.p_field, problem.r_field)
     rep_local = minimize(local, init="constant", max_iter=max_iter, tol=tol)
 

@@ -643,6 +643,12 @@ def test_stdout_is_strict_json(tmp_path, text, argv, code):
          "config error: ", "--seed must be >= 0"),
         (["--seed", "-1", "--config", "configs/disk_critical.cfg", "conditions"],
          "config error: ", "--seed must be >= 0"),
+        (["constants", "--N", "299", "--p", "1.5"], "input error: ",
+         "DomainError: half-space integrals at N=299, p=1.5 leave the float range"),
+        (["constants", "--N", "308", "--p", "1.5"], "input error: ",
+         "DomainError: half-space integrals at N=308, p=1.5 leave the float range"),
+        (["constants", "--N", "310", "--p", "1.5"], "input error: ",
+         "DomainError: half-space integrals at N=310, p=1.5 leave the float range"),
         (["constants", "--N", "320", "--p", "1.5"], "input error: ",
          "DomainError: half-space integrals at N=320, p=1.5 leave the float range"),
         (["constants", "--N", "200", "--p", "1.01"], "input error: ",
@@ -666,7 +672,9 @@ def test_stdout_is_strict_json(tmp_path, text, argv, code):
          "tol-nan", "tol-zero", "max-iter-zero", "tol-negative-exponent", "H-space-minus-inf",
          "init-bubble-lam-negative", "init-bubble-nan", "truncation-R-negative", "radii-nan-inf",
          "radii-not-positive", "init-bubble-zero-trace", "threads-zero", "seed-negative-solve",
-         "seed-negative-conditions", "constants-integrals-underflow",
+         "seed-negative-conditions", "constants-integral-subnormal-299",
+         "constants-integral-subnormal-308", "constants-integral-subnormal-310",
+         "constants-integrals-underflow",
          "constants-integrals-underflow-near-p-1", "constants-sphere-area-overflow",
          "constants-N-1e20", "constants-without-N", "init-bubble-off-boundary",
          "constants-p-ulp-below-N-2", "constants-p-ulp-below-N-3", "constants-p-ulp-below-N-5"],

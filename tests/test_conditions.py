@@ -289,6 +289,30 @@ def test_local_condition_extremum_gate():
     assert v.provenance["p_local_min"] is False
 
 
+VARIABLE_P = "1.5 + 0.1*x1 - 0.05*x2^2"  # the shipped variable disk's p
+
+
+@pytest.mark.parametrize(
+    "p_expr, r_expr, x0, gates",
+    [
+        # p is smallest along the boundary at (-1, 0), largest at (1, 0), and
+        # r = p_* follows it, so each point fails one gate
+        (VARIABLE_P, f"({VARIABLE_P})/(2 - ({VARIABLE_P}))", (-1.0, 0.0), (True, False)),
+        (VARIABLE_P, f"({VARIABLE_P})/(2 - ({VARIABLE_P}))", (1.0, 0.0), (False, True)),
+        # p smallest and r largest at (1, 0), where r meets p_* = 3
+        ("1.5 + 0.1*x2^2", "3 - 0.5*x2^2", (1.0, 0.0), (True, True)),
+    ],
+    ids=["p-min-only", "r-max-only", "both"],
+)
+def test_local_check_and_localized_constant_share_one_neighbourhood(p_expr, r_expr, x0, gates):
+    p, r = ExponentField.from_text(p_expr, 2), ExponentField.from_text(r_expr, 2)
+    prob = DiscreteTraceProblem(mesh_domain(unit_disk_loop(), 0.15), p, r)
+    v = local_condition(prob.domain, p, r, x0)
+    est, _ = localized_constant_estimate(prob, x0)
+    assert (v.provenance["p_local_min"], v.provenance["r_local_max"]) == gates
+    assert math.isinf(est.error) == (not all(gates))
+
+
 # -- existence verdict -------------------------------------------------------------
 
 

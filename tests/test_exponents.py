@@ -16,6 +16,7 @@ from vextrace.exponents import (
     local_extremum_check,
     log_holder_probe,
     parse_exponent,
+    trace_exponent,
 )
 
 
@@ -250,6 +251,16 @@ def test_critical_gap_evaluates_p_once():
     assert calls == [3]
     v = inner(pts)
     assert np.array_equal(gap, (2 - 1.0) * v / (2 - v) - 2.0)
+
+
+def test_trace_exponent_is_elementwise_and_owns_the_gap():
+    for n, ps in [(2, [1.1, 1.5, 1.9]), (3, [1.2, 2.0, 2.9]), (5, [1.5, 4.5])]:
+        arr = trace_exponent(n, np.array(ps))
+        assert np.array_equal(arr, [trace_exponent(n, p) for p in ps])
+    p = ExponentField.from_text("1.5 + 0.1*x1 - 0.05*x2^2", 2)
+    r = ExponentField.from_text("2 + 0.3*x2", 2)
+    pts = np.random.default_rng(4).uniform(-1.0, 1.0, size=(50, 2))
+    assert np.array_equal(critical_gap(p, r, pts), trace_exponent(2, p(pts)) - r(pts))
 
 
 def test_critical_gap_is_quiet_on_nan_and_inf():

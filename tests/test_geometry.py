@@ -509,6 +509,12 @@ def test_distance_to_segments_pairs_take_the_nearest_listed_segment():
     assert np.all(np.isinf(got[100:]))
 
 
+def test_distance_to_an_empty_point_set_is_infinite():
+    none = np.zeros((0, 2))
+    got = distance_to_segments(np.array([[0.5, 0.5], [3.0, -1.0]]), none, none)
+    assert np.array_equal(got, [np.inf, np.inf])
+
+
 # -- the spacing rule --------------------------------------------------------------
 
 HALF_DISK = BoundaryLoop((Segment((-1.0, 0.0), (1.0, 0.0)),

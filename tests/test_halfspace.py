@@ -263,16 +263,29 @@ def test_quotient_near_p_1_matches_closed_form():
 
 
 def test_quotient_beyond_the_float_range_is_a_domain_error():
-    # at N = 300 the gradient integral is subnormal but the quotient still
-    # agrees with the closed form; at N = 320 both integrals underflow to 0,
-    # and past N = 344 Gamma((N-1)/2) overflows
-    est, _ = sharp_constant_quadrature(300, 1.5)
-    assert est == pytest.approx(sharp_constant_inverse(300, 1.5), rel=1e-11)
-    for n, p in [(320, 1.5), (200, 1.01), (400, 1.5)]:
+    # at N = 298 both integrals of the quotient are normal floats and it
+    # agrees with the closed form; at N = 299 the boundary integral is
+    # subnormal (3.2e-309), at N = 308 the quotient's p-th power misses the
+    # formula by 1e-4 and at N = 310 by 3.5e-2, at N = 320 both integrals
+    # underflow to 0, and past N = 344 Gamma((N-1)/2) overflows
+    est, _ = sharp_constant_quadrature(298, 1.5)
+    assert est == pytest.approx(sharp_constant_inverse(298, 1.5), rel=1e-11)
+    for n, p in [(299, 1.5), (308, 1.5), (310, 1.5), (320, 1.5), (200, 1.01), (400, 1.5)]:
         with pytest.raises(DomainError, match=f"at N={n}, p={p} leave the float range"):
             sharp_constant_quadrature(n, p)
     with pytest.raises(DomainError, match="at N=400, p=1.5 leave the float range"):
         expansion_coefficients(400, 1.5, f0=1.0)
+
+
+def test_a_subnormal_coefficient_integral_is_a_domain_error():
+    # at N = 296, p = 1.5 every integral the default coefficients need is
+    # normal, but that of d4 (t^2 |grad V|^p, 2.5e-309) is not; at N = 297
+    # so is that of c0 (V^p, 2.3e-309)
+    co = expansion_coefficients(296, 1.5, f0=1.0)
+    assert co.c0 > 0.0 and co.d4 == 0.0
+    for n, extra in [(296, {"dttp0": 1.0}), (297, {})]:
+        with pytest.raises(DomainError, match=f"at N={n}, p=1.5 leave the float range"):
+            expansion_coefficients(n, 1.5, f0=1.0, **extra)
 
 
 def test_quadrature_divergence_guard():

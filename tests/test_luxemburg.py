@@ -3,6 +3,7 @@ import gc
 import math
 import pathlib
 import tracemalloc
+import warnings
 
 import mpmath
 import numpy as np
@@ -570,6 +571,20 @@ def test_relations_small_norm_case():
     assert lam ** 4.0 - 1e-12 <= rho <= lam ** 2.0 + 1e-12
     checks = verify_norm_modular_relations(u, p)
     assert all(c.passed for c in checks)
+
+
+def test_relations_beyond_the_float_range():
+    # a modular that overflows is NonFiniteModular; a power bound beyond the
+    # float range is +inf and holds, though the modular is finite
+    u, p = atoms([1e160, 1e160], [1.0, 1.0], [2.0, 2.0])
+    with pytest.raises(NonFiniteModular):
+        verify_norm_modular_relations(u, p)
+    u, p = atoms([1e150, 1.0], [1.0, 1.0], [2.0, 4.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        checks = verify_norm_modular_relations(u, p)
+    assert all(c.passed for c in checks)
+    assert {c.name: c for c in checks}["norm_gt1_upper"].slack == math.inf
 
 
 @settings(max_examples=150, deadline=None)

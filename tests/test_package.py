@@ -16,6 +16,18 @@ def test_public_names_resolve():
     exec("from vextrace import *", {})
 
 
+def test_imports_sit_at_the_top_of_each_module():
+    # no module needs a lazy import to break a cycle, so none hides one
+    root = pathlib.Path(vextrace.__file__).parent
+    nested = set()
+    for path in sorted(root.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                nested.update(f"{path.name}:{inner.lineno}" for inner in ast.walk(node)
+                              if isinstance(inner, (ast.Import, ast.ImportFrom)))
+    assert sorted(nested) == []
+
+
 def _loaded_names(path):
     """Every name a file reads, as a bare name or an attribute."""
     tree = ast.parse(path.read_text())
