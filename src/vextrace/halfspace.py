@@ -18,6 +18,7 @@ the expansion coefficients.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from contextlib import contextmanager
@@ -407,18 +408,20 @@ def expansion_coefficients(
 
 
 def _smoothstep_cutoff(rho, delta):
-    """1 on [0, delta], 0 beyond 2 delta, quintic C^2 transition."""
+    """(eta, eta'): eta is 1 on [0, delta], 0 beyond 2 delta, with a quintic
+    C^2 transition, and eta' its derivative in rho.
+
+    Outside (delta, 2 delta) s is exactly 0 or 1, so eta is 1 - s there (a
+    nan passes through) and eta' is 0; the polynomials run on the band only.
+    """
     rho = np.asarray(rho, float)
     s = np.clip((rho - delta) / delta, 0.0, 1.0)
-    return 1.0 - (10.0 * s**3 - 15.0 * s**4 + 6.0 * s**5)
-
-
-def _smoothstep_cutoff_deriv(rho, delta):
-    rho = np.asarray(rho, float)
-    s = np.clip((rho - delta) / delta, 0.0, 1.0)
-    inside = (rho > delta) & (rho < 2.0 * delta)
-    d = -(30.0 * s**2 - 60.0 * s**3 + 30.0 * s**4) / delta
-    return np.where(inside, d, 0.0)
+    eta, deta = 1.0 - s, np.zeros_like(s)
+    band = (rho > delta) & (rho < 2.0 * delta)
+    sb = s[band]
+    eta[band] = 1.0 - (10.0 * sb**3 - 15.0 * sb**4 + 6.0 * sb**5)
+    deta[band] = -(30.0 * sb**2 - 60.0 * sb**3 + 30.0 * sb**4) / delta
+    return eta, deta
 
 
 @dataclass(frozen=True)
@@ -453,9 +456,18 @@ def _model_chart(model, H):
     raise DomainError(f"model must be 'disk' or 'flat', got {model!r}")
 
 
+@functools.cache
+def _legendre_rule(n):
+    """The n-point Gauss-Legendre rule on [-1, 1], built once, read-only."""
+    rule = np.polynomial.legendre.leggauss(n)
+    for a in rule:
+        a.flags.writeable = False
+    return rule
+
+
 def _gl_panels(breaks, n):
     """Gauss-Legendre nodes/weights on consecutive panels."""
-    x, w = np.polynomial.legendre.leggauss(n)
+    x, w = _legendre_rule(n)
     lo = np.asarray(breaks[:-1])
     hi = np.asarray(breaks[1:])
     mid = 0.5 * (lo + hi)
@@ -465,25 +477,36 @@ def _gl_panels(breaks, n):
     return nodes, weights
 
 
+@functools.cache
+def _angular_rule():
+    """(cos, sin, weights) of the 96-node angular rule on [0, pi]: four
+    24-point panels, the same for every eps; built once, read-only."""
+    nodes, weights = _gl_panels(np.linspace(0.0, math.pi, 5), 24)
+    rule = (np.cos(nodes), np.sin(nodes), weights)
+    for a in rule:
+        a.flags.writeable = False
+    return rule
+
+
 def _model_quadrature(delta, eps):
     """Polar grid on the upper half-plane support {radius <= 2 delta}.
 
-    Radial panel breaks double from eps/8 up to 2 delta, so eps must be > 0.
+    Radial panel breaks double from eps/8 up to 2 delta, so eps/8 must be
+    > 0; with eps < delta they increase strictly.  Point (i, j) of the
+    row-major grid is radial node i at angular node j.
     """
     breaks = [0.0]
     r = eps / 8.0
     while r < 2.0 * delta:
-        breaks.append(min(r, 2.0 * delta))
+        breaks.append(r)
         r *= 2.0
     breaks.append(2.0 * delta)
-    breaks = np.unique(np.asarray(breaks))
-    r_nodes, r_w = _gl_panels(breaks, 10)
-    t_nodes, t_w = _gl_panels(np.linspace(0.0, math.pi, 5), 24)
-    RR, TT = np.meshgrid(r_nodes, t_nodes, indexing="ij")
-    WW = np.outer(r_w, t_w) * RR
-    y = (RR * np.cos(TT)).ravel()
-    t = (RR * np.sin(TT)).ravel()
-    return y, t, WW.ravel()
+    r_nodes, r_w = _gl_panels(np.asarray(breaks), 10)
+    cos_t, sin_t, t_w = _angular_rule()
+    y = np.outer(r_nodes, cos_t).ravel()
+    t = np.outer(r_nodes, sin_t).ravel()
+    w = (np.outer(r_w, t_w) * r_nodes[:, None]).ravel()
+    return y, t, w
 
 
 def norm_expansion_check(n, p, coeffs, epsilons, model="disk"):
@@ -500,8 +523,9 @@ def norm_expansion_check(n, p, coeffs, epsilons, model="disk"):
     2 delta, with delta a quarter of the chart validity radius; a fit whose
     relative residual exceeds 0.2 raises FitUnstable, and N != 2, an
     unknown model, a disk with H <= 0, a flat model with H != 0, a weight
-    that is not positive on the support, an eps <= 0 or an eps >= delta
-    raise DomainError.
+    that is not positive on the support, an eps <= 0, an eps >= delta and
+    an eps so small that the profile powers leave the float range raise
+    DomainError.
     """
     if n != 2:
         raise DomainError(f"the model-domain check is planar (N = 2), got N = {n}")
@@ -520,6 +544,12 @@ def norm_expansion_check(n, p, coeffs, epsilons, model="disk"):
     if bad:
         raise DomainError(f"epsilons must be > 0 and < the cutoff radius delta = {delta:.4g}, "
                           f"got {bad[0]!r}")
+    # below 2e-323 the first radial break eps/8 rounds to 0 and the panels
+    # would never double up to 2 delta; eps = 1e-130 already overflows the powers
+    tiny = [e for e in epsilons if e / 8.0 == 0.0]
+    if tiny:
+        raise DomainError(f"cutoff-profile powers at eps={tiny[0]!r}, p={p!r} "
+                          "leave the float range")
     if not min(f0, f0 + 2.0 * delta * dtf0) > 0:
         raise DomainError(
             f"the weight f0 + dtf0*t must be > 0 for 0 <= t <= {2.0 * delta:.4g}, "
@@ -540,9 +570,9 @@ def norm_expansion_check(n, p, coeffs, epsilons, model="disk"):
     for eps in epsilons:
         y, t, w = _model_quadrature(delta, eps)
         rho = np.hypot(y, t)
-        eta = _smoothstep_cutoff(rho, delta)
-        deta = _smoothstep_cutoff_deriv(rho, delta)
-        r2 = (1.0 + t / eps) ** 2 + (y / eps) ** 2
+        eta, deta = _smoothstep_cutoff(rho, delta)
+        with np.errstate(over="ignore"):  # r2 = inf gives V = 0 and a zero gradient, its limits
+            r2 = (1.0 + t / eps) ** 2 + (y / eps) ** 2
         with _float_range(f"cutoff-profile powers at eps={eps!r}, p={p!r}"):
             V = eps**kappa * r2 ** (-alpha / 2.0)
             # chart gradient of the rescaled profile

@@ -259,13 +259,16 @@ def _norm_from_arrays(av, w, exps, gmag, start=None):
     pass.  It is dropped, and the unit scale taken, when it is not a
     positive float or the modular there is 0, subnormal or inf.
 
-    Returns (lam, tv, tg, D): the norm, the per-atom terms w (a/lam)^p of
-    the values (tv) and of the gradient magnitudes (tg, None without gmag)
-    at the last evaluation, and their slope weight D = sum p (tv + tg)
-    there.  Then d lam / d a_i = p_i lam t_i / (a_i D).  A zero sample
-    gives (0.0, None, None, 0.0).
+    Returns (lam, tv, tg, shift, D): the norm, the per-atom terms
+    w (a/c)^p at the last centre c of the values (tv) and of the gradient
+    magnitudes (tg, None without gmag), the factor shift = (c/lam)^p
+    (an array, or 1.0 when the last evaluation was at the centre), and the
+    slope weight D = sum p (tv + tg) shift of the last evaluation.  The terms
+    at the root are tv * shift and tg * shift, and d lam / d a_i =
+    p_i lam t_i / (a_i D); a norm-only caller reads lam and pays for no
+    scaling.  A zero sample gives (0.0, None, None, 1.0, 0.0).
     """
-    zero = (0.0, None, None, 0.0)
+    zero = (0.0, None, None, 1.0, 0.0)
     peak = float(np.max(av)) if av.size else 0.0
     if gmag is not None:
         peak = max(peak, float(np.max(gmag)))
@@ -330,11 +333,7 @@ def _norm_from_arrays(av, w, exps, gmag, start=None):
     norm = (centre + centre * math.expm1(delta)) * peak
     if not math.isfinite(norm):
         raise NonFiniteModular("norm beyond the float range")
-    tv, tg = parts[1:]
-    if shift is not None:
-        tv = tv * shift
-        tg = None if tg is None else tg * shift
-    return norm, tv, tg, d
+    return norm, *parts[1:], 1.0 if shift is None else shift, d
 
 
 def luxemburg_norm(samples, p, kind="lebesgue"):

@@ -176,7 +176,8 @@ class DiscreteTraceProblem:
     def sobolev_norm_gradient(self, a, start=None):
         """(norm, d norm / d nodal values) by implicit differentiation.
 
-        The root hands back its terms t and slope weight D, and an atom a
+        The root hands back its centre's terms with the shift that scales
+        them to the root's terms t, and its slope weight D; an atom a
         contributes p lam t / (a D) times d a / d nodal values: sign(v) for a
         value, grad u / |grad u| for a gradient magnitude; a zero atom gives 0.
         A triangle's three gradient atoms share its gradient, so their
@@ -184,13 +185,13 @@ class DiscreteTraceProblem:
         ``start`` is a guess at the norm for the root.
         """
         vals, gmag, gx, gy = self.interior_fields(a)
-        lam, tv, tg, D = _norm_from_arrays(np.abs(vals), self.quad_weights, self.p_exps,
-                                           gmag, start)
+        lam, tv, tg, shift, D = _norm_from_arrays(np.abs(vals), self.quad_weights,
+                                                  self.p_exps, gmag, start)
         if lam == 0.0:
             raise ZeroTrace("zero function has no norm gradient")
         pl = self.p_exps * (lam / D)
-        cv = np.divide(pl * tv, vals, out=np.zeros_like(vals), where=vals != 0.0)
-        gt, tt = gmag[::3], (pl * tg).reshape(-1, 3)
+        cv = np.divide(pl * (tv * shift), vals, out=np.zeros_like(vals), where=vals != 0.0)
+        gt, tt = gmag[::3], (pl * (tg * shift)).reshape(-1, 3)
         cg = np.divide(tt[:, 0] + tt[:, 1] + tt[:, 2], gt * gt,
                        out=np.zeros_like(gt), where=gt > 0.0)
         grad = self.ST @ cv + self.GxT @ (cg * gx) + self.GyT @ (cg * gy)
@@ -199,8 +200,9 @@ class DiscreteTraceProblem:
     def boundary_norm_gradient(self, a, start=None):
         """(boundary norm, its gradient), as ``sobolev_norm_gradient``."""
         bv = self.boundary_values(a)
-        lam, t, _, D = self._boundary_norm(bv, start)
-        c = np.divide(self.r_exps * (lam / D) * t, bv, out=np.zeros_like(bv), where=bv != 0.0)
+        lam, t, _, shift, D = self._boundary_norm(bv, start)
+        c = np.divide(self.r_exps * (lam / D) * (t * shift), bv, out=np.zeros_like(bv),
+                      where=bv != 0.0)
         return lam, self.SbT @ c
 
 
@@ -283,7 +285,7 @@ def bubble_init(problem, x0, lam, delta=None):
     vals = prof.value(y[:, None], t)
     if delta is None:
         delta = 4.0 * lam
-    vals = vals * _smoothstep_cutoff(np.hypot(y, t), delta)
+    vals = vals * _smoothstep_cutoff(np.hypot(y, t), delta)[0]
     vals[~problem.free_mask] = 0.0
     return vals
 

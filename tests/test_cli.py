@@ -455,6 +455,8 @@ def _edited(name, *edits):
          "solve", 1, "input error: DomainError: profile powers at lam=1e-20, p=1.06 leave"),
         (_edited("expand_disk.cfg", (EXPAND_EPS, EXPAND_EPS + " 1e-130")), "expand", 1,
          "input error: DomainError: cutoff-profile powers at eps=1e-130, p=1.3 leave the float"),
+        (_edited("expand_disk.cfg", (EXPAND_EPS, EXPAND_EPS + " 1e-200")), "expand", 1,
+         "input error: DomainError: cutoff-profile powers at eps=1e-200, p=1.3 leave the float"),
         (_edited("expand_disk.cfg", (EXPAND_EPS, EXPAND_EPS + " 1e300")), "expand", 1,
          "input error: DomainError: epsilons must be > 0 and < the cutoff radius delta = 0.1125, "
          "got 1e+300"),
@@ -504,7 +506,7 @@ def _edited(name, *edits):
          "checks-empty", "checks-unknown", "segment-zero-length", "arc-two-turns",
          "loop-digon", "loop-collinear", "disk-area-underflow", "square-sliver-side",
          "expand-N-400", "init-bubble-lam-overflow", "init-bubble-lam-underflow",
-         "expand-eps-underflow", "expand-eps-huge", "p-sup-above-2", "r-inf-below-1",
+         "expand-eps-underflow", "expand-eps-overflow", "expand-eps-huge", "p-sup-above-2", "r-inf-below-1",
          "local-without-x0", "compactness-without-K", "p-expr-990-terms", "p-expr-3000-terms",
          "p-expr-3000-powers", "p-expr-2000-signs", "expand-p-ulp-below-N",
          "norm-unit-scale-overflow", "expand-eps-beyond-delta-H-2", "expand-eps-beyond-delta-H-5"],

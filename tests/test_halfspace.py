@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import mpmath
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.special import gammaln
 
+from vextrace import halfspace
 from vextrace.halfspace import (
     DivergentIntegral,
     DomainError,
@@ -512,3 +514,136 @@ def test_expansion_fit_needs_more_epsilons_than_columns(disk_coeffs, epsilons):
     # one distinct epsilon leaves a single column that fits it exactly
     with pytest.raises(FitUnstable, match="distinct epsilons"):
         norm_expansion_check(2, 1.3, disk_coeffs, epsilons, model="disk")
+
+
+# -- the fast paths of the expansion check against their dense references ----------
+
+
+def dense_cutoff(rho, delta):
+    """The quintic cutoff and its derivative evaluated at every point."""
+    rho = np.asarray(rho, float)
+    s = np.clip((rho - delta) / delta, 0.0, 1.0)
+    eta = 1.0 - (10.0 * s**3 - 15.0 * s**4 + 6.0 * s**5)
+    inside = (rho > delta) & (rho < 2.0 * delta)
+    d = -(30.0 * s**2 - 60.0 * s**3 + 30.0 * s**4) / delta
+    return eta, np.where(inside, d, 0.0)
+
+
+def meshgrid_quadrature(delta, eps):
+    """The polar model grid built from fresh Gauss-Legendre rules and a meshgrid."""
+    def panels(breaks, n):
+        x, w = np.polynomial.legendre.leggauss(n)
+        lo, hi = np.asarray(breaks[:-1]), np.asarray(breaks[1:])
+        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+        return ((mid[:, None] + half[:, None] * x[None, :]).ravel(),
+                (half[:, None] * w[None, :]).ravel())
+
+    breaks = [0.0]
+    r = eps / 8.0
+    while r < 2.0 * delta:
+        breaks.append(min(r, 2.0 * delta))
+        r *= 2.0
+    breaks.append(2.0 * delta)
+    r_nodes, r_w = panels(np.unique(np.asarray(breaks)), 10)
+    t_nodes, t_w = panels(np.linspace(0.0, math.pi, 5), 24)
+    RR, TT = np.meshgrid(r_nodes, t_nodes, indexing="ij")
+    WW = np.outer(r_w, t_w) * RR
+    return (RR * np.cos(TT)).ravel(), (RR * np.sin(TT)).ravel(), WW.ravel()
+
+
+@pytest.mark.parametrize("delta", [0.1125, 0.2, 0.25, 1e-3])
+def test_cutoff_equals_the_dense_quintic_bit_for_bit(delta):
+    band = np.linspace(delta, 2.0 * delta, 41)[1:-1]
+    rho = np.concatenate([
+        [0.0, 0.5 * delta, delta, np.nextafter(delta, np.inf)], band,
+        [np.nextafter(2.0 * delta, 0.0), 2.0 * delta, np.nextafter(2.0 * delta, np.inf),
+         3.0 * delta, 1e300, np.inf, np.nan]])
+    eta, deta = halfspace._smoothstep_cutoff(rho, delta)
+    ref_eta, ref_deta = dense_cutoff(rho, delta)
+    finite = ~np.isnan(rho)
+    assert np.array_equal(eta[finite].view(np.int64), ref_eta[finite].view(np.int64))
+    assert np.array_equal(deta[finite].view(np.int64), ref_deta[finite].view(np.int64))
+    # a nan passes through the cutoff and has no slope, as in the dense form
+    assert np.isnan(eta[-1]) and np.isnan(ref_eta[-1]) and deta[-1] == ref_deta[-1] == 0.0
+    # flat on [0, delta] and beyond 2 delta: 1 and 0 with slope 0 at both ends
+    ends = np.array([0.0, delta, 2.0 * delta, 3.0 * delta])
+    assert halfspace._smoothstep_cutoff(ends, delta)[0].tolist() == [1.0, 1.0, 0.0, 0.0]
+    assert halfspace._smoothstep_cutoff(ends, delta)[1].tolist() == [0.0] * 4
+    assert np.all(deta[4:-8] < 0.0)
+
+
+@pytest.mark.parametrize("delta", [0.1125, 0.25])
+@pytest.mark.parametrize("eps", [0.08, 0.04, 0.01, 0.0035, 1e-6])
+def test_model_quadrature_equals_the_meshgrid_reference(delta, eps):
+    if eps >= delta:
+        pytest.skip("no profile at eps >= delta")
+    got, ref = halfspace._model_quadrature(delta, eps), meshgrid_quadrature(delta, eps)
+    for a, b in zip(got, ref):
+        assert a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+@pytest.mark.parametrize("eps", [0.08, 0.0035, 1e-6, 2.5e-323])
+def test_model_quadrature_breaks_double_from_eps_over_8(monkeypatch, eps):
+    seen = []
+    panels = halfspace._gl_panels
+
+    def recording(breaks, n):
+        if n == 10:
+            seen.append(np.asarray(breaks))
+        return panels(breaks, n)
+
+    monkeypatch.setattr(halfspace, "_gl_panels", recording)
+    delta = 0.1125
+    halfspace._model_quadrature(delta, eps)
+    doubling = itertools.takewhile(lambda b: b < 2.0 * delta,
+                                   (math.ldexp(eps / 8.0, k) for k in itertools.count()))
+    assert seen[0].tolist() == [0.0, *doubling, 2.0 * delta]
+    assert np.all(np.diff(seen[0]) > 0.0)
+
+
+@pytest.mark.parametrize("eps", [5e-324, 2e-323])
+def test_an_eps_whose_first_break_rounds_to_zero_is_refused(monkeypatch, disk_coeffs, eps):
+    # eps/8 rounds to 0, from which the radial panels never double up to 2 delta
+    def no_quadrature(delta, eps):
+        raise AssertionError("quadrature built")
+
+    monkeypatch.setattr(halfspace, "_model_quadrature", no_quadrature)
+    with pytest.raises(DomainError, match=f"powers at eps={eps!r}, p=1.3 leave the float range"):
+        norm_expansion_check(2, 1.3, disk_coeffs, EPS_LIST + (eps,), model="disk")
+
+
+def _fit_cases():
+    for dtp0 in (0.0, 0.3):
+        yield "flat", expansion_coefficients(2, 1.3, f0=1.0, dtf0=0.2, dtp0=dtp0,
+                                             enforce_hypotheses=False)
+        yield "disk", expansion_coefficients(2, 1.3, f0=1.0, dtf0=0.2, dtp0=dtp0, H=1.0,
+                                             hbar=1.0, enforce_hypotheses=False)
+
+
+def test_expansion_fit_equals_the_dense_path(monkeypatch):
+    cases = list(_fit_cases())
+    fast = [norm_expansion_check(2, 1.3, co, EPS_LIST, model=m) for m, co in cases]
+    monkeypatch.setattr(halfspace, "_smoothstep_cutoff", dense_cutoff)
+    monkeypatch.setattr(halfspace, "_model_quadrature", meshgrid_quadrature)
+    dense = [norm_expansion_check(2, 1.3, co, EPS_LIST, model=m) for m, co in cases]
+    assert [f.case for f in fast] == ["curvature"] * 2 + ["normal_derivative"] * 2
+    assert fast == dense
+
+
+def test_expansion_check_builds_each_rule_once(monkeypatch, disk_coeffs):
+    calls = []
+    leggauss = np.polynomial.legendre.leggauss
+
+    def counting(n):
+        calls.append(n)
+        return leggauss(n)
+
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", counting)
+    halfspace._legendre_rule.cache_clear()
+    halfspace._angular_rule.cache_clear()
+    for _ in range(2):
+        norm_expansion_check(2, 1.3, disk_coeffs, EPS_LIST, model="disk")
+    assert sorted(calls) == [10, 24]
+    for a in (*halfspace._legendre_rule(10), *halfspace._angular_rule()):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 0.0

@@ -156,14 +156,14 @@ def test_modular_and_derivative_sums_are_certified(monkeypatch):
         return certified[-1]
 
     monkeypatch.setattr(lux, "_certified_sum", recording)
-    lam, tv, tg, D = lux._norm_from_arrays(av, w, exps, gmag)
+    lam, tv, tg, shift, D = lux._norm_from_arrays(av, w, exps, gmag)
     monkeypatch.undo()
     assert lam == problem.sobolev_norm(u)
     # every modular and slope sum of the root was certified, D the last one
     assert certified and None not in certified
     assert D == certified[-1]
-    # the terms handed back, their exps * weights and D
-    terms = tv + tg
+    # the terms at the root, their exps * weights and D
+    terms = tv * shift + tg * shift
     assert lux._certified_sum(terms) is not None
     weights = lux._certified_sum(exps * terms)
     assert weights is not None
@@ -419,14 +419,15 @@ def test_norm_terms_give_the_root_and_its_slope():
     av[:10] = gmag[:10] = 0.0
     w, exps = rng.uniform(1e-4, 1e-2, n), rng.uniform(1.1, 1.9, n)
     for start in (None, 0.9 * lux._norm_from_arrays(av, w, exps, gmag)[0]):
-        lam, tv, tg, D = lux._norm_from_arrays(av, w, exps, gmag, start)
+        lam, tv, tg, shift, D = lux._norm_from_arrays(av, w, exps, gmag, start)
+        tv, tg = tv * shift, tg * shift
         assert np.array_equal(tv[:10], np.zeros(10)) and np.array_equal(tg[:10], np.zeros(10))
         assert tv == pytest.approx(w * (av / lam) ** exps, rel=1e-14)
         assert tg == pytest.approx(w * (gmag / lam) ** exps, rel=1e-14)
         assert fixed_order_sum(tv + tg) == pytest.approx(1.0, rel=1e-14)
         assert D == pytest.approx(fixed_order_sum(exps * (tv + tg)), rel=1e-15)
     assert lux._norm_from_arrays(np.zeros(3), np.ones(3), np.full(3, 2.0),
-                                 None) == (0.0, None, None, 0.0)
+                                 None) == (0.0, None, None, 1.0, 0.0)
 
 
 def test_norm_leaves_no_garbage_behind():
