@@ -128,7 +128,7 @@ def cmd_norm(args):
     try:
         value = luxemburg_norm(samples, p, kind=kind)
         rho = modular(samples, p, kind=kind)
-    except ValueError as err:  # an unknown kind, or sobolev without gradient columns
+    except ValueError as err:  # a bad kind or exponent, or sobolev without gradient columns
         raise ConfigError(f"[norm] {err}")
     payload = _base_payload("norm", cfg.config_hash)
     payload.update({"norm": value, "modular": rho, "kind": kind,

@@ -158,7 +158,7 @@ SETTINGS = {
         "gamma": Setting(_integers, ()),
     },
     "exponents": {
-        "n": Setting(_integer, 2),
+        "n": Setting(_integer, 2, lambda n: n == 2, "meshes are planar, so n must be 2"),
         "p_expr": Setting(_text),
         "r_expr": Setting(_text),
     },
@@ -307,10 +307,6 @@ class ProblemConfig:
     def build_problem(self):
         domain = self.build_domain()
         p, r = self.build_exponents()
-        if p.ambient_dimension != 2:
-            raise ConfigError(
-                f"[exponents] n: meshes are planar, so n must be 2, got {p.ambient_dimension}"
-            )
         try:
             return DiscreteTraceProblem(domain, p, r)
         except ValueError as err:

@@ -476,10 +476,7 @@ class PlanarDomain:
 
     def gamma_nodes(self):
         """Vertices on gamma-marked edges (closure under shared endpoints)."""
-        if not np.any(self.gamma_edges):
-            return np.zeros(0, dtype=int)
-        e = self.boundary_edges[self.gamma_edges]
-        return np.unique(e)
+        return np.unique(self.boundary_edges[self.gamma_edges])
 
     def boundary_nodes(self):
         return np.unique(self.boundary_edges)

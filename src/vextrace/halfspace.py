@@ -195,14 +195,13 @@ def _profile_integral(n, p, name, weight=1.0):
 
 
 def extremal_gradient_integral(n, p):
-    """(integral of |grad V|^p over the half-space, 0.0): a closed form,
-    so its error bar is 0."""
-    return _profile_integral(n, p, "grad"), 0.0
+    """Integral of |grad V|^p over the half-space, in closed form."""
+    return _profile_integral(n, p, "grad")
 
 
 def extremal_boundary_integral(n, p):
-    """(integral of V(.,0)^{p_*} over the boundary hyperplane, 0.0)."""
-    return _profile_integral(n, p, "trace"), 0.0
+    """Integral of V(.,0)^{p_*} over the boundary hyperplane, in closed form."""
+    return _profile_integral(n, p, "trace")
 
 
 # ---------------------------------------------------------------------------
@@ -244,8 +243,9 @@ def sharp_constant_quadrature(n, p):
     Returns (K_inv_estimate, 0.0): extremal_quotient of the standard
     profile (lam = 1, y0 = 0), whose scale factors are exactly 1.  This is
     the independent check of sharp_constant_inverse, not a source of K^-1.
+    The 0.0 error bar is kept while perfbench/workloads.py unpacks it.
     """
-    return extremal_quotient(ExtremalProfile(n, p))
+    return extremal_quotient(ExtremalProfile(n, p)), 0.0
 
 
 def extremal_quotient(profile):
@@ -254,19 +254,15 @@ def extremal_quotient(profile):
     Translation leaves both integrals unchanged; dilation rescales them by
     exact powers of the scale, which is applied here explicitly so that the
     dilation invariance of the quotient is exercised in floating point.
-    Returns (estimate, 0.0): both integrals are Beta-function closed forms,
-    so nothing is truncated and the error bar is 0.
+    Both integrals are Beta-function closed forms, so nothing is truncated.
     """
     n, p, lam = profile.N, profile.p, profile.lam
     alpha = profile.alpha
     p_star = trace_exponent(n, p)
     with _float_range(f"half-space integrals at N={n}, p={p}"):
-        grad_val, _ = extremal_gradient_integral(n, p)
-        bnd_val, _ = extremal_boundary_integral(n, p)
-        grad_scaled = lam ** (-alpha) * grad_val
-        bnd_scaled = lam ** (-(n - 1.0) / (p - 1.0)) * bnd_val
-        estimate = grad_scaled ** (1.0 / p) / bnd_scaled ** (1.0 / p_star)
-    return estimate, 0.0
+        grad_scaled = lam ** (-alpha) * extremal_gradient_integral(n, p)
+        bnd_scaled = lam ** (-(n - 1.0) / (p - 1.0)) * extremal_boundary_integral(n, p)
+        return grad_scaled ** (1.0 / p) / bnd_scaled ** (1.0 / p_star)
 
 
 # ---------------------------------------------------------------------------

@@ -140,12 +140,14 @@ class WeightedSamples:
             g = np.asarray(g, dtype=float)
             if g.shape != (pts.shape[0], pts.shape[1]):
                 raise ValueError("gradient_values must have shape (n, N)")
+            if not np.all(np.isfinite(g)):
+                raise ValueError("gradient_values must be finite")
         if not (pts.shape[0] == w.size == v.size):
             raise ValueError("points, weights and values must have equal length")
         if w.size == 0:
             raise ValueError("empty sample")
-        if np.any(w <= 0):
-            raise ValueError("weights must be strictly positive")
+        if not np.all((w > 0) & (w < math.inf)):  # nan fails both
+            raise ValueError("weights must be finite and strictly positive")
         for name, arr in (("points", pts), ("weights", w), ("values", v)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
@@ -199,6 +201,8 @@ def _modular_terms(samples, p, kind):
     bad = np.flatnonzero(~np.isfinite(exps))
     if len(bad):
         raise ValueError(f"p is {exps[bad[0]]} at {tuple(map(float, samples.points[bad[0]]))}")
+    if np.min(exps) < 1.0:
+        raise ValueError(f"inf p = {float(np.min(exps))} < 1")
     av = np.abs(samples.values)
     gmag = None
     if kind == "sobolev":

@@ -111,6 +111,7 @@ class DiscreteTraceProblem:
         self.r_field = r_field
 
         self.gamma_nodes = domain.gamma_nodes()
+        self.zero_set = domain.vertices[self.gamma_nodes]  # (0, 2) without gamma
         self.free_mask = np.ones(domain.n_vertices, dtype=bool)
         self.free_mask[self.gamma_nodes] = False
         if not np.any(self.free_mask[domain.boundary_nodes()]):
@@ -406,9 +407,8 @@ def solve_problem(problem, n_random=3, max_iter=200, tol=1e-6, seed=0):
     returns the best report, whose ``starts`` lists every start in order."""
     inits = ["constant"] + ["random"] * n_random
     lam = 4.0 * problem.mesh_h
-    gamma_pts = problem.domain.vertices[problem.gamma_nodes]
     for x0 in _cluster_critical_points(problem):
-        if distance_to_segments(x0, gamma_pts, gamma_pts)[0] < 8 * lam:
+        if distance_to_segments(x0, problem.zero_set, problem.zero_set)[0] < 8 * lam:
             continue
         inits.append(("bubble", (float(x0[0]), float(x0[1])), lam))
 
@@ -494,8 +494,7 @@ def monotonicity_check(problem, x0, radius, max_iter=200, tol=1e-6):
     """
     x0 = np.asarray(x0, float)
     sub, node_map = problem.domain.submesh(x0, radius)
-    gamma_pts = problem.domain.vertices[problem.gamma_nodes]
-    if distance_to_segments(x0, gamma_pts, gamma_pts)[0] <= radius:
+    if distance_to_segments(x0, problem.zero_set, problem.zero_set)[0] <= radius:
         raise MeshNotNested("cap overlaps the prescribed zero set")
     local = DiscreteTraceProblem(sub, problem.p_field, problem.r_field)
     rep_local = minimize(local, init="constant", max_iter=max_iter, tol=tol)

@@ -270,6 +270,14 @@ def test_solve_unknown_init_flag_is_config_error():
 HUGE_PAIR_CSV = open(f"{REPO}/configs/golden_pair.csv").read().replace(",1.0,1.0\n", ",1.0,1e200\n")
 # weights and values 1e308: the p = 2 modular overflows at the unit scale itself
 HUGE_WEIGHT_CSV = HUGE_PAIR_CSV.replace(",1.0,1e200\n", ",1e308,1e308\n")
+# planar samples (n = 2) that a [norm] exponent or the samples check refuses
+NORM_CSVS = {
+    "mixed_sign.csv": "x1,x2,weight,value\n-0.5,0,1,1\n0.5,0,1,1\n",
+    "one_atom.csv": "x1,x2,weight,value\n0,0,1,2\n",
+    "nan_weight.csv": "x1,x2,weight,value\n0,0,nan,1\n",
+    "inf_weight.csv": "x1,x2,weight,value\n0,0,inf,1\n",
+    "nan_gradient.csv": "x1,x2,weight,value,g1,g2\n0,0,1,1,nan,0\n",
+}
 DEEP = "config error: [exponents]: expression nested deeper than 200 levels"
 
 
@@ -304,6 +312,12 @@ def _edited(name, *edits):
         assert old in text
         text = text.replace(old, new)
     return text
+
+
+def _planar_norm(csv_name, p_expr):
+    """golden_norm.cfg on one of NORM_CSVS, with n = 2 and the given p_expr."""
+    return _edited("golden_norm.cfg", ("configs/golden_pair.csv", "{tmp}/" + csv_name),
+                   ("n = 5", "n = 2"), ("p_expr = 2 + 2*x1", "p_expr = " + p_expr))
 
 
 @pytest.mark.parametrize(
@@ -481,6 +495,18 @@ def _edited(name, *edits):
         (_edited("golden_norm.cfg", ("configs/golden_pair.csv", "{tmp}/huge_weight_pair.csv"),
                  ("p_expr = 2 + 2*x1", "p_expr = 2")),
          "norm", 1, "input error: NonFiniteModular: modular overflow at unit scale"),
+        (_edited("golden_norm.cfg", ("p_expr = 2 + 2*x1", "p_expr = 0*x1")),
+         "norm", 1, "config error: [norm] inf p = 0.0 < 1"),
+        (_planar_norm("mixed_sign.csv", "x1"), "norm", 1, "config error: [norm] inf p = -0.5 < 1"),
+        (_planar_norm("one_atom.csv", "-1"), "norm", 1, "config error: [norm] inf p = -1.0 < 1"),
+        (_edited("golden_norm.cfg", ("p_expr = 2 + 2*x1", "p_expr = 0.5")),
+         "norm", 1, "config error: [norm] inf p = 0.5 < 1"),
+        (_planar_norm("nan_weight.csv", "2"), "norm", 1,
+         "nan_weight.csv: weights must be finite and strictly positive"),
+        (_planar_norm("inf_weight.csv", "2"), "norm", 1,
+         "inf_weight.csv: weights must be finite and strictly positive"),
+        (_planar_norm("nan_gradient.csv", "2"), "norm", 1,
+         "nan_gradient.csv: gradient_values must be finite"),
         (_edited("expand_disk.cfg", ("H = 1.0", "H = 2")), "expand", 1,
          "input error: DomainError: epsilons must be > 0 and < the cutoff radius delta = 0.05625"),
         (_edited("expand_disk.cfg", ("H = 1.0", "H = 5")), "expand", 1,
@@ -509,11 +535,15 @@ def _edited(name, *edits):
          "expand-eps-underflow", "expand-eps-overflow", "expand-eps-huge", "p-sup-above-2", "r-inf-below-1",
          "local-without-x0", "compactness-without-K", "p-expr-990-terms", "p-expr-3000-terms",
          "p-expr-3000-powers", "p-expr-2000-signs", "expand-p-ulp-below-N",
-         "norm-unit-scale-overflow", "expand-eps-beyond-delta-H-2", "expand-eps-beyond-delta-H-5"],
+         "norm-unit-scale-overflow", "norm-p-zero", "norm-p-mixed-signs", "norm-p-minus-one",
+         "norm-p-half", "norm-weight-nan", "norm-weight-inf", "norm-gradient-nan",
+         "expand-eps-beyond-delta-H-2", "expand-eps-beyond-delta-H-5"],
 )
 def test_domain_errors_are_one_line_with_exit_code(tmp_path, text, command, code, message):
     (tmp_path / "huge_pair.csv").write_text(HUGE_PAIR_CSV)
     (tmp_path / "huge_weight_pair.csv").write_text(HUGE_WEIGHT_CSV)
+    for name, csv_text in NORM_CSVS.items():
+        (tmp_path / name).write_text(csv_text)
     cfg = tmp_path / "case.cfg"
     if text is None:  # the config path names a directory
         cfg.mkdir()

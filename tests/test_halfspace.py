@@ -139,16 +139,14 @@ def test_boundary_engine_matches_oracle():
 
 
 def test_gradient_integral_pi_at_3_2():
-    val, bar = extremal_gradient_integral(3, 2.0)
+    val = extremal_gradient_integral(3, 2.0)
     assert val == pytest.approx(math.pi, rel=5e-3)
     assert val == pytest.approx(math.pi, rel=1e-8)
-    assert bar == 0.0
 
 
 def test_boundary_integral_pi_at_3_2():
-    val, bar = extremal_boundary_integral(3, 2.0)
+    val = extremal_boundary_integral(3, 2.0)
     assert val == pytest.approx(math.pi, rel=1e-8)
-    assert bar == 0.0
 
 
 # -- sharp constant --------------------------------------------------------------
@@ -249,10 +247,10 @@ def test_quadrature_against_closed_form_many():
 
 
 def test_dilation_invariance():
-    base, _ = extremal_quotient(ExtremalProfile(3, 2.0))
+    base = extremal_quotient(ExtremalProfile(3, 2.0))
     for lam in (0.25, 0.5, 2.0, 4.0):
         for y0 in ((0.0, 0.0), (1.5, -2.0)):
-            est, _ = extremal_quotient(ExtremalProfile(3, 2.0, lam=lam, y0=y0))
+            est = extremal_quotient(ExtremalProfile(3, 2.0, lam=lam, y0=y0))
             assert abs(est - base) <= 1e-6 * base
 
 

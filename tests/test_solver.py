@@ -5,6 +5,7 @@ import sys
 import numpy as np
 import pytest
 
+from vextrace.config import ProblemConfig
 from vextrace.exponents import ExponentField
 from vextrace.geometry import mesh_domain, polygon_loop, unit_disk_loop
 from vextrace.halfspace import sharp_constant_quadrature
@@ -255,6 +256,19 @@ def test_gamma_nodes_pinned_to_zero():
     rep = minimize(prob, init="constant", max_iter=60, tol=1e-6)
     assert np.all(rep.minimizer[prob.gamma_nodes] == 0.0)
     assert rep.t_estimate > 0
+
+
+def test_zero_set_is_the_gamma_vertices():
+    cfg = ProblemConfig.from_path(pathlib.Path(__file__).resolve().parents[1]
+                                  / "configs" / "square_gamma.cfg")
+    prob = cfg.build_problem()
+    dom = prob.domain
+    assert np.array_equal(prob.zero_set, dom.vertices[dom.gamma_nodes()])
+    assert len(prob.zero_set) > 0 and np.all(prob.zero_set[:, 0] == 0.0)  # the left edge
+    # without gamma: no gamma nodes, and an empty point set of the right shape
+    disk = DiscreteTraceProblem(mesh_domain(unit_disk_loop(), 0.2), P15, R2)
+    assert disk.gamma_nodes.dtype == np.int64 and disk.gamma_nodes.shape == (0,)
+    assert disk.zero_set.shape == (0, 2) and disk.zero_set.dtype == float
 
 
 # -- bubble init ----------------------------------------------------------------
