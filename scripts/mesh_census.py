@@ -4,17 +4,19 @@
     python3 scripts/mesh_census.py OUTFILE
 
 The family is the meshes of the shipped configs with a [domain] section,
-the benchmark workloads' domains at seeds 1-3 (built from
-perfbench/workloads.py), and six test domains over a ladder of mesh sizes.
-Each line gives the mesh's name, its vertex and triangle counts, a sha256
-over the vertices, the triangles in canonical order (each row rotated to
-start at its smallest vertex, the rows sorted), the boundary edges, their
-arc ids and their gamma marks, then the mesh's own mesh_size() and
-volume() and a sha256 over its interior quadrature points and weights; a
-mesh that fails gives its error instead.  The canonical order is taken
-here, so two checkouts whose triangles differ only in order give the same
-mesh digest (though not the same quadrature digest, whose points follow
-the triangles), and the script imports vextrace from this checkout's src/:
+each followed by its one-level refine(), the benchmark workloads' domains
+at seeds 1-3 (built from perfbench/workloads.py), and six test domains over
+a ladder of mesh sizes.  Each line gives the mesh's name, its vertex and
+triangle counts, a sha256 over the vertices, the triangles in canonical
+order (each row rotated to start at its smallest vertex, the rows sorted),
+the boundary edges, their arc ids and their gamma marks, then the mesh's
+own mesh_size() and volume(), a sha256 over its interior quadrature points
+and weights, and a sha256 over the CSR arrays (data, indices, indptr, each
+with its dtype) of its P1 operators S, Gx, Gy and Sb; a mesh that fails
+gives its error instead.  The canonical order is taken here, so two
+checkouts whose triangles differ only in order give the same mesh digest
+(though not the same quadrature and operator digests, which follow the
+triangles), and the script imports vextrace from this checkout's src/:
 
     python3 scripts/mesh_census.py /tmp/before.txt   # in the old checkout
     python3 scripts/mesh_census.py /tmp/after.txt    # in the new checkout
@@ -76,12 +78,18 @@ def census_line(name, build):
                 np.asarray(dom.boundary_edges, dtype="<i8"), np.asarray(dom.edge_arc, dtype="<i8"),
                 np.asarray(dom.gamma_edges, dtype=np.uint8)):
         digest.update(np.ascontiguousarray(arr).tobytes())
-    pts, weights = dom.interior_quadrature()[:2]
+    pts, weights, *interior_ops = dom.interior_quadrature()
     quadrature = hashlib.sha256()
     for arr in (pts, weights):
         quadrature.update(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+    operators = hashlib.sha256()
+    for op in (*interior_ops, dom.boundary_quadrature()[2]):
+        for arr in (op.data, op.indices, op.indptr):
+            operators.update(arr.dtype.str.encode())
+            operators.update(np.ascontiguousarray(arr).tobytes())
     return (f"{name} nv={len(dom.vertices)} nt={len(dom.triangles)} sha256={digest.hexdigest()}"
-            f" h={dom.mesh_size()!r} volume={dom.volume()!r} iq={quadrature.hexdigest()}")
+            f" h={dom.mesh_size()!r} volume={dom.volume()!r} iq={quadrature.hexdigest()}"
+            f" ops={operators.hexdigest()}")
 
 
 def family():
@@ -90,6 +98,8 @@ def family():
         cfg = ProblemConfig.from_path(path)
         if "domain" in cfg.sections:
             yield f"config/{path.stem}", cfg.build_domain
+            yield (f"config/{path.stem}/refine1",
+                   lambda build=cfg.build_domain: build().refine()[0])
     for seed in SEEDS:
         texts = {"solve-variable": workloads.SolveVariable(seed).config}
         for key, (text, _) in workloads.MeshFine(seed).domains.items():
@@ -109,7 +119,7 @@ def main():
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("outfile", type=pathlib.Path)
     args = ap.parse_args()
-    print("mesh nv nt sha256 h volume iq")
+    print("mesh nv nt sha256 h volume iq ops")
     with open(args.outfile, "w") as out:
         for name, build in family():
             line = census_line(name, build)

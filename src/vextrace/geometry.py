@@ -8,10 +8,13 @@ all at least 2 spacings from the ring has an empty circumdisk of radius
 spacing/sqrt(3), so it is in the triangulation and is built straight from
 the lattice rows and columns, while every other triangle has its corners
 within 4 spacings of a ring vertex, so qhull triangulates only that band
-(_mesh_once gives the argument).  The mesh is honestly polygonal:
-boundary vertices sit on the exact arcs, edges are chords, and uniform
-refinement bisects edges without re-snapping so that coarse P1 functions
-stay exactly representable on refined meshes.
+(_mesh_once gives the argument).  The ring's KD-tree is asked for each
+lattice point's nearest ring vertex only in a window of lattice rows and
+columns around each ring vertex (_ring_window), which holds every point
+within 4 spacings of one.  The mesh is honestly polygonal: boundary
+vertices sit on the exact arcs, edges are chords, and uniform refinement
+bisects edges without re-snapping so that coarse P1 functions stay
+exactly representable on refined meshes.
 
 Each mesh owns its quadrature rule: interior_quadrature and
 boundary_quadrature build the points and weights together with the P1
@@ -19,9 +22,11 @@ operators, the CSR maps from nodal values to the values at the points
 (two entries a row: a side midpoint or a Gauss point reads only its edge's
 two ends) and to the gradients (one row per triangle, whose constant
 gradient its three midpoints share), and the trace problem only reads
-them.  PlanarDomain.edges owns each mesh's edge table: a mesh from
-mesh_domain or submesh starts with the table built to find its boundary,
-and mesh_size and refine read it.
+them.  The interior ones are built from contiguous 1-D columns, the x and
+y of each triangle's three corners, rather than (nt, 3, 2) gathers.
+PlanarDomain.edges owns each mesh's edge table: a mesh from mesh_domain or
+submesh starts with the table built to find its boundary, and mesh_size
+and refine read it.
 
 A FermiChart at a boundary point provides the boundary-adapted coordinates
 (tangential offset y, inward normal distance t), with the exact jacobians
@@ -313,11 +318,11 @@ def far_from_ring(points, ring, dist, tree, vertex_dist):
     return far
 
 
-def _triangle_areas(corners):
-    """Areas of the triangles with the given corners, (nt, 3, 2)."""
-    d1 = corners[:, 1] - corners[:, 0]
-    d2 = corners[:, 2] - corners[:, 0]
-    return 0.5 * np.abs(d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
+def _triangle_areas(xs, ys):
+    """Areas of the triangles (a, b, c) from their corners' coordinate
+    columns xs = (x[a], x[b], x[c]) and ys = (y[a], y[b], y[c])."""
+    (xa, xb, xc), (ya, yb, yc) = xs, ys
+    return 0.5 * np.abs((xb - xa) * (yc - ya) - (yb - ya) * (xc - xa))
 
 
 def edge_table(triangles):
@@ -368,9 +373,20 @@ class PlanarDomain:
     def n_vertices(self):
         return self.vertices.shape[0]
 
+    def _columns(self):
+        """The vertices' x and y as two contiguous columns."""
+        return np.ascontiguousarray(self.vertices.T)
+
+    def _corner_columns(self):
+        """The triangles' corner ids (a, b, c) and the corners' coordinates
+        (x[a], x[b], x[c]) and (y[a], y[b], y[c]), all contiguous columns."""
+        x, y = self._columns()
+        abc = np.ascontiguousarray(self.triangles.T)
+        return abc, tuple(x[k] for k in abc), tuple(y[k] for k in abc)
+
     def tri_areas(self):
         if "areas" not in self._cache:
-            self._cache["areas"] = _triangle_areas(self.vertices[self.triangles])
+            self._cache["areas"] = _triangle_areas(*self._corner_columns()[1:])
         return self._cache["areas"]
 
     def edge_lengths(self):
@@ -395,55 +411,64 @@ class PlanarDomain:
     def mesh_size(self):
         """The longest edge."""
         if "h" not in self._cache:
-            a, b = self.edges()[0].T
-            d = self.vertices[a] - self.vertices[b]
+            x, y = self._columns()
+            a, b = np.ascontiguousarray(self.edges()[0].T)
+            dx, dy = x[a] - x[b], y[a] - y[b]
             # sqrt is monotone, so the root of the largest square is the
             # largest root
-            self._cache["h"] = float(np.sqrt(np.max(d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1])))
+            self._cache["h"] = float(np.sqrt(np.max(dx * dx + dy * dy)))
         return self._cache["h"]
 
     # -- quadrature -----------------------------------------------------------
 
     def interior_quadrature(self):
-        """Midpoint rule (degree 2) and its P1 operators, all from one
-        gather of the triangles' corners.  Returns the points (3nt, 2), point
-        3i + m at the midpoint of triangle i's side from corner m to corner
-        m + 1 (mod 3); the weights, a third of the triangle's area each; and
-        the CSR matrices S, Gx, Gy.  S (3nt rows) maps nodal values to the
-        values at the points, each row 0.5 at its side's two ends; Gx and Gy
-        (nt rows) map them to the components of each triangle's constant
-        gradient, each row the triangle's three basis gradients, so the
-        gradient at point q is row q // 3."""
+        """Midpoint rule (degree 2) and its P1 operators, all from the six
+        coordinate columns of the triangles' corners (_corner_columns).
+        Returns the points (3nt, 2), point 3i + m at the midpoint of
+        triangle i's side from corner m to corner m + 1 (mod 3); the
+        weights, a third of the triangle's area each; and the CSR matrices
+        S, Gx, Gy.  S (3nt rows) maps nodal values to the values at the
+        points, each row 0.5 at its side's two ends; Gx and Gy (nt rows) map
+        them to the components of each triangle's constant gradient, each
+        row the triangle's three basis gradients, so the gradient at point q
+        is row q // 3.  A row lists its vertices in increasing order: each
+        corner's entry goes to the slot of its rank among the three, which
+        for distinct ids is the order argsort gives."""
         if "iq" not in self._cache:
-            t = self.triangles
-            vt = self.vertices[t]
-            j, k = vt[:, [1, 2, 0]], vt[:, [2, 0, 1]]
-            pts = 0.5 * (vt + j)
+            (a, b, c), xs, ys = self._corner_columns()
+            (xa, xb, xc), (ya, yb, yc) = xs, ys
+            pts = 0.5 * np.stack([xa + xb, ya + yb, xb + xc, yb + yc, xc + xa, yc + ya], axis=1)
             if "areas" not in self._cache:
-                self._cache["areas"] = _triangle_areas(vt)
+                self._cache["areas"] = _triangle_areas(xs, ys)
             w = np.repeat(self._cache["areas"] / 3.0, 3)
-            # P1 basis gradients, constant on each triangle: vertex i's is the
-            # opposite edge j -> k turned a quarter counterclockwise, over
-            # twice the area (the cross product of two such turned edges)
-            g = np.stack([j[..., 1] - k[..., 1], k[..., 0] - j[..., 0]], axis=-1)
-            det = g[:, 2, 1] * g[:, 1, 0] - g[:, 2, 0] * g[:, 1, 1]
-            g = g / det[:, None, None]
-            # each row holds its vertices in increasing order: a gradient row
-            # the triangle's three, a value row its side's two ends
-            order = np.argsort(t, axis=1)
-            g = np.take_along_axis(g, order[:, :, None], axis=1)
-            cols = np.take_along_axis(t, order, axis=1).ravel()
+            # P1 basis gradients, constant on each triangle: a corner's is
+            # the opposite side, from the next corner to the one after,
+            # turned a quarter counterclockwise, over twice the area (the
+            # cross product of two such turned sides)
+            gx = np.stack([yb - yc, yc - ya, ya - yb])
+            gy = np.stack([xc - xb, xa - xc, xb - xa])
+            det = gy[2] * gx[1] - gx[2] * gy[1]
+            gx /= det
+            gy /= det
+            # corner k of triangle i goes to entry 3i + (its rank)
+            slot = 3 * np.arange(len(a))
+            dest = np.concatenate([slot + (a > b) + (a > c), slot + (b > a) + (b > c),
+                                   slot + (c > a) + (c > b)])
+            cols = np.empty_like(dest, dtype=self.triangles.dtype)
+            cols[dest] = np.concatenate([a, b, c])
+            gx_rows, gy_rows = np.empty(len(dest)), np.empty(len(dest))
+            gx_rows[dest], gy_rows[dest] = gx.ravel(), gy.ravel()
             rows = np.arange(0, len(cols) + 1, 3)
-            shape = (len(t), self.n_vertices)
-            after = t[:, [1, 2, 0]]
-            ends = np.stack([np.minimum(t, after), np.maximum(t, after)], axis=-1).ravel()
+            shape = (len(a), self.n_vertices)
+            ends = np.stack([np.minimum(a, b), np.maximum(a, b), np.minimum(b, c),
+                             np.maximum(b, c), np.minimum(c, a), np.maximum(c, a)], axis=1).ravel()
             self._cache["iq"] = (
                 pts.reshape(-1, 2),
                 w,
                 csr_matrix((np.full(len(ends), 0.5), ends, np.arange(0, len(ends) + 1, 2)),
                            shape=(len(w), self.n_vertices)),
-                csr_matrix((g[:, :, 0].ravel(), cols, rows), shape=shape),
-                csr_matrix((g[:, :, 1].ravel(), cols, rows), shape=shape),
+                csr_matrix((gx_rows, cols, rows), shape=shape),
+                csr_matrix((gy_rows, cols, rows), shape=shape),
             )
         return self._cache["iq"]
 
@@ -570,6 +595,21 @@ class PlanarDomain:
         dom._cache["edges"] = table
         return dom, used
 
+
+# edge_table keys each edge as low * n + high in int64, so a mesh has at most
+# this many vertices
+MAX_VERTICES = math.isqrt(2**63 - 1)
+
+
+def _vertex_estimate(loop, spacing):
+    """About how many vertices _mesh_once makes at this spacing, found
+    without making them: the ring's, one per spacing of boundary, and the
+    lattice's, one per cell of area spacing^2 sqrt(3)/2; inf beyond the
+    float range."""
+    ring = sum(arc.length for arc in loop.arcs) / spacing
+    return ring + loop.signed_area() / spacing / spacing * (2.0 / math.sqrt(3.0))
+
+
 def mesh_domain(loop, target_h, gamma_arcs=()):
     """Triangulate the loop with max edge length <= target_h.
 
@@ -598,6 +638,9 @@ def mesh_domain(loop, target_h, gamma_arcs=()):
     dom = None
     for _ in range(3):
         spacing *= 0.8
+        if not _vertex_estimate(loop, spacing) <= MAX_VERTICES:
+            raise GeometryError(f"h = {target_h!r} is too small to mesh: the mesh would have "
+                                f"more than {MAX_VERTICES:.3g} vertices")
         try:
             dom = _mesh_once(loop, spacing, gamma_arcs)
         except GeometryError as err:
@@ -614,19 +657,19 @@ def _hex_lattice(lo, hi, spacing):
     """Hexagonal lattice points of the given spacing in the box [lo, hi],
     with the row r and column c of each: the point sits at
     x = lo_x + (0.4 + c) spacing, plus spacing / 2 when r is odd, and
-    y = lo_y + (r + 1/2) spacing sqrt(3) / 2."""
+    y = lo_y + (r + 1/2) spacing sqrt(3) / 2.  Every even row holds the same
+    x sequence and every odd row the other, so the rows are those two
+    sequences tiled, in one allocation per array."""
     dy = spacing * math.sqrt(3.0) / 2.0
     ys = np.arange(lo[1] + 0.5 * dy, hi[1], dy)
-    pts, rows, cols = [], [], []
-    for row, y in enumerate(ys):
-        off = 0.5 * spacing if row % 2 else 0.0
-        xs = np.arange(lo[0] + 0.4 * spacing + off, hi[0], spacing)
-        pts.append(np.stack([xs, np.full_like(xs, y)], axis=1))
-        rows.append(np.full(len(xs), row))
-        cols.append(np.arange(len(xs)))
-    if not pts:
-        return np.zeros((0, 2)), np.zeros(0, dtype=int), np.zeros(0, dtype=int)
-    return np.concatenate(pts, axis=0), np.concatenate(rows), np.concatenate(cols)
+    xs = [np.arange(lo[0] + 0.4 * spacing + off, hi[0], spacing) for off in (0.0, 0.5 * spacing)]
+    counts = np.where(np.arange(len(ys)) % 2, len(xs[1]), len(xs[0]))
+    n = int(counts.sum())
+    pairs = (len(ys) + 1) // 2  # an even row and the odd row after it
+    x = np.tile(np.concatenate(xs), pairs)[:n]
+    col = np.tile(np.concatenate([np.arange(len(xs[0])), np.arange(len(xs[1]))]), pairs)[:n]
+    return (np.stack([x, np.repeat(ys, counts)], axis=1),
+            np.repeat(np.arange(len(ys)), counts), col)
 
 
 def _lattice_triangles(ids, rows, cols):
@@ -647,6 +690,40 @@ def _lattice_triangles(ids, rows, cols):
     down = (upper_right >= 0) & (upper_left >= 0)
     return np.concatenate([np.stack([ids, right, upper_right], axis=1)[up],
                            np.stack([ids, upper_right, upper_left], axis=1)[down]])
+
+
+# lattice rows and columns on each side of a ring vertex's nearest lattice
+# cell that _ring_window takes
+RING_WINDOW = 6
+
+
+def _ring_window(ring, lo, spacing, row, col):
+    """Mask of the lattice points, at rows row and columns col of
+    _hex_lattice's lattice in the box from lo, that are within RING_WINDOW
+    rows and RING_WINDOW columns of some ring vertex's nearest lattice cell
+    (its row and column rounded with rint, the odd rows' half offset
+    ignored).
+
+    Rounding moves a vertex by at most half a row and, with the offset, one
+    column, so the window reaches at least 5.5 rows of s sqrt(3)/2, 4.76s,
+    and 5 columns of s past the vertex (s the spacing): every lattice point
+    within 4.7s of a ring vertex is in the window.  Each point is tested
+    against every window at once with a prefix sum over the marked cells of
+    the lattice grid, padded by RING_WINDOW on each side.
+    """
+    w = RING_WINDOW
+    dy = spacing * math.sqrt(3.0) / 2.0
+    r = np.rint((ring[:, 1] - lo[1]) / dy - 0.5).astype(np.intp) + w
+    c = np.rint((ring[:, 0] - lo[0]) / spacing - 0.4).astype(np.intp) + w
+    # padded cell (i, j) is marks[i + 1, j + 1], so that total[i, j] counts
+    # the marked cells above and left of it; vertices whose window misses
+    # the lattice fall off the padded grid
+    marks = np.zeros((row.max(initial=0) + 2 * w + 2, col.max(initial=0) + 2 * w + 2), np.intp)
+    on = (r >= 0) & (r < marks.shape[0] - 1) & (c >= 0) & (c < marks.shape[1] - 1)
+    marks[r[on] + 1, c[on] + 1] = 1
+    total = marks.cumsum(axis=0).cumsum(axis=1)
+    top, right = row + 2 * w + 1, col + 2 * w + 1
+    return total[top, right] - total[row, right] - total[top, col] + total[row, col] > 0
 
 
 def _mesh_once(loop, spacing, gamma_arcs):
@@ -684,6 +761,12 @@ def _mesh_once(loop, spacing, gamma_arcs):
       band's triangles with a corner that is not deep are exactly the full
       triangulation's.
 
+    d itself comes from the ring's KD-tree queried with the bound 4s, and
+    only for the lattice points in some ring vertex's _ring_window, which
+    reaches at least 4.7s from the vertex; every other point is more than
+    4s from every ring vertex and keeps the inf the bounded query would
+    give it.
+
     A domain with no deep point has every point in the band and no lattice
     triangle, through the same code.  Each row starts at its smallest
     vertex, counterclockwise, and the rows are sorted, so the mesh does not
@@ -693,13 +776,17 @@ def _mesh_once(loop, spacing, gamma_arcs):
     n_ring = len(ring)
     if n_ring < 3:
         raise GeometryError("boundary too coarse")
-    interior, row, col = _hex_lattice(ring.min(axis=0), ring.max(axis=0), spacing)
+    lo = ring.min(axis=0)
+    interior, row, col = _hex_lattice(lo, ring.max(axis=0), spacing)
     keep = points_in_polygon(interior, ring)
     interior, row, col = interior[keep], row[keep], col[keep]
     # each lattice point's distance to the nearest ring vertex, inf from 4s
-    # on; chords are at most s long, so far_from_ring's bound is below 4s
+    # on; chords are at most s long, so far_from_ring's bound is below 4s.
+    # Only the points in a ring vertex's window can be within 4s of it.
     tree = cKDTree(ring)
-    near, _ = tree.query(interior, distance_upper_bound=4.0 * spacing)
+    near = np.full(len(interior), np.inf)
+    window = _ring_window(ring, lo, spacing, row, col)
+    near[window] = tree.query(interior[window], distance_upper_bound=4.0 * spacing)[0]
     keep = far_from_ring(interior, ring, 0.55 * spacing, tree, near)
     interior, row, col, near = interior[keep], row[keep], col[keep], near[keep]
     allpts = np.concatenate([ring, interior], axis=0)

@@ -456,6 +456,12 @@ def _planar_norm(csv_name, p_expr):
         (_edited("disk_subcritical.cfg", (DISK_ARC, "arc = 0 0 1e-300 0 6.283185307179586"),
                  ("h = 0.1", "h = 1e-300")),
          "solve", 1, "input error: GeometryError: boundary loop must be counterclockwise around"),
+        # the vertex-count guard refuses these before any ring or lattice
+        # is allocated
+        (_edited("disk_subcritical.cfg", ("h = 0.1", "h = 1e-300")),
+         "solve", 1, "input error: GeometryError: h = 1e-300 is too small to mesh"),
+        (_edited("disk_subcritical.cfg", ("h = 0.1", "h = 1e-12")),
+         "solve", 1, "input error: GeometryError: h = 1e-12 is too small to mesh"),
         (_edited("square_gamma.cfg", ("segment = 0 1 0 0", "segment = 0 1 0 1e-13\n"
                                                          "segment = 0 1e-13 0 0"),
                  ("gamma = 3", "gamma =")),
@@ -530,7 +536,8 @@ def _planar_norm(csv_name, p_expr):
          "p-minus-inf-solve", "unknown-section-condition", "unknown-section-solvr",
          "unknown-key-max-iters", "segment-under-solver", "n-random-negative",
          "checks-empty", "checks-unknown", "segment-zero-length", "arc-two-turns",
-         "loop-digon", "loop-collinear", "disk-area-underflow", "square-sliver-side",
+         "loop-digon", "loop-collinear", "disk-area-underflow", "h-1e-300", "h-1e-12",
+         "square-sliver-side",
          "expand-N-400", "init-bubble-lam-overflow", "init-bubble-lam-underflow",
          "expand-eps-underflow", "expand-eps-overflow", "expand-eps-huge", "p-sup-above-2", "r-inf-below-1",
          "local-without-x0", "compactness-without-K", "p-expr-990-terms", "p-expr-3000-terms",
@@ -780,7 +787,7 @@ def test_reproducibility_same_seed_and_threads():
         (["expansion_study.py"], "flat case=curvature fitted=-0.0024 predicted=+0.0000 "
                                  "residual=1.16e-02"),
         (["shipped_outputs.py", "{tmp}"], "norm: exit 0"),
-        (["mesh_census.py", "{tmp}/census.txt"], "mesh nv nt sha256 h volume iq"),
+        (["mesh_census.py", "{tmp}/census.txt"], "mesh nv nt sha256 h volume iq ops"),
     ],
     ids=["constants-table", "disk-study", "expansion-study", "shipped-outputs", "mesh-census"],
 )

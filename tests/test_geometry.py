@@ -162,6 +162,21 @@ def test_mesh_size_must_be_positive_and_finite(h):
         mesh_domain(SQUARE, h)
 
 
+@pytest.mark.parametrize("h", [1e-5, 1e-12, 1e-300, 5e-324])
+def test_an_h_too_small_to_mesh_is_refused_before_meshing(monkeypatch, h):
+    # the refusal comes from the vertex estimate alone: no ring is built
+    monkeypatch.setattr(BoundaryLoop, "polyline", lambda *a: pytest.fail("ring built"))
+    with pytest.raises(GeometryError, match=f"h = {h!r} is too small to mesh"):
+        mesh_domain(unit_disk_loop(), h)
+
+
+def test_vertex_estimate_is_close_to_the_mesh():
+    for loop, h in ((unit_disk_loop(), 0.03), (COMB, 0.1), (SQUARE, 0.04)):
+        dom = mesh_domain(loop, h)
+        estimate = geometry._vertex_estimate(loop, 0.62 * h * 0.8)
+        assert 0.9 < estimate / dom.n_vertices < 1.1
+
+
 def test_gamma_marking_and_closure():
     dom = mesh_domain(SQUARE, 0.5, gamma_arcs=(0,))
     assert np.any(dom.gamma_edges) and not np.all(dom.gamma_edges)
@@ -258,6 +273,14 @@ def test_operators_equal_the_coo_assembly(loop, h, gamma):
     # a cut submesh has boundary edges running from the higher vertex too
     sub, _ = dom.submesh(dom.vertices[0], 0.5)
     for d in (dom, sub, dom.refine()[0]):
+        # the points and weights from the (nt, 3, 2) gather of the corners;
+        # refine's rows are not in canonical order
+        vt = d.vertices[d.triangles]
+        d1, d2 = vt[:, 1] - vt[:, 0], vt[:, 2] - vt[:, 0]
+        area = 0.5 * np.abs(d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
+        pts, w = d.interior_quadrature()[:2]
+        assert np.array_equal(pts, (0.5 * (vt + vt[:, [1, 2, 0]])).reshape(-1, 2))
+        assert np.array_equal(w, np.repeat(area / 3.0, 3))
         got = (*d.interior_quadrature()[2:], *d.boundary_quadrature()[2:])
         for a, b in zip(got, _coo_operators(d)):
             for key in ("indptr", "indices", "data"):
@@ -690,6 +713,56 @@ def test_mesh_domain_is_the_full_delaunay(name):
 @FINE_BENCHMARK_MESHES
 def test_fine_benchmark_meshes_are_the_full_delaunay(loop, h, gamma):
     _assert_full_delaunay_in_canonical_order(mesh_domain(loop, h, gamma_arcs=gamma))
+
+
+def _hex_lattice_by_rows(lo, hi, spacing):
+    """The lattice of _hex_lattice built one row at a time."""
+    dy = spacing * math.sqrt(3.0) / 2.0
+    pts, rows, cols = [np.zeros((0, 2))], [np.zeros(0, dtype=int)], [np.zeros(0, dtype=int)]
+    for row, y in enumerate(np.arange(lo[1] + 0.5 * dy, hi[1], dy)):
+        off = 0.5 * spacing if row % 2 else 0.0
+        xs = np.arange(lo[0] + 0.4 * spacing + off, hi[0], spacing)
+        pts.append(np.stack([xs, np.full_like(xs, y)], axis=1))
+        rows.append(np.full(len(xs), row))
+        cols.append(np.arange(len(xs)))
+    return np.concatenate(pts), np.concatenate(rows), np.concatenate(cols)
+
+
+def test_hex_lattice_equals_the_row_by_row_build():
+    rng = np.random.default_rng(5)
+    sizes = []
+    for _ in range(400):
+        lo = rng.uniform(-2.0, 2.0, 2)
+        # about one box in four is empty or flat along an axis
+        hi = lo + rng.uniform(-0.2, 1.5, 2) * rng.integers(0, 4, 2).clip(0, 1)
+        spacing = rng.uniform(0.02, 0.6)
+        got = geometry._hex_lattice(lo, hi, spacing)
+        for a, b in zip(got, _hex_lattice_by_rows(lo, hi, spacing)):
+            assert a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b)
+        sizes.append(len(got[0]))
+    assert min(sizes) == 0 and max(sizes) > 1000
+
+
+@pytest.mark.parametrize("name", list(MESH_DOMAINS))
+def test_ring_window_query_equals_the_full_bounded_query(name):
+    # the lattice points outside every ring vertex's window keep the inf
+    # that the query bounded at 4 spacings gives them; small-disk, comb and
+    # h = 0.5 put windows across the lattice's edge
+    loop, _, scale = MESH_DOMAINS[name]
+    for h in (0.5, 0.1, 0.03):
+        for spacing in _tried_spacings(h * scale):
+            ring, _ = loop.polyline(spacing)
+            lo = ring.min(axis=0)
+            pts, row, col = geometry._hex_lattice(lo, ring.max(axis=0), spacing)
+            keep = points_in_polygon(pts, ring)
+            pts, row, col = pts[keep], row[keep], col[keep]
+            tree = cKDTree(ring)
+            want = tree.query(pts, distance_upper_bound=4.0 * spacing)[0]
+            window = geometry._ring_window(ring, lo, spacing, row, col)
+            got = np.full(len(pts), np.inf)
+            got[window] = tree.query(pts[window], distance_upper_bound=4.0 * spacing)[0]
+            assert np.array_equal(got, want), (h, spacing)
+            assert np.all(window[np.isfinite(want)])
 
 
 def test_qhull_sees_only_the_boundary_band(monkeypatch):
